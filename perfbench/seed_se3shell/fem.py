@@ -1,0 +1,320 @@
+"""Discrete weak form: element kernels, boundary conditions, global assembly.
+
+Per element and chart direction alpha the discrete strain operator is
+
+    Kbar^i_alpha(x) = dN^i/dxi^alpha I_6 + N^i(x) ad(zeta_alpha),
+
+the derivative of the carried twists under interpolated nodal increments.
+The default scheme samples the twists entering both the stress and the
+ad-term at the element centroid (the locking treatment); with centroid
+sampling on rectangular charts every kernel reduces exactly to its
+centroid value times the element area, and the assembled tangent is the
+exact jacobian of the assembled residual.  `scheme="gauss"` instead samples
+everything at the 2x2 Gauss points (fully consistent as well, but it shear
+locks for thin elements; kept as a diagnostic).
+
+Global system convention (tangent times increment = residual):
+
+    A = Kmat + Kgeo - Kdead - Kmag,   b = f_ext + f_mag - f_int,
+
+which is the (K_MG - KM) eta = FU - FM structure with FU the unbalanced
+mechanical force f_ext - f_int.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
+
+from .constitutive import Material, metric_inverse, stiffness_blocks
+from .liegroup import ad, ad_tilde, skew
+from .magnetics import (
+    MagneticEnvironment,
+    element_magnetic_force,
+    element_magnetic_stiffness,
+)
+from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh, shape_gradients, shape_values
+
+_EYE6 = np.eye(6)
+
+
+def shape_functions(x: float, y: float, le1: float = 2.0, le2: float = 2.0):
+    """Bilinear N^i and chart-coordinate gradients at a parent point.
+
+    ``le1``/``le2`` are the chart extents of the element; the parent square
+    is [-1, 1]^2, so gradients scale by 2/le.
+    """
+    if le1 <= 0.0 or le2 <= 0.0:
+        raise ValueError("degenerate chart jacobian: non-positive element size")
+    pt = np.array([[x, y]])
+    n = shape_values(pt)[0]
+    dn = shape_gradients(pt)[0] * np.array([2.0 / le1, 2.0 / le2])
+    return n, dn
+
+
+def k_operator(n_i: float, dn_i: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Strain operator of one node: (dN^i_alpha) I + N^i ad(zeta_alpha), (2,6,6)."""
+    z = np.asarray(zeta, dtype=float).reshape(2, 6)
+    return np.asarray(dn_i, dtype=float)[:, None, None] * _EYE6 + n_i * ad(z)
+
+
+@dataclass
+class ElementKernels:
+    """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6)."""
+
+    kmat: np.ndarray
+    kgeo: np.ndarray
+    kmag: np.ndarray
+    f_int: np.ndarray
+    f_ext: np.ndarray
+    f_mag: np.ndarray
+
+
+@dataclass
+class GlobalSystem:
+    """BC-reduced Newton system A eta = b plus bookkeeping for tolerances."""
+
+    a: sp.csr_matrix
+    b: np.ndarray
+    free: np.ndarray
+    load_norm: float
+    residual_norm: float = field(init=False)
+
+    def __post_init__(self):
+        self.residual_norm = float(np.linalg.norm(self.b))
+
+
+class FemModel:
+    """Mesh + material + loading, able to produce the Newton system."""
+
+    def __init__(self, mesh: ShellMesh, material: Material,
+                 env: MagneticEnvironment | None = None,
+                 scheme: str = "centroid",
+                 body_wrench: np.ndarray | None = None,
+                 field_program=None):
+        if scheme not in ("centroid", "gauss"):
+            raise ValueError("scheme must be 'centroid' or 'gauss'")
+        self.mesh = mesh
+        self.material = material
+        self.env = env
+        self.scheme = scheme
+        self.body_wrench = None if body_wrench is None else np.asarray(body_wrench, float)
+        # field_program(load_factor) -> MagneticEnvironment; default linear ramp
+        self.field_program = field_program
+        self.d_blocks = self._build_d_blocks()
+        self._indices = None
+
+    def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
+        if self.field_program is not None:
+            return self.field_program(load_factor)
+        if self.env is None:
+            return None
+        return self.env.scaled(load_factor)
+
+    def _build_d_blocks(self) -> np.ndarray:
+        nel = self.mesh.n_elements
+        d = np.empty((nel, 2, 2, 6, 6))
+        for e in range(nel):
+            c1 = self.mesh.zeta0_pts[e, 0, 0, :3]
+            c2 = self.mesh.zeta0_pts[e, 0, 1, :3]
+            d[e] = stiffness_blocks(self.material, metric_inverse(c1, c2))
+        return d
+
+    # --- element level -----------------------------------------------------
+
+    def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
+        mesh = self.mesh
+        le1, le2 = mesh.le
+        dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
+        w_gauss = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]  # (nel, 4)
+        area_w = le1 * le2 * mesh.jac0_pts[:, 0]            # (nel,)
+        state = mesh.state
+
+        if self.scheme == "centroid":
+            zc = state.zeta_pts[:, 0]
+            strain = zc - mesh.zeta0_pts[:, 0]
+            s = np.einsum("eabpq,ebq->eap", self.d_blocks, strain)
+            adc = ad(zc)
+            kbar = (dn_pts[0][None, :, :, None, None] * _EYE6
+                    + 0.25 * adc[:, None, :, :, :])  # (nel, 4, 2, 6, 6)
+            f_int = area_w[:, None, None] * np.einsum("eiapq,eap->eiq", kbar, s)
+            kmat = area_w[:, None, None, None, None] * np.einsum(
+                "eiapq,eabpr,ejbrs->eijqs", kbar, self.d_blocks, kbar, optimize=True)
+            geo = np.einsum("eapq,ejaqr->ejpr", ad_tilde(s), kbar)
+            kgeo = np.broadcast_to(
+                (0.25 * area_w)[:, None, None, None, None] * geo[:, None],
+                kmat.shape).copy()
+        else:
+            zg = state.zeta_pts[:, 1:]
+            strain = zg - mesh.zeta0_pts[:, 1:]
+            s = np.einsum("eabpq,egbq->egap", self.d_blocks, strain)
+            adg = ad(zg)
+            kbar = (dn_pts[1:][None, :, :, :, None, None] * _EYE6
+                    + N_PTS[1:][None, :, :, None, None, None]
+                    * adg[:, :, None, :, :, :])  # (nel, 4, 4, 2, 6, 6)
+            f_int = np.einsum("eg,egiapq,egap->eiq", w_gauss, kbar, s, optimize=True)
+            kmat = np.einsum("eg,egiapq,eabpr,egjbrs->eijqs",
+                             w_gauss, kbar, self.d_blocks, kbar, optimize=True)
+            kgeo = np.einsum("eg,gi,egapq,egjaqr->eijpr",
+                             w_gauss, N_PTS[1:], ad_tilde(s), kbar, optimize=True)
+
+        nel = mesh.n_elements
+        f_ext = np.zeros((nel, 4, 6))
+        if self.body_wrench is not None:
+            f_ext += (0.25 * area_w)[:, None, None] * (load_factor * self.body_wrench)
+
+        env = self._env_at(load_factor)
+        if env is not None and mesh.b_r is not None:
+            f_mag = element_magnetic_force(mesh.r0_pts[:, 1:], state.r_pts[:, 1:],
+                                           mesh.b_r, env, N_PTS[1:], w_gauss)
+            kmag = element_magnetic_stiffness(mesh.r0_pts[:, 1:], state.r_pts[:, 1:],
+                                              mesh.b_r, env, N_PTS[1:], w_gauss)
+        else:
+            f_mag = np.zeros((nel, 4, 6))
+            kmag = np.zeros((nel, 4, 4, 6, 6))
+
+        return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag,
+                              f_int=f_int, f_ext=f_ext, f_mag=f_mag)
+
+    # --- global level ------------------------------------------------------
+
+    def _block_indices(self):
+        if self._indices is None:
+            c6 = 6 * self.mesh.conn
+            r6 = np.arange(6)
+            rows = np.broadcast_to(
+                c6[:, :, None, None, None] + r6[None, None, None, :, None],
+                (self.mesh.n_elements, 4, 4, 6, 6)).ravel()
+            cols = np.broadcast_to(
+                c6[:, None, :, None, None] + r6[None, None, None, None, :],
+                (self.mesh.n_elements, 4, 4, 6, 6)).ravel()
+            vec = (c6[:, :, None] + r6[None, None, :]).ravel()
+            self._indices = (rows, cols, vec)
+        return self._indices
+
+    def assemble(self, kern: ElementKernels) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """Scatter-add element kernels into (A, b) plus the external-load part.
+
+        Returns the full (unreduced) tangent A = Kmat + Kgeo - Kmag, the full
+        residual b = f_ext + f_mag - f_int, and separately the external load
+        vector f_ext + f_mag used for tolerance scaling.
+        """
+        n = self.mesh.n_dofs
+        rows, cols, vec = self._block_indices()
+        k_el = kern.kmat + kern.kgeo - kern.kmag
+        a = sp.coo_matrix((k_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        b = np.zeros(n)
+        load = np.zeros(n)
+        np.add.at(b, vec, (kern.f_ext + kern.f_mag - kern.f_int).ravel())
+        np.add.at(load, vec, (kern.f_ext + kern.f_mag).ravel())
+        return a, b, load
+
+    def neumann_terms(self, load_factor: float = 1.0):
+        """Nodal boundary wrenches and the dead-load tangent blocks.
+
+        Dead loads keep constant spatial components and are re-expressed in
+        each node's current frame; followers are constant local components.
+        """
+        n = self.mesh.n_dofs
+        b = np.zeros(n)
+        krows, kcols, kvals = [], [], []
+        for ld in self.mesh.neumann:
+            w = ld.wrench * load_factor
+            for node, weight in zip(ld.nodes, ld.weights):
+                sl = slice(6 * node, 6 * node + 6)
+                if ld.frame == "follower":
+                    b[sl] += weight * w
+                    continue
+                r = self.mesh.state.g_nodes[node, :3, :3]
+                n_loc = r.T @ w[:3]
+                m_loc = r.T @ w[3:]
+                b[sl.start:sl.start + 3] += weight * n_loc
+                b[sl.start + 3:sl.stop] += weight * m_loc
+                blk = np.zeros((6, 6))
+                blk[:3, 3:] = weight * skew(n_loc)
+                blk[3:, 3:] = weight * skew(m_loc)
+                rr, cc = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+                krows.append(6 * node + rr.ravel())
+                kcols.append(6 * node + cc.ravel())
+                kvals.append(blk.ravel())
+        if krows:
+            kdead = sp.coo_matrix(
+                (np.concatenate(kvals), (np.concatenate(krows), np.concatenate(kcols))),
+                shape=(n, n)).tocsr()
+        else:
+            kdead = sp.csr_matrix((n, n))
+        return b, kdead
+
+    def apply_boundary_conditions(self, a_full: sp.csr_matrix, b_full: np.ndarray,
+                                  load_full: np.ndarray,
+                                  load_factor: float = 1.0) -> GlobalSystem:
+        """Add boundary loads, subtract the dead-load tangent, eliminate DOFs."""
+        b_neu, kdead = self.neumann_terms(load_factor)
+        a = a_full - kdead
+        b = b_full + b_neu
+        free = self.mesh.free_dofs()
+        a_red = a[free][:, free].tocsr()
+        if not np.all(np.isfinite(a_red.data)) or not np.all(np.isfinite(b[free])):
+            raise FloatingPointError("non-finite entries in the assembled system")
+        return GlobalSystem(a=a_red, b=b[free], free=free,
+                            load_norm=float(np.linalg.norm((load_full + b_neu)[free])))
+
+    def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
+        kern = self.element_kernels(load_factor)
+        a_full, b_full, load_full = self.assemble(kern)
+        return self.apply_boundary_conditions(a_full, b_full, load_full, load_factor)
+
+    # --- diagnostics --------------------------------------------------------
+
+    def mechanical_tangent(self) -> sp.csr_matrix:
+        """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts)."""
+        kern = self.element_kernels(0.0)
+        n = self.mesh.n_dofs
+        rows, cols, _ = self._block_indices()
+        a = sp.coo_matrix(((kern.kmat + kern.kgeo).ravel(), (rows, cols)),
+                          shape=(n, n)).tocsr()
+        free = self.mesh.free_dofs()
+        return a[free][:, free].tocsr()
+
+    def energies(self, load_factor: float = 1.0) -> tuple[float, float]:
+        """(elastic stored energy, magnetic potential) of the current state.
+
+        Elastic part integrates -l0 = 1/2 <S, E> over the strain sampling of
+        the active scheme; magnetic part is -(1/mu0) B_t^r . B^a per area.
+        """
+        mesh = self.mesh
+        le1, le2 = mesh.le
+        if self.scheme == "centroid":
+            strain = mesh.state.zeta_pts[:, 0] - mesh.zeta0_pts[:, 0]
+            s = np.einsum("eabpq,ebq->eap", self.d_blocks, strain)
+            dens = 0.5 * np.einsum("eap,eap->e", s, strain)
+            elastic = float(np.sum(le1 * le2 * mesh.jac0_pts[:, 0] * dens))
+        else:
+            strain = mesh.state.zeta_pts[:, 1:] - mesh.zeta0_pts[:, 1:]
+            s = np.einsum("eabpq,egbq->egap", self.d_blocks, strain)
+            dens = 0.5 * np.einsum("egap,egap->eg", s, strain)
+            elastic = float(np.sum((le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:] * dens))
+        magnetic = 0.0
+        env = self._env_at(load_factor)
+        if env is not None and mesh.b_r is not None:
+            b_mat = np.einsum("egji,ej->egi", mesh.r0_pts[:, 1:], mesh.b_r)
+            b_app = np.einsum("egji,j->egi", mesh.state.r_pts[:, 1:], env.b_applied)
+            dots = np.einsum("egi,egi->eg", b_mat, b_app) / env.mu0
+            w_gauss = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
+            magnetic = float(-np.sum(w_gauss * dots))
+        return elastic, magnetic
+
+
+def rigid_modes(mesh: ShellMesh) -> np.ndarray:
+    """Six discrete rigid-motion fields u_i = Ad(g_i^-1) mu, shape (6, n_dofs)."""
+    from .liegroup import Ad, inv_pose
+
+    ad_inv = Ad(inv_pose(mesh.state.g_nodes))  # (n_nodes, 6, 6)
+    modes = np.zeros((6, mesh.n_dofs))
+    for k in range(6):
+        mu = np.zeros(6)
+        mu[k] = 1.0
+        modes[k] = (ad_inv @ mu).ravel()
+    return modes
