@@ -19,6 +19,13 @@ Global system convention (tangent times increment = residual):
 
 which is the (K_MG - KM) eta = FU - FM structure with FU the unbalanced
 mechanical force f_ext - f_int.
+
+Assembly has one fixed-pattern path.  On the first build for a given set of
+free DOFs the model builds the CSR pattern of the BC-reduced tangent and
+int32 maps from every element-block, element-force and nodal dead-load entry
+to its `data` or vector slot, with fixed DOFs already dropped; each later
+build is then one `np.bincount` per array.  The full unreduced system used by
+diagnostics is the same scatter over all DOFs.
 """
 
 from __future__ import annotations
@@ -104,7 +111,7 @@ class FemModel:
         # field_program(load_factor) -> MagneticEnvironment; default linear ramp
         self.field_program = field_program
         self.d_blocks = self._build_d_blocks()
-        self._indices = None
+        self._scatters: dict[bytes, _Scatter] = {}
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
         if self.field_program is not None:
@@ -114,13 +121,13 @@ class FemModel:
         return self.env.scaled(load_factor)
 
     def _build_d_blocks(self) -> np.ndarray:
+        """Per-element stiffness blocks, one evaluation per distinct metric."""
         nel = self.mesh.n_elements
-        d = np.empty((nel, 2, 2, 6, 6))
-        for e in range(nel):
-            c1 = self.mesh.zeta0_pts[e, 0, 0, :3]
-            c2 = self.mesh.zeta0_pts[e, 0, 1, :3]
-            d[e] = stiffness_blocks(self.material, metric_inverse(c1, c2))
-        return d
+        tangents = self.mesh.zeta0_pts[:, 0, :, :3].reshape(nel, 6)
+        uniq, inv = np.unique(tangents, axis=0, return_inverse=True)
+        d = np.stack([stiffness_blocks(self.material, metric_inverse(t[:3], t[3:]))
+                      for t in uniq])
+        return d[inv.reshape(-1)]
 
     # --- element level -----------------------------------------------------
 
@@ -180,103 +187,86 @@ class FemModel:
 
     # --- global level ------------------------------------------------------
 
-    def _block_indices(self):
-        if self._indices is None:
-            c6 = 6 * self.mesh.conn
-            r6 = np.arange(6)
-            rows = np.broadcast_to(
-                c6[:, :, None, None, None] + r6[None, None, None, :, None],
-                (self.mesh.n_elements, 4, 4, 6, 6)).ravel()
-            cols = np.broadcast_to(
-                c6[:, None, :, None, None] + r6[None, None, None, None, :],
-                (self.mesh.n_elements, 4, 4, 6, 6)).ravel()
-            vec = (c6[:, :, None] + r6[None, None, :]).ravel()
-            self._indices = (rows, cols, vec)
-        return self._indices
+    def _scatter(self, dofs: np.ndarray) -> "_Scatter":
+        """Fixed-pattern scatter onto `dofs`, built on first use per DOF set."""
+        key = dofs.tobytes()
+        sc = self._scatters.get(key)
+        if sc is None:
+            sc = self._scatters[key] = _Scatter(self.mesh.conn, self.mesh.n_nodes, dofs)
+        return sc
 
-    def assemble(self, kern: ElementKernels) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
+                 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Scatter-add element kernels into (A, b) plus the external-load part.
 
-        Returns the full (unreduced) tangent A = Kmat + Kgeo - Kmag, the full
-        residual b = f_ext + f_mag - f_int, and separately the external load
-        vector f_ext + f_mag used for tolerance scaling.
+        Returns the tangent A = Kmat + Kgeo - Kmag, the residual
+        b = f_ext + f_mag - f_int, and separately the external load vector
+        f_ext + f_mag used for tolerance scaling, all restricted to `dofs`
+        (default: every DOF, i.e. the full unreduced system).
         """
-        n = self.mesh.n_dofs
-        rows, cols, vec = self._block_indices()
-        k_el = kern.kmat + kern.kgeo - kern.kmag
-        a = sp.coo_matrix((k_el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        b = np.zeros(n)
-        load = np.zeros(n)
-        np.add.at(b, vec, (kern.f_ext + kern.f_mag - kern.f_int).ravel())
-        np.add.at(load, vec, (kern.f_ext + kern.f_mag).ravel())
-        return a, b, load
+        if dofs is None:
+            dofs = np.arange(self.mesh.n_dofs)
+        sc = self._scatter(dofs)
+        load_el = kern.f_ext + kern.f_mag
+        a = sc.matrix(kern.kmat + kern.kgeo - kern.kmag)
+        return a, sc.vector(load_el - kern.f_int), sc.vector(load_el)
 
-    def neumann_terms(self, load_factor: float = 1.0):
-        """Nodal boundary wrenches and the dead-load tangent blocks.
+    def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
 
         Dead loads keep constant spatial components and are re-expressed in
         each node's current frame; followers are constant local components.
+        The dead-load tangent is block diagonal, returned as one 6x6 block
+        per node, shape (n_nodes, 6, 6).
         """
-        n = self.mesh.n_dofs
-        b = np.zeros(n)
-        krows, kcols, kvals = [], [], []
-        for ld in self.mesh.neumann:
+        mesh = self.mesh
+        b = np.zeros((mesh.n_nodes, 6))
+        kdead = np.zeros((mesh.n_nodes, 6, 6))
+        for ld in mesh.neumann:
             w = ld.wrench * load_factor
-            for node, weight in zip(ld.nodes, ld.weights):
-                sl = slice(6 * node, 6 * node + 6)
-                if ld.frame == "follower":
-                    b[sl] += weight * w
-                    continue
-                r = self.mesh.state.g_nodes[node, :3, :3]
-                n_loc = r.T @ w[:3]
-                m_loc = r.T @ w[3:]
-                b[sl.start:sl.start + 3] += weight * n_loc
-                b[sl.start + 3:sl.stop] += weight * m_loc
-                blk = np.zeros((6, 6))
-                blk[:3, 3:] = weight * skew(n_loc)
-                blk[3:, 3:] = weight * skew(m_loc)
-                rr, cc = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
-                krows.append(6 * node + rr.ravel())
-                kcols.append(6 * node + cc.ravel())
-                kvals.append(blk.ravel())
-        if krows:
-            kdead = sp.coo_matrix(
-                (np.concatenate(kvals), (np.concatenate(krows), np.concatenate(kcols))),
-                shape=(n, n)).tocsr()
-        else:
-            kdead = sp.csr_matrix((n, n))
-        return b, kdead
+            weight = ld.weights[:, None]
+            if ld.frame == "follower":
+                np.add.at(b, ld.nodes, weight * w)
+                continue
+            r = mesh.state.g_nodes[ld.nodes, :3, :3]
+            n_loc = np.einsum("kji,j->ki", r, w[:3])
+            m_loc = np.einsum("kji,j->ki", r, w[3:])
+            np.add.at(b, ld.nodes, weight * np.hstack([n_loc, m_loc]))
+            blk = np.zeros((len(ld.nodes), 6, 6))
+            blk[:, :3, 3:] = weight[:, :, None] * skew(n_loc)
+            blk[:, 3:, 3:] = weight[:, :, None] * skew(m_loc)
+            np.add.at(kdead, ld.nodes, blk)
+        return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, a_full: sp.csr_matrix, b_full: np.ndarray,
-                                  load_full: np.ndarray,
+    def apply_boundary_conditions(self, a: sp.csr_matrix, b: np.ndarray,
+                                  load: np.ndarray, free: np.ndarray,
                                   load_factor: float = 1.0) -> GlobalSystem:
-        """Add boundary loads, subtract the dead-load tangent, eliminate DOFs."""
+        """Add boundary loads and the dead-load tangent to the reduced system.
+
+        `a`, `b` and `load` come from `assemble(kern, free)`; the dead-load
+        blocks are subtracted in place in the slots of `a`'s fixed pattern.
+        """
         b_neu, kdead = self.neumann_terms(load_factor)
-        a = a_full - kdead
-        b = b_full + b_neu
-        free = self.mesh.free_dofs()
-        a_red = a[free][:, free].tocsr()
-        if not np.all(np.isfinite(a_red.data)) or not np.all(np.isfinite(b[free])):
+        a.data -= self._scatter(free).node_data(kdead)
+        b_neu = b_neu[free]
+        b = b + b_neu
+        if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
             raise FloatingPointError("non-finite entries in the assembled system")
-        return GlobalSystem(a=a_red, b=b[free], free=free,
-                            load_norm=float(np.linalg.norm((load_full + b_neu)[free])))
+        return GlobalSystem(a=a, b=b, free=free,
+                            load_norm=float(np.linalg.norm(load + b_neu)))
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
         kern = self.element_kernels(load_factor)
-        a_full, b_full, load_full = self.assemble(kern)
-        return self.apply_boundary_conditions(a_full, b_full, load_full, load_factor)
+        free = self.mesh.free_dofs()
+        a, b, load = self.assemble(kern, free)
+        return self.apply_boundary_conditions(a, b, load, free, load_factor)
 
     # --- diagnostics --------------------------------------------------------
 
     def mechanical_tangent(self) -> sp.csr_matrix:
         """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts)."""
         kern = self.element_kernels(0.0)
-        n = self.mesh.n_dofs
-        rows, cols, _ = self._block_indices()
-        a = sp.coo_matrix(((kern.kmat + kern.kgeo).ravel(), (rows, cols)),
-                          shape=(n, n)).tocsr()
-        free = self.mesh.free_dofs()
-        return a[free][:, free].tocsr()
+        return self._scatter(self.mesh.free_dofs()).matrix(kern.kmat + kern.kgeo)
 
     def energies(self, load_factor: float = 1.0) -> tuple[float, float]:
         """(elastic stored energy, magnetic potential) of the current state.
@@ -305,6 +295,57 @@ class FemModel:
             w_gauss = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
             magnetic = float(-np.sum(w_gauss * dots))
         return elastic, magnetic
+
+
+class _Scatter:
+    """Fixed CSR pattern of the tangent on a DOF subset, with int32 slot maps.
+
+    Every entry of the (nel,4,4,6,6) element blocks (`k_slot`), the (nel,4,6)
+    element forces (`f_slot`) and the (n_nodes,6,6) nodal blocks
+    (`node_slot`) owns one slot of the matrix `data` or of the vector.
+    Entries on dropped DOFs go to a spare slot one past the end, which is
+    cut off, so each assembly is a single `np.bincount`.
+    """
+
+    def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
+        m = len(dofs)
+        pos = np.full(6 * n_nodes, m, dtype=np.int64)
+        pos[dofs] = np.arange(m)
+        el = pos[6 * conn[:, :, None] + np.arange(6)]        # (nel, 4, 6)
+        node = pos[6 * np.arange(n_nodes)[:, None] + np.arange(6)]  # (n_nodes, 6)
+        keys = el[:, :, None, :, None] * m + el[:, None, :, None, :]
+        kept = (el[:, :, None, :, None] < m) & (el[:, None, :, None, :] < m)
+        uniq, inv = np.unique(keys[kept], return_inverse=True)
+        nnz = len(uniq)
+        k_slot = np.full(keys.shape, nnz, dtype=np.int32)
+        k_slot[kept] = inv
+        node_keys = node[:, :, None] * m + node[:, None, :]
+        node_kept = (node[:, :, None] < m) & (node[:, None, :] < m)
+        node_slot = np.full(node_keys.shape, nnz, dtype=np.int32)
+        node_slot[node_kept] = np.searchsorted(uniq, node_keys[node_kept])
+        self.m, self.nnz = m, nnz
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(uniq // m, minlength=m))]).astype(np.int32)
+        self.indices = (uniq % m).astype(np.int32)
+        self.k_slot = k_slot.ravel()
+        self.f_slot = el.astype(np.int32).ravel()
+        self.node_slot = node_slot.ravel()
+
+    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """Sum (nel,4,4,6,6) element blocks into a fresh CSR matrix."""
+        data = np.bincount(self.k_slot, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
+
+    def vector(self, forces: np.ndarray) -> np.ndarray:
+        """Sum (nel,4,6) element forces into a vector over the DOF subset."""
+        return np.bincount(self.f_slot, weights=forces.ravel(),
+                           minlength=self.m + 1)[:self.m]
+
+    def node_data(self, blocks: np.ndarray) -> np.ndarray:
+        """(n_nodes,6,6) nodal diagonal blocks as an array aligned with `data`."""
+        return np.bincount(self.node_slot, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
 
 
 def rigid_modes(mesh: ShellMesh) -> np.ndarray:

@@ -29,13 +29,30 @@ class ReferenceSurface:
 
     ``pose_at`` maps chart points to poses; ``twists_at`` returns the exact
     body-frame derivatives (zeta_01, zeta_02) so curved references carry no
-    discretization error; ``jac_at`` is the area jacobian |A1 x A2|.
+    discretization error; ``jac_at`` is the area jacobian |A1 x A2|.  All
+    three broadcast over array chart coordinates: scalar calls return a
+    (4, 4) pose, two (6,) twists and a float, calls on arrays of shape S
+    return (S, 4, 4), two (S, 6) and (S,).
     """
 
     chart: tuple[float, float]  # (extent along xi1, extent along xi2)
     pose_at: Callable[[float, float], np.ndarray]
     twists_at: Callable[[float, float], tuple[np.ndarray, np.ndarray]]
     jac_at: Callable[[float, float], float]
+
+
+def _constant_fields(z01: np.ndarray, z02: np.ndarray):
+    """twists_at/jac_at of a surface with uniform reference twists, unit jacobian."""
+
+    def twists_at(x1, x2):
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2)) + (6,)
+        return np.broadcast_to(z01, shape).copy(), np.broadcast_to(z02, shape).copy()
+
+    def jac_at(x1, x2):
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+        return np.ones(shape) if shape else 1.0
+
+    return twists_at, jac_at
 
 
 def build_flat_plate(lx: float, ly: float) -> ReferenceSurface:
@@ -46,14 +63,12 @@ def build_flat_plate(lx: float, ly: float) -> ReferenceSurface:
     z02 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
     def pose_at(x1, x2):
-        return make_pose(np.eye(3), np.array([x1, x2, 0.0]))
+        x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
+        return make_pose(np.eye(3), np.stack([x1, x2, np.zeros_like(x1)], axis=-1))
 
-    return ReferenceSurface(
-        chart=(lx, ly),
-        pose_at=pose_at,
-        twists_at=lambda x1, x2: (z01.copy(), z02.copy()),
-        jac_at=lambda x1, x2: 1.0,
-    )
+    twists_at, jac_at = _constant_fields(z01, z02)
+    return ReferenceSurface(chart=(lx, ly), pose_at=pose_at,
+                            twists_at=twists_at, jac_at=jac_at)
 
 
 def build_cylindrical_arch(radius: float, angle_span: float, width: float) -> ReferenceSurface:
@@ -73,18 +88,21 @@ def build_cylindrical_arch(radius: float, angle_span: float, width: float) -> Re
     z02 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
     def pose_at(s, y):
+        s, y = np.broadcast_arrays(np.asarray(s, float), np.asarray(y, float))
         phi = s / radius
         c, sn = np.cos(phi), np.sin(phi)
-        r = np.array([[c, 0.0, -sn], [0.0, 1.0, 0.0], [sn, 0.0, c]])
-        p = np.array([radius * sn, y, radius * (1.0 - c)])
+        r = np.zeros(s.shape + (3, 3))
+        r[..., 0, 0] = c
+        r[..., 0, 2] = -sn
+        r[..., 1, 1] = 1.0
+        r[..., 2, 0] = sn
+        r[..., 2, 2] = c
+        p = np.stack([radius * sn, y, radius * (1.0 - c)], axis=-1)
         return make_pose(r, p)
 
-    return ReferenceSurface(
-        chart=(radius * angle_span, width),
-        pose_at=pose_at,
-        twists_at=lambda s, y: (z01.copy(), z02.copy()),
-        jac_at=lambda s, y: 1.0,
-    )
+    twists_at, jac_at = _constant_fields(z01, z02)
+    return ReferenceSurface(chart=(radius * angle_span, width), pose_at=pose_at,
+                            twists_at=twists_at, jac_at=jac_at)
 
 
 def deformation_twists(g_field: Callable[[float, float], np.ndarray],

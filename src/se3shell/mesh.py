@@ -148,7 +148,11 @@ class ShellMesh:
 
 
 def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
-    """Sample a reference surface into a structured nx-by-ny quad mesh."""
+    """Sample a reference surface into a structured nx-by-ny quad mesh.
+
+    The surface is evaluated in one call on all nodes and one on all element
+    points, so its callables must broadcast over array chart coordinates.
+    """
     if nx < 1 or ny < 1:
         raise ValueError("mesh needs at least one element per direction")
     lx, ly = surface.chart
@@ -156,30 +160,20 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
 
-    param = np.array([(x, y) for y in ys for x in xs])
-    g0 = np.stack([surface.pose_at(x, y) for (x, y) in param])
+    gx, gy = np.meshgrid(xs, ys)
+    param = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    g0 = surface.pose_at(param[:, 0], param[:, 1])
 
-    conn = np.empty((nx * ny, 4), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            conn[k] = [j * (nx + 1) + i, j * (nx + 1) + i + 1,
-                       (j + 1) * (nx + 1) + i + 1, (j + 1) * (nx + 1) + i]
-            k += 1
+    first = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    conn = (first[:, None] + np.array([0, 1, nx + 2, nx + 1])).astype(np.int64)
 
-    nel = nx * ny
-    zeta0 = np.empty((nel, 5, 2, 6))
-    r0 = np.empty((nel, 5, 3, 3))
-    jac0 = np.empty((nel, 5))
-    for e in range(nel):
-        corners = param[conn[e]]
-        for p, (px, py) in enumerate(PARENT_POINTS):
-            x = float(N_PTS[p] @ corners[:, 0])
-            y = float(N_PTS[p] @ corners[:, 1])
-            z1, z2 = surface.twists_at(x, y)
-            zeta0[e, p] = np.stack([z1, z2])
-            r0[e, p] = rot_of(surface.pose_at(x, y))
-            jac0[e, p] = surface.jac_at(x, y)
+    # element points: centroid and Gauss points, (nel, 5) chart coordinates
+    x = np.einsum("pi,ei->ep", N_PTS, param[conn, 0])
+    y = np.einsum("pi,ei->ep", N_PTS, param[conn, 1])
+    z1, z2 = surface.twists_at(x, y)
+    zeta0 = np.stack([z1, z2], axis=-2)
+    r0 = rot_of(surface.pose_at(x, y)).copy()
+    jac0 = np.asarray(surface.jac_at(x, y), dtype=float)
     if np.any(jac0 <= 1e-12):
         raise ValueError("degenerate reference surface: vanishing area jacobian")
 

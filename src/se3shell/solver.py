@@ -1,7 +1,7 @@
 """Newton iteration with load stepping and multiplicative updates.
 
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
-on the free DOFs, then updates
+on the free DOFs by one sparse LU factorization, then updates
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -14,9 +14,10 @@ the residual 2-norm over free DOFs against tol_relative * max(1, |load|).
 
 Loads (boundary wrenches and the applied magnetic field) ramp linearly over
 the configured number of steps.  An increment whose largest nodal rotation
-exceeds pi/2, a non-finite system, or a Newton loop that exhausts max_iters
-all reject the attempt: the state is restored and the load increment halved,
-up to max_halvings, after which the run fails with its residual history.
+exceeds pi/2, a non-finite system, a singular tangent, or a Newton loop that
+exhausts max_iters all reject the attempt: the state is restored and the load
+increment halved, up to max_halvings, after which the run fails with the last
+attempt's rejection reason or residual history.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,7 +34,6 @@ from .liegroup import Ad, dexp_se3, exp_se3, exp_so3, inv_pose, log_so3
 from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
-DENSE_CUTOFF = 600
 
 
 class StepRejected(RuntimeError):
@@ -89,43 +88,36 @@ class SolveReport:
 
 
 def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
-    """Solve the tangent system by LU (dense below DENSE_CUTOFF, else sparse).
+    """Solve the tangent system by sparse LU (SuperLU, COLAMD ordering).
 
     Returns (eta, relative linear residual); iterative refinement drives the
     residual below 1e-10 relative on reasonably conditioned systems.  Raises
-    SingularSystemError with a condition estimate when factorization fails or
+    SingularSystemError with a 1-norm estimate when factorization fails or
     produces non-finite results.
     """
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
-    dense = b.size <= DENSE_CUTOFF
-    a_op = a.toarray() if dense and sp.issparse(a) else a
     try:
-        if dense:
-            lu = scipy.linalg.lu_factor(a_op)
-            solve = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
-        else:
-            fac = spla.splu(a.tocsc())
-            solve = fac.solve
+        solve = spla.splu(sp.csc_matrix(a)).solve
         eta = solve(b)
-    except (scipy.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-        raise SingularSystemError(_singular_message(a_op)) from exc
+    except (RuntimeError, ValueError) as exc:
+        raise SingularSystemError(_singular_message(a)) from exc
     if not np.all(np.isfinite(eta)):
-        raise SingularSystemError(_singular_message(a_op))
+        raise SingularSystemError(_singular_message(a))
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    rel = float(np.linalg.norm(b - a_op @ eta)) / bnorm
+    rel = float(np.linalg.norm(b - a @ eta)) / bnorm
     for _ in range(refine):
         if rel < 1e-12:
             break
-        eta = eta + solve(b - a_op @ eta)
-        rel = float(np.linalg.norm(b - a_op @ eta)) / bnorm
+        eta = eta + solve(b - a @ eta)
+        rel = float(np.linalg.norm(b - a @ eta)) / bnorm
     return eta, rel
 
 
 def _singular_message(a) -> str:
     try:
-        est = spla.onenormest(a) if sp.issparse(a) else np.linalg.cond(a, 1)
+        est = spla.onenormest(a)
     except Exception:
         est = float("nan")
     return f"singular or ill-posed tangent (1-norm estimate {est:.3e})"
@@ -231,7 +223,10 @@ def _newton_loop(model: FemModel, lam: float, step_no: int,
         if system.residual_norm <= tol:
             return StepRecord(step=step_no, load_factor=lam, iterations=it,
                               residuals=residuals, converged=True)
-        eta_free, lin_res = newton_step(system.a, system.b)
+        try:
+            eta_free, lin_res = newton_step(system.a, system.b)
+        except SingularSystemError as exc:
+            raise StepRejected(str(exc)) from exc
         report.max_linear_residual = max(report.max_linear_residual, lin_res)
         eta = np.zeros(mesh.n_dofs)
         eta[system.free] = settings.damping * eta_free
@@ -273,8 +268,8 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                 try:
                     rec = _newton_loop(model, lam + dlam, step_no, settings,
                                        report, emit)
-                except StepRejected:
-                    pass
+                except StepRejected as exc:
+                    reason = str(exc)
                 if rec is not None and rec.converged:
                     report.steps.append(rec)
                     lam += dlam
@@ -287,9 +282,9 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     report.converged = False
                     report.message = (
                         f"no convergence at load factor {lam + dlam:.6g} "
-                        f"after {max_halvings} halvings"
-                        + ("" if rec is None else
-                           f"; last residual {rec.residuals[-1]:.3e} "
+                        f"after {max_halvings} halvings; "
+                        + (f"last attempt rejected: {reason}" if rec is None else
+                           f"last residual {rec.residuals[-1]:.3e} "
                            f"in {rec.iterations} iterations"))
                     report.wall_time = time.perf_counter() - t0
                     return report

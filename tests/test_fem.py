@@ -216,7 +216,7 @@ class TestBoundaryConditions:
         # R = I: local wrench equals spatial; trace lumping gives ly/2 per node
         for n in tip_nodes:
             assert b[6 * n + 2] == pytest.approx(2.0 * 0.25)
-        assert kdead.nnz > 0
+        assert np.count_nonzero(kdead) > 0
 
     def test_follower_constant_across_iterations(self):
         model = make_model(nx=3, ny=1)
@@ -325,6 +325,82 @@ class TestAssembly:
         perturb_state(model, 0.05, seed=21)
         a1 = model.mechanical_tangent().toarray()
         assert np.linalg.norm(a1 - a1.T) / np.linalg.norm(a1) > 1e-3
+
+
+class TestReducedSystem:
+    """The production system comes from a fixed-pattern scatter straight into
+    the BC-reduced tangent; check it against the full assembly sliced to the
+    free DOFs and against a dense loop over the element blocks."""
+
+    @staticmethod
+    def loaded_model():
+        env = MagneticEnvironment(np.array([0.01, -0.02, 0.03]))
+        model = make_model(nx=4, ny=2, env=env, b_r=[0.05, 0.01, 0.08])
+        model.mesh.add_edge_load("xi1_max", np.array([0.3, -0.2, 2.0, 0.1, 0.4, -0.2]),
+                                 frame="dead")
+        model.mesh.add_edge_load("xi2_max", np.array([0.0, 0.5, 0.0, 0.2, 0.0, 0.0]),
+                                 frame="dead")
+        perturb_state(model, 0.05, seed=31)
+        return model
+
+    @staticmethod
+    def dense_loop(model, blocks):
+        n = model.mesh.n_dofs
+        out = np.zeros((n, n))
+        for e, nodes in enumerate(model.mesh.conn):
+            for i, gi in enumerate(nodes):
+                for j, gj in enumerate(nodes):
+                    out[6 * gi:6 * gi + 6, 6 * gj:6 * gj + 6] += blocks[e, i, j]
+        return out
+
+    @staticmethod
+    def dense_kdead(model, kdead):
+        out = np.zeros((model.mesh.n_dofs, model.mesh.n_dofs))
+        for node, blk in enumerate(kdead):
+            out[6 * node:6 * node + 6, 6 * node:6 * node + 6] = blk
+        return out
+
+    def test_build_system_matches_full_assembly(self):
+        lam = 0.7
+        model = self.loaded_model()
+        system = model.build_system(lam)
+        free = model.mesh.free_dofs()
+        assert np.array_equal(system.free, free)
+
+        kern = model.element_kernels(lam)
+        a_full, b_full, load_full = model.assemble(kern)
+        b_neu, kdead = model.neumann_terms(lam)
+        kd = self.dense_kdead(model, kdead)
+        assert np.count_nonzero(kd) > 0
+        expected_a = a_full[free][:, free].toarray() - kd[np.ix_(free, free)]
+        expected_b = (b_full + b_neu)[free]
+        scale = np.abs(expected_a).max()
+        assert np.abs(system.a.toarray() - expected_a).max() <= 1e-12 * scale
+        assert np.abs(system.b - expected_b).max() <= 1e-12 * np.abs(expected_b).max()
+        assert system.load_norm == pytest.approx(
+            np.linalg.norm((load_full + b_neu)[free]), rel=1e-12)
+
+        loop = self.dense_loop(model, kern.kmat + kern.kgeo - kern.kmag) - kd
+        assert np.abs(system.a.toarray() - loop[np.ix_(free, free)]).max() <= 1e-12 * scale
+
+    def test_mechanical_tangent_matches_full_assembly(self):
+        model = self.loaded_model()
+        free = model.mesh.free_dofs()
+        kern = model.element_kernels(0.0)
+        expected = self.dense_loop(model, kern.kmat + kern.kgeo)[np.ix_(free, free)]
+        got = model.mechanical_tangent().toarray()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_pattern_follows_later_clamp(self):
+        model = make_model(nx=3, ny=2)
+        assert model.build_system().b.size == len(model.mesh.free_dofs())
+        model.mesh.clamp_edge("xi1_max")
+        free = model.mesh.free_dofs()
+        system = model.build_system()
+        assert np.array_equal(system.free, free)
+        assert system.a.shape == (len(free), len(free))
+        full = model.assemble(model.element_kernels())[0]
+        assert np.allclose(system.a.toarray(), full[free][:, free].toarray())
 
 
 class TestStrongFormOracle:

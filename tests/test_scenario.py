@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from se3shell import solver
 from se3shell.cli import main as cli_main
 from se3shell.outputs import run_scenario
 from se3shell.scenario import (
@@ -17,6 +18,7 @@ from se3shell.scenario import (
     parse_scenario,
     with_overrides,
 )
+from se3shell.solver import SingularSystemError
 
 EXPECTED_BENCHMARKS = {
     "end_shear", "rollup_2pi", "rollup_4pi", "rollup_6pi",
@@ -178,6 +180,21 @@ class TestCli:
         code = cli_main(["run", str(custom), "--out", str(tmp_path / "o"),
                          "--steps", "1", "--max-iter", "2", "--quiet"])
         assert code == 3
+
+    def test_singular_tangent_exit_code(self, tmp_path, monkeypatch, capsys):
+        text = (bundled_dir() / "end_shear.cfg").read_text().replace("nx = 20", "nx = 4")
+        custom = tmp_path / "singular.cfg"
+        custom.write_text(text)
+
+        def singular(a, b):
+            raise SingularSystemError("singular or ill-posed tangent "
+                                      "(1-norm estimate 0.000e+00)")
+
+        monkeypatch.setattr(solver, "newton_step", singular)
+        code = cli_main(["run", str(custom), "--out", str(tmp_path / "o"),
+                         "--steps", "1", "--quiet"])
+        assert code == 3
+        assert "singular or ill-posed tangent" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "se3shell.cli", "list"],

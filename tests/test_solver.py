@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
 from se3shell.kinematics import (
@@ -20,6 +21,7 @@ from se3shell.kinematics import (
 from se3shell.liegroup import Ad, exp_se3, inv_pose
 from se3shell.mesh import build_mesh, shape_values
 from se3shell.solver import (
+    SingularSystemError,
     SolverSettings,
     StepRejected,
     accumulated_edge_rotation,
@@ -50,7 +52,7 @@ class TestNewtonStep:
         assert eta[0] == pytest.approx(2.0)
 
     def test_random_spd_residual(self):
-        for n in (40, 900):  # exercises both the dense and sparse paths
+        for n in (40, 900):
             m = RNG.normal(size=(n, n))
             a = m @ m.T + n * np.eye(n)
             b = RNG.normal(size=n)
@@ -62,8 +64,6 @@ class TestNewtonStep:
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
         a = sp.csr_matrix(np.zeros((4, 4)))
-        from se3shell.solver import SingularSystemError
-
         with pytest.raises(SingularSystemError):
             newton_step(a, np.ones(4))
 
@@ -296,6 +296,33 @@ class TestRun:
         errs = [abs(t - ref) for t in tips[:-1]]
         assert errs[1] < errs[0]
         assert errs[2] < errs[1]
+
+    def test_singular_tangent_rejects_the_attempt(self, monkeypatch):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+
+        def singular(a, b):
+            raise SingularSystemError("singular or ill-posed tangent "
+                                      "(1-norm estimate 0.000e+00)")
+
+        monkeypatch.setattr(solver, "newton_step", singular)
+        report = run(model, SolverSettings(load_steps=1), max_halvings=2)
+        assert not report.converged
+        assert "singular or ill-posed tangent" in report.message
+        assert "1-norm estimate" in report.message
+
+    def test_rotation_rejection_reason_kept(self):
+        e, length, width, h = 12e6, 10.0, 1.0, 0.1
+        m_full = 2 * np.pi * e * (width * h**3 / 12) / length
+        mesh = build_mesh(build_flat_plate(length, width), 20, 1)
+        mesh.clamp_edge("xi1_min")
+        mesh.add_edge_load("xi1_max", np.array([0, 0, 0, 0, m_full / width, 0]),
+                           frame="follower")
+        model = FemModel(mesh, Material(e=e, nu=0.0, h=h))
+        report = run(model, SolverSettings(load_steps=1), max_halvings=0)
+        assert not report.converged
+        assert "rotation increment" in report.message
 
     def test_non_convergence_reported(self):
         model = cantilever(nx=4)
