@@ -112,6 +112,9 @@ class FemModel:
         self.field_program = field_program
         self.d_blocks = self._build_d_blocks()
         self._scatters: dict[bytes, _Scatter] = {}
+        # (area * D_ab as (nel,12,12), area * K0) of the centroid scheme,
+        # built on the first centroid build; d_blocks is fixed after construction
+        self._centroid_consts = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
         if self.field_program is not None:
@@ -140,19 +143,7 @@ class FemModel:
         state = mesh.state
 
         if self.scheme == "centroid":
-            zc = state.zeta_pts[:, 0]
-            strain = zc - mesh.zeta0_pts[:, 0]
-            s = np.einsum("eabpq,ebq->eap", self.d_blocks, strain)
-            adc = ad(zc)
-            kbar = (dn_pts[0][None, :, :, None, None] * _EYE6
-                    + 0.25 * adc[:, None, :, :, :])  # (nel, 4, 2, 6, 6)
-            f_int = area_w[:, None, None] * np.einsum("eiapq,eap->eiq", kbar, s)
-            kmat = area_w[:, None, None, None, None] * np.einsum(
-                "eiapq,eabpr,ejbrs->eijqs", kbar, self.d_blocks, kbar, optimize=True)
-            geo = np.einsum("eapq,ejaqr->ejpr", ad_tilde(s), kbar)
-            kgeo = np.broadcast_to(
-                (0.25 * area_w)[:, None, None, None, None] * geo[:, None],
-                kmat.shape).copy()
+            kmat, kgeo, f_int = self._centroid_kernels(dn_pts[0], area_w)
         else:
             zg = state.zeta_pts[:, 1:]
             strain = zg - mesh.zeta0_pts[:, 1:]
@@ -184,6 +175,45 @@ class FemModel:
 
         return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag,
                               f_int=f_int, f_ext=f_ext, f_mag=f_mag)
+
+    def _centroid_kernels(self, dn: np.ndarray, area: np.ndarray):
+        """(kmat, kgeo, f_int) of the centroid scheme through the factored tangent.
+
+        With A_a = ad(zeta_c,a) the strain operator is kbar_ia = dN_ia I + A_a/4,
+        so that, with D_ab the (pair-symmetric) stiffness blocks times the
+        element area,
+
+            kmat_ij = K0_ij + X_i/4 + X_j^T/4 + S/16,
+            U_a = sum_b D_ab A_b,  X_i = sum_a dN_ia U_a,  S = sum_a A_a^T U_a,
+            K0_ij = sum_ab dN_ia dN_jb D_ab  (constant),
+            f_int_i = sum_a dN_ia s_a + sum_a A_a^T s_a / 4,
+            kgeo_ij = (sum_a dN_ja T_a + sum_a T_a A_a / 4) / 4,  T_a = ad_tilde(s_a),
+
+        where s_a = sum_b D_ab (zeta_c,b - zeta_0,b) is the stress times the
+        area.  kgeo does not depend on i and is returned as a broadcast view.
+        """
+        nel = self.mesh.n_elements
+        if self._centroid_consts is None:
+            d_area = area[:, None, None, None, None] * self.d_blocks
+            self._centroid_consts = (
+                d_area.transpose(0, 1, 3, 2, 4).reshape(nel, 12, 12),
+                np.einsum("ia,jb,eabpq->eijpq", dn, dn, d_area))
+        d12, k0 = self._centroid_consts
+        zc = self.mesh.state.zeta_pts[:, 0]
+        s = d12 @ (zc - self.mesh.zeta0_pts[:, 0]).reshape(nel, 12, 1)
+        adc = ad(zc).reshape(nel, 12, 6)                   # A_a stacked over a
+        adc_t = np.swapaxes(adc, 1, 2)
+        u = d12 @ adc                                      # U_a stacked over a
+        y = 0.25 * (dn @ u.reshape(nel, 2, 36)).reshape(nel, 4, 6, 6)
+        y += (adc_t @ u)[:, None] / 32.0
+        kmat = k0 + y[:, :, None]
+        kmat += np.swapaxes(y, -1, -2)[:, None]
+        f_int = dn @ s.reshape(nel, 2, 6) + 0.25 * (adc_t @ s).reshape(nel, 1, 6)
+        t = ad_tilde(s.reshape(nel, 2, 6))                 # (nel, 2, 6, 6)
+        t_row = t.transpose(0, 2, 1, 3).reshape(nel, 6, 12)
+        geo = 0.25 * (dn @ t.reshape(nel, 2, 36)).reshape(nel, 4, 6, 6)
+        geo += (t_row @ adc)[:, None] / 16.0
+        return kmat, np.broadcast_to(geo[:, None], kmat.shape), f_int
 
     # --- global level ------------------------------------------------------
 

@@ -12,15 +12,32 @@ Conventions used throughout the package:
 All functions broadcast over leading batch dimensions: a twist argument of
 shape ``(..., 6)`` yields ``(..., 4, 4)`` from ``exp_se3``, ``(..., 6, 6)``
 from ``ad``, and so on.  Operations are pure; nothing here mutates its inputs.
+
+Every map is closed form; none sums a series until it converges.  The
+exponentials and their tangents share the coefficients of ``_rot_coeffs``,
+and the differential of the SE(3) exponential is the left Jacobian at -t,
+whose coupling block is Barfoot's Q(-v, -w) (Barfoot & Furgale, IEEE T-RO
+2014).  Coefficient ratios that cancel at small angles are fixed Taylor
+polynomials below an angle where both forms agree to about 1e-15.
+``carried_update`` evaluates the multiplicative update of carried twists,
+exp_so3(w), Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point
+with cross products, without forming 4x4 or 6x6 matrices.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Below this rotation angle the trigonometric coefficient ratios switch to
-# their Taylor expansions (through theta^4) to avoid cancellation.
+# Below this rotation angle sin(t)/t, (1-cos t)/t^2 and the log factors use
+# their Taylor expansions through theta^2, which avoids 0/0.
 SMALL_ANGLE = 1e-6
+# Below this angle the ratios that lose digits to cancellation, (t-sin t)/t^3
+# and the two higher coupling coefficients of dexp, use their Taylor series
+# through theta^18.  Around the switch the series is accurate to 2e-16
+# relative and the closed forms to 1.5e-15 (c2) and 6.5e-15 (c3).
+SERIES_ANGLE = 1.5
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
@@ -69,28 +86,75 @@ def vee_se3(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.concatenate([m[..., :3, 3], unskew(m[..., :3, :3])], axis=-1)
 
 
-def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sin t/t, (1-cos t)/t^2, (t-sin t)/t^3) with series below SMALL_ANGLE."""
+# Taylor coefficients of c, c2, c3 (see _rot_coeffs), row j for theta^2j:
+#   (t - sin t)/t^3                 = sum_j (-1)^j t^2j / (2j+3)!
+#   (t^2 + 2 cos t - 2)/(2t^4)      = sum_j (-1)^j t^2j / (2j+4)!
+#   (2t - 3 sin t + t cos t)/(2t^5) = sum_j (-1)^j (j+1) t^2j / (2j+5)!
+_SERIES = np.array([[(-1) ** j * weight / math.factorial(2 * j + offset)
+                     for weight, offset in ((1, 3), (1, 4), (j + 1, 5))]
+                    for j in range(10)])
+
+
+def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Closed-form coefficients (a, b, c, c2, c3) of rotation angles theta.
+
+    a = sin t/t, b = (1-cos t)/t^2 and c = (t-sin t)/t^3 are the Rodrigues
+    and so3_tangent coefficients; c2 = (t^2+2cos t-2)/(2t^4) = (1/2-b)/t^2 and
+    c3 = (2t-3sin t+t cos t)/(2t^5) = (3c-b)/(2t^2) complete the coupling
+    block of the SE(3) Jacobian.  b is evaluated as (sin(t/2)/(t/2))^2 / 2,
+    which does not cancel; c, c2 and c3 take one stacked Taylor series below
+    SERIES_ANGLE.  All five are accurate to 1e-14 relative.
+    """
     theta = np.asarray(theta, dtype=float)
     t2 = theta * theta
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                 (1.0 - np.cos(safe)) / (safe * safe))
-    c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                 (safe - np.sin(safe)) / (safe * safe * safe))
-    return a, b, c
+    sin = np.sin(safe)
+    half_sinc = np.sin(0.5 * safe) / (0.5 * safe)
+    a = np.where(small, 1.0 - t2 / 6.0, sin / safe)
+    b = np.where(small, 0.5 - t2 / 24.0, 0.5 * half_sinc * half_sinc)
+    rows = _SERIES.reshape(_SERIES.shape + (1,) * theta.ndim)
+    series = rows[-1] * t2 + rows[-2]
+    for row in rows[-3::-1]:
+        series = series * t2 + row
+    s2 = safe * safe
+    c = (safe - sin) / (s2 * safe)
+    direct = np.stack([c, (0.5 - b) / s2, (1.5 * c - 0.5 * b) / s2])
+    c, c2, c3 = np.where(theta < SERIES_ANGLE, series, direct)
+    return a, b, c, c2, c3
+
+
+def _angle(w: np.ndarray) -> np.ndarray:
+    """|w| of vectors stored along axis 0."""
+    return np.sqrt(np.sum(w * w, axis=0))
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross product of vectors stored along axis 0, shape (3, ...)."""
+    x5 = np.concatenate((x, x[:2]))
+    y5 = np.concatenate((y, y[:2]))
+    return x5[1:4] * y5[2:5] - x5[2:5] * y5[1:4]
+
+
+def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """I + a w^ + b w^ w^ for w stored along axis 0; returns (..., 3, 3).
+
+    Uses w^ w^ = w w^T - |w|^2 I.
+    """
+    aw = a * w
+    r = (b * w)[:, None] * w[None, :]
+    flat = r.reshape((9,) + r.shape[2:])
+    flat[::4] += 1.0 - b * np.sum(w * w, axis=0)
+    flat[[5, 6, 1]] -= aw
+    flat[[7, 2, 3]] += aw
+    return np.ascontiguousarray(np.moveaxis(r, (0, 1), (-2, -1)))
 
 
 def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    a, b, _ = _rot_coeffs(theta)
-    wh = skew(w)
-    wh2 = wh @ wh
-    return _EYE3 + a[..., None, None] * wh + b[..., None, None] * wh2
+    w = np.moveaxis(np.asarray(w, dtype=float), -1, 0)
+    a, b, *_ = _rot_coeffs(_angle(w))
+    return _rodrigues(w, a, b)
 
 
 def so3_tangent(w: np.ndarray) -> np.ndarray:
@@ -100,11 +164,9 @@ def so3_tangent(w: np.ndarray) -> np.ndarray:
     series sum_k (skew w)^k / (k+1)!.
     """
     w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    _, b, c = _rot_coeffs(theta)
+    _, b, c, *_ = _rot_coeffs(np.linalg.norm(w, axis=-1))
     wh = skew(w)
-    wh2 = wh @ wh
-    return _EYE3 + b[..., None, None] * wh + c[..., None, None] * wh2
+    return _EYE3 + b[..., None, None] * wh + c[..., None, None] * (wh @ wh)
 
 
 def exp_se3(t: np.ndarray) -> np.ndarray:
@@ -113,10 +175,13 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     For w = 0 this reduces exactly to a pure translation by v.
     """
     t = np.asarray(t, dtype=float)
-    v, w = t[..., :3], t[..., 3:]
+    comps = np.ascontiguousarray(np.moveaxis(t, -1, 0))
+    v, w = comps[:3], comps[3:]
+    a, b, c, *_ = _rot_coeffs(_angle(w))
+    wv = _cross(w, v)
     out = np.zeros(t.shape[:-1] + (4, 4))
-    out[..., :3, :3] = exp_so3(w)
-    out[..., :3, 3] = np.einsum("...ij,...j->...i", so3_tangent(w), v)
+    out[..., :3, :3] = _rodrigues(w, a, b)
+    out[..., :3, 3] = np.moveaxis(v + b * wv + c * _cross(w, wv), 0, -1)
     out[..., 3, 3] = 1.0
     return out
 
@@ -230,23 +295,66 @@ def ad_tilde(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def dexp_se3(t: np.ndarray, max_terms: int = 60, rtol: float = 1e-17) -> np.ndarray:
-    """Left-trivialized differential of the exponential.
+def _components(x: np.ndarray) -> np.ndarray:
+    """Twists (..., k, 6) as a contiguous (6, k, ...) array.
+
+    Component-first storage lets the cross products below work on whole
+    contiguous (k, ...) planes.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, (-1, -2), (0, 1)))
+
+
+def carried_update(eta: np.ndarray, zeta: np.ndarray,
+                   deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicative update of twists carried at a batch of points.
+
+    For increments eta = (u; w) (..., 6) and twist stacks zeta, deta
+    (..., k, 6) at the same points, returns
+
+        exp_so3(w)                               (..., 3, 3),
+        Ad(exp(-eta)) zeta + dexp_se3(eta) deta  (..., k, 6),
+
+    from one coefficient pass per point, with cross products only.  With
+    exp(eta) = (R, p), Ad(exp(-eta)) = Ad(exp(eta))^-1 maps (v; w) to
+    (R^T (v - p x w); R^T w), R^T = I - a w^ + b w^ w^.  dexp_se3(eta) is the
+    SE(3) left Jacobian at -eta, [[J, Q], [0, J]] with
+    J = so3_tangent(-w) = I - b w^ + c w^ w^ and Barfoot's coupling block
+    Q = Q(-u, -w) = -u^/2 + c (w^u^ + u^w^ - w^u^w^)
+        - c2 (w^w^u^ + u^w^w^ - 3 w^u^w^) + c3 (w^u^w^w^ + w^w^u^w^).
+    The terms are regrouped so that each application costs ten cross
+    products on the stack.
+    """
+    e = np.ascontiguousarray(np.moveaxis(np.asarray(eta, dtype=float), -1, 0))
+    u, w = e[:3, None], e[3:, None]  # (3, 1, ...): broadcast over the stack
+    a, b, c, c2, c3 = _rot_coeffs(_angle(w))
+    wu = _cross(w, u)
+    p = u + b * wu + c * _cross(w, wu)
+    z, d = _components(zeta), _components(deta)
+    zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
+    x = zv - _cross(p, zw)
+    y = _cross(w, dw)
+    yy = _cross(w, y)
+    up, uq, us = _cross(u, dw), _cross(u, y), _cross(u, yy)
+    q_outer = c * up + (3.0 * c2 - c) * uq + c3 * us
+    q_inner = c3 * uq - c2 * up
+    # R^T x + J dv + Q dw and R^T zw + J dw, sharing the outer w x (.)
+    out_v = (x + dv - 0.5 * up + c * uq - c2 * us
+             + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
+    out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
+    out = np.concatenate((out_v, out_w))
+    return (_rodrigues(e[3:], a[0], b[0]),
+            np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2))))
+
+
+def dexp_se3(t: np.ndarray) -> np.ndarray:
+    """Left-trivialized differential of the exponential, in closed form.
 
     Returns the 6x6 matrix D with ``vee(exp(-t^) @ Dexp(t^)[u^]) == D @ u``
-    for every direction u, evaluated as the series sum_k (-ad_t)^k / (k+1)!.
-    dexp_se3(0) is the identity.
+    for every direction u: the SE(3) left Jacobian at -t,
+    [[T(-w), Q(-v, -w)], [0, T(-w)]] with T = so3_tangent, evaluated by
+    ``carried_update`` on the unit vectors.  dexp_se3(0) is the identity.
     """
     t = np.asarray(t, dtype=float)
-    a = -ad(t)
-    total = np.broadcast_to(_EYE6, t.shape[:-1] + (6, 6)).copy()
-    term = total.copy()
-    scale = max(1.0, float(np.max(np.abs(total))))
-    for k in range(1, max_terms):
-        term = (term @ a) / (k + 1.0)
-        total = total + term
-        mx = float(np.max(np.abs(term)))
-        scale = max(scale, float(np.max(np.abs(total))))
-        if mx < rtol * scale:
-            break
-    return total
+    cols = np.broadcast_to(_EYE6, t.shape[:-1] + (6, 6))  # cols[..., j, :] = e_j
+    _, d = carried_update(t, np.zeros_like(cols), cols)
+    return np.swapaxes(d, -1, -2)

@@ -2,7 +2,24 @@
 
 import numpy as np
 
+from se3shell.liegroup import ad
 from se3shell.solver import update_configuration, update_twists
+
+
+def dexp_series(t, max_terms=60, rtol=1e-17):
+    """dexp as the series sum_k (-ad_t)^k / (k+1)!, summed to convergence.
+
+    The reference for the closed form in `liegroup.dexp_se3`.
+    """
+    a = -ad(t)
+    total = np.broadcast_to(np.eye(6), t.shape[:-1] + (6, 6)).copy()
+    term = total.copy()
+    for k in range(1, max_terms):
+        term = (term @ a) / (k + 1.0)
+        total = total + term
+        if np.max(np.abs(term)) < rtol * max(1.0, np.max(np.abs(total))):
+            break
+    return total
 
 
 def assembled_residual(model, lam=1.0):

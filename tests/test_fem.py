@@ -13,9 +13,10 @@ import pytest
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel, k_operator, rigid_modes, shape_functions
 from se3shell.kinematics import build_flat_plate
-from se3shell.liegroup import ad, skew
+from se3shell.liegroup import ad, ad_tilde, skew
 from se3shell.magnetics import MagneticEnvironment
-from se3shell.mesh import PARENT_POINTS, build_mesh, dump_mesh, shape_values
+from se3shell.mesh import DN_PTS_PARENT, PARENT_POINTS, build_mesh, dump_mesh, shape_values
+from se3shell.scenario import build_model, load_bundled
 from se3shell.solver import update_configuration, update_twists
 
 RNG = np.random.default_rng(1234)
@@ -171,6 +172,31 @@ class TestElementKernels:
                 kb = k_operator(n[i], dn[i], zeta)
                 f_expected[i] += w * np.einsum("apq,ap->q", kb, s)
         assert np.allclose(kern.f_int[0], f_expected, rtol=1e-12)
+
+    def test_factored_centroid_kernels_match_einsum_form(self):
+        # the factored centroid tangent against the direct contraction
+        # sum_ab kbar_ia^T D_ab kbar_jb with kbar_ia = dN_ia I + ad(zeta_c,a)/4
+        model = build_model(load_bundled("arch_transverse"))
+        perturb_state(model, 0.05, seed=7)
+        mesh = model.mesh
+        le1, le2 = mesh.le
+        dn = DN_PTS_PARENT[0] * np.array([2.0 / le1, 2.0 / le2])
+        area = le1 * le2 * mesh.jac0_pts[:, 0]
+        zc = mesh.state.zeta_pts[:, 0]
+        s = np.einsum("eabpq,ebq->eap", model.d_blocks, zc - mesh.zeta0_pts[:, 0])
+        kbar = dn[None, :, :, None, None] * np.eye(6) + 0.25 * ad(zc)[:, None]
+        f_int = area[:, None, None] * np.einsum("eiapq,eap->eiq", kbar, s)
+        kmat = area[:, None, None, None, None] * np.einsum(
+            "eiapq,eabpr,ejbrs->eijqs", kbar, model.d_blocks, kbar, optimize=True)
+        geo = np.einsum("eapq,ejaqr->ejpr", ad_tilde(s), kbar)
+        kgeo = (0.25 * area)[:, None, None, None, None] * geo[:, None]
+        kern = model.element_kernels()
+        for got, ref in ((kern.kmat, kmat), (kern.kgeo, np.broadcast_to(kgeo, kmat.shape)),
+                         (kern.f_int, f_int)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+        # one geometric block per element and column node, not four copies
+        assert kern.kgeo.strides[1] == 0
 
     def test_master_fd_tangent_centroid(self):
         model = make_model()

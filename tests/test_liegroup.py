@@ -1,20 +1,27 @@
 """Unit tests for the SE(3) algebra layer.
 
 Oracles: hand-expanded skew/adjoint matrices on basis vectors, matrix
-commutators computed on the 4x4 hat images, and central finite differences of
-the exponential for the dexp operator.
+commutators computed on the 4x4 hat images, central finite differences of
+the exponential and the power series sum_k (-ad_t)^k / (k+1)! for the dexp
+operator, and mpmath for the rotation coefficients.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dexp_series
 from se3shell.liegroup import (
+    SERIES_ANGLE,
+    SMALL_ANGLE,
     Ad,
+    _rot_coeffs,
     ad,
     ad_dual,
     ad_tilde,
+    carried_update,
     dexp_se3,
     exp_se3,
     exp_so3,
@@ -218,6 +225,34 @@ def dexp_fd(t, step=1e-6):
     return out
 
 
+# angles on both sides of every series switch, and up to 3 rad
+SWITCH_ANGLES = [0.0, 1e-9, 0.99 * SMALL_ANGLE, 1.01 * SMALL_ANGLE, 1e-3, 0.1,
+                 0.99 * SERIES_ANGLE, 1.01 * SERIES_ANGLE, 1.0, 1.6, 2.5, 3.0]
+
+
+class TestRotCoeffs:
+    @staticmethod
+    def exact(theta):
+        t = mpmath.mpf(theta)
+        s, c = mpmath.sin(t), mpmath.cos(t)
+        return [s / t, (1 - c) / t**2, (t - s) / t**3,
+                (t**2 + 2 * c - 2) / (2 * t**4), (2 * t - 3 * s + t * c) / (2 * t**5)]
+
+    def test_against_mpmath(self):
+        thetas = np.concatenate([np.logspace(-9, 0.5, 400),
+                                 [SMALL_ANGLE * (1 + 1e-9), SERIES_ANGLE * (1 + 1e-9),
+                                  SERIES_ANGLE * (1 - 1e-9)]])
+        got = np.array(_rot_coeffs(thetas))
+        # the closed forms of the references cancel by up to 45 digits at 1e-9
+        with mpmath.workdps(100):
+            ref = np.array([[float(x) for x in self.exact(th)] for th in thetas]).T
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
+
+    def test_zero_angle_limits(self):
+        got = [float(x) for x in _rot_coeffs(np.array(0.0))]
+        assert got == [1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0]
+
+
 class TestDexp:
     def test_identity_at_zero(self):
         assert np.allclose(dexp_se3(np.zeros(6)), np.eye(6))
@@ -248,6 +283,40 @@ class TestDexp:
     def test_larger_twists_still_converge(self):
         t = np.array([1.5, -2.0, 1.0, 1.2, -0.8, 2.0])
         assert np.allclose(dexp_se3(t), dexp_fd(t), atol=1e-7)
+
+    def test_closed_form_matches_series(self):
+        for angle in SWITCH_ANGLES:
+            for _ in range(5):
+                t = random_twist(angle) if angle > 0 else np.r_[RNG.normal(size=3), 0, 0, 0]
+                ref = dexp_series(t)
+                assert np.max(np.abs(dexp_se3(t) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_batched_shapes(self):
+        angles = np.array(SWITCH_ANGLES).reshape(3, 4)
+        ts = np.stack([[random_twist(a) if a > 0 else np.zeros(6) for a in row]
+                       for row in angles])
+        d = dexp_se3(ts)
+        assert d.shape == (3, 4, 6, 6)
+        ref = dexp_series(ts)
+        assert np.max(np.abs(d - ref)) < 1e-13 * np.max(np.abs(ref))
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(d[i, j], dexp_se3(ts[i, j]))
+
+
+class TestCarriedUpdate:
+    def test_matches_matrix_composition(self):
+        # one pass against exp_so3 and Ad(exp(eta))^-1 zeta + dexp(eta) deta
+        # composed from the matrix maps and the dexp series
+        for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
+            eta = amp * RNG.normal(size=(7, 3, 6))
+            zeta = RNG.normal(size=(7, 3, 2, 6))
+            deta = amp * RNG.normal(size=(7, 3, 2, 6))
+            rot, got = carried_update(eta, zeta, deta)
+            ref = (np.einsum("...qr,...ar->...aq", Ad(inv_pose(exp_se3(eta))), zeta)
+                   + np.einsum("...qr,...ar->...aq", dexp_series(eta), deta))
+            assert got.shape == zeta.shape
+            assert np.max(np.abs(got - ref)) < 1e-13
+            assert np.max(np.abs(rot - exp_so3(eta[..., 3:]))) < 1e-15
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import dexp_series
 from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
@@ -18,8 +19,9 @@ from se3shell.kinematics import (
     deformation_twists,
     transform_reference,
 )
-from se3shell.liegroup import Ad, exp_se3, inv_pose
-from se3shell.mesh import build_mesh, shape_values
+from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose
+from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
+from se3shell.scenario import build_model, load_bundled
 from se3shell.solver import (
     SingularSystemError,
     SolverSettings,
@@ -140,6 +142,26 @@ class TestUpdateTwists:
         z1g, z2g = deformation_twists(g_new, gx, gy, step=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 2, 0], z1g, atol=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 2, 1], z2g, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_matches_matrix_composition(self, name):
+        # the fused closed-form update against Ad(inv_pose(exp_se3)) and the
+        # dexp series applied to the interpolated field at all five points
+        mesh = build_model(load_bundled(name)).mesh
+        le1, le2 = mesh.le
+        dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
+        for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
+            eta = amp * RNG.normal(size=(mesh.n_nodes, 6))
+            eta_el = eta[mesh.conn]
+            eta_p = np.einsum("pi,eik->epk", N_PTS, eta_el)
+            deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)
+            zeta, r = mesh.state.zeta_pts.copy(), mesh.state.r_pts.copy()
+            expected = (np.einsum("epqr,epar->epaq", Ad(inv_pose(exp_se3(eta_p))), zeta)
+                        + np.einsum("epqr,epar->epaq", dexp_series(eta_p), deta_p))
+            update_twists(mesh, eta.ravel())
+            scale = max(1.0, np.max(np.abs(expected)))
+            assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
+            assert np.max(np.abs(mesh.state.r_pts - r @ exp_so3(eta_p[..., 3:]))) < 1e-14
 
     def test_strain_equivalence_after_two_updates(self):
         # composing two updates stays consistent with the composed pose field
@@ -311,6 +333,21 @@ class TestRun:
         assert not report.converged
         assert "singular or ill-posed tangent" in report.message
         assert "1-norm estimate" in report.message
+
+    def test_unsolved_linear_system_rejects_the_attempt(self, monkeypatch):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        updates = []
+        monkeypatch.setattr(solver, "newton_step",
+                            lambda a, b: (np.zeros_like(b), 2.0e-6))
+        monkeypatch.setattr(solver, "update_configuration",
+                            lambda mesh, eta: updates.append(eta))
+        report = run(model, SolverSettings(load_steps=1), max_halvings=0)
+        assert not report.converged
+        assert "linear residual 2.000e-06" in report.message
+        assert report.max_linear_residual == 2.0e-6
+        assert updates == []
 
     def test_rotation_rejection_reason_kept(self):
         e, length, width, h = 12e6, 10.0, 1.0, 0.1
