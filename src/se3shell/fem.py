@@ -1,17 +1,18 @@
 """Discrete weak form: element kernels, boundary conditions, global assembly.
 
-Per element and chart direction alpha the discrete strain operator is
+Per element, sample point g and chart direction a the discrete strain
+operator is
 
-    Kbar^i_alpha(x) = dN^i/dxi^alpha I_6 + N^i(x) ad(zeta_alpha),
+    Kbar^i_ga = dN^i/dxi^a (x_g) I_6 + N^i(x_g) ad(zeta_ga),
 
 the derivative of the carried twists under interpolated nodal increments.
-The default scheme samples the twists entering both the stress and the
-ad-term at the element centroid (the locking treatment); with centroid
-sampling on rectangular charts every kernel reduces exactly to its
-centroid value times the element area, and the assembled tangent is the
-exact jacobian of the assembled residual.  `scheme="gauss"` instead samples
-everything at the 2x2 Gauss points (fully consistent as well, but it shear
-locks for thin elements; kept as a diagnostic).
+Both strain samplings run through one factored kernel over their sample
+points.  The default `scheme="centroid"` samples the twists entering both the
+stress and the ad-term once, at the element centroid, weighted by the element
+area (the locking treatment); `scheme="gauss"` samples them at the 2x2 Gauss
+points (fully consistent as well, but it shear locks for thin elements; kept
+as a diagnostic).  In both the assembled tangent is the exact jacobian of the
+assembled residual.  The magnetic terms always use the Gauss points.
 
 Global system convention (tangent times increment = residual):
 
@@ -35,41 +36,26 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import Material, metric_inverse, stiffness_blocks
+from .constitutive import (Material, internal_energy_density, metric_inverse,
+                           stiffness_blocks, stress)
 from .liegroup import ad, ad_tilde, skew
-from .magnetics import (
-    MagneticEnvironment,
-    element_magnetic_force,
-    element_magnetic_stiffness,
-)
-from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh, shape_gradients, shape_values
+from .magnetics import (MagneticEnvironment, element_magnetic_force,
+                        element_magnetic_stiffness, local_fields)
+from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh
 
-_EYE6 = np.eye(6)
-
-
-def shape_functions(x: float, y: float, le1: float = 2.0, le2: float = 2.0):
-    """Bilinear N^i and chart-coordinate gradients at a parent point.
-
-    ``le1``/``le2`` are the chart extents of the element; the parent square
-    is [-1, 1]^2, so gradients scale by 2/le.
-    """
-    if le1 <= 0.0 or le2 <= 0.0:
-        raise ValueError("degenerate chart jacobian: non-positive element size")
-    pt = np.array([[x, y]])
-    n = shape_values(pt)[0]
-    dn = shape_gradients(pt)[0] * np.array([2.0 / le1, 2.0 / le2])
-    return n, dn
-
-
-def k_operator(n_i: float, dn_i: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Strain operator of one node: (dN^i_alpha) I + N^i ad(zeta_alpha), (2,6,6)."""
-    z = np.asarray(zeta, dtype=float).reshape(2, 6)
-    return np.asarray(dn_i, dtype=float)[:, None, None] * _EYE6 + n_i * ad(z)
+# sample points of each strain sampling and their weight per unit chart area
+_SAMPLINGS = {"centroid": (slice(0, 1), 1.0), "gauss": (slice(1, 5), 0.25)}
+# backs the all-zero ElementKernels fields
+_ZERO = np.zeros(())
 
 
 @dataclass
 class ElementKernels:
-    """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6)."""
+    """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6).
+
+    Without a body wrench or magnetics, f_ext, f_mag and kmag are read-only
+    all-zero broadcast views.
+    """
 
     kmat: np.ndarray
     kgeo: np.ndarray
@@ -101,7 +87,7 @@ class FemModel:
                  scheme: str = "centroid",
                  body_wrench: np.ndarray | None = None,
                  field_program=None):
-        if scheme not in ("centroid", "gauss"):
+        if scheme not in _SAMPLINGS:
             raise ValueError("scheme must be 'centroid' or 'gauss'")
         self.mesh = mesh
         self.material = material
@@ -112,9 +98,9 @@ class FemModel:
         self.field_program = field_program
         self.d_blocks = self._build_d_blocks()
         self._scatters: dict[bytes, _Scatter] = {}
-        # (area * D_ab as (nel,12,12), area * K0) of the centroid scheme,
-        # built on the first centroid build; d_blocks is fixed after construction
-        self._centroid_consts = None
+        # constants of the strain sampling, built on the first build;
+        # the reference geometry and d_blocks are fixed after construction
+        self._sampling_consts = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
         if self.field_program is not None:
@@ -132,88 +118,99 @@ class FemModel:
                       for t in uniq])
         return d[inv.reshape(-1)]
 
+    def _gauss_weights(self) -> np.ndarray:
+        le1, le2 = self.mesh.le
+        return (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]  # (nel, 4)
+
     # --- element level -----------------------------------------------------
+
+    def _sampling(self):
+        """(points, N, dN, w D_ab, w D as (nel,G,12,12), K0) of the G sample points.
+
+        w D_ab is the (nel,G,2,2,6,6) view of the stacked 12x12 blocks times the
+        quadrature weight, and K0_ij = sum_gab dN_gia dN_gjb w_g D_ab.
+        """
+        if self._sampling_consts is None:
+            mesh = self.mesh
+            le1, le2 = mesh.le
+            pts, w_area = _SAMPLINGS[self.scheme]
+            n = N_PTS[pts]
+            dn = DN_PTS_PARENT[pts] * np.array([2.0 / le1, 2.0 / le2])
+            w = le1 * le2 * w_area * mesh.jac0_pts[:, pts]
+            wd = w[..., None, None, None, None] * self.d_blocks[:, None]
+            nel, g = w.shape
+            d12 = wd.transpose(0, 1, 2, 4, 3, 5).reshape(nel, g, 12, 12)
+            self._sampling_consts = (
+                pts, n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4), d12,
+                np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
+        return self._sampling_consts
+
+    def _strain_stress(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Twists, strains and weighted stresses at the sample points, (nel,G,2,6)."""
+        pts, _, _, wd, _, _ = self._sampling()
+        zeta = self.mesh.state.zeta_pts[:, pts]
+        strain = zeta - self.mesh.zeta0_pts[:, pts]
+        return zeta, strain, stress(wd, strain)
+
+    def _mechanical_kernels(self):
+        """(kmat, kgeo, f_int) through the factored tangent over the sample points.
+
+        With A_ga = ad(zeta_ga) the strain operator is kbar_gia = dN_gia I + N_gi A_ga,
+        so that, with D_ab the (pair-symmetric) stiffness blocks times the
+        point's quadrature weight,
+
+            kmat_ij = K0_ij + P_ij + P_ji^T,  P_ij = sum_g N_gj (X_gi + N_gi S_g / 2),
+            U_ga = sum_b D_ab A_gb,  X_gi = sum_a dN_gia U_ga,  S_g = sum_a A_ga^T U_ga,
+            f_int_i = sum_g (sum_a dN_gia s_ga + N_gi sum_a A_ga^T s_ga),
+            kgeo_ij = sum_g N_gi (sum_a dN_gja T_ga + N_gj sum_a T_ga A_ga),
+            T_ga = ad_tilde(s_ga),
+
+        where s_ga = sum_b D_ab (zeta_gb - zeta_0,gb) is the weighted stress.  At
+        the single centroid point N_i = 1/4 for every node, so kgeo does not
+        depend on i and is returned as a broadcast view.
+        """
+        _, n, dn, _, d12, k0 = self._sampling()
+        zeta, _, s = self._strain_stress()
+        nel, g = s.shape[:2]
+        adz = ad(zeta).reshape(nel, g, 12, 6)              # A_ga stacked over a
+        adz_t = np.swapaxes(adz, -1, -2)
+        u = d12 @ adz                                      # U_ga stacked over a
+        z = (dn @ u.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
+        z += (0.5 * n)[..., None, None] * (adz_t @ u)[:, :, None]
+        p = np.einsum("gj,egipq->eijpq", n, z)             # P_ij
+        kmat = k0 + p
+        kmat += p.transpose(0, 2, 1, 4, 3)
+        f_int = dn @ s + n[..., None] * (adz_t @ s.reshape(nel, g, 12, 1)).reshape(nel, g, 1, 6)
+        t = ad_tilde(s)                                    # (nel, G, 2, 6, 6)
+        q = (dn @ t.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
+        q += n[..., None, None] * (t.transpose(0, 1, 3, 2, 4).reshape(nel, g, 6, 12)
+                                   @ adz)[:, :, None]
+        if g == 1:
+            kgeo = np.broadcast_to(n[0, 0] * q, kmat.shape)
+        else:
+            kgeo = np.einsum("gi,egjpq->eijpq", n, q)
+        return kmat, kgeo, f_int.sum(axis=1)
 
     def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
         mesh = self.mesh
-        le1, le2 = mesh.le
-        dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
-        w_gauss = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]  # (nel, 4)
-        area_w = le1 * le2 * mesh.jac0_pts[:, 0]            # (nel,)
-        state = mesh.state
-
-        if self.scheme == "centroid":
-            kmat, kgeo, f_int = self._centroid_kernels(dn_pts[0], area_w)
+        kmat, kgeo, f_int = self._mechanical_kernels()
+        if self.body_wrench is None:
+            f_ext = np.broadcast_to(_ZERO, f_int.shape)
         else:
-            zg = state.zeta_pts[:, 1:]
-            strain = zg - mesh.zeta0_pts[:, 1:]
-            s = np.einsum("eabpq,egbq->egap", self.d_blocks, strain)
-            adg = ad(zg)
-            kbar = (dn_pts[1:][None, :, :, :, None, None] * _EYE6
-                    + N_PTS[1:][None, :, :, None, None, None]
-                    * adg[:, :, None, :, :, :])  # (nel, 4, 4, 2, 6, 6)
-            f_int = np.einsum("eg,egiapq,egap->eiq", w_gauss, kbar, s, optimize=True)
-            kmat = np.einsum("eg,egiapq,eabpr,egjbrs->eijqs",
-                             w_gauss, kbar, self.d_blocks, kbar, optimize=True)
-            kgeo = np.einsum("eg,gi,egapq,egjaqr->eijpr",
-                             w_gauss, N_PTS[1:], ad_tilde(s), kbar, optimize=True)
-
-        nel = mesh.n_elements
-        f_ext = np.zeros((nel, 4, 6))
-        if self.body_wrench is not None:
-            f_ext += (0.25 * area_w)[:, None, None] * (load_factor * self.body_wrench)
-
+            le1, le2 = mesh.le
+            f_ext = np.broadcast_to((0.25 * le1 * le2 * mesh.jac0_pts[:, 0])[:, None, None]
+                                    * (load_factor * self.body_wrench), f_int.shape)
         env = self._env_at(load_factor)
         if env is not None and mesh.b_r is not None:
-            f_mag = element_magnetic_force(mesh.r0_pts[:, 1:], state.r_pts[:, 1:],
-                                           mesh.b_r, env, N_PTS[1:], w_gauss)
-            kmag = element_magnetic_stiffness(mesh.r0_pts[:, 1:], state.r_pts[:, 1:],
-                                              mesh.b_r, env, N_PTS[1:], w_gauss)
+            args = (mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:], mesh.b_r, env,
+                    N_PTS[1:], self._gauss_weights())
+            f_mag = element_magnetic_force(*args)
+            kmag = element_magnetic_stiffness(*args)
         else:
-            f_mag = np.zeros((nel, 4, 6))
-            kmag = np.zeros((nel, 4, 4, 6, 6))
-
+            f_mag = np.broadcast_to(_ZERO, f_int.shape)
+            kmag = np.broadcast_to(_ZERO, kmat.shape)
         return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag,
                               f_int=f_int, f_ext=f_ext, f_mag=f_mag)
-
-    def _centroid_kernels(self, dn: np.ndarray, area: np.ndarray):
-        """(kmat, kgeo, f_int) of the centroid scheme through the factored tangent.
-
-        With A_a = ad(zeta_c,a) the strain operator is kbar_ia = dN_ia I + A_a/4,
-        so that, with D_ab the (pair-symmetric) stiffness blocks times the
-        element area,
-
-            kmat_ij = K0_ij + X_i/4 + X_j^T/4 + S/16,
-            U_a = sum_b D_ab A_b,  X_i = sum_a dN_ia U_a,  S = sum_a A_a^T U_a,
-            K0_ij = sum_ab dN_ia dN_jb D_ab  (constant),
-            f_int_i = sum_a dN_ia s_a + sum_a A_a^T s_a / 4,
-            kgeo_ij = (sum_a dN_ja T_a + sum_a T_a A_a / 4) / 4,  T_a = ad_tilde(s_a),
-
-        where s_a = sum_b D_ab (zeta_c,b - zeta_0,b) is the stress times the
-        area.  kgeo does not depend on i and is returned as a broadcast view.
-        """
-        nel = self.mesh.n_elements
-        if self._centroid_consts is None:
-            d_area = area[:, None, None, None, None] * self.d_blocks
-            self._centroid_consts = (
-                d_area.transpose(0, 1, 3, 2, 4).reshape(nel, 12, 12),
-                np.einsum("ia,jb,eabpq->eijpq", dn, dn, d_area))
-        d12, k0 = self._centroid_consts
-        zc = self.mesh.state.zeta_pts[:, 0]
-        s = d12 @ (zc - self.mesh.zeta0_pts[:, 0]).reshape(nel, 12, 1)
-        adc = ad(zc).reshape(nel, 12, 6)                   # A_a stacked over a
-        adc_t = np.swapaxes(adc, 1, 2)
-        u = d12 @ adc                                      # U_a stacked over a
-        y = 0.25 * (dn @ u.reshape(nel, 2, 36)).reshape(nel, 4, 6, 6)
-        y += (adc_t @ u)[:, None] / 32.0
-        kmat = k0 + y[:, :, None]
-        kmat += np.swapaxes(y, -1, -2)[:, None]
-        f_int = dn @ s.reshape(nel, 2, 6) + 0.25 * (adc_t @ s).reshape(nel, 1, 6)
-        t = ad_tilde(s.reshape(nel, 2, 6))                 # (nel, 2, 6, 6)
-        t_row = t.transpose(0, 2, 1, 3).reshape(nel, 6, 12)
-        geo = 0.25 * (dn @ t.reshape(nel, 2, 36)).reshape(nel, 4, 6, 6)
-        geo += (t_row @ adc)[:, None] / 16.0
-        return kmat, np.broadcast_to(geo[:, None], kmat.shape), f_int
 
     # --- global level ------------------------------------------------------
 
@@ -238,7 +235,10 @@ class FemModel:
             dofs = np.arange(self.mesh.n_dofs)
         sc = self._scatter(dofs)
         load_el = kern.f_ext + kern.f_mag
-        a = sc.matrix(kern.kmat + kern.kgeo - kern.kmag)
+        blocks = kern.kmat + kern.kgeo
+        if not np.may_share_memory(kern.kmag, _ZERO):
+            blocks -= kern.kmag
+        a = sc.matrix(blocks)
         return a, sc.vector(load_el - kern.f_int), sc.vector(load_el)
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -304,26 +304,16 @@ class FemModel:
         Elastic part integrates -l0 = 1/2 <S, E> over the strain sampling of
         the active scheme; magnetic part is -(1/mu0) B_t^r . B^a per area.
         """
-        mesh = self.mesh
-        le1, le2 = mesh.le
-        if self.scheme == "centroid":
-            strain = mesh.state.zeta_pts[:, 0] - mesh.zeta0_pts[:, 0]
-            s = np.einsum("eabpq,ebq->eap", self.d_blocks, strain)
-            dens = 0.5 * np.einsum("eap,eap->e", s, strain)
-            elastic = float(np.sum(le1 * le2 * mesh.jac0_pts[:, 0] * dens))
-        else:
-            strain = mesh.state.zeta_pts[:, 1:] - mesh.zeta0_pts[:, 1:]
-            s = np.einsum("eabpq,egbq->egap", self.d_blocks, strain)
-            dens = 0.5 * np.einsum("egap,egap->eg", s, strain)
-            elastic = float(np.sum((le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:] * dens))
+        _, strain, s = self._strain_stress()
+        elastic = -internal_energy_density(s, strain)
         magnetic = 0.0
         env = self._env_at(load_factor)
+        mesh = self.mesh
         if env is not None and mesh.b_r is not None:
-            b_mat = np.einsum("egji,ej->egi", mesh.r0_pts[:, 1:], mesh.b_r)
-            b_app = np.einsum("egji,j->egi", mesh.state.r_pts[:, 1:], env.b_applied)
-            dots = np.einsum("egi,egi->eg", b_mat, b_app) / env.mu0
-            w_gauss = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
-            magnetic = float(-np.sum(w_gauss * dots))
+            b_mat, b_app = local_fields(mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:],
+                                        mesh.b_r, env)
+            dots = np.sum(b_mat * b_app, axis=-1) / env.mu0
+            magnetic = float(-np.sum(self._gauss_weights() * dots))
         return elastic, magnetic
 
 

@@ -57,12 +57,12 @@ def magnetic_couple(b_rt: np.ndarray, env: MagneticEnvironment) -> np.ndarray:
     return np.cross(np.asarray(b_rt, dtype=float), env.b_applied) / env.mu0
 
 
-def local_couple(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.ndarray,
-                 env: MagneticEnvironment) -> np.ndarray:
-    """Local-frame couple integrand (1/mu0)(R_0^T B_0^r) x (R_t^T B^a)."""
+def local_fields(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.ndarray,
+                 env: MagneticEnvironment) -> tuple[np.ndarray, np.ndarray]:
+    """Remanent and applied fields in the local frame, R_0^T B_0^r and R_t^T B^a."""
     b_mat = np.einsum("...ji,...j->...i", r0_pts, np.asarray(b_r0, dtype=float)[..., None, :])
     b_app = np.einsum("...ji,j->...i", r_pts, env.b_applied)
-    return np.cross(b_mat, b_app) / env.mu0
+    return b_mat, b_app
 
 
 def element_magnetic_force(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.ndarray,
@@ -82,7 +82,7 @@ def element_magnetic_force(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.ndarr
         (..., 4, 6) wrenches; force slots are exactly zero, moment slots hold
         the quadrature sum of the local-frame couple.
     """
-    m_loc = local_couple(r0_pts, r_pts, b_r0, env)
+    m_loc = np.cross(*local_fields(r0_pts, r_pts, b_r0, env)) / env.mu0
     out = np.zeros(m_loc.shape[:-2] + (4, 6))
     out[..., :, 3:] = np.einsum("...g,gi,...gk->...ik", np.asarray(weights, float),
                                 np.asarray(shape_vals, float), m_loc)
@@ -98,8 +98,7 @@ def element_magnetic_stiffness(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.n
     the integral of (1/mu0) N^i N^j (R_0^T B_0^r)^ (R_t^T B^a)^; everything
     else is zero.  The global system subtracts these blocks (A = K_MG - KM).
     """
-    b_mat = np.einsum("...ji,...j->...i", r0_pts, np.asarray(b_r0, dtype=float)[..., None, :])
-    b_app = np.einsum("...ji,j->...i", r_pts, env.b_applied)
+    b_mat, b_app = local_fields(r0_pts, r_pts, b_r0, env)
     prod = skew(b_mat) @ skew(b_app) / env.mu0  # (..., G, 3, 3)
     n = np.asarray(shape_vals, dtype=float)
     out = np.zeros(prod.shape[:-3] + (4, 4, 6, 6))

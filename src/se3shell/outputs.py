@@ -53,8 +53,8 @@ def primary_magnitude(cfg: ScenarioConfig) -> float:
     return 0.0
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, *, quiet: bool = False,
-                 record_snapshots: bool = False) -> tuple[SolveReport, FemModel]:
+def run_scenario(cfg: ScenarioConfig, out_dir, *,
+                 quiet: bool = False) -> tuple[SolveReport, FemModel]:
     """Execute one scenario and write CSV, mesh dumps and the solve report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,8 +79,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *, quiet: bool = False,
         if not quiet:
             print(line)
 
-    report = run(model, cfg.solver, on_step=on_step, log=log,
-                 record_snapshots=record_snapshots)
+    report = run(model, cfg.solver, on_step=on_step, log=log)
 
     with open(out_dir / cfg.csv_name, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from se3shell.liegroup import ad
+from se3shell.mesh import shape_gradients, shape_values
 from se3shell.solver import update_configuration, update_twists
 
 
@@ -20,6 +21,30 @@ def dexp_series(t, max_terms=60, rtol=1e-17):
         if np.max(np.abs(term)) < rtol * max(1.0, np.max(np.abs(total))):
             break
     return total
+
+
+def shape_functions(x: float, y: float, le1: float = 2.0, le2: float = 2.0):
+    """Bilinear N^i and chart-coordinate gradients at one parent point.
+
+    ``le1``/``le2`` are the chart extents of the element; the parent square
+    is [-1, 1]^2, so gradients scale by 2/le.  A per-point reference for the
+    batched kernels of `FemModel`.
+    """
+    if le1 <= 0.0 or le2 <= 0.0:
+        raise ValueError("degenerate chart jacobian: non-positive element size")
+    pt = np.array([[x, y]])
+    n = shape_values(pt)[0]
+    dn = shape_gradients(pt)[0] * np.array([2.0 / le1, 2.0 / le2])
+    return n, dn
+
+
+def k_operator(n_i: float, dn_i: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Strain operator of one node: (dN^i_alpha) I + N^i ad(zeta_alpha), (2,6,6).
+
+    The per-node reference for the factored kernels of `FemModel`.
+    """
+    z = np.asarray(zeta, dtype=float).reshape(2, 6)
+    return np.asarray(dn_i, dtype=float)[:, None, None] * np.eye(6) + n_i * ad(z)
 
 
 def assembled_residual(model, lam=1.0):

@@ -157,6 +157,22 @@ class TestStress:
             assert p1 == pytest.approx(p2, rel=1e-12)
 
 
+    def test_batched_matches_per_point(self):
+        # leading axes broadcast: (3, 2, 2, 6, 6) blocks against (4, 3, 2, 6) strains
+        mat = Material(e=4.0, nu=0.2, h=0.2)
+        blocks = np.stack([stiffness_blocks(mat, random_spd_metric()) for _ in range(3)])
+        e = RNG.normal(size=(4, 3, 2, 6))
+        s = stress(blocks, e)
+        assert s.shape == (4, 3, 2, 6)
+        for n in range(4):
+            for k in range(3):
+                for a in range(2):
+                    ref = blocks[k, a, 0] @ e[n, k, 0] + blocks[k, a, 1] @ e[n, k, 1]
+                    assert np.allclose(s[n, k, a], ref, rtol=1e-14, atol=1e-14)
+        total = sum(internal_energy_density(s[n, k], e[n, k].T)
+                    for n in range(4) for k in range(3))
+        assert internal_energy_density(s, e) == pytest.approx(total, rel=1e-13)
+
 class TestEnergyDensity:
     def test_zero(self):
         assert internal_energy_density(np.zeros((2, 6)), np.zeros((6, 2))) == 0.0

@@ -10,14 +10,27 @@ explicit two-element assembly.
 import numpy as np
 import pytest
 
+from conftest import (
+    fd_residual_jacobian,
+    k_operator,
+    random_state_perturbation,
+    shape_functions,
+)
 from se3shell.constitutive import Material
-from se3shell.fem import FemModel, k_operator, rigid_modes, shape_functions
+from se3shell.fem import FemModel, rigid_modes
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import ad, ad_tilde, skew
 from se3shell.magnetics import MagneticEnvironment
-from se3shell.mesh import DN_PTS_PARENT, PARENT_POINTS, build_mesh, dump_mesh, shape_values
+from se3shell.mesh import (
+    DN_PTS_PARENT,
+    N_PTS,
+    PARENT_POINTS,
+    build_mesh,
+    dump_mesh,
+    shape_gradients,
+    shape_values,
+)
 from se3shell.scenario import build_model, load_bundled
-from se3shell.solver import update_configuration, update_twists
 
 RNG = np.random.default_rng(1234)
 MAT = Material(e=3.0e6, nu=0.3, h=0.05)
@@ -33,65 +46,29 @@ def make_model(nx=4, ny=2, lx=1.0, ly=0.4, clamp=True, scheme="centroid", mat=MA
     return FemModel(mesh, mat, env=env, scheme=scheme)
 
 
-def perturb_state(model, scale=0.02, seed=0):
-    rng = np.random.default_rng(seed)
-    eta = scale * rng.normal(size=(model.mesh.n_nodes, 6))
-    update_configuration(model.mesh, eta)
-    update_twists(model.mesh, eta)
-
-
-def assembled_residual(model, lam=1.0):
-    kern = model.element_kernels(lam)
-    _, b, _ = model.assemble(kern)
-    return b
-
-
-def fd_jacobian(model, lam=1.0, eps=1e-7):
-    mesh = model.mesh
-    n = mesh.n_dofs
-    jac = np.zeros((n, n))
-    base = mesh.state.copy()
-    for j in range(n):
-        eta = np.zeros(n)
-        for sign in (1.0, -1.0):
-            eta[j] = sign * eps
-            mesh.state = base.copy()
-            update_configuration(mesh, eta)
-            update_twists(mesh, eta)
-            if sign > 0:
-                bp = assembled_residual(model, lam)
-            else:
-                bm = assembled_residual(model, lam)
-        jac[:, j] = (bp - bm) / (2 * eps)
-    mesh.state = base
-    return jac
-
-
 class TestShapeFunctions:
     def test_center_values(self):
-        n, _ = shape_functions(0.0, 0.0)
-        assert np.allclose(n, 0.25)
+        assert np.allclose(shape_values(PARENT_POINTS[0]), 0.25)
 
     def test_nodal_interpolation(self):
-        corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-        for i, (x, y) in enumerate(corners):
-            n, _ = shape_functions(x, y)
-            expected = np.zeros(4)
-            expected[i] = 1.0
-            assert np.allclose(n, expected)
+        corners = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
+        assert np.allclose(shape_values(corners), np.eye(4))
 
     def test_gradient_at_center_unit_square(self):
         # parent square: dN1/dx(0,0) = -1/4
-        _, dn = shape_functions(0.0, 0.0, le1=2.0, le2=2.0)
-        assert dn[0, 0] == pytest.approx(-0.25)
-
-    def test_chart_scaling(self):
-        _, dn = shape_functions(0.0, 0.0, le1=0.5, le2=2.0)
-        assert dn[0, 0] == pytest.approx(-0.25 * 4.0)
+        assert shape_gradients(PARENT_POINTS[0])[0, 0, 0] == pytest.approx(-0.25)
 
     def test_partition_of_unity_at_quadrature(self):
         vals = shape_values(PARENT_POINTS)
         assert np.allclose(vals.sum(axis=1), 1.0)
+
+
+class TestShapeFunctionOracle:
+    """The per-point reference `conftest.shape_functions` of the loop quadrature."""
+
+    def test_chart_scaling(self):
+        _, dn = shape_functions(0.0, 0.0, le1=0.5, le2=2.0)
+        assert dn[0, 0] == pytest.approx(-0.25 * 4.0)
 
     def test_degenerate_chart_rejected(self):
         with pytest.raises(ValueError):
@@ -137,6 +114,15 @@ class TestElementKernels:
         eig = np.linalg.eigvalsh(kmat)
         assert eig.min() >= -1e-10 * eig.max()
 
+    def test_absent_loads_are_zero_views(self):
+        # no body wrench and no magnetics: nothing is allocated for those fields
+        kern = make_model(nx=2, ny=1).element_kernels()
+        for arr, shape in ((kern.kmag, kern.kmat.shape), (kern.f_mag, kern.f_int.shape),
+                           (kern.f_ext, kern.f_int.shape)):
+            assert isinstance(arr, np.ndarray) and arr.shape == shape
+            assert not any(arr.strides) and not arr.flags.writeable
+            assert not arr.any()
+
     def test_gauss_scheme_spd_on_nonrigid(self):
         model = make_model(nx=1, ny=1, clamp=False, scheme="gauss")
         kmat = model.element_kernels().kmat[0].transpose(0, 2, 1, 3).reshape(24, 24)
@@ -173,37 +159,53 @@ class TestElementKernels:
                 f_expected[i] += w * np.einsum("apq,ap->q", kb, s)
         assert np.allclose(kern.f_int[0], f_expected, rtol=1e-12)
 
-    def test_factored_centroid_kernels_match_einsum_form(self):
-        # the factored centroid tangent against the direct contraction
-        # sum_ab kbar_ia^T D_ab kbar_jb with kbar_ia = dN_ia I + ad(zeta_c,a)/4
-        model = build_model(load_bundled("arch_transverse"))
-        perturb_state(model, 0.05, seed=7)
+    @pytest.mark.parametrize("scheme", ["centroid", "gauss"])
+    def test_factored_kernels_match_einsum_form(self, scheme):
+        # the factored tangent against the direct contractions
+        # sum_gab w_g kbar_gia^T D_ab kbar_gjb, kbar_gia = dN_gia I + N_gi ad(zeta_g,a)
+        base = build_model(load_bundled("arch_transverse"))
+        model = FemModel(base.mesh, base.material, scheme=scheme)
+        random_state_perturbation(model, 0.05, seed=7)
         mesh = model.mesh
         le1, le2 = mesh.le
-        dn = DN_PTS_PARENT[0] * np.array([2.0 / le1, 2.0 / le2])
-        area = le1 * le2 * mesh.jac0_pts[:, 0]
-        zc = mesh.state.zeta_pts[:, 0]
-        s = np.einsum("eabpq,ebq->eap", model.d_blocks, zc - mesh.zeta0_pts[:, 0])
-        kbar = dn[None, :, :, None, None] * np.eye(6) + 0.25 * ad(zc)[:, None]
-        f_int = area[:, None, None] * np.einsum("eiapq,eap->eiq", kbar, s)
-        kmat = area[:, None, None, None, None] * np.einsum(
-            "eiapq,eabpr,ejbrs->eijqs", kbar, model.d_blocks, kbar, optimize=True)
-        geo = np.einsum("eapq,ejaqr->ejpr", ad_tilde(s), kbar)
-        kgeo = (0.25 * area)[:, None, None, None, None] * geo[:, None]
+        if scheme == "centroid":
+            dn = DN_PTS_PARENT[0] * np.array([2.0 / le1, 2.0 / le2])
+            area = le1 * le2 * mesh.jac0_pts[:, 0]
+            zc = mesh.state.zeta_pts[:, 0]
+            s = np.einsum("eabpq,ebq->eap", model.d_blocks, zc - mesh.zeta0_pts[:, 0])
+            kbar = dn[None, :, :, None, None] * np.eye(6) + 0.25 * ad(zc)[:, None]
+            f_int = area[:, None, None] * np.einsum("eiapq,eap->eiq", kbar, s)
+            kmat = area[:, None, None, None, None] * np.einsum(
+                "eiapq,eabpr,ejbrs->eijqs", kbar, model.d_blocks, kbar, optimize=True)
+            geo = np.einsum("eapq,ejaqr->ejpr", ad_tilde(s), kbar)
+            kgeo = np.broadcast_to((0.25 * area)[:, None, None, None, None] * geo[:, None],
+                                   kmat.shape)
+        else:
+            dn = DN_PTS_PARENT[1:] * np.array([2.0 / le1, 2.0 / le2])
+            w = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
+            zg = mesh.state.zeta_pts[:, 1:]
+            s = np.einsum("eabpq,egbq->egap", model.d_blocks, zg - mesh.zeta0_pts[:, 1:])
+            kbar = (dn[None, :, :, :, None, None] * np.eye(6)
+                    + N_PTS[1:][None, :, :, None, None, None] * ad(zg)[:, :, None])
+            f_int = np.einsum("eg,egiapq,egap->eiq", w, kbar, s, optimize=True)
+            kmat = np.einsum("eg,egiapq,eabpr,egjbrs->eijqs",
+                             w, kbar, model.d_blocks, kbar, optimize=True)
+            kgeo = np.einsum("eg,gi,egapq,egjaqr->eijpr",
+                             w, N_PTS[1:], ad_tilde(s), kbar, optimize=True)
         kern = model.element_kernels()
-        for got, ref in ((kern.kmat, kmat), (kern.kgeo, np.broadcast_to(kgeo, kmat.shape)),
-                         (kern.f_int, f_int)):
+        for got, ref in ((kern.kmat, kmat), (kern.kgeo, kgeo), (kern.f_int, f_int)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
-        # one geometric block per element and column node, not four copies
-        assert kern.kgeo.strides[1] == 0
+        if scheme == "centroid":
+            # one geometric block per element and column node, not four copies
+            assert kern.kgeo.strides[1] == 0
 
     def test_master_fd_tangent_centroid(self):
         model = make_model()
-        perturb_state(model, 0.03, seed=3)
+        random_state_perturbation(model, 0.03, seed=3)
         kern = model.element_kernels()
         a_full, _, _ = model.assemble(kern)
-        jac = fd_jacobian(model)
+        jac = fd_residual_jacobian(model)
         a = a_full.toarray()
         # residual b = -f_int + ...: A = -d b / d eta
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
@@ -211,18 +213,18 @@ class TestElementKernels:
 
     def test_master_fd_tangent_gauss(self):
         model = make_model(scheme="gauss")
-        perturb_state(model, 0.03, seed=4)
+        random_state_perturbation(model, 0.03, seed=4)
         a = model.assemble(model.element_kernels())[0].toarray()
-        jac = fd_jacobian(model)
+        jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
 
     def test_master_fd_tangent_magnetic(self):
         env = MagneticEnvironment(np.array([0.01, 0.02, 0.03]))
         model = make_model(env=env, b_r=[0.05, 0.0, 0.08])
-        perturb_state(model, 0.05, seed=5)
+        random_state_perturbation(model, 0.05, seed=5)
         a = model.assemble(model.element_kernels())[0].toarray()
-        jac = fd_jacobian(model)
+        jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
 
@@ -249,7 +251,7 @@ class TestBoundaryConditions:
         model.mesh.add_edge_load("xi1_max", np.array([0, 0, 0, 0, 1.5, 0]),
                                  frame="follower")
         b1, _ = model.neumann_terms(1.0)
-        perturb_state(model, 0.2, seed=8)
+        random_state_perturbation(model, 0.2, seed=8)
         b2, _ = model.neumann_terms(1.0)
         assert np.array_equal(b1, b2)
 
@@ -258,7 +260,7 @@ class TestBoundaryConditions:
         model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1.0, 0, 0, 0]),
                                  frame="dead")
         b1, _ = model.neumann_terms(1.0)
-        perturb_state(model, 0.2, seed=9)
+        random_state_perturbation(model, 0.2, seed=9)
         b2, _ = model.neumann_terms(1.0)
         assert not np.allclose(b1, b2)
         # magnitude per node is preserved (pure rotation of components)
@@ -277,7 +279,7 @@ class TestBoundaryConditions:
 class TestAssembly:
     def test_single_element_equals_global(self):
         model = make_model(nx=1, ny=1, clamp=False)
-        perturb_state(model, 0.02, seed=11)
+        random_state_perturbation(model, 0.02, seed=11)
         kern = model.element_kernels()
         a, b, _ = model.assemble(kern)
         k_el = kern.kmat + kern.kgeo - kern.kmag
@@ -296,7 +298,7 @@ class TestAssembly:
 
     def test_two_element_strip_shared_blocks_sum(self):
         model = make_model(nx=2, ny=1, clamp=False)
-        perturb_state(model, 0.02, seed=12)
+        random_state_perturbation(model, 0.02, seed=12)
         kern = model.element_kernels()
         a, _, _ = model.assemble(kern)
         k_el = kern.kmat + kern.kgeo - kern.kmag
@@ -310,7 +312,7 @@ class TestAssembly:
 
     def test_permutation_equivariance(self):
         model = make_model(nx=3, ny=2, clamp=False)
-        perturb_state(model, 0.02, seed=13)
+        random_state_perturbation(model, 0.02, seed=13)
         a1 = model.assemble(model.element_kernels())[0].toarray()
 
         # renumber nodes with a random permutation and rebuild
@@ -348,7 +350,7 @@ class TestAssembly:
         model = make_model(nx=4, ny=2)
         a0 = model.mechanical_tangent().toarray()
         assert np.linalg.norm(a0 - a0.T) <= 1e-11 * np.linalg.norm(a0)
-        perturb_state(model, 0.05, seed=21)
+        random_state_perturbation(model, 0.05, seed=21)
         a1 = model.mechanical_tangent().toarray()
         assert np.linalg.norm(a1 - a1.T) / np.linalg.norm(a1) > 1e-3
 
@@ -366,7 +368,7 @@ class TestReducedSystem:
                                  frame="dead")
         model.mesh.add_edge_load("xi2_max", np.array([0.0, 0.5, 0.0, 0.2, 0.0, 0.0]),
                                  frame="dead")
-        perturb_state(model, 0.05, seed=31)
+        random_state_perturbation(model, 0.05, seed=31)
         return model
 
     @staticmethod

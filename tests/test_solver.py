@@ -259,30 +259,47 @@ class TestRun:
         mapped = h_rigid @ finals[0]
         assert np.allclose(mapped, finals[1], atol=1e-8)
 
-    def test_energy_consistency_at_convergence(self):
-        # conservative dead force: the total potential is stationary, checked
-        # by finite differences of Pi = elastic - sum dead . displacement
-        p = 2e4
-        model = cantilever(nx=8, ny=1)
-        model.mesh.add_edge_load("xi1_max", np.array([0, 0, p / 0.2, 0, 0, 0]),
-                                 frame="dead")
-        rep = run(model, SolverSettings(load_steps=2))
+    @pytest.mark.parametrize("loading,scheme", [("dead", "centroid"), ("dead", "gauss"),
+                                                ("magnetic", "centroid"),
+                                                ("magnetic", "gauss")])
+    def test_energy_consistency_at_convergence(self, loading, scheme):
+        # conservative loads: the total potential is stationary, checked by
+        # finite differences of Pi = elastic + magnetic - sum dead . displacement
+        if loading == "dead":
+            p = 2e4
+            model = cantilever(nx=8, ny=1)
+            model.mesh.add_edge_load("xi1_max", np.array([0, 0, p / 0.2, 0, 0, 0]),
+                                     frame="dead")
+            settings = SolverSettings(load_steps=2)
+        else:
+            cfg = load_bundled("magnetic_cantilever_lh10")
+            model = build_model(cfg)
+            settings = cfg.solver
+        model = FemModel(model.mesh, model.material, env=model.env, scheme=scheme,
+                         field_program=model.field_program)
+        rep = run(model, settings)
         assert rep.converged
         mesh = model.mesh
 
-        def potential():
-            elastic, _ = model.energies(1.0)
+        def energy():
+            elastic, magnetic = model.energies(1.0)
             work = 0.0
             for ld in mesh.neumann:
                 for node, weight in zip(ld.nodes, ld.weights):
                     disp = mesh.state.g_nodes[node, :3, 3] - mesh.g0_nodes[node, :3, 3]
                     work += weight * (ld.wrench[:3] @ disp)
-            return elastic - work
+            return elastic, magnetic, work
+
+        def potential():
+            elastic, magnetic, work = energy()
+            return elastic + magnetic - work
 
         free = mesh.free_dofs()
         base = mesh.state.copy()
-        pi0 = potential()
-        scale = max(abs(pi0), 1.0)
+        # the magnetic potential is about 1e-4, so scale by the energies
+        # themselves rather than by max(1, |Pi|)
+        scale = sum(abs(e) for e in energy())
+        assert scale > 0.0
         rng = np.random.default_rng(1)
         for _ in range(5):
             direction = np.zeros(mesh.n_dofs)
