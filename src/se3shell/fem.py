@@ -22,11 +22,13 @@ which is the (K_MG - KM) eta = FU - FM structure with FU the unbalanced
 mechanical force f_ext - f_int.
 
 Assembly has one fixed-pattern path.  On the first build for a given set of
-free DOFs the model builds the CSR pattern of the BC-reduced tangent and
-int32 maps from every element-block, element-force and nodal dead-load entry
-to its `data` or vector slot, with fixed DOFs already dropped; each later
-build is then one `np.bincount` per array.  The full unreduced system used by
-diagnostics is the same scatter over all DOFs.
+free DOFs the model builds the CSC pattern of the BC-reduced tangent (the
+column-major order SuperLU factors, with no conversion per build) and int32
+maps from every element-block, element-force and nodal dead-load entry to its
+`data` or vector slot, with fixed DOFs already dropped; each later build is
+then one `np.bincount` per array.  The pattern is structurally symmetric.
+The full unreduced system used by diagnostics is the same scatter over all
+DOFs.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class ElementKernels:
 class GlobalSystem:
     """BC-reduced Newton system A eta = b plus bookkeeping for tolerances."""
 
-    a: sp.csr_matrix
+    a: sp.csc_matrix
     b: np.ndarray
     free: np.ndarray
     load_norm: float
@@ -223,7 +225,7 @@ class FemModel:
         return sc
 
     def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
-                 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+                 ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
         """Scatter-add element kernels into (A, b) plus the external-load part.
 
         Returns the tangent A = Kmat + Kgeo - Kmag, the residual
@@ -268,7 +270,7 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, a: sp.csr_matrix, b: np.ndarray,
+    def apply_boundary_conditions(self, a: sp.csc_matrix, b: np.ndarray,
                                   load: np.ndarray, free: np.ndarray,
                                   load_factor: float = 1.0) -> GlobalSystem:
         """Add boundary loads and the dead-load tangent to the reduced system.
@@ -293,7 +295,7 @@ class FemModel:
 
     # --- diagnostics --------------------------------------------------------
 
-    def mechanical_tangent(self) -> sp.csr_matrix:
+    def mechanical_tangent(self) -> sp.csc_matrix:
         """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts)."""
         kern = self.element_kernels(0.0)
         return self._scatter(self.mesh.free_dofs()).matrix(kern.kmat + kern.kgeo)
@@ -318,7 +320,7 @@ class FemModel:
 
 
 class _Scatter:
-    """Fixed CSR pattern of the tangent on a DOF subset, with int32 slot maps.
+    """Fixed CSC pattern of the tangent on a DOF subset, with int32 slot maps.
 
     Every entry of the (nel,4,4,6,6) element blocks (`k_slot`), the (nel,4,6)
     element forces (`f_slot`) and the (n_nodes,6,6) nodal blocks
@@ -333,13 +335,14 @@ class _Scatter:
         pos[dofs] = np.arange(m)
         el = pos[6 * conn[:, :, None] + np.arange(6)]        # (nel, 4, 6)
         node = pos[6 * np.arange(n_nodes)[:, None] + np.arange(6)]  # (n_nodes, 6)
-        keys = el[:, :, None, :, None] * m + el[:, None, :, None, :]
+        # column-major keys col * m + row: block (i, j) is row node i, column node j
+        keys = el[:, None, :, None, :] * m + el[:, :, None, :, None]
         kept = (el[:, :, None, :, None] < m) & (el[:, None, :, None, :] < m)
         uniq, inv = np.unique(keys[kept], return_inverse=True)
         nnz = len(uniq)
         k_slot = np.full(keys.shape, nnz, dtype=np.int32)
         k_slot[kept] = inv
-        node_keys = node[:, :, None] * m + node[:, None, :]
+        node_keys = node[:, None, :] * m + node[:, :, None]
         node_kept = (node[:, :, None] < m) & (node[:, None, :] < m)
         node_slot = np.full(node_keys.shape, nnz, dtype=np.int32)
         node_slot[node_kept] = np.searchsorted(uniq, node_keys[node_kept])
@@ -351,11 +354,11 @@ class _Scatter:
         self.f_slot = el.astype(np.int32).ravel()
         self.node_slot = node_slot.ravel()
 
-    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix:
-        """Sum (nel,4,4,6,6) element blocks into a fresh CSR matrix."""
+    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """Sum (nel,4,4,6,6) element blocks into a fresh canonical CSC matrix."""
         data = np.bincount(self.k_slot, weights=blocks.ravel(),
                            minlength=self.nnz + 1)[:self.nnz]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
 
     def vector(self, forces: np.ndarray) -> np.ndarray:
         """Sum (nel,4,6) element forces into a vector over the DOF subset."""
@@ -367,15 +370,3 @@ class _Scatter:
         return np.bincount(self.node_slot, weights=blocks.ravel(),
                            minlength=self.nnz + 1)[:self.nnz]
 
-
-def rigid_modes(mesh: ShellMesh) -> np.ndarray:
-    """Six discrete rigid-motion fields u_i = Ad(g_i^-1) mu, shape (6, n_dofs)."""
-    from .liegroup import Ad, inv_pose
-
-    ad_inv = Ad(inv_pose(mesh.state.g_nodes))  # (n_nodes, 6, 6)
-    modes = np.zeros((6, mesh.n_dofs))
-    for k in range(6):
-        mu = np.zeros(6)
-        mu[k] = 1.0
-        modes[k] = (ad_inv @ mu).ravel()
-    return modes

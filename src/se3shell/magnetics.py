@@ -44,19 +44,6 @@ class MagneticEnvironment:
         return MagneticEnvironment(self.b_applied * factor, self.mu0)
 
 
-def rotated_remanent(r_t: np.ndarray, r_0: np.ndarray, b_r0: np.ndarray) -> np.ndarray:
-    """Remanent field carried by the deformed frame: R_t R_0^T B_0^r."""
-    r_t = np.asarray(r_t, dtype=float)
-    r_0 = np.asarray(r_0, dtype=float)
-    b = np.asarray(b_r0, dtype=float)
-    return np.einsum("...ij,...kj,...k->...i", r_t, r_0, b)
-
-
-def magnetic_couple(b_rt: np.ndarray, env: MagneticEnvironment) -> np.ndarray:
-    """Couple per unit reference area, inertial frame: (1/mu0) B_t^r x B^a."""
-    return np.cross(np.asarray(b_rt, dtype=float), env.b_applied) / env.mu0
-
-
 def local_fields(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.ndarray,
                  env: MagneticEnvironment) -> tuple[np.ndarray, np.ndarray]:
     """Remanent and applied fields in the local frame, R_0^T B_0^r and R_t^T B^a."""

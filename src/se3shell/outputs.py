@@ -8,6 +8,10 @@ CSV columns (one row per scheduled load step, plus the zero state):
 force/moment, or |B^a| for purely magnetic runs); `tip_rot_angle` is the
 principal angle of R_t R_0^T at the tip node, wrapped to [0, pi] (multi-turn
 winding is a post-processing quantity, see solver.accumulated_edge_rotation).
+
+`solve_report.txt` holds `key: value` header lines, one
+`rejected: step S load_factor L: reason` line per rejected attempt, then
+`log:` followed by one `step iter residual` line per Newton iteration.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         fh.write(f"max_linear_residual: {report.max_linear_residual:.3e}\n")
         if report.message:
             fh.write(f"message: {report.message}\n")
+        for step, lam, reason in report.rejections:
+            fh.write(f"rejected: step {step} load_factor {lam:.6g}: {reason}\n")
         fh.write("log:\n")
         for line in log_lines:
             fh.write(line + "\n")

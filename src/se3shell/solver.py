@@ -1,7 +1,8 @@
 """Newton iteration with load stepping and multiplicative updates.
 
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
-on the free DOFs by one sparse LU factorization, then updates
+on the free DOFs by one sparse LU factorization (SuperLU in symmetric mode:
+minimum-degree ordering of A + A^T, diagonal pivots), then updates
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -18,9 +19,9 @@ Loads (boundary wrenches and the applied magnetic field) ramp linearly over
 the configured number of steps.  An increment whose largest nodal rotation
 exceeds pi/2, a non-finite system, a singular tangent, a linear solve whose
 refined relative residual exceeds 1e-6, or a Newton loop that exhausts
-max_iters all reject the attempt: the state is restored and the load
-increment halved, up to max_halvings, after which the run fails with the last
-attempt's rejection reason or residual history.
+max_iters all reject the attempt: the state is restored, the reason recorded
+in SolveReport.rejections and the load increment halved, up to max_halvings,
+after which the run fails with the last attempt's rejection reason.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class SolveReport:
     wall_time: float = 0.0
     message: str = ""
     max_linear_residual: float = 0.0
+    # (step, load_factor, reason) of every rejected attempt, in order
+    rejections: list[tuple[int, float, str]] = field(default_factory=list)
     snapshots: list = field(default_factory=list)
 
     def log_lines(self) -> list[str]:
@@ -98,10 +101,16 @@ class SolveReport:
 
 
 def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
-    """Solve the tangent system by sparse LU (SuperLU, COLAMD ordering).
+    """Solve the tangent system by sparse LU (SuperLU in symmetric mode).
 
-    Returns (eta, relative linear residual); iterative refinement drives the
-    residual below 1e-10 relative on reasonably conditioned systems.  Raises
+    The tangent is structurally symmetric and nearly symmetric near
+    equilibrium, so SuperLU orders A + A^T by minimum degree and keeps the
+    diagonal pivots unless one is below 1e-6 of its column's largest entry
+    (a zero diagonal is still pivoted off).  Half the fill of COLAMD with
+    partial pivoting on the 2-D plates.  Returns (eta, relative linear
+    residual); iterative refinement drives the residual below 1e-10 relative
+    on reasonably conditioned systems, and the caller rejects the step when a
+    weak pivot leaves it above MAX_LINEAR_RESIDUAL.  Raises
     SingularSystemError with a 1-norm estimate when factorization fails or
     produces non-finite results.
     """
@@ -109,7 +118,9 @@ def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
     if b.size == 0:
         return b.copy(), 0.0
     try:
-        solve = spla.splu(sp.csc_matrix(a)).solve
+        solve = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=1e-6,
+                          options={"SymmetricMode": True}).solve
         eta = solve(b)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(_singular_message(a)) from exc
@@ -258,7 +269,8 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
 
     ``on_step(load_factor, model)`` fires after each scheduled load step
     converges (used for CSV rows and mesh dumps); ``log`` receives one
-    `step iter residual` line per iteration.
+    `step iter residual` line per iteration.  Every rejected attempt is
+    recorded in ``report.rejections`` with its reason.
     """
     settings = settings or SolverSettings()
     report = SolveReport()
@@ -287,6 +299,10 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     report.steps.append(rec)
                     lam += dlam
                     break
+                if rec is not None:
+                    reason = (f"no convergence in {rec.iterations} iterations, "
+                              f"last residual {rec.residuals[-1]:.3e}")
+                report.rejections.append((step_no, lam + dlam, reason))
                 mesh.state = snapshot
                 halvings += 1
                 if halvings > max_halvings:
@@ -296,9 +312,7 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     report.message = (
                         f"no convergence at load factor {lam + dlam:.6g} "
                         f"after {max_halvings} halvings; "
-                        + (f"last attempt rejected: {reason}" if rec is None else
-                           f"last residual {rec.residuals[-1]:.3e} "
-                           f"in {rec.iterations} iterations"))
+                        f"last attempt rejected: {reason}")
                     report.wall_time = time.perf_counter() - t0
                     return report
                 dlam /= 2.0

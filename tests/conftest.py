@@ -2,9 +2,12 @@
 
 import numpy as np
 
-from se3shell.liegroup import ad
+from se3shell import solver
+from se3shell.liegroup import Ad, ad, inv_pose
 from se3shell.mesh import shape_gradients, shape_values
-from se3shell.solver import update_configuration, update_twists
+from se3shell.solver import SingularSystemError, update_configuration, update_twists
+
+SINGULAR_REASON = "singular or ill-posed tangent (1-norm estimate 0.000e+00)"
 
 
 def dexp_series(t, max_terms=60, rtol=1e-17):
@@ -47,6 +50,39 @@ def k_operator(n_i: float, dn_i: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return np.asarray(dn_i, dtype=float)[:, None, None] * np.eye(6) + n_i * ad(z)
 
 
+def rigid_modes(mesh):
+    """Six discrete rigid-motion fields u_i = Ad(g_i^-1) mu, shape (6, n_dofs).
+
+    The null space the assembled tangent of an unsupported mesh must have.
+    """
+    ad_inv = Ad(inv_pose(mesh.state.g_nodes))  # (n_nodes, 6, 6)
+    modes = np.zeros((6, mesh.n_dofs))
+    for k in range(6):
+        mu = np.zeros(6)
+        mu[k] = 1.0
+        modes[k] = (ad_inv @ mu).ravel()
+    return modes
+
+
+def rotated_remanent(r_t, r_0, b_r0):
+    """Remanent field carried by the deformed frame: R_t R_0^T B_0^r.
+
+    The spatial-frame reference for `magnetics.local_fields`.
+    """
+    r_t = np.asarray(r_t, dtype=float)
+    r_0 = np.asarray(r_0, dtype=float)
+    b = np.asarray(b_r0, dtype=float)
+    return np.einsum("...ij,...kj,...k->...i", r_t, r_0, b)
+
+
+def magnetic_couple(b_rt, env):
+    """Couple per unit reference area, inertial frame: (1/mu0) B_t^r x B^a.
+
+    The spatial-frame reference for the local couple of the magnetic kernels.
+    """
+    return np.cross(np.asarray(b_rt, dtype=float), env.b_applied) / env.mu0
+
+
 def assembled_residual(model, lam=1.0):
     kern = model.element_kernels(lam)
     _, b, _ = model.assemble(kern)
@@ -82,3 +118,18 @@ def random_state_perturbation(model, scale, seed):
     eta = scale * rng.normal(size=(model.mesh.n_nodes, 6))
     update_configuration(model.mesh, eta)
     update_twists(model.mesh, eta)
+
+
+def reject_first_solve(monkeypatch):
+    """Make the first `solver.newton_step` call raise SingularSystemError
+    with SINGULAR_REASON; later calls solve as usual."""
+    solve = solver.newton_step
+    calls = []
+
+    def singular_once(a, b):
+        calls.append(b)
+        if len(calls) == 1:
+            raise SingularSystemError(SINGULAR_REASON)
+        return solve(a, b)
+
+    monkeypatch.setattr(solver, "newton_step", singular_once)

@@ -14,10 +14,11 @@ from conftest import (
     fd_residual_jacobian,
     k_operator,
     random_state_perturbation,
+    rigid_modes,
     shape_functions,
 )
 from se3shell.constitutive import Material
-from se3shell.fem import FemModel, rigid_modes
+from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import ad, ad_tilde, skew
 from se3shell.magnetics import MagneticEnvironment
@@ -418,6 +419,21 @@ class TestReducedSystem:
         expected = self.dense_loop(model, kern.kmat + kern.kgeo)[np.ix_(free, free)]
         got = model.mechanical_tangent().toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_bundled_system_is_canonical_csc(self):
+        cfg = load_bundled("antiparallel")
+        model = build_model(cfg)
+        a = model.build_system(1.0 / cfg.solver.load_steps).a
+        assert a.format == "csc"
+        assert a.has_sorted_indices and a.has_canonical_format
+        starts = np.zeros(len(a.indices), dtype=bool)
+        starts[a.indptr[:-1][np.diff(a.indptr) > 0]] = True
+        assert np.all((np.diff(a.indices) > 0) | starts[1:])
+        # structurally symmetric: the pattern of A^T is the pattern of A
+        at = a.T.tocsc()
+        at.sort_indices()
+        assert np.array_equal(at.indptr, a.indptr)
+        assert np.array_equal(at.indices, a.indices)
 
     def test_pattern_follows_later_clamp(self):
         model = make_model(nx=3, ny=2)

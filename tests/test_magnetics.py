@@ -8,14 +8,13 @@ points, which is exactly how the solver perturbs the carried rotations.
 import numpy as np
 import pytest
 
+from conftest import magnetic_couple, rotated_remanent
 from se3shell.liegroup import exp_so3
 from se3shell.magnetics import (
     MU0,
     MagneticEnvironment,
     element_magnetic_force,
     element_magnetic_stiffness,
-    magnetic_couple,
-    rotated_remanent,
 )
 
 RNG = np.random.default_rng(99)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import SINGULAR_REASON, reject_first_solve
 from se3shell import solver
 from se3shell.cli import main as cli_main
 from se3shell.outputs import run_scenario
@@ -145,6 +146,17 @@ class TestRunOutputs:
         csv1 = (tmp_path / "a" / cfg.csv_name).read_bytes()
         csv2 = (tmp_path / "b" / cfg.csv_name).read_bytes()
         assert csv1 == csv2
+
+    def test_rejections_written_before_log(self, tmp_path, monkeypatch):
+        cfg = replace(with_overrides(load_bundled("end_shear"), steps=2), nx=4)
+        reject_first_solve(monkeypatch)
+        report, _ = run_scenario(cfg, tmp_path, quiet=True)
+        assert report.converged
+        head, log = (tmp_path / "solve_report.txt").read_text().split("\nlog:\n", 1)
+        assert f"rejected: step 1 load_factor 0.5: {SINGULAR_REASON}" in head.splitlines()
+        # every log line is `step iter residual`
+        assert all(len(line.split()) == 3 for line in log.splitlines())
+        assert sum(1 for line in log.splitlines() if line.split()[1] == "1") == 4
 
 
 class TestCli:

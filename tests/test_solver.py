@@ -6,11 +6,13 @@ g0(xi) exp(eta(xi)^) on a single element, which is the defining property of
 the update rule.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dexp_series
+from conftest import SINGULAR_REASON, dexp_series, reject_first_solve
 from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
@@ -62,6 +64,55 @@ class TestNewtonStep:
             eta, rel = newton_step(a_sp, b)
             assert rel < 1e-10
             assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-10
+
+    @staticmethod
+    def zero_diagonal_matrix(n_blocks=30):
+        """Structurally symmetric, nonsingular, every diagonal entry zero."""
+        rng = np.random.default_rng(7)
+        swap = sp.kron(sp.identity(n_blocks), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        n = 2 * n_blocks
+        coupling = (sp.diags(0.1 * rng.normal(size=n - 2), 2)
+                    + sp.diags(0.1 * rng.normal(size=n - 2), -2))
+        return sp.csc_matrix(swap + coupling)
+
+    def test_zero_diagonal_is_pivoted_off(self):
+        a = self.zero_diagonal_matrix()
+        assert np.all(a.diagonal() == 0.0)
+        b = RNG.normal(size=a.shape[0])
+        eta, rel = newton_step(a, b)
+        assert rel < 1e-12
+        assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
+
+    def test_csr_input_accepted(self):
+        a = self.zero_diagonal_matrix()
+        b = RNG.normal(size=a.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta_csr, rel = newton_step(sp.csr_matrix(a), b)
+        assert rel < 1e-12
+        assert np.allclose(eta_csr, newton_step(a, b)[0], rtol=1e-12, atol=0.0)
+
+    def test_plate_factors_with_diagonal_pivots(self, monkeypatch):
+        # first tangent of magnetic_plate_A: symmetric-mode ordering keeps the
+        # diagonal pivots and stays below the fill of COLAMD on the same matrix
+        cfg = load_bundled("magnetic_plate_A")
+        model = build_model(cfg)
+        system = model.build_system(1.0 / cfg.solver.load_steps)
+        factors = []
+        splu = solver.spla.splu
+
+        def capture(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(solver.spla, "splu", capture)
+        _, rel = newton_step(system.a, system.b)
+        monkeypatch.undo()
+        assert rel < solver.MAX_LINEAR_RESIDUAL
+        (lu,) = factors
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        colamd = splu(system.a)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
@@ -365,6 +416,28 @@ class TestRun:
         assert "linear residual 2.000e-06" in report.message
         assert report.max_linear_residual == 2.0e-6
         assert updates == []
+
+    def test_rejected_attempts_are_recorded(self, monkeypatch):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        reject_first_solve(monkeypatch)
+        report = run(model, SolverSettings(load_steps=2))
+        assert report.converged
+        assert report.rejections == [(1, 0.5, SINGULAR_REASON)]
+        assert [rec.load_factor for rec in report.steps] == [0.25, 0.5, 1.0]
+
+    def test_exhausted_iterations_are_recorded(self):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        report = run(model, SolverSettings(load_steps=1, max_iters=1),
+                     max_halvings=1)
+        assert not report.converged
+        assert [(step, lam) for step, lam, _ in report.rejections] == [(1, 1.0), (1, 0.5)]
+        assert all(r.startswith("no convergence in 1 iterations, last residual ")
+                   for _, _, r in report.rejections)
+        assert report.message.endswith(report.rejections[-1][2])
 
     def test_rotation_rejection_reason_kept(self):
         e, length, width, h = 12e6, 10.0, 1.0, 0.1
