@@ -27,16 +27,22 @@ column-major order SuperLU factors, with no conversion per build) and int32
 maps from every element-block, element-force and nodal dead-load entry to its
 `data` or vector slot, with fixed DOFs already dropped; each later build is
 then one `np.bincount` per array.  The pattern is structurally symmetric.
-The full unreduced system used by diagnostics is the same scatter over all
-DOFs.
+Minimum degree is a property of the pattern alone, so the same first build
+also orders the free DOFs once (SuperLU's minimum-degree order of A + A^T on
+a nonsingular matrix of that pattern) and scatters onto them in that order:
+`build_system` returns A and b already permuted for factorization.  The full
+unreduced system used by diagnostics is the same scatter over all DOFs, in
+natural order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .constitutive import (Material, internal_energy_density, metric_inverse,
                            stiffness_blocks, stress)
@@ -69,7 +75,11 @@ class ElementKernels:
 
 @dataclass
 class GlobalSystem:
-    """BC-reduced Newton system A eta = b plus bookkeeping for tolerances."""
+    """BC-reduced Newton system A eta = b plus bookkeeping for tolerances.
+
+    `free` lists the free DOFs in the row order of `a` and `b`, which is the
+    fill-reducing factor order, not ascending DOF order.
+    """
 
     a: sp.csc_matrix
     b: np.ndarray
@@ -288,15 +298,18 @@ class FemModel:
                             load_norm=float(np.linalg.norm(load + b_neu)))
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
+        """The BC-reduced system on the free DOFs in factor order."""
         kern = self.element_kernels(load_factor)
         free = self.mesh.free_dofs()
+        free = free[self._scatter(free).fill_order]  # ordered once per free-DOF set
         a, b, load = self.assemble(kern, free)
         return self.apply_boundary_conditions(a, b, load, free, load_factor)
 
     # --- diagnostics --------------------------------------------------------
 
     def mechanical_tangent(self) -> sp.csc_matrix:
-        """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts)."""
+        """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts),
+        on the free DOFs in ascending order."""
         kern = self.element_kernels(0.0)
         return self._scatter(self.mesh.free_dofs()).matrix(kern.kmat + kern.kgeo)
 
@@ -326,7 +339,9 @@ class _Scatter:
     element forces (`f_slot`) and the (n_nodes,6,6) nodal blocks
     (`node_slot`) owns one slot of the matrix `data` or of the vector.
     Entries on dropped DOFs go to a spare slot one past the end, which is
-    cut off, so each assembly is a single `np.bincount`.
+    cut off, so each assembly is a single `np.bincount`.  Row and column k of
+    the matrix is DOF `dofs[k]`, so scattering onto a permuted DOF list puts
+    every entry straight into its slot of the permuted matrix.
     """
 
     def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
@@ -353,6 +368,22 @@ class _Scatter:
         self.k_slot = k_slot.ravel()
         self.f_slot = el.astype(np.int32).ravel()
         self.node_slot = node_slot.ravel()
+
+    @cached_property
+    def fill_order(self) -> np.ndarray:
+        """Minimum-degree order of A + A^T for this pattern, as positions in `dofs`.
+
+        The order depends on the pattern only, so it is taken from a strictly
+        diagonally dominant matrix of that pattern, whose diagonal pivots
+        SuperLU keeps.  SciPy's `perm_c` maps positions to factor columns
+        (A Pc = A[:, argsort(perm_c)]), so the order is its inverse.
+        """
+        ones = sp.csc_matrix((np.ones(self.nnz), self.indices, self.indptr),
+                             shape=(self.m, self.m))
+        s = ones + self.m * sp.identity(self.m, format="csc")
+        lu = spla.splu(s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
+                       options={"SymmetricMode": True})
+        return np.argsort(lu.perm_c)
 
     def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
         """Sum (nel,4,4,6,6) element blocks into a fresh canonical CSC matrix."""

@@ -185,27 +185,24 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
 
 def dump_mesh(mesh: ShellMesh, path) -> None:
     """Plain-text dump: `id xi1 xi2 px py pz r11..r33` then `id n1 n2 n3 n4`."""
+    n, nel = mesh.n_nodes, mesh.n_elements
+    g = mesh.state.g_nodes
+    nodes = np.column_stack([np.arange(n), mesh.param, g[:, :3, 3],
+                             g[:, :3, :3].reshape(n, 9)])
+    elements = np.column_stack([np.arange(nel), mesh.conn])
     with open(path, "w") as fh:
-        fh.write(f"# nodes {mesh.n_nodes}\n")
-        for n in range(mesh.n_nodes):
-            g = mesh.state.g_nodes[n]
-            r = g[:3, :3].reshape(-1)
-            p = g[:3, 3]
-            fields = [f"{n}", f"{mesh.param[n, 0]:.17g}", f"{mesh.param[n, 1]:.17g}"]
-            fields += [f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in r]
-            fh.write(" ".join(fields) + "\n")
-        fh.write(f"# elements {mesh.n_elements}\n")
-        for e in range(mesh.n_elements):
-            fh.write(" ".join(str(v) for v in [e, *mesh.conn[e]]) + "\n")
+        fh.write(f"# nodes {n}\n")
+        fh.write(("%d" + " %.17g" * 14 + "\n") * n % tuple(nodes.ravel().tolist()))
+        fh.write(f"# elements {nel}\n")
+        fh.write("%d %d %d %d %d\n" * nel % tuple(elements.ravel().tolist()))
 
 
 def dump_triangles(mesh: ShellMesh, path) -> None:
     """Two triangles per quad, for plotting tools that want simplices."""
+    nel = mesh.n_elements
+    t = 2 * np.arange(nel)
+    a, b, c, d = mesh.conn.T
+    tris = np.column_stack([t, a, b, c, t + 1, a, c, d])  # two rows per element
     with open(path, "w") as fh:
-        fh.write(f"# triangles {2 * mesh.n_elements}\n")
-        t = 0
-        for e in range(mesh.n_elements):
-            a, b, c, d = mesh.conn[e]
-            fh.write(f"{t} {a} {b} {c}\n")
-            fh.write(f"{t + 1} {a} {c} {d}\n")
-            t += 2
+        fh.write(f"# triangles {2 * nel}\n")
+        fh.write("%d %d %d %d\n" * (2 * nel) % tuple(tris.ravel().tolist()))

@@ -1,8 +1,9 @@
 """Newton iteration with load stepping and multiplicative updates.
 
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
-on the free DOFs by one sparse LU factorization (SuperLU in symmetric mode:
-minimum-degree ordering of A + A^T, diagonal pivots), then updates
+on the free DOFs by one sparse LU factorization (SuperLU in symmetric mode
+with diagonal pivots, on a system that `build_system` already permuted into
+the minimum-degree order of A + A^T), then updates
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -103,22 +104,24 @@ class SolveReport:
 def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
     """Solve the tangent system by sparse LU (SuperLU in symmetric mode).
 
-    The tangent is structurally symmetric and nearly symmetric near
-    equilibrium, so SuperLU orders A + A^T by minimum degree and keeps the
-    diagonal pivots unless one is below 1e-6 of its column's largest entry
-    (a zero diagonal is still pivoted off).  Half the fill of COLAMD with
-    partial pivoting on the 2-D plates.  Returns (eta, relative linear
-    residual); iterative refinement drives the residual below 1e-10 relative
-    on reasonably conditioned systems, and the caller rejects the step when a
-    weak pivot leaves it above MAX_LINEAR_RESIDUAL.  Raises
-    SingularSystemError with a 1-norm estimate when factorization fails or
-    produces non-finite results.
+    The caller passes the matrix already in fill-reducing order (`build_system`
+    scatters onto the free DOFs in the minimum-degree order of A + A^T, fixed
+    per pattern), so SuperLU factors it in natural order with no ordering
+    pass.  The tangent is structurally symmetric and nearly symmetric near
+    equilibrium, so the diagonal pivots are kept unless one is below 1e-6 of
+    its column's largest entry (a zero diagonal is still pivoted off).
+    Returns (eta, relative linear residual).  Iterative refinement runs up to
+    `refine` sweeps and stops once the residual is below 1e-12 relative or a
+    sweep fails to halve it (the roundoff floor eps*cond of the tangent); the
+    caller rejects the step when a weak pivot leaves the residual above
+    MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
+    when factorization fails or produces non-finite results.
     """
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
     try:
-        solve = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
+        solve = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL",
                           diag_pivot_thresh=1e-6,
                           options={"SymmetricMode": True}).solve
         eta = solve(b)
@@ -134,7 +137,9 @@ def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
             break
         eta = eta + solve(r)
         r = b - a @ eta
-        rel = float(np.linalg.norm(r)) / bnorm
+        prev, rel = rel, float(np.linalg.norm(r)) / bnorm
+        if rel > 0.5 * prev:
+            break
     return eta, rel
 
 

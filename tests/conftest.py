@@ -83,6 +83,34 @@ def magnetic_couple(b_rt, env):
     return np.cross(np.asarray(b_rt, dtype=float), env.b_applied) / env.mu0
 
 
+def dump_mesh_loop(mesh, path) -> None:
+    """Per-value writer of `mesh.dump_mesh`, the byte-for-byte reference."""
+    with open(path, "w") as fh:
+        fh.write(f"# nodes {mesh.n_nodes}\n")
+        for n in range(mesh.n_nodes):
+            g = mesh.state.g_nodes[n]
+            r = g[:3, :3].reshape(-1)
+            p = g[:3, 3]
+            fields = [f"{n}", f"{mesh.param[n, 0]:.17g}", f"{mesh.param[n, 1]:.17g}"]
+            fields += [f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in r]
+            fh.write(" ".join(fields) + "\n")
+        fh.write(f"# elements {mesh.n_elements}\n")
+        for e in range(mesh.n_elements):
+            fh.write(" ".join(str(v) for v in [e, *mesh.conn[e]]) + "\n")
+
+
+def dump_triangles_loop(mesh, path) -> None:
+    """Per-element writer of `mesh.dump_triangles`, the byte-for-byte reference."""
+    with open(path, "w") as fh:
+        fh.write(f"# triangles {2 * mesh.n_elements}\n")
+        t = 0
+        for e in range(mesh.n_elements):
+            a, b, c, d = mesh.conn[e]
+            fh.write(f"{t} {a} {b} {c}\n")
+            fh.write(f"{t + 1} {a} {c} {d}\n")
+            t += 2
+
+
 def assembled_residual(model, lam=1.0):
     kern = model.element_kernels(lam)
     _, b, _ = model.assemble(kern)
@@ -133,3 +161,17 @@ def reject_first_solve(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(solver, "newton_step", singular_once)
+
+
+def capture_factors(monkeypatch):
+    """Record every SuperLU factorization made from now on, the fill-reducing
+    ordering of `fem` included (it shares `scipy.sparse.linalg` with `solver`)."""
+    factors = []
+    splu = solver.spla.splu
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    return factors

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    capture_factors,
     fd_residual_jacobian,
     k_operator,
     random_state_perturbation,
@@ -393,8 +394,8 @@ class TestReducedSystem:
         lam = 0.7
         model = self.loaded_model()
         system = model.build_system(lam)
-        free = model.mesh.free_dofs()
-        assert np.array_equal(system.free, free)
+        free = system.free  # factor order
+        assert np.array_equal(np.sort(free), model.mesh.free_dofs())
 
         kern = model.element_kernels(lam)
         a_full, b_full, load_full = model.assemble(kern)
@@ -435,13 +436,24 @@ class TestReducedSystem:
         assert np.array_equal(at.indptr, a.indptr)
         assert np.array_equal(at.indices, a.indices)
 
+    def test_order_built_once_per_free_set(self, monkeypatch):
+        factors = capture_factors(monkeypatch)
+        model = make_model(nx=3, ny=2)
+        model.build_system()
+        model.build_system(0.5)
+        assert len(factors) == 1
+        model.mesh.clamp_edge("xi1_max")
+        model.build_system()
+        model.build_system(0.5)
+        assert len(factors) == 2
+
     def test_pattern_follows_later_clamp(self):
         model = make_model(nx=3, ny=2)
         assert model.build_system().b.size == len(model.mesh.free_dofs())
         model.mesh.clamp_edge("xi1_max")
-        free = model.mesh.free_dofs()
         system = model.build_system()
-        assert np.array_equal(system.free, free)
+        free = system.free  # factor order
+        assert np.array_equal(np.sort(free), model.mesh.free_dofs())
         assert system.a.shape == (len(free), len(free))
         full = model.assemble(model.element_kernels())[0]
         assert np.allclose(system.a.toarray(), full[free][:, free].toarray())

@@ -1,12 +1,15 @@
-"""Mesh and model set-up: the vectorized sampling equals per-point calls."""
+"""Mesh and model set-up: the vectorized sampling equals per-point calls,
+and the vectorized dumps equal the per-value writers byte for byte."""
 
 import numpy as np
 import pytest
 
+from conftest import dump_mesh_loop, dump_triangles_loop, random_state_perturbation
 from se3shell.constitutive import Material, metric_inverse, stiffness_blocks
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_cylindrical_arch, build_flat_plate
-from se3shell.mesh import N_PTS, build_mesh
+from se3shell.mesh import N_PTS, build_mesh, dump_mesh, dump_triangles
+from se3shell.scenario import build_model, load_bundled
 
 SURFACES = {
     "plate": build_flat_plate(1.3, 0.4),
@@ -68,3 +71,21 @@ def test_d_blocks_equal_per_element_evaluation(name):
         c1, c2 = mesh.zeta0_pts[e, 0, :, :3]
         assert np.array_equal(model.d_blocks[e],
                               stiffness_blocks(MAT, metric_inverse(c1, c2)))
+
+
+@pytest.mark.parametrize("name", ["rollup_6pi", "arch_transverse", "magnetic_plate_A"])
+def test_dumps_equal_per_value_writers(name, tmp_path):
+    # flat strip, curved arch and 2-D plate, away from the reference state,
+    # with one signed zero
+    model = build_model(load_bundled(name))
+    random_state_perturbation(model, 0.05, seed=5)
+    mesh = model.mesh
+    mesh.state.g_nodes[0, 2, 3] = -0.0
+    got, expected = tmp_path / "got", tmp_path / "expected"
+    dump_mesh(mesh, got)
+    dump_mesh_loop(mesh, expected)
+    assert got.read_bytes() == expected.read_bytes()
+    assert got.read_text().splitlines()[1].split()[5] == "-0"
+    dump_triangles(mesh, got)
+    dump_triangles_loop(mesh, expected)
+    assert got.read_bytes() == expected.read_bytes()

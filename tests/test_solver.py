@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import SINGULAR_REASON, dexp_series, reject_first_solve
+from conftest import SINGULAR_REASON, capture_factors, dexp_series, reject_first_solve
 from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
@@ -42,6 +42,11 @@ def cantilever(nx=10, ny=1, lx=1.0, ly=0.2, e=200e9, nu=0.0, h=0.01):
     mesh = build_mesh(build_flat_plate(lx, ly), nx, ny)
     mesh.clamp_edge("xi1_min")
     return FemModel(mesh, Material(e=e, nu=nu, h=h))
+
+
+def first_tangent(name):
+    cfg = load_bundled(name)
+    return build_model(cfg).build_system(1.0 / cfg.solver.load_steps)
 
 
 class TestNewtonStep:
@@ -113,6 +118,44 @@ class TestNewtonStep:
         assert np.array_equal(lu.perm_r, lu.perm_c)
         colamd = splu(system.a)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_factor_order_keeps_minimum_degree_fill(self, name, monkeypatch):
+        # the system arrives in factor order, so its natural-order factor fills
+        # as much as minimum degree does on the same system in ascending DOF
+        # order (the inverse permutation in place of the order fills 4-6x more)
+        system = first_tangent(name)
+        factors = capture_factors(monkeypatch)
+        newton_step(system.a, system.b)
+        monkeypatch.undo()
+        (lu,) = factors
+        ascending = np.argsort(system.free)
+        a_nat = system.a[ascending][:, ascending].tocsc()
+        assert a_nat.nnz == system.a.nnz
+        mmd = solver.spla.splu(a_nat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
+                               options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz == pytest.approx(mmd.L.nnz + mmd.U.nnz, rel=1e-3)
+
+    def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
+        # eps*cond of the first plate tangent is about 1e-8, far above the
+        # 1e-12 target: after one sweep that cannot halve the residual, stop
+        system = first_tangent("magnetic_plate_A")
+        solves = []
+        splu = solver.spla.splu
+
+        class CountedSolves:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(rhs)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(solver.spla, "splu",
+                            lambda *args, **kwargs: CountedSolves(splu(*args, **kwargs)))
+        _, rel = newton_step(system.a, system.b)
+        assert 1 <= len(solves) <= 2
+        assert rel < solver.MAX_LINEAR_RESIDUAL
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
@@ -416,6 +459,24 @@ class TestRun:
         assert "linear residual 2.000e-06" in report.message
         assert report.max_linear_residual == 2.0e-6
         assert updates == []
+
+    def test_one_factorization_per_newton_step(self, monkeypatch):
+        # plus one ordering per free-DOF set, made on the first build
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        model = build_model(cfg)
+        factors = capture_factors(monkeypatch)
+        steps = []
+        step = solver.newton_step
+
+        def counted_step(a, b):
+            steps.append(len(factors))
+            return step(a, b)
+
+        monkeypatch.setattr(solver, "newton_step", counted_step)
+        report = run(model, cfg.solver)
+        assert report.converged
+        assert steps[0] == 1
+        assert len(factors) == len(steps) + 1
 
     def test_rejected_attempts_are_recorded(self, monkeypatch):
         model = cantilever(nx=4)
