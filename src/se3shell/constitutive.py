@@ -84,31 +84,28 @@ def stiffness_blocks(mat: Material, ainv: np.ndarray) -> np.ndarray:
     return d * (mat.e * mat.h / (1.0 - mat.nu**2))
 
 
-def stress(blocks: np.ndarray, strain_cols: np.ndarray) -> np.ndarray:
+def stress(blocks: np.ndarray, strain_rows: np.ndarray) -> np.ndarray:
     """Stress resultants S^a = sum_b D^{ab} E_b, batched over leading axes.
 
     `blocks` is (..., 2, 2, 6, 6) and the strain holds the twists E_b as rows,
-    (..., 2, 6); a single 6x2 strain matrix is accepted too.  Returns (..., 2, 6)
-    wrenches (force part 0:3, moment 3:6) per unit reference length.
+    (..., 2, 6).  Returns (..., 2, 6) wrenches (force part 0:3, moment 3:6)
+    per unit reference length.
     """
     d = np.asarray(blocks, dtype=float)
-    e = np.asarray(strain_cols, dtype=float)
-    if e.shape == (6, 2):
-        e = e.T
+    e = np.asarray(strain_rows, dtype=float)
     d12 = d.swapaxes(-3, -2).reshape(d.shape[:-4] + (12, 12))
     s = d12 @ e.reshape(e.shape[:-2] + (12, 1))
     return s.reshape(s.shape[:-2] + (2, 6))
 
 
-def internal_energy_density(stress_pair: np.ndarray, strain_cols: np.ndarray) -> float:
+def internal_energy_density(stress_pair: np.ndarray, strain_rows: np.ndarray) -> float:
     """Lagrangian density l0 = -1/2 sum_a <S^a, E_a> (non-positive).
 
-    Summed over any leading axes: weighted stresses give the integral of l0.
+    Stress and strain are (..., 2, 6) rows, summed over any leading axes:
+    weighted stresses give the integral of l0.
     """
     s = np.asarray(stress_pair, dtype=float)
-    e = np.asarray(strain_cols, dtype=float)
-    if e.shape == (6, 2):
-        e = e.T
+    e = np.asarray(strain_rows, dtype=float)
     return -0.5 * float(np.sum(s * e))
 
 

@@ -1,14 +1,15 @@
-"""Reference and current shell configuration fields on the parameter chart.
+"""Stress-free reference surfaces on the parameter chart.
 
 A configuration is a field of poses g(xi1, xi2); its derivatives enter only
 through the body-frame deformation twists
 
     zeta_alpha = vee(g^-1 d g / d xi^alpha),   alpha = 1, 2,
 
-which are invariant under left multiplication by a fixed rigid motion.  The
-strain is the columnwise difference of current and reference twists, and the
-local deformation gradient maps reference twists to current ones through the
-pseudo-inverse dual basis.
+which are invariant under left multiplication by a fixed rigid motion.  A
+reference surface gives its poses, these twists in closed form and its area
+jacobian.  The mesh samples them once; from there the solver carries the
+current twists (`solver.update_twists`), and `fem` takes the strain as their
+difference from the reference twists.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liegroup import exp_se3, inv_pose, make_pose, vee_se3
-
-DEGENERATE_TOL = 1e-12
+from .liegroup import make_pose
 
 
 @dataclass(frozen=True)
@@ -103,72 +102,3 @@ def build_cylindrical_arch(radius: float, angle_span: float, width: float) -> Re
     twists_at, jac_at = _constant_fields(z01, z02)
     return ReferenceSurface(chart=(radius * angle_span, width), pose_at=pose_at,
                             twists_at=twists_at, jac_at=jac_at)
-
-
-def deformation_twists(g_field: Callable[[float, float], np.ndarray],
-                       x1: float, x2: float,
-                       step: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame twists of a differentiable pose field by central differences.
-
-    Used for analytic fields in tests and diagnostics; the solver carries and
-    evolves twists instead of re-deriving them from poses.
-    """
-    g_inv = inv_pose(g_field(x1, x2))
-    d1 = (g_field(x1 + step, x2) - g_field(x1 - step, x2)) / (2 * step)
-    d2 = (g_field(x1, x2 + step) - g_field(x1, x2 - step)) / (2 * step)
-    return (vee_se3(g_inv @ d1, tol=1e-5), vee_se3(g_inv @ d2, tol=1e-5))
-
-
-def _as_columns(zeta: np.ndarray | tuple) -> np.ndarray:
-    z = np.asarray(zeta, dtype=float)
-    if z.shape == (2, 6):
-        return z.T
-    if z.shape == (6, 2):
-        return z
-    raise ValueError("expected a pair of twists (2,6) or a 6x2 matrix")
-
-
-def dual_basis(zeta_0) -> np.ndarray:
-    """Rows of the Moore-Penrose pseudo-inverse of the 6x2 reference basis."""
-    x0 = _as_columns(zeta_0)
-    gram = x0.T @ x0
-    if abs(np.linalg.det(gram)) < DEGENERATE_TOL:
-        raise ValueError("degenerate reference twists: columns nearly dependent")
-    return np.linalg.solve(gram, x0.T)
-
-
-def local_deformation_gradient(zeta_t, zeta_0) -> np.ndarray:
-    """F_e = X_t (X_0^T X_0)^-1 X_0^T, a rank-2 two-point map on twists."""
-    return _as_columns(zeta_t) @ dual_basis(zeta_0)
-
-
-def strain(zeta_t, zeta_0) -> np.ndarray:
-    """6x2 strain matrix, columns zeta_t_alpha - zeta_0_alpha."""
-    return _as_columns(zeta_t) - _as_columns(zeta_0)
-
-
-def transform_reference(surface: ReferenceSurface, h: np.ndarray) -> ReferenceSurface:
-    """Rigidly pre-transformed copy: poses become h @ g, twists are unchanged
-    (left invariance), as is the area jacobian."""
-    h = np.asarray(h, dtype=float)
-    return ReferenceSurface(
-        chart=surface.chart,
-        pose_at=lambda x1, x2: h @ surface.pose_at(x1, x2),
-        twists_at=surface.twists_at,
-        jac_at=surface.jac_at,
-    )
-
-
-def rollup_family(kappa: float, reference: ReferenceSurface | None = None):
-    """Pose field of a flat strip bent to constant curvature kappa about d2.
-
-    g(x1, x2) = g_0(0, x2) @ exp(x1 * ((1,0,0); (0,kappa,0))^); used as an
-    analytic deformation in tests.
-    """
-    gen = np.array([1.0, 0.0, 0.0, 0.0, kappa, 0.0])
-
-    def g(x1, x2):
-        base = make_pose(np.eye(3), np.array([0.0, x2, 0.0]))
-        return base @ exp_se3(x1 * gen)
-
-    return g

@@ -2,9 +2,8 @@
 
 Conventions used throughout the package:
 
-* a twist is the 6-vector (v; w) with the linear part first, so that
-  ``vee_se3(hat_se3(t)) == t`` with ``hat_se3`` placing ``skew(w)`` in the
-  upper-left 3x3 block and ``v`` in the last column,
+* a twist is the 6-vector (v; w) with the linear part first; its hat image
+  t^ is the 4x4 algebra element [[skew(w), v], [0, 0]] and vee inverts it,
 * a wrench is the dual 6-vector (n; m) pairing with twists through the plain
   dot product ``n.v + m.w``,
 * poses are 4x4 homogeneous matrices ``[[R, P], [0, 1]]``.
@@ -61,31 +60,6 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
-def hat_se3(t: np.ndarray) -> np.ndarray:
-    """Twist (v; w) -> 4x4 algebra element [[skew(w), v], [0, 0]]."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape[:-1] + (4, 4))
-    out[..., :3, :3] = skew(t[..., 3:])
-    out[..., :3, 3] = t[..., :3]
-    return out
-
-
-def vee_se3(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Inverse of hat_se3.
-
-    Raises ValueError if the upper-left block is not skew-symmetric or the
-    last row is not zero (within ``tol``, scaled by the matrix magnitude).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError("vee_se3 expects (..., 4, 4) matrices")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    sym = m[..., :3, :3] + np.swapaxes(m[..., :3, :3], -1, -2)
-    if np.max(np.abs(sym)) > tol * scale or np.max(np.abs(m[..., 3, :])) > tol * scale:
-        raise ValueError("vee_se3: matrix is not an se(3) element")
-    return np.concatenate([m[..., :3, 3], unskew(m[..., :3, :3])], axis=-1)
-
-
 # Taylor coefficients of c, c2, c3 (see _rot_coeffs), row j for theta^2j:
 #   (t - sin t)/t^3                 = sum_j (-1)^j t^2j / (2j+3)!
 #   (t^2 + 2 cos t - 2)/(2t^4)      = sum_j (-1)^j t^2j / (2j+4)!
@@ -99,7 +73,9 @@ def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Closed-form coefficients (a, b, c, c2, c3) of rotation angles theta.
 
     a = sin t/t, b = (1-cos t)/t^2 and c = (t-sin t)/t^3 are the Rodrigues
-    and so3_tangent coefficients; c2 = (t^2+2cos t-2)/(2t^4) = (1/2-b)/t^2 and
+    coefficients and those of T(w) = I + b w^ + c w^ w^, the map from the
+    linear twist part to the translation of exp_se3;
+    c2 = (t^2+2cos t-2)/(2t^4) = (1/2-b)/t^2 and
     c3 = (2t-3sin t+t cos t)/(2t^5) = (3c-b)/(2t^2) complete the coupling
     block of the SE(3) Jacobian.  b is evaluated as (sin(t/2)/(t/2))^2 / 2,
     which does not cancel; c, c2 and c3 take one stacked Taylor series below
@@ -157,18 +133,6 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     return _rodrigues(w, a, b)
 
 
-def so3_tangent(w: np.ndarray) -> np.ndarray:
-    """T(w) = I + (1-cos|w|)/|w|^2 w^ + (|w|-sin|w|)/|w|^3 w^ w^.
-
-    Maps the linear twist part to the translation of exp_se3; equals the
-    series sum_k (skew w)^k / (k+1)!.
-    """
-    w = np.asarray(w, dtype=float)
-    _, b, c, *_ = _rot_coeffs(np.linalg.norm(w, axis=-1))
-    wh = skew(w)
-    return _EYE3 + b[..., None, None] * wh + c[..., None, None] * (wh @ wh)
-
-
 def exp_se3(t: np.ndarray) -> np.ndarray:
     """Exponential map se(3) -> SE(3), returning [[exp(w^), T(w) v], [0, 1]].
 
@@ -200,20 +164,10 @@ def rot_of(g: np.ndarray) -> np.ndarray:
     return np.asarray(g, dtype=float)[..., :3, :3]
 
 
-def trans_of(g: np.ndarray) -> np.ndarray:
-    return np.asarray(g, dtype=float)[..., :3, 3]
-
-
 def inv_pose(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     rt = np.swapaxes(g[..., :3, :3], -1, -2)
     return make_pose(rt, -np.einsum("...ij,...j->...i", rt, g[..., :3, 3]))
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-10) -> bool:
-    r = np.asarray(r, dtype=float)
-    ortho = np.max(np.abs(np.swapaxes(r, -1, -2) @ r - _EYE3))
-    return bool(ortho <= tol and np.max(np.abs(np.linalg.det(r) - 1.0)) <= tol)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -233,7 +187,7 @@ def log_so3(r: np.ndarray) -> np.ndarray:
 
 
 def so3_tangent_inv(w: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of so3_tangent (angle < pi)."""
+    """Closed-form inverse of T(w) = I + b w^ + c w^ w^ (angle < pi)."""
     w = np.asarray(w, dtype=float)
     theta = np.linalg.norm(w, axis=-1)
     t2 = theta * theta
@@ -279,13 +233,8 @@ def ad(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def ad_dual(t: np.ndarray) -> np.ndarray:
-    """Co-adjoint, the transpose of ad(t)."""
-    return np.swapaxes(ad(t), -1, -2)
-
-
 def ad_tilde(w: np.ndarray) -> np.ndarray:
-    """Wrench form [[0, n^], [n^, m^]] with ad_tilde(y) @ x == ad_dual(x) @ y."""
+    """Wrench form [[0, n^], [n^, m^]] with ad_tilde(y) @ x == ad(x).T @ y."""
     w = np.asarray(w, dtype=float)
     out = np.zeros(w.shape[:-1] + (6, 6))
     nh = skew(w[..., :3])
@@ -318,7 +267,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
     exp(eta) = (R, p), Ad(exp(-eta)) = Ad(exp(eta))^-1 maps (v; w) to
     (R^T (v - p x w); R^T w), R^T = I - a w^ + b w^ w^.  dexp_se3(eta) is the
     SE(3) left Jacobian at -eta, [[J, Q], [0, J]] with
-    J = so3_tangent(-w) = I - b w^ + c w^ w^ and Barfoot's coupling block
+    J = T(-w) = I - b w^ + c w^ w^ and Barfoot's coupling block
     Q = Q(-u, -w) = -u^/2 + c (w^u^ + u^w^ - w^u^w^)
         - c2 (w^w^u^ + u^w^w^ - 3 w^u^w^) + c3 (w^u^w^w^ + w^w^u^w^).
     The terms are regrouped so that each application costs ten cross
@@ -351,8 +300,8 @@ def dexp_se3(t: np.ndarray) -> np.ndarray:
 
     Returns the 6x6 matrix D with ``vee(exp(-t^) @ Dexp(t^)[u^]) == D @ u``
     for every direction u: the SE(3) left Jacobian at -t,
-    [[T(-w), Q(-v, -w)], [0, T(-w)]] with T = so3_tangent, evaluated by
-    ``carried_update`` on the unit vectors.  dexp_se3(0) is the identity.
+    [[T(-w), Q(-v, -w)], [0, T(-w)]] with T(w) = I + b w^ + c w^ w^,
+    evaluated by ``carried_update`` on the unit vectors.  dexp_se3(0) is the identity.
     """
     t = np.asarray(t, dtype=float)
     cols = np.broadcast_to(_EYE6, t.shape[:-1] + (6, 6))  # cols[..., j, :] = e_j

@@ -76,10 +76,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         if cfg.mesh_dumps:
             emit_deformed_geometry(mdl.mesh, out_dir / f"mesh_step_{k:03d}")
 
-    log_lines: list[str] = []
+    iteration_log: list[str] = []
 
     def log(line):
-        log_lines.append(line)
+        iteration_log.append(line)
         if not quiet:
             print(line)
 
@@ -102,7 +102,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         for step, lam, reason in report.rejections:
             fh.write(f"rejected: step {step} load_factor {lam:.6g}: {reason}\n")
         fh.write("log:\n")
-        for line in log_lines:
+        for line in iteration_log:
             fh.write(line + "\n")
 
     return report, model

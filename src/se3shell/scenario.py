@@ -80,6 +80,8 @@ DEFAULT_FRAMES = {
     "follower_edge": "follower",
 }
 
+_EDGES = ("xi1_min", "xi1_max", "xi2_min", "xi2_max")
+
 _KNOWN_SECTIONS = {"geometry", "material", "mesh", "bc", "magnetic",
                    "solver", "perturb", "outputs"}
 _KNOWN_KEYS = {
@@ -89,7 +91,7 @@ _KNOWN_KEYS = {
     "bc": {"clamp"},
     "load": {"type", "magnitude", "frame", "edge", "wrench"},
     "magnetic": {"b_r", "b_a", "b_r_mode", "mu0", "b_a_start"},
-    "solver": {"load_steps", "tol", "max_iters", "damping", "scheme"},
+    "solver": {"load_steps", "tol", "max_iters", "scheme"},
     "perturb": {"mode", "magnitude", "axis"},
     "outputs": {"csv", "mesh_dumps"},
 }
@@ -159,20 +161,25 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
 
     h = _float(cp, "material", "h")
     if cp.has_option("material", "mu") or cp.has_option("material", "lam"):
-        mu = _float(cp, "material", "mu")
-        lam = _float(cp, "material", "lam")
-        material = Material.from_lame(mu=mu, lam=lam, h=h)
+        make = Material.from_lame
+        args = (_float(cp, "material", "mu"), _float(cp, "material", "lam"), h)
     else:
-        material = Material(e=_float(cp, "material", "e"),
-                            nu=_float(cp, "material", "nu", 0.0), h=h)
+        make = Material
+        args = (_float(cp, "material", "e"), _float(cp, "material", "nu", 0.0), h)
+    try:
+        material = make(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"[material] {exc}") from exc
 
     nx = int(_float(cp, "mesh", "nx"))
     ny = int(_float(cp, "mesh", "ny", 1))
+    if nx < 1 or ny < 1:
+        raise ScenarioError(f"[mesh] nx and ny must be at least 1, got {nx} and {ny}")
 
     clamp = tuple(s.strip() for s in
                   cp.get("bc", "clamp", fallback="xi1_min").split(",") if s.strip())
     for edge in clamp:
-        if edge not in ("xi1_min", "xi1_max", "xi2_min", "xi2_max"):
+        if edge not in _EDGES:
             raise ScenarioError(f"[bc] clamp: unknown edge '{edge}'")
 
     loads = []
@@ -185,6 +192,8 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         if frame not in ("follower", "dead"):
             raise ScenarioError(f"[{section}] frame must be follower or dead")
         edge = cp.get(section, "edge", fallback="xi1_max").strip()
+        if edge not in _EDGES:
+            raise ScenarioError(f"[{section}] edge: unknown edge '{edge}'")
         wrench = None
         magnitude = 0.0
         if ltype == "follower_edge":
@@ -215,16 +224,18 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
                 raise ScenarioError("[magnetic] b_a_start must have the same "
                                     "magnitude as b_a (rotation program)")
 
-    scheme = cp.get("solver", "scheme", fallback="centroid").strip() \
-        if cp.has_section("solver") else "centroid"
+    scheme = cp.get("solver", "scheme", fallback="centroid").strip()
     if scheme not in ("centroid", "gauss"):
         raise ScenarioError("[solver] scheme must be centroid or gauss")
-    solver = SolverSettings(
-        load_steps=int(_float(cp, "solver", "load_steps", 20)) if cp.has_section("solver") else 20,
-        tol_relative=_float(cp, "solver", "tol", 1e-8) if cp.has_section("solver") else 1e-8,
-        max_iters=int(_float(cp, "solver", "max_iters", 50)) if cp.has_section("solver") else 50,
-        damping=_float(cp, "solver", "damping", 1.0) if cp.has_section("solver") else 1.0,
-    )
+    defaults = SolverSettings()
+    load_steps = int(_float(cp, "solver", "load_steps", defaults.load_steps))
+    tol = _float(cp, "solver", "tol", defaults.tol_relative)
+    max_iters = int(_float(cp, "solver", "max_iters", defaults.max_iters))
+    try:
+        solver = SolverSettings(load_steps=load_steps, tol_relative=tol,
+                                max_iters=max_iters)
+    except ValueError as exc:
+        raise ScenarioError(f"[solver] {exc}") from exc
 
     perturb = None
     if cp.has_section("perturb"):
@@ -236,10 +247,8 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
                               magnitude=_float(cp, "perturb", "magnitude"),
                               axis=tuple(axis))
 
-    csv_name = cp.get("outputs", "csv", fallback="load_deflection.csv") \
-        if cp.has_section("outputs") else "load_deflection.csv"
-    dumps = cp.getboolean("outputs", "mesh_dumps", fallback=True) \
-        if cp.has_section("outputs") else True
+    csv_name = cp.get("outputs", "csv", fallback="load_deflection.csv")
+    dumps = cp.getboolean("outputs", "mesh_dumps", fallback=True)
 
     return ScenarioConfig(
         name=name or path.stem, geometry_kind=kind, length=length, width=width,

@@ -3,7 +3,8 @@
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
 on the free DOFs by one sparse LU factorization (SuperLU in symmetric mode
 with diagonal pivots, on a system that `build_system` already permuted into
-the minimum-degree order of A + A^T), then updates
+the minimum-degree order of A + A^T), then applies one multiplicative update
+of the whole state (`apply_increment_field`):
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -46,6 +47,8 @@ MAX_ROTATION_INCREMENT = np.pi / 2
 # not a Newton step.  Accepted iterations of the bundled scenarios stay below
 # 4e-8; the near-singular systems of rejected roll-up attempts reach 1e2-1e6.
 MAX_LINEAR_RESIDUAL = 1e-6
+# Iterative refinement sweeps at most; each one costs a solve and a residual.
+REFINEMENT_SWEEPS = 3
 
 
 class StepRejected(RuntimeError):
@@ -62,15 +65,12 @@ class SolverSettings:
     tol_residual: float = 1e-12  # absolute floor
     max_iters: int = 50
     load_steps: int = 20
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tol_relative <= 0 or self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1 or self.load_steps < 1:
             raise ValueError("max_iters and load_steps must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -91,17 +91,9 @@ class SolveReport:
     max_linear_residual: float = 0.0
     # (step, load_factor, reason) of every rejected attempt, in order
     rejections: list[tuple[int, float, str]] = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
-
-    def log_lines(self) -> list[str]:
-        out = []
-        for rec in self.steps:
-            for it, r in enumerate(rec.residuals, start=1):
-                out.append(f"{rec.step} {it} {r:.6e}")
-        return out
 
 
-def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
+def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the tangent system by sparse LU (SuperLU in symmetric mode).
 
     The caller passes the matrix already in fill-reducing order (`build_system`
@@ -110,12 +102,12 @@ def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
     pass.  The tangent is structurally symmetric and nearly symmetric near
     equilibrium, so the diagonal pivots are kept unless one is below 1e-6 of
     its column's largest entry (a zero diagonal is still pivoted off).
-    Returns (eta, relative linear residual).  Iterative refinement runs up to
-    `refine` sweeps and stops once the residual is below 1e-12 relative or a
-    sweep fails to halve it (the roundoff floor eps*cond of the tangent); the
-    caller rejects the step when a weak pivot leaves the residual above
-    MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
-    when factorization fails or produces non-finite results.
+    Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
+    of iterative refinement follow; they stop once the residual is below 1e-12
+    relative or a sweep fails to halve it (the roundoff floor eps*cond of the
+    tangent).  The caller rejects the step when a weak pivot leaves the
+    residual above MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a
+    1-norm estimate when factorization fails or produces non-finite results.
     """
     b = np.asarray(b, dtype=float)
     if b.size == 0:
@@ -132,7 +124,7 @@ def newton_step(a, b: np.ndarray, refine: int = 3) -> tuple[np.ndarray, float]:
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
     r = b - a @ eta
     rel = float(np.linalg.norm(r)) / bnorm
-    for _ in range(refine):
+    for _ in range(REFINEMENT_SWEEPS):
         if rel < 1e-12:
             break
         eta = eta + solve(r)
@@ -236,7 +228,6 @@ def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
 def _newton_loop(model: FemModel, lam: float, step_no: int,
                  settings: SolverSettings, report: SolveReport, emit) -> StepRecord:
     residuals: list[float] = []
-    mesh = model.mesh
     for it in range(1, settings.max_iters + 1):
         try:
             system = model.build_system(lam)
@@ -257,16 +248,14 @@ def _newton_loop(model: FemModel, lam: float, step_no: int,
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
                                f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved")
-        eta = np.zeros(mesh.n_dofs)
-        eta[system.free] = settings.damping * eta_free
-        update_configuration(mesh, eta)
-        update_twists(mesh, eta)
+        eta = np.zeros(model.mesh.n_dofs)
+        eta[system.free] = eta_free
+        apply_increment_field(model, eta)
     return StepRecord(step=step_no, load_factor=lam, iterations=settings.max_iters,
                       residuals=residuals, converged=False)
 
 
 def run(model: FemModel, settings: SolverSettings | None = None, *,
-        record_snapshots: bool = False,
         on_step=None,
         log=None,
         max_halvings: int = 8) -> SolveReport:
@@ -321,8 +310,6 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     report.wall_time = time.perf_counter() - t0
                     return report
                 dlam /= 2.0
-        if record_snapshots:
-            report.snapshots.append((lam, mesh.state.copy()))
         if on_step is not None:
             on_step(lam, model)
     report.converged = True

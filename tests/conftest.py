@@ -1,13 +1,141 @@
 """Shared helpers for the test suite."""
 
+from typing import Callable
+
 import numpy as np
 
 from se3shell import solver
-from se3shell.liegroup import Ad, ad, inv_pose
+from se3shell.kinematics import ReferenceSurface
+from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
+                               skew, unskew)
 from se3shell.mesh import shape_gradients, shape_values
 from se3shell.solver import SingularSystemError, update_configuration, update_twists
 
 SINGULAR_REASON = "singular or ill-posed tangent (1-norm estimate 0.000e+00)"
+
+
+def hat_se3(t: np.ndarray) -> np.ndarray:
+    """Twist (v; w) -> 4x4 algebra element [[skew(w), v], [0, 0]]."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape[:-1] + (4, 4))
+    out[..., :3, :3] = skew(t[..., 3:])
+    out[..., :3, 3] = t[..., :3]
+    return out
+
+
+def vee_se3(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Inverse of hat_se3.
+
+    Raises ValueError if the upper-left block is not skew-symmetric or the
+    last row is not zero (within ``tol``, scaled by the matrix magnitude).
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("vee_se3 expects (..., 4, 4) matrices")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    sym = m[..., :3, :3] + np.swapaxes(m[..., :3, :3], -1, -2)
+    if np.max(np.abs(sym)) > tol * scale or np.max(np.abs(m[..., 3, :])) > tol * scale:
+        raise ValueError("vee_se3: matrix is not an se(3) element")
+    return np.concatenate([m[..., :3, 3], unskew(m[..., :3, :3])], axis=-1)
+
+
+def so3_tangent(w: np.ndarray) -> np.ndarray:
+    """T(w) = I + (1-cos|w|)/|w|^2 w^ + (|w|-sin|w|)/|w|^3 w^ w^.
+
+    Maps the linear twist part to the translation of exp_se3; equals the
+    series sum_k (skew w)^k / (k+1)!.
+    """
+    w = np.asarray(w, dtype=float)
+    _, b, c, *_ = _rot_coeffs(np.linalg.norm(w, axis=-1))
+    wh = skew(w)
+    return np.eye(3) + b[..., None, None] * wh + c[..., None, None] * (wh @ wh)
+
+
+def trans_of(g: np.ndarray) -> np.ndarray:
+    return np.asarray(g, dtype=float)[..., :3, 3]
+
+
+def is_rotation(r: np.ndarray, tol: float = 1e-10) -> bool:
+    r = np.asarray(r, dtype=float)
+    ortho = np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)))
+    return bool(ortho <= tol and np.max(np.abs(np.linalg.det(r) - 1.0)) <= tol)
+
+
+def ad_dual(t: np.ndarray) -> np.ndarray:
+    """Co-adjoint, the transpose of ad(t)."""
+    return np.swapaxes(ad(t), -1, -2)
+
+
+DEGENERATE_TOL = 1e-12
+
+
+def deformation_twists(g_field: Callable[[float, float], np.ndarray],
+                       x1: float, x2: float,
+                       step: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+    """Body-frame twists of a differentiable pose field by central differences.
+
+    Used for analytic fields in tests; the solver carries and evolves twists
+    instead of re-deriving them from poses.
+    """
+    g_inv = inv_pose(g_field(x1, x2))
+    d1 = (g_field(x1 + step, x2) - g_field(x1 - step, x2)) / (2 * step)
+    d2 = (g_field(x1, x2 + step) - g_field(x1, x2 - step)) / (2 * step)
+    return (vee_se3(g_inv @ d1, tol=1e-5), vee_se3(g_inv @ d2, tol=1e-5))
+
+
+def _as_columns(zeta: np.ndarray | tuple) -> np.ndarray:
+    z = np.asarray(zeta, dtype=float)
+    if z.shape == (2, 6):
+        return z.T
+    if z.shape == (6, 2):
+        return z
+    raise ValueError("expected a pair of twists (2,6) or a 6x2 matrix")
+
+
+def dual_basis(zeta_0) -> np.ndarray:
+    """Rows of the Moore-Penrose pseudo-inverse of the 6x2 reference basis."""
+    x0 = _as_columns(zeta_0)
+    gram = x0.T @ x0
+    if abs(np.linalg.det(gram)) < DEGENERATE_TOL:
+        raise ValueError("degenerate reference twists: columns nearly dependent")
+    return np.linalg.solve(gram, x0.T)
+
+
+def local_deformation_gradient(zeta_t, zeta_0) -> np.ndarray:
+    """F_e = X_t (X_0^T X_0)^-1 X_0^T, a rank-2 two-point map on twists."""
+    return _as_columns(zeta_t) @ dual_basis(zeta_0)
+
+
+def strain(zeta_t, zeta_0) -> np.ndarray:
+    """6x2 strain matrix, columns zeta_t_alpha - zeta_0_alpha."""
+    return _as_columns(zeta_t) - _as_columns(zeta_0)
+
+
+def transform_reference(surface: ReferenceSurface, h: np.ndarray) -> ReferenceSurface:
+    """Rigidly pre-transformed copy: poses become h @ g, twists are unchanged
+    (left invariance), as is the area jacobian."""
+    h = np.asarray(h, dtype=float)
+    return ReferenceSurface(
+        chart=surface.chart,
+        pose_at=lambda x1, x2: h @ surface.pose_at(x1, x2),
+        twists_at=surface.twists_at,
+        jac_at=surface.jac_at,
+    )
+
+
+def rollup_family(kappa: float, reference: ReferenceSurface | None = None):
+    """Pose field of a flat strip bent to constant curvature kappa about d2.
+
+    g(x1, x2) = g_0(0, x2) @ exp(x1 * ((1,0,0); (0,kappa,0))^); used as an
+    analytic deformation in tests.
+    """
+    gen = np.array([1.0, 0.0, 0.0, 0.0, kappa, 0.0])
+
+    def g(x1, x2):
+        base = make_pose(np.eye(3), np.array([0.0, x2, 0.0]))
+        return base @ exp_se3(x1 * gen)
+
+    return g
 
 
 def dexp_series(t, max_terms=60, rtol=1e-17):

@@ -13,10 +13,10 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import fd_residual_jacobian, random_state_perturbation
+from conftest import fd_residual_jacobian, random_state_perturbation, transform_reference
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
-from se3shell.kinematics import build_flat_plate, transform_reference
+from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import Ad, ad, dexp_se3, exp_se3, log_se3
 from se3shell.magnetics import MU0, MagneticEnvironment
 from se3shell.mesh import build_mesh
@@ -53,16 +53,20 @@ def rollup_model(moment_factor=1.0, nx=150):
 
 @pytest.fixture(scope="module")
 def rollup_run():
+    """The converged roll-up, its (load factor, state) after every scheduled
+    step, and the wall time."""
     model = rollup_model()
+    snapshots = []
     t0 = time.perf_counter()
-    rep = run(model, SolverSettings(load_steps=20), record_snapshots=True)
+    rep = run(model, SolverSettings(load_steps=20),
+              on_step=lambda lam, m: snapshots.append((lam, m.mesh.state.copy())))
     wall = time.perf_counter() - t0
     assert rep.converged
-    return model, rep, wall
+    return model, snapshots, wall
 
 
 def test_criterion_01_rollup_closure(rollup_run):
-    model, rep, wall = rollup_run
+    model, _, wall = rollup_run
     mesh = model.mesh
     length = ROLLUP["l"]
     tip = mesh.state.g_nodes[mesh.tip_node(), :3, 3]
@@ -89,11 +93,11 @@ def test_criterion_01_rollup_closure(rollup_run):
 
 
 def test_criterion_02_elastica_curve(rollup_run):
-    model, rep, _ = rollup_run
+    model, snapshots, _ = rollup_run
     mesh = model.mesh
     length, e, inertia = ROLLUP["l"], ROLLUP["e"], ROLLUP["inertia"]
     tip_node = mesh.tip_node()
-    by_lambda = {round(lam, 10): state for lam, state in rep.snapshots}
+    by_lambda = {round(lam, 10): state for lam, state in snapshots}
     worst = 0.0
     for frac in (0.25, 0.5, 0.75, 1.0):
         state = by_lambda[round(frac, 10)]
@@ -178,16 +182,16 @@ def _skew_ratio(a) -> float:
 
 
 def test_criterion_06_equilibrium_symmetry(rollup_run):
-    model, rep, _ = rollup_run
+    model, snapshots, _ = rollup_run
     mesh = model.mesh
     saved = mesh.state
     worst = 0.0
-    for lam, state in rep.snapshots:
+    for lam, state in snapshots:
         mesh.state = state
         worst = max(worst, _skew_ratio(model.mechanical_tangent()))
     assert worst < 1e-6
 
-    mesh.state = rep.snapshots[-1][1].copy()
+    mesh.state = snapshots[-1][1].copy()
     random_state_perturbation(model, 0.05, seed=42)
     perturbed = _skew_ratio(model.mechanical_tangent())
     assert perturbed > 1e-3
@@ -352,7 +356,7 @@ def test_criterion_10_antiparallel_instability():
     # perturbed run (1e-3 tip rotation + the scenario's field rotation
     # program) lands on the deflected branch with lower total energy
     model = build_model(cfg)
-    rep = run(model, cfg.solver, max_halvings=12)
+    rep = run(model, cfg.solver)
     assert rep.converged
     mesh = model.mesh
     disp = mesh.state.g_nodes[mesh.tip_node(), :3, 3] - mesh.g0_nodes[mesh.tip_node(), :3, 3]

@@ -43,7 +43,7 @@ def test_bundled_scenario_converges(name):
     cfg = load_bundled(name)
     model = build_model(cfg)
     lines = []
-    report = run(model, cfg.solver, max_halvings=12, log=lines.append)
+    report = run(model, cfg.solver, log=lines.append)
     assert report.converged, report.message
     attempts = sum(1 for line in lines if line.split()[1] == "1")
     assert (len(lines), attempts) == COUNTS[name]

@@ -101,7 +101,7 @@ class TestStiffnessBlocks:
 class TestStress:
     def test_zero_strain(self):
         mat = Material(e=2.0, nu=0.25, h=0.3)
-        s = stress(stiffness_blocks(mat, I2), np.zeros((6, 2)))
+        s = stress(stiffness_blocks(mat, I2), np.zeros((2, 6)))
         assert np.array_equal(s, np.zeros((2, 6)))
 
     def test_pure_membrane_stretch(self):
@@ -110,7 +110,7 @@ class TestStress:
         lam = 1.2
         e = np.zeros((6, 2))
         e[0, 0] = lam - 1
-        s = stress(blocks, e)
+        s = stress(blocks, e.T)
         # matrix-vector oracle: S^a = D^{a0} @ column 0
         assert np.allclose(s[0], blocks[0, 0] @ e[:, 0], atol=1e-15)
         assert np.allclose(s[1], blocks[1, 0] @ e[:, 0], atol=1e-15)
@@ -124,7 +124,7 @@ class TestStress:
         mat = Material(e=9.0, nu=0.0, h=0.1)
         e = np.zeros((6, 2))
         e[4, 0] = kappa
-        s = stress(stiffness_blocks(mat, I2), e)
+        s = stress(stiffness_blocks(mat, I2), e.T)
         assert s[0][4] == pytest.approx(mat.e * mat.h**3 * kappa / 12.0)
 
     def test_pure_bending_moment_with_poisson(self):
@@ -133,7 +133,7 @@ class TestStress:
         mat = Material(e=9.0, nu=0.3, h=0.1)
         e = np.zeros((6, 2))
         e[4, 0] = kappa
-        s = stress(stiffness_blocks(mat, I2), e)
+        s = stress(stiffness_blocks(mat, I2), e.T)
         expected = mat.e * mat.h**3 * kappa / (12 * (1 + mat.nu))
         assert s[0][4] == pytest.approx(expected)
 
@@ -143,8 +143,8 @@ class TestStress:
         e1 = RNG.normal(size=(6, 2))
         e2 = RNG.normal(size=(6, 2))
         a, b = 0.7, -1.9
-        lhs = stress(blocks, a * e1 + b * e2)
-        rhs = a * stress(blocks, e1) + b * stress(blocks, e2)
+        lhs = stress(blocks, (a * e1 + b * e2).T)
+        rhs = a * stress(blocks, e1.T) + b * stress(blocks, e2.T)
         assert np.allclose(lhs, rhs, rtol=1e-14, atol=1e-15 * np.abs(rhs).max())
 
     def test_self_adjointness(self):
@@ -152,8 +152,8 @@ class TestStress:
         for _ in range(10):
             e1 = RNG.normal(size=(6, 2))
             e2 = RNG.normal(size=(6, 2))
-            p1 = np.sum(stress(blocks, e1) * e2.T)
-            p2 = np.sum(stress(blocks, e2) * e1.T)
+            p1 = np.sum(stress(blocks, e1.T) * e2.T)
+            p2 = np.sum(stress(blocks, e2.T) * e1.T)
             assert p1 == pytest.approx(p2, rel=1e-12)
 
 
@@ -169,19 +169,19 @@ class TestStress:
                 for a in range(2):
                     ref = blocks[k, a, 0] @ e[n, k, 0] + blocks[k, a, 1] @ e[n, k, 1]
                     assert np.allclose(s[n, k, a], ref, rtol=1e-14, atol=1e-14)
-        total = sum(internal_energy_density(s[n, k], e[n, k].T)
+        total = sum(internal_energy_density(s[n, k], e[n, k])
                     for n in range(4) for k in range(3))
         assert internal_energy_density(s, e) == pytest.approx(total, rel=1e-13)
 
 class TestEnergyDensity:
     def test_zero(self):
-        assert internal_energy_density(np.zeros((2, 6)), np.zeros((6, 2))) == 0.0
+        assert internal_energy_density(np.zeros((2, 6)), np.zeros((2, 6))) == 0.0
 
     def test_quadratic_scaling(self):
         blocks = stiffness_blocks(Material(e=4.0, nu=0.2, h=0.2), I2)
         e = RNG.normal(size=(6, 2))
-        d1 = internal_energy_density(stress(blocks, e), e)
-        d2 = internal_energy_density(stress(blocks, 2 * e), 2 * e)
+        d1 = internal_energy_density(stress(blocks, e.T), e.T)
+        d2 = internal_energy_density(stress(blocks, 2 * e.T), 2 * e.T)
         assert d2 == pytest.approx(4 * d1, rel=1e-13)
 
     def test_pure_bending_value(self):
@@ -189,22 +189,22 @@ class TestEnergyDensity:
         mat = Material(e=9.0, nu=0.0, h=0.1)
         e = np.zeros((6, 2))
         e[4, 0] = kappa
-        s = stress(stiffness_blocks(mat, I2), e)
+        s = stress(stiffness_blocks(mat, I2), e.T)
         expected = -0.5 * kappa * (mat.e * mat.h**3 * kappa / 12.0)
-        assert internal_energy_density(s, e) == pytest.approx(expected)
+        assert internal_energy_density(s, e.T) == pytest.approx(expected)
 
     def test_independent_recomputation(self):
         blocks = stiffness_blocks(Material(e=4.0, nu=0.2, h=0.2), random_spd_metric())
         e = RNG.normal(size=(6, 2))
-        s = stress(blocks, e)
+        s = stress(blocks, e.T)
         by_hand = -0.5 * (s[0] @ e[:, 0] + s[1] @ e[:, 1])
-        assert internal_energy_density(s, e) == pytest.approx(by_hand, rel=1e-14)
+        assert internal_energy_density(s, e.T) == pytest.approx(by_hand, rel=1e-14)
 
     def test_non_positive(self):
         blocks = stiffness_blocks(Material(e=4.0, nu=0.2, h=0.2), I2)
         for _ in range(20):
             e = RNG.normal(size=(6, 2))
-            assert internal_energy_density(stress(blocks, e), e) <= 1e-12
+            assert internal_energy_density(stress(blocks, e.T), e.T) <= 1e-12
 
 
 class TestMetricInverse:

@@ -8,16 +8,16 @@ of the roll-up and stretch families.
 import numpy as np
 import pytest
 
-from se3shell.kinematics import (
-    build_cylindrical_arch,
-    build_flat_plate,
+from conftest import (
     deformation_twists,
     dual_basis,
     local_deformation_gradient,
     rollup_family,
     strain,
+    trans_of,
 )
-from se3shell.liegroup import exp_se3, rot_of, trans_of
+from se3shell.kinematics import build_cylindrical_arch, build_flat_plate
+from se3shell.liegroup import exp_se3, rot_of
 
 RNG = np.random.default_rng(7)
 

@@ -12,29 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dexp_series
+from conftest import (
+    ad_dual,
+    dexp_series,
+    hat_se3,
+    is_rotation,
+    so3_tangent,
+    trans_of,
+    vee_se3,
+)
 from se3shell.liegroup import (
     SERIES_ANGLE,
     SMALL_ANGLE,
     Ad,
     _rot_coeffs,
     ad,
-    ad_dual,
     ad_tilde,
     carried_update,
     dexp_se3,
     exp_se3,
     exp_so3,
-    hat_se3,
     inv_pose,
-    is_rotation,
     log_se3,
     make_pose,
     rot_of,
     skew,
-    so3_tangent,
-    trans_of,
-    vee_se3,
 )
 
 RNG = np.random.default_rng(20240811)

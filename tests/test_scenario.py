@@ -170,6 +170,23 @@ class TestCli:
         bad.write_text("[geometry]\nkind = hexagon\n")
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("old, new, section", [
+        ("frame = dead", "frame = dead\nedge = bogus", "[load]"),
+        ("e = 200e9", "e = -1", "[material]"),
+        ("e = 200e9\nnu = 0.0", "mu = 0\nlam = 0", "[material]"),
+        ("nx = 20", "nx = 0", "[mesh]"),
+        ("load_steps = 20", "load_steps = 0", "[solver]"),
+        ("load_steps = 20", "load_steps = 20\ndamping = 0.5", "[solver]"),
+    ], ids=["load_edge", "material_e", "material_lame", "mesh_nx", "solver_steps",
+            "solver_damping"])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, old, new, section):
+        text = (bundled_dir() / "end_shear.cfg").read_text()
+        assert old in text
+        custom = tmp_path / "invalid.cfg"
+        custom.write_text(text.replace(old, new))
+        assert cli_main(["run", str(custom), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert section in capsys.readouterr().err
+
     def test_unknown_bench_exit_code(self, tmp_path):
         assert cli_main(["bench", "nope", "--out", str(tmp_path)]) == 2
 

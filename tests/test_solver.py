@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import SINGULAR_REASON, capture_factors, dexp_series, reject_first_solve
+from conftest import (
+    SINGULAR_REASON,
+    capture_factors,
+    deformation_twists,
+    dexp_series,
+    reject_first_solve,
+    transform_reference,
+)
 from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
-from se3shell.kinematics import (
-    build_flat_plate,
-    deformation_twists,
-    transform_reference,
-)
+from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
 from se3shell.scenario import build_model, load_bundled
