@@ -19,7 +19,9 @@ Global system convention (tangent times increment = residual):
     A = Kmat + Kgeo - Kdead - Kmag,   b = f_ext + f_mag - f_int,
 
 which is the (K_MG - KM) eta = FU - FM structure with FU the unbalanced
-mechanical force f_ext - f_int.
+mechanical force f_ext - f_int; f_ext holds the boundary wrenches of
+`neumann_terms`, and the applied field B^a(lambda) of the model's field
+program enters through f_mag and Kmag.
 
 Assembly has one fixed-pattern path.  On the first build for a given set of
 free DOFs the model builds the CSC pattern of the BC-reduced tangent (the
@@ -37,6 +39,7 @@ natural order.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,8 +64,8 @@ _ZERO = np.zeros(())
 class ElementKernels:
     """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6).
 
-    Without a body wrench or magnetics, f_ext, f_mag and kmag are read-only
-    all-zero broadcast views.
+    f_ext is a read-only all-zero broadcast view (boundary loads enter through
+    `neumann_terms`); so are f_mag and kmag without magnetics.
     """
 
     kmat: np.ndarray
@@ -92,22 +95,21 @@ class GlobalSystem:
 
 
 class FemModel:
-    """Mesh + material + loading, able to produce the Newton system."""
+    """Mesh + material + applied-field program, able to produce the Newton system.
+
+    `field(load_factor) -> MagneticEnvironment` is the magnetic load path; the
+    magnetic terms are active when both it and `mesh.b_r` are set.
+    """
 
     def __init__(self, mesh: ShellMesh, material: Material,
-                 env: MagneticEnvironment | None = None,
-                 scheme: str = "centroid",
-                 body_wrench: np.ndarray | None = None,
-                 field_program=None):
+                 field: Callable[[float], MagneticEnvironment] | None = None,
+                 scheme: str = "centroid"):
         if scheme not in _SAMPLINGS:
             raise ValueError("scheme must be 'centroid' or 'gauss'")
         self.mesh = mesh
         self.material = material
-        self.env = env
+        self.field = field
         self.scheme = scheme
-        self.body_wrench = None if body_wrench is None else np.asarray(body_wrench, float)
-        # field_program(load_factor) -> MagneticEnvironment; default linear ramp
-        self.field_program = field_program
         self.d_blocks = self._build_d_blocks()
         self._scatters: dict[bytes, _Scatter] = {}
         # constants of the strain sampling, built on the first build;
@@ -115,11 +117,9 @@ class FemModel:
         self._sampling_consts = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
-        if self.field_program is not None:
-            return self.field_program(load_factor)
-        if self.env is None:
+        if self.field is None or self.mesh.b_r is None:
             return None
-        return self.env.scaled(load_factor)
+        return self.field(load_factor)
 
     def _build_d_blocks(self) -> np.ndarray:
         """Per-element stiffness blocks, one evaluation per distinct metric."""
@@ -206,14 +206,8 @@ class FemModel:
     def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
         mesh = self.mesh
         kmat, kgeo, f_int = self._mechanical_kernels()
-        if self.body_wrench is None:
-            f_ext = np.broadcast_to(_ZERO, f_int.shape)
-        else:
-            le1, le2 = mesh.le
-            f_ext = np.broadcast_to((0.25 * le1 * le2 * mesh.jac0_pts[:, 0])[:, None, None]
-                                    * (load_factor * self.body_wrench), f_int.shape)
         env = self._env_at(load_factor)
-        if env is not None and mesh.b_r is not None:
+        if env is not None:
             args = (mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:], mesh.b_r, env,
                     N_PTS[1:], self._gauss_weights())
             f_mag = element_magnetic_force(*args)
@@ -221,8 +215,8 @@ class FemModel:
         else:
             f_mag = np.broadcast_to(_ZERO, f_int.shape)
             kmag = np.broadcast_to(_ZERO, kmat.shape)
-        return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag,
-                              f_int=f_int, f_ext=f_ext, f_mag=f_mag)
+        return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag, f_int=f_int,
+                              f_ext=np.broadcast_to(_ZERO, f_int.shape), f_mag=f_mag)
 
     # --- global level ------------------------------------------------------
 
@@ -236,22 +230,21 @@ class FemModel:
 
     def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
                  ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-        """Scatter-add element kernels into (A, b) plus the external-load part.
+        """Scatter-add element kernels into (A, b) plus the magnetic-load part.
 
         Returns the tangent A = Kmat + Kgeo - Kmag, the residual
-        b = f_ext + f_mag - f_int, and separately the external load vector
-        f_ext + f_mag used for tolerance scaling, all restricted to `dofs`
-        (default: every DOF, i.e. the full unreduced system).
+        b = f_mag - f_int, and separately the magnetic load vector f_mag used
+        for tolerance scaling, all restricted to `dofs` (default: every DOF,
+        i.e. the full unreduced system).
         """
         if dofs is None:
             dofs = np.arange(self.mesh.n_dofs)
         sc = self._scatter(dofs)
-        load_el = kern.f_ext + kern.f_mag
         blocks = kern.kmat + kern.kgeo
         if not np.may_share_memory(kern.kmag, _ZERO):
             blocks -= kern.kmag
         a = sc.matrix(blocks)
-        return a, sc.vector(load_el - kern.f_int), sc.vector(load_el)
+        return a, sc.vector(kern.f_mag - kern.f_int), sc.vector(kern.f_mag)
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
@@ -307,12 +300,6 @@ class FemModel:
 
     # --- diagnostics --------------------------------------------------------
 
-    def mechanical_tangent(self) -> sp.csc_matrix:
-        """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts),
-        on the free DOFs in ascending order."""
-        kern = self.element_kernels(0.0)
-        return self._scatter(self.mesh.free_dofs()).matrix(kern.kmat + kern.kgeo)
-
     def energies(self, load_factor: float = 1.0) -> tuple[float, float]:
         """(elastic stored energy, magnetic potential) of the current state.
 
@@ -324,7 +311,7 @@ class FemModel:
         magnetic = 0.0
         env = self._env_at(load_factor)
         mesh = self.mesh
-        if env is not None and mesh.b_r is not None:
+        if env is not None:
             b_mat, b_app = local_fields(mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:],
                                         mesh.b_r, env)
             dots = np.sum(b_mat * b_app, axis=-1) / env.mu0

@@ -4,10 +4,11 @@ CSV columns (one row per scheduled load step, plus the zero state):
 
     step, load_factor, magnitude, tip_ux, tip_uy, tip_uz, tip_rot_angle
 
-`magnitude` is the ramped total of the primary load (the first boundary load's
-force/moment, or |B^a| for purely magnetic runs); `tip_rot_angle` is the
-principal angle of R_t R_0^T at the tip node, wrapped to [0, pi] (multi-turn
-winding is a post-processing quantity, see solver.accumulated_edge_rotation).
+`magnitude` is the ramped total of the first boundary load's force/moment, or
+|B^a(load_factor)| of the model's field program for purely magnetic runs;
+`tip_rot_angle` is the principal angle of R_t R_0^T at the tip node, wrapped
+to [0, pi] (multi-turn winding is a post-processing quantity, see
+solver.accumulated_edge_rotation).
 
 `solve_report.txt` holds `key: value` header lines, one
 `rejected: step S load_factor L: reason` line per rejected attempt, then
@@ -46,24 +47,24 @@ def tip_rotation_angle(model: FemModel) -> float:
     return float(np.arccos(c))
 
 
-def primary_magnitude(cfg: ScenarioConfig) -> float:
+def primary_magnitude(cfg: ScenarioConfig, model: FemModel, load_factor: float) -> float:
+    """The CSV `magnitude` at `load_factor` (see the module docstring)."""
     if cfg.loads:
         first = cfg.loads[0]
         if first.kind == "follower_edge":
-            return float(np.linalg.norm(first.wrench))
-        return first.magnitude
-    if cfg.magnetic is not None:
-        return float(np.linalg.norm(cfg.magnetic.b_a))
+            return load_factor * float(np.linalg.norm(first.wrench))
+        return load_factor * first.magnitude
+    if model.field is not None:
+        return float(np.linalg.norm(model.field(load_factor).b_applied))
     return 0.0
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, *,
                  quiet: bool = False) -> tuple[SolveReport, FemModel]:
     """Execute one scenario and write CSV, mesh dumps and the solve report."""
+    model = build_model(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
-    magnitude = primary_magnitude(cfg)
 
     rows = [(0, 0.0, 0.0, *tip_displacement(model), tip_rotation_angle(model))]
     if cfg.mesh_dumps:
@@ -71,7 +72,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
 
     def on_step(lam, mdl):
         k = len(rows)
-        rows.append((k, lam, lam * magnitude, *tip_displacement(mdl),
+        rows.append((k, lam, primary_magnitude(cfg, mdl, lam), *tip_displacement(mdl),
                      tip_rotation_angle(mdl)))
         if cfg.mesh_dumps:
             emit_deformed_geometry(mdl.mesh, out_dir / f"mesh_step_{k:03d}")

@@ -9,6 +9,7 @@ output selection.
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -17,13 +18,23 @@ import numpy as np
 from .constitutive import Material
 from .fem import FemModel
 from .kinematics import build_cylindrical_arch, build_flat_plate
+from .liegroup import exp_so3
 from .magnetics import MU0, MagneticEnvironment
 from .mesh import build_mesh
-from .solver import SolverSettings, perturb_tip_rotation
+from .solver import SolverSettings, StepRejected, perturb_tip_rotation
 
 
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending section/key."""
+
+
+@contextmanager
+def _section(name: str):
+    """Report a library check's refusal of a section's values as a ScenarioError."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError, StepRejected) as exc:
+        raise ScenarioError(f"[{name}] {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -37,16 +48,14 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class MagneticSpec:
-    b_r: np.ndarray
+    b_r: np.ndarray         # per unit volume; scaled by thickness at build
     b_a: np.ndarray
-    b_r_mode: str = "per_volume"  # per_volume scales by thickness at build
     mu0: float = MU0
     b_a_start: np.ndarray | None = None  # two-phase program: ramp then rotate
 
 
 @dataclass(frozen=True)
 class PerturbSpec:
-    mode: str = "tip_rotation"
     magnitude: float = 0.0
     axis: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
@@ -90,9 +99,9 @@ _KNOWN_KEYS = {
     "mesh": {"nx", "ny"},
     "bc": {"clamp"},
     "load": {"type", "magnitude", "frame", "edge", "wrench"},
-    "magnetic": {"b_r", "b_a", "b_r_mode", "mu0", "b_a_start"},
+    "magnetic": {"b_r", "b_a", "mu0", "b_a_start"},
     "solver": {"load_steps", "tol", "max_iters", "scheme"},
-    "perturb": {"mode", "magnitude", "axis"},
+    "perturb": {"magnitude", "axis"},
     "outputs": {"csv", "mesh_dumps"},
 }
 
@@ -102,9 +111,12 @@ def _vec(text: str, section: str, key: str, n: int = 3) -> np.ndarray:
     if len(parts) != n:
         raise ScenarioError(f"[{section}] {key}: expected {n} numbers, got '{text}'")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {key}: not numeric: '{text}'") from exc
+    if not np.all(np.isfinite(values)):
+        raise ScenarioError(f"[{section}] {key}: not finite: '{text}'")
+    return values
 
 
 def _need(cp, section: str, key: str) -> str:
@@ -120,11 +132,22 @@ def _float(cp, section, key, default=None):
         if default is None:
             raise ScenarioError(f"missing key '{key}' in section [{section}]")
         return default
+    text = cp.get(section, key)
     try:
-        return float(cp.get(section, key))
+        value = float(text)
     except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: not a number: "
-                            f"'{cp.get(section, key)}'") from exc
+        raise ScenarioError(f"[{section}] {key}: not a number: '{text}'") from exc
+    if not np.isfinite(value):
+        raise ScenarioError(f"[{section}] {key}: not finite: '{text}'")
+    return value
+
+
+def _int(cp, section, key, default=None) -> int:
+    value = _float(cp, section, key, default)
+    if value != round(value):
+        raise ScenarioError(f"[{section}] {key}: not an integer: "
+                            f"'{cp.get(section, key)}'")
+    return int(value)
 
 
 def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
@@ -166,13 +189,11 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
     else:
         make = Material
         args = (_float(cp, "material", "e"), _float(cp, "material", "nu", 0.0), h)
-    try:
+    with _section("material"):
         material = make(*args)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"[material] {exc}") from exc
 
-    nx = int(_float(cp, "mesh", "nx"))
-    ny = int(_float(cp, "mesh", "ny", 1))
+    nx = _int(cp, "mesh", "nx")
+    ny = _int(cp, "mesh", "ny", 1)
     if nx < 1 or ny < 1:
         raise ScenarioError(f"[mesh] nx and ny must be at least 1, got {nx} and {ny}")
 
@@ -205,16 +226,12 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
 
     magnetic = None
     if cp.has_section("magnetic"):
-        mode = cp.get("magnetic", "b_r_mode", fallback="per_volume").strip()
-        if mode not in ("per_volume", "per_area"):
-            raise ScenarioError("[magnetic] b_r_mode must be per_volume or per_area")
         b_a_start = None
         if cp.has_option("magnetic", "b_a_start"):
             b_a_start = _vec(cp.get("magnetic", "b_a_start"), "magnetic", "b_a_start")
         magnetic = MagneticSpec(
             b_r=_vec(_need(cp, "magnetic", "b_r"), "magnetic", "b_r"),
             b_a=_vec(_need(cp, "magnetic", "b_a"), "magnetic", "b_a"),
-            b_r_mode=mode,
             mu0=_float(cp, "magnetic", "mu0", MU0),
             b_a_start=b_a_start,
         )
@@ -228,23 +245,17 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
     if scheme not in ("centroid", "gauss"):
         raise ScenarioError("[solver] scheme must be centroid or gauss")
     defaults = SolverSettings()
-    load_steps = int(_float(cp, "solver", "load_steps", defaults.load_steps))
+    load_steps = _int(cp, "solver", "load_steps", defaults.load_steps)
     tol = _float(cp, "solver", "tol", defaults.tol_relative)
-    max_iters = int(_float(cp, "solver", "max_iters", defaults.max_iters))
-    try:
+    max_iters = _int(cp, "solver", "max_iters", defaults.max_iters)
+    with _section("solver"):
         solver = SolverSettings(load_steps=load_steps, tol_relative=tol,
                                 max_iters=max_iters)
-    except ValueError as exc:
-        raise ScenarioError(f"[solver] {exc}") from exc
 
     perturb = None
     if cp.has_section("perturb"):
-        pmode = cp.get("perturb", "mode", fallback="tip_rotation").strip()
-        if pmode != "tip_rotation":
-            raise ScenarioError(f"[perturb] mode: unknown '{pmode}'")
         axis = _vec(cp.get("perturb", "axis", fallback="0 1 0"), "perturb", "axis")
-        perturb = PerturbSpec(mode=pmode,
-                              magnitude=_float(cp, "perturb", "magnitude"),
+        perturb = PerturbSpec(magnitude=_float(cp, "perturb", "magnitude"),
                               axis=tuple(axis))
 
     csv_name = cp.get("outputs", "csv", fallback="load_deflection.csv")
@@ -297,7 +308,6 @@ def _rotation_program(spec: MagneticSpec):
         if lam <= 0.5:
             return MagneticEnvironment(2.0 * lam * mag * u0, spec.mu0)
         phi = (2.0 * lam - 1.0) * angle
-        from .liegroup import exp_so3
         u = exp_so3(phi * axis) @ u0
         return MagneticEnvironment(mag * u, spec.mu0)
 
@@ -306,45 +316,44 @@ def _rotation_program(spec: MagneticSpec):
 
 def build_model(cfg: ScenarioConfig) -> FemModel:
     """Construct mesh, boundary conditions and loading for one scenario."""
-    if cfg.geometry_kind == "flat":
-        surface = build_flat_plate(cfg.length, cfg.width)
-    else:
-        surface = build_cylindrical_arch(cfg.radius, cfg.angle_span, cfg.width)
+    with _section("geometry"):
+        if cfg.geometry_kind == "flat":
+            surface = build_flat_plate(cfg.length, cfg.width)
+        else:
+            surface = build_cylindrical_arch(cfg.radius, cfg.angle_span, cfg.width)
     mesh = build_mesh(surface, cfg.nx, cfg.ny)
     for edge in cfg.clamp:
         mesh.clamp_edge(edge)
     for load in cfg.loads:
         mesh.add_edge_load(load.edge, _edge_wrench(load, cfg), frame=load.frame)
 
-    env = None
     program = None
     if cfg.magnetic is not None:
         spec = cfg.magnetic
-        b_r = np.asarray(spec.b_r, dtype=float)
-        if spec.b_r_mode == "per_volume":
-            b_r = b_r * cfg.material.h
-        mesh.b_r = np.tile(b_r, (mesh.n_elements, 1))
-        env = MagneticEnvironment(spec.b_a, spec.mu0)
-        if spec.b_a_start is not None:
-            program = _rotation_program(spec)
+        mesh.b_r = np.tile(np.asarray(spec.b_r, dtype=float) * cfg.material.h,
+                           (mesh.n_elements, 1))
+        with _section("magnetic"):
+            final = MagneticEnvironment(spec.b_a, spec.mu0)  # checks mu0 at build
+            program = final.scaled if spec.b_a_start is None else _rotation_program(spec)
 
-    model = FemModel(mesh, cfg.material, env=env, scheme=cfg.scheme,
-                     field_program=program)
+    model = FemModel(mesh, cfg.material, field=program, scheme=cfg.scheme)
     if cfg.perturb is not None and cfg.perturb.magnitude != 0.0:
-        perturb_tip_rotation(model, cfg.perturb.magnitude,
-                             np.asarray(cfg.perturb.axis))
+        with _section("perturb"):
+            perturb_tip_rotation(model, cfg.perturb.magnitude,
+                                 np.asarray(cfg.perturb.axis))
     return model
 
 
 def with_overrides(cfg: ScenarioConfig, *, steps=None, tol=None,
                    max_iters=None) -> ScenarioConfig:
     solver = cfg.solver
-    if steps is not None:
-        solver = replace(solver, load_steps=int(steps))
-    if tol is not None:
-        solver = replace(solver, tol_relative=float(tol))
-    if max_iters is not None:
-        solver = replace(solver, max_iters=int(max_iters))
+    with _section("solver"):
+        if steps is not None:
+            solver = replace(solver, load_steps=int(steps))
+        if tol is not None:
+            solver = replace(solver, tol_relative=float(tol))
+        if max_iters is not None:
+            solver = replace(solver, max_iters=int(max_iters))
     return replace(cfg, solver=solver)
 
 

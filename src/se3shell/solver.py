@@ -17,12 +17,13 @@ form (no series) and evaluated together, one coefficient pass per point.
 Convergence is measured on the residual 2-norm over free DOFs against
 tol_relative * max(1, |load|).
 
-Loads (boundary wrenches and the applied magnetic field) ramp linearly over
-the configured number of steps.  An increment whose largest nodal rotation
-exceeds pi/2, a non-finite system, a singular tangent, a linear solve whose
-refined relative residual exceeds 1e-6, or a Newton loop that exhausts
-max_iters all reject the attempt: the state is restored, the reason recorded
-in SolveReport.rejections and the load increment halved, up to max_halvings,
+The load factor ramps linearly over the configured number of steps; boundary
+wrenches scale with it and the applied magnetic field follows the model's
+field program.  An increment whose largest nodal rotation exceeds pi/2, a
+non-finite system, a singular tangent, a linear solve whose refined relative
+residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
+the attempt: the state is restored, the reason recorded in
+SolveReport.rejections and the load increment halved, up to max_halvings,
 after which the run fails with the last attempt's rejection reason.
 """
 
@@ -67,8 +68,8 @@ class SolverSettings:
     load_steps: int = 20
 
     def __post_init__(self):
-        if self.tol_relative <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_relative < np.inf and 0 < self.tol_residual < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1 or self.load_steps < 1:
             raise ValueError("max_iters and load_steps must be at least 1")
 

@@ -239,6 +239,12 @@ def dump_triangles_loop(mesh, path) -> None:
             t += 2
 
 
+def mechanical_tangent(model):
+    """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts) on the
+    free DOFs in ascending order."""
+    return model.assemble(model.element_kernels(0.0), model.mesh.free_dofs())[0]
+
+
 def assembled_residual(model, lam=1.0):
     kern = model.element_kernels(lam)
     _, b, _ = model.assemble(kern)

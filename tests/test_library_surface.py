@@ -20,8 +20,6 @@ LAYERS = ROOT / "perfbench" / "layers.py"
 
 # Kept without a caller in src/, with the reason.
 ALLOWED = {
-    "mechanical_tangent": "needs the private scatter of FemModel; the tangent "
-                          "symmetry and magnetic-instability criteria read it",
     "energies": "the energy at convergence, for the planned per-attempt record",
     "log_se3": "the inverse of exp_se3 that nodal-pose interpolation will use",
     "accumulated_edge_rotation": "the benchmark answer check "

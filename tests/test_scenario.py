@@ -147,6 +147,17 @@ class TestRunOutputs:
         csv2 = (tmp_path / "b" / cfg.csv_name).read_bytes()
         assert csv1 == csv2
 
+    def test_field_program_magnitude(self, tmp_path):
+        # antiparallel ramps |B^a| to 0.05 T by load factor 1/2, then rotates it
+        cfg = replace(load_bundled("antiparallel"), mesh_dumps=False)
+        report, _ = run_scenario(cfg, tmp_path, quiet=True)
+        assert report.converged
+        rows = (tmp_path / cfg.csv_name).read_text().strip().splitlines()[1:]
+        lams = np.array([float(r.split(",")[1]) for r in rows])
+        mags = np.array([float(r.split(",")[2]) for r in rows])
+        assert len(rows) == cfg.solver.load_steps + 1 and lams[-1] == 1.0
+        assert np.allclose(mags, np.minimum(2.0 * lams, 1.0) * 0.05, rtol=1e-12, atol=0.0)
+
     def test_rejections_written_before_log(self, tmp_path, monkeypatch):
         cfg = replace(with_overrides(load_bundled("end_shear"), steps=2), nx=4)
         reject_first_solve(monkeypatch)
@@ -177,8 +188,15 @@ class TestCli:
         ("nx = 20", "nx = 0", "[mesh]"),
         ("load_steps = 20", "load_steps = 0", "[solver]"),
         ("load_steps = 20", "load_steps = 20\ndamping = 0.5", "[solver]"),
+        ("length = 1.0", "length = -1.0", "[geometry]"),
+        ("length = 1.0", "length = inf", "[geometry]"),
+        ("e = 200e9", "e = nan", "[material]"),
+        ("nx = 20", "nx = nan", "[mesh]"),
+        ("nx = 20", "nx = 2.7", "[mesh]"),
+        ("load_steps = 20", "load_steps = 20\ntol = nan", "[solver]"),
     ], ids=["load_edge", "material_e", "material_lame", "mesh_nx", "solver_steps",
-            "solver_damping"])
+            "solver_damping", "geometry_length", "geometry_length_inf", "material_e_nan",
+            "mesh_nx_nan", "mesh_nx_fraction", "solver_tol_nan"])
     def test_invalid_value_exit_code(self, tmp_path, capsys, old, new, section):
         text = (bundled_dir() / "end_shear.cfg").read_text()
         assert old in text
@@ -186,6 +204,36 @@ class TestCli:
         custom.write_text(text.replace(old, new))
         assert cli_main(["run", str(custom), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert section in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, old, new, section", [
+        ("arch_rollup", "angle_span = 3.141592653589793", "angle_span = 7", "[geometry]"),
+        ("magnetic_cantilever_lh10", "b_a = 0 0 0.05", "b_a = 0 0 0.05\nmu0 = -1",
+         "[magnetic]"),
+        ("antiparallel", "b_a_start = 0 0 0.05", "b_a_start = 0 0 0.05\nmu0 = -1",
+         "[magnetic]"),
+        ("antiparallel", "magnitude = 1e-3", "magnitude = 2.0", "[perturb]"),
+        ("antiparallel", "[magnetic]", "[magnetic]\nb_r_mode = per_volume", "[magnetic]"),
+        ("antiparallel", "[perturb]", "[perturb]\nmode = tip_rotation", "[perturb]"),
+    ], ids=["arch_angle_span", "magnetic_mu0", "magnetic_mu0_rotation", "perturb_magnitude",
+            "magnetic_b_r_mode", "perturb_mode"])
+    def test_invalid_bundled_value_exit_code(self, tmp_path, capsys, name, old, new, section):
+        text = (bundled_dir() / f"{name}.cfg").read_text()
+        assert old in text
+        custom = tmp_path / "invalid.cfg"
+        custom.write_text(text.replace(old, new))
+        assert cli_main(["run", str(custom), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert section in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--max-iter", "0"],
+                                       ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]],
+                             ids=["steps", "max_iter", "tol", "tol_nan", "tol_inf"])
+    def test_invalid_override_exit_code(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert cli_main(["bench", "end_shear", "--out", str(out), "--quiet", *flags]) == 2
+        assert "[solver]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_bench_exit_code(self, tmp_path):
         assert cli_main(["bench", "nope", "--out", str(tmp_path)]) == 2

@@ -372,8 +372,7 @@ class TestRun:
             cfg = load_bundled("magnetic_cantilever_lh10")
             model = build_model(cfg)
             settings = cfg.solver
-        model = FemModel(model.mesh, model.material, env=model.env, scheme=scheme,
-                         field_program=model.field_program)
+        model = FemModel(model.mesh, model.material, field=model.field, scheme=scheme)
         rep = run(model, settings)
         assert rep.converged
         mesh = model.mesh
