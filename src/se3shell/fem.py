@@ -23,29 +23,26 @@ mechanical force f_ext - f_int; f_ext holds the boundary wrenches of
 `neumann_terms`, and the applied field B^a(lambda) of the model's field
 program enters through f_mag and Kmag.
 
-Assembly has one fixed-pattern path.  On the first build for a given set of
-free DOFs the model builds the CSC pattern of the BC-reduced tangent (the
-column-major order SuperLU factors, with no conversion per build) and int32
-maps from every element-block, element-force and nodal dead-load entry to its
-`data` or vector slot, with fixed DOFs already dropped; each later build is
-then one `np.bincount` per array.  The pattern is structurally symmetric.
-Minimum degree is a property of the pattern alone, so the same first build
-also orders the free DOFs once (SuperLU's minimum-degree order of A + A^T on
-a nonsingular matrix of that pattern) and scatters onto them in that order:
-`build_system` returns A and b already permuted for factorization.  The full
-unreduced system used by diagnostics is the same scatter over all DOFs, in
-natural order.
+Assembly has one fixed-pattern path, straight into band storage.  On the
+first build for a given set of free DOFs the model orders those DOFs along
+the mesh grid (nodes along the longer of nx and ny, each node's six DOFs
+together), so the tangent has half-bandwidth 6 (min(nx, ny) + 3) - 1: 23 on
+a one-element-wide strip, 107 on a 20x15 plate.  The scatter of a DOF list
+holds maps from every element-block, element-force and nodal dead-load
+entry to its slot in the (kl + ku + 1, m) data of a `dia_matrix` with offsets
+ku ... -kl, which is LAPACK's column-indexed band layout, with fixed DOFs
+already dropped; each later build is then one `np.bincount` per array.  The
+full unreduced system used by diagnostics is the same scatter over all DOFs,
+in natural order (a wider band).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constitutive import (Material, internal_energy_density, metric_inverse,
                            stiffness_blocks, stress)
@@ -81,10 +78,10 @@ class GlobalSystem:
     """BC-reduced Newton system A eta = b plus bookkeeping for tolerances.
 
     `free` lists the free DOFs in the row order of `a` and `b`, which is the
-    fill-reducing factor order, not ascending DOF order.
+    grid order of the band, not ascending DOF order.
     """
 
-    a: sp.csc_matrix
+    a: sp.dia_matrix
     b: np.ndarray
     free: np.ndarray
     load_norm: float
@@ -112,6 +109,7 @@ class FemModel:
         self.scheme = scheme
         self.d_blocks = self._build_d_blocks()
         self._scatters: dict[bytes, _Scatter] = {}
+        self._band_orders: dict[bytes, np.ndarray] = {}
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
@@ -229,7 +227,7 @@ class FemModel:
         return sc
 
     def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
-                 ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+                 ) -> tuple[sp.dia_matrix, np.ndarray, np.ndarray]:
         """Scatter-add element kernels into (A, b) plus the magnetic-load part.
 
         Returns the tangent A = Kmat + Kgeo - Kmag, the residual
@@ -273,16 +271,16 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, a: sp.csc_matrix, b: np.ndarray,
+    def apply_boundary_conditions(self, a: sp.dia_matrix, b: np.ndarray,
                                   load: np.ndarray, free: np.ndarray,
                                   load_factor: float = 1.0) -> GlobalSystem:
         """Add boundary loads and the dead-load tangent to the reduced system.
 
         `a`, `b` and `load` come from `assemble(kern, free)`; the dead-load
-        blocks are subtracted in place in the slots of `a`'s fixed pattern.
+        blocks are subtracted in place in the slots of `a`'s band.
         """
         b_neu, kdead = self.neumann_terms(load_factor)
-        a.data -= self._scatter(free).node_data(kdead)
+        self._scatter(free).subtract_node_blocks(a.data, kdead)
         b_neu = b_neu[free]
         b = b + b_neu
         if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
@@ -291,12 +289,26 @@ class FemModel:
                             load_norm=float(np.linalg.norm(load + b_neu)))
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
-        """The BC-reduced system on the free DOFs in factor order."""
+        """The BC-reduced system on the free DOFs in band (grid) order."""
         kern = self.element_kernels(load_factor)
-        free = self.mesh.free_dofs()
-        free = free[self._scatter(free).fill_order]  # ordered once per free-DOF set
+        free = self._band_order(self.mesh.free_dofs())
         a, b, load = self.assemble(kern, free)
         return self.apply_boundary_conditions(a, b, load, free, load_factor)
+
+    def _band_order(self, free: np.ndarray) -> np.ndarray:
+        """`free` with nodes along the longer grid side, made once per free-DOF set."""
+        key = free.tobytes()
+        order = self._band_orders.get(key)
+        if order is None:
+            mesh = self.mesh
+            nodes = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+            if mesh.nx > mesh.ny:
+                nodes = nodes.T  # node_index runs along xi1 first
+            dofs = (6 * nodes.reshape(-1, 1) + np.arange(6)).ravel()
+            kept = np.zeros(mesh.n_dofs, dtype=bool)
+            kept[free] = True
+            order = self._band_orders[key] = dofs[kept[dofs]]
+        return order
 
     # --- diagnostics --------------------------------------------------------
 
@@ -320,15 +332,18 @@ class FemModel:
 
 
 class _Scatter:
-    """Fixed CSC pattern of the tangent on a DOF subset, with int32 slot maps.
+    """Band storage of the tangent on a DOF list, with its slot maps.
 
-    Every entry of the (nel,4,4,6,6) element blocks (`k_slot`), the (nel,4,6)
-    element forces (`f_slot`) and the (n_nodes,6,6) nodal blocks
-    (`node_slot`) owns one slot of the matrix `data` or of the vector.
-    Entries on dropped DOFs go to a spare slot one past the end, which is
-    cut off, so each assembly is a single `np.bincount`.  Row and column k of
-    the matrix is DOF `dofs[k]`, so scattering onto a permuted DOF list puts
-    every entry straight into its slot of the permuted matrix.
+    Row and column i of the matrix is DOF `dofs[i]`.  The half-bandwidth
+    kl = ku = k is the largest |row - col| the element blocks couple, and
+    entry (r, c) lives at `data[k + r - c, c]` of the (2k + 1, m) band data,
+    the layout of both `dia_matrix` (`offsets` k ... -k) and LAPACK's band
+    routines.  Every entry of the (nel,4,4,6,6) element blocks
+    (`k_slot`) and the (nel,4,6) element forces (`f_slot`) owns one slot of
+    the flat data or of the vector; entries on dropped DOFs go to a spare
+    slot one past the end, which is cut off, so each assembly is a single
+    `np.bincount`.  The (n_nodes,6,6) nodal blocks touch distinct entries,
+    addressed directly by `node_at`.
     """
 
     def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
@@ -337,54 +352,30 @@ class _Scatter:
         pos[dofs] = np.arange(m)
         el = pos[6 * conn[:, :, None] + np.arange(6)]        # (nel, 4, 6)
         node = pos[6 * np.arange(n_nodes)[:, None] + np.arange(6)]  # (n_nodes, 6)
-        # column-major keys col * m + row: block (i, j) is row node i, column node j
-        keys = el[:, None, :, None, :] * m + el[:, :, None, :, None]
-        kept = (el[:, :, None, :, None] < m) & (el[:, None, :, None, :] < m)
-        uniq, inv = np.unique(keys[kept], return_inverse=True)
-        nnz = len(uniq)
-        k_slot = np.full(keys.shape, nnz, dtype=np.int32)
-        k_slot[kept] = inv
-        node_keys = node[:, None, :] * m + node[:, :, None]
-        node_kept = (node[:, :, None] < m) & (node[:, None, :] < m)
-        node_slot = np.full(node_keys.shape, nnz, dtype=np.int32)
-        node_slot[node_kept] = np.searchsorted(uniq, node_keys[node_kept])
-        self.m, self.nnz = m, nnz
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(uniq // m, minlength=m))]).astype(np.int32)
-        self.indices = (uniq % m).astype(np.int32)
-        self.k_slot = k_slot.ravel()
-        self.f_slot = el.astype(np.int32).ravel()
-        self.node_slot = node_slot.ravel()
+        # block (i, j) is row node i, column node j
+        rows, cols = el[:, :, None, :, None], el[:, None, :, None, :]
+        kept = (rows < m) & (cols < m)
+        k = int(np.abs(rows - cols).max(where=kept, initial=0))
+        self.m, self.offsets = m, np.arange(k, -k - 1, -1)
+        self.size = (2 * k + 1) * m
+        slot = (k + rows - cols) * m + cols
+        self.k_slot = np.where(kept, slot, self.size).ravel()
+        self.f_slot = el.ravel()
+        rows, cols = np.broadcast_arrays(node[:, :, None], node[:, None, :])
+        self.node_kept = ((rows < m) & (cols < m)).ravel()
+        self.node_at = (k + rows - cols).ravel()[self.node_kept], cols.ravel()[self.node_kept]
 
-    @cached_property
-    def fill_order(self) -> np.ndarray:
-        """Minimum-degree order of A + A^T for this pattern, as positions in `dofs`.
-
-        The order depends on the pattern only, so it is taken from a strictly
-        diagonally dominant matrix of that pattern, whose diagonal pivots
-        SuperLU keeps.  SciPy's `perm_c` maps positions to factor columns
-        (A Pc = A[:, argsort(perm_c)]), so the order is its inverse.
-        """
-        ones = sp.csc_matrix((np.ones(self.nnz), self.indices, self.indptr),
+    def matrix(self, blocks: np.ndarray) -> sp.dia_matrix:
+        """Sum (nel,4,4,6,6) element blocks into a fresh band matrix."""
+        data = np.bincount(self.k_slot, weights=blocks.ravel(), minlength=self.size + 1)
+        return sp.dia_matrix((data[:self.size].reshape(-1, self.m), self.offsets),
                              shape=(self.m, self.m))
-        s = ones + self.m * sp.identity(self.m, format="csc")
-        lu = spla.splu(s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
-                       options={"SymmetricMode": True})
-        return np.argsort(lu.perm_c)
-
-    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
-        """Sum (nel,4,4,6,6) element blocks into a fresh canonical CSC matrix."""
-        data = np.bincount(self.k_slot, weights=blocks.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
 
     def vector(self, forces: np.ndarray) -> np.ndarray:
         """Sum (nel,4,6) element forces into a vector over the DOF subset."""
         return np.bincount(self.f_slot, weights=forces.ravel(),
                            minlength=self.m + 1)[:self.m]
 
-    def node_data(self, blocks: np.ndarray) -> np.ndarray:
-        """(n_nodes,6,6) nodal diagonal blocks as an array aligned with `data`."""
-        return np.bincount(self.node_slot, weights=blocks.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
-
+    def subtract_node_blocks(self, data: np.ndarray, blocks: np.ndarray) -> None:
+        """Subtract (n_nodes,6,6) nodal diagonal blocks from band `data` in place."""
+        data[self.node_at] -= blocks.reshape(-1)[self.node_kept]

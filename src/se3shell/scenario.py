@@ -255,6 +255,8 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
     perturb = None
     if cp.has_section("perturb"):
         axis = _vec(cp.get("perturb", "axis", fallback="0 1 0"), "perturb", "axis")
+        if not np.any(axis):
+            raise ScenarioError("[perturb] axis: must be a nonzero vector")
         perturb = PerturbSpec(magnitude=_float(cp, "perturb", "magnitude"),
                               axis=tuple(axis))
 

@@ -1,10 +1,10 @@
 """Newton iteration with load stepping and multiplicative updates.
 
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
-on the free DOFs by one sparse LU factorization (SuperLU in symmetric mode
-with diagonal pivots, on a system that `build_system` already permuted into
-the minimum-degree order of A + A^T), then applies one multiplicative update
-of the whole state (`apply_increment_field`):
+on the free DOFs by one banded LU factorization (LAPACK dgbtrf with partial
+pivoting, on the band that `build_system` scatters in the grid order of the
+mesh), then applies one multiplicative update of the whole state
+(`apply_increment_field`):
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .fem import FemModel
 from .liegroup import carried_update, exp_se3, log_so3
@@ -95,31 +96,41 @@ class SolveReport:
 
 
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the tangent system by sparse LU (SuperLU in symmetric mode).
+    """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    The caller passes the matrix already in fill-reducing order (`build_system`
-    scatters onto the free DOFs in the minimum-degree order of A + A^T, fixed
-    per pattern), so SuperLU factors it in natural order with no ordering
-    pass.  The tangent is structurally symmetric and nearly symmetric near
-    equilibrium, so the diagonal pivots are kept unless one is below 1e-6 of
-    its column's largest entry (a zero diagonal is still pivoted off).
+    `build_system` returns the tangent as a `dia_matrix` whose data is already
+    LAPACK's band layout (offsets ku ... -kl, grid-ordered DOFs), so the only
+    per-call work before the factorization is the copy into the
+    (2 kl + ku + 1, m) work array, whose first kl rows take the fill of
+    partial pivoting.  Any other sparse or dense matrix is converted through
+    COO to band, with kl and ku taken from its entries.  The factorization
+    costs about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, so it grows with
+    the square of the shorter grid side: a general sparse LU with a
+    minimum-degree order would win again once min(nx, ny) is well above 15,
+    which no bundled scenario is near.
+
     Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
     of iterative refinement follow; they stop once the residual is below 1e-12
     relative or a sweep fails to halve it (the roundoff floor eps*cond of the
-    tangent).  The caller rejects the step when a weak pivot leaves the
-    residual above MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a
-    1-norm estimate when factorization fails or produces non-finite results.
+    tangent).  The caller rejects the step when the residual stays above
+    MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
+    when the factorization meets an exactly zero pivot (info > 0) or produces
+    non-finite results.
     """
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
-    try:
-        solve = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL",
-                          diag_pivot_thresh=1e-6,
-                          options={"SymmetricMode": True}).solve
-        eta = solve(b)
-    except (RuntimeError, ValueError) as exc:
-        raise SingularSystemError(_singular_message(a)) from exc
+    band, kl, ku = _band(a)
+    work = np.zeros((2 * kl + ku + 1, b.size), order="F")
+    work[kl:] = band
+    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystemError(_singular_message(a))
+
+    def solve(rhs):
+        return lapack.dgbtrs(lu, kl, ku, rhs, piv)[0]
+
+    eta = solve(b)
     if not np.all(np.isfinite(eta)):
         raise SingularSystemError(_singular_message(a))
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
@@ -134,6 +145,22 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
         if rel > 0.5 * prev:
             break
     return eta, rel
+
+
+def _band(a) -> tuple[np.ndarray, int, int]:
+    """(data, kl, ku) of `a` in LAPACK band layout: A[i, j] at data[ku + i - j, j]."""
+    if sp.issparse(a) and a.format == "dia":
+        ku, kl = int(a.offsets[0]), -int(a.offsets[-1])
+        if (min(kl, ku) >= 0 and a.data.shape[1] == a.shape[1]
+                and np.array_equal(a.offsets, np.arange(ku, -kl - 1, -1))):
+            return a.data, kl, ku
+    coo = sp.coo_matrix(a)
+    offset = coo.col - coo.row
+    ku = int(offset.max(initial=0))
+    kl = -int(offset.min(initial=0))
+    data = np.zeros((kl + ku + 1, coo.shape[1]))
+    np.add.at(data, (ku - offset, coo.col), coo.data)
+    return data, kl, ku
 
 
 def _singular_message(a) -> str:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -298,14 +299,16 @@ def reject_first_solve(monkeypatch):
 
 
 def capture_factors(monkeypatch):
-    """Record every SuperLU factorization made from now on, the fill-reducing
-    ordering of `fem` included (it shares `scipy.sparse.linalg` with `solver`)."""
+    """Record every band LU factorization made from now on as a namespace
+    with the half-bandwidths `kl`, `ku`, the pivot rows `piv` (0-based, as
+    SciPy returns them) and `info`."""
     factors = []
-    splu = solver.spla.splu
+    dgbtrf = solver.lapack.dgbtrf
 
-    def capture(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
+    def capture(ab, kl, ku, *args, **kwargs):
+        lu, piv, info = dgbtrf(ab, kl, ku, *args, **kwargs)
+        factors.append(SimpleNamespace(kl=kl, ku=ku, piv=piv, info=info))
+        return lu, piv, info
 
-    monkeypatch.setattr(solver.spla, "splu", capture)
+    monkeypatch.setattr(solver.lapack, "dgbtrf", capture)
     return factors

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    capture_factors,
     fd_residual_jacobian,
     k_operator,
     mechanical_tangent,
@@ -395,7 +394,7 @@ class TestReducedSystem:
         lam = 0.7
         model = self.loaded_model()
         system = model.build_system(lam)
-        free = system.free  # factor order
+        free = system.free  # band (grid) order
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
 
         kern = model.element_kernels(lam)
@@ -403,7 +402,7 @@ class TestReducedSystem:
         b_neu, kdead = model.neumann_terms(lam)
         kd = self.dense_kdead(model, kdead)
         assert np.count_nonzero(kd) > 0
-        expected_a = a_full[free][:, free].toarray() - kd[np.ix_(free, free)]
+        expected_a = a_full.toarray()[np.ix_(free, free)] - kd[np.ix_(free, free)]
         expected_b = (b_full + b_neu)[free]
         scale = np.abs(expected_a).max()
         assert np.abs(system.a.toarray() - expected_a).max() <= 1e-12 * scale
@@ -422,42 +421,55 @@ class TestReducedSystem:
         got = mechanical_tangent(model).toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_bundled_system_is_canonical_csc(self):
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A", "arch_transverse",
+                                      "antiparallel", "gripper_finger"])
+    def test_bundled_band_system_matches_full_assembly(self, name):
+        cfg = load_bundled(name)
+        model = build_model(cfg)
+        random_state_perturbation(model, 0.01, seed=5)
+        lam = 0.5
+        system = model.build_system(lam)
+        free = system.free
+        a_full = model.assemble(model.element_kernels(lam))[0].toarray()
+        kd = self.dense_kdead(model, model.neumann_terms(lam)[1])
+        expected = (a_full - kd)[np.ix_(free, free)]
+        got = system.a.toarray()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_bundled_system_is_lapack_band(self):
+        # the dia data is LAPACK's column-indexed band: A[i, j] at
+        # data[ku + i - j, j], offsets ku ... -kl
         cfg = load_bundled("antiparallel")
         model = build_model(cfg)
         a = model.build_system(1.0 / cfg.solver.load_steps).a
-        assert a.format == "csc"
-        assert a.has_sorted_indices and a.has_canonical_format
-        starts = np.zeros(len(a.indices), dtype=bool)
-        starts[a.indptr[:-1][np.diff(a.indptr) > 0]] = True
-        assert np.all((np.diff(a.indices) > 0) | starts[1:])
-        # structurally symmetric: the pattern of A^T is the pattern of A
-        at = a.T.tocsc()
-        at.sort_indices()
-        assert np.array_equal(at.indptr, a.indptr)
-        assert np.array_equal(at.indices, a.indices)
+        assert a.format == "dia"
+        m, k = a.shape[0], a.offsets[0]
+        assert np.array_equal(a.offsets, np.arange(k, -k - 1, -1))
+        assert a.data.shape == (2 * k + 1, m)
+        dense = a.toarray()
+        rows, cols = np.nonzero(dense)
+        assert np.array_equal(a.data[k + rows - cols, cols], dense[rows, cols])
+        assert np.abs(rows - cols).max() <= k
 
-    def test_order_built_once_per_free_set(self, monkeypatch):
-        factors = capture_factors(monkeypatch)
+    def test_order_built_once_per_free_set(self):
         model = make_model(nx=3, ny=2)
-        model.build_system()
-        model.build_system(0.5)
-        assert len(factors) == 1
+        free = model.build_system().free
+        assert model.build_system(0.5).free is free
         model.mesh.clamp_edge("xi1_max")
-        model.build_system()
-        model.build_system(0.5)
-        assert len(factors) == 2
+        clamped = model.build_system().free
+        assert clamped is not free and len(clamped) < len(free)
+        assert model.build_system(0.5).free is clamped
 
     def test_pattern_follows_later_clamp(self):
         model = make_model(nx=3, ny=2)
         assert model.build_system().b.size == len(model.mesh.free_dofs())
         model.mesh.clamp_edge("xi1_max")
         system = model.build_system()
-        free = system.free  # factor order
+        free = system.free  # band (grid) order
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
         assert system.a.shape == (len(free), len(free))
         full = model.assemble(model.element_kernels())[0]
-        assert np.allclose(system.a.toarray(), full[free][:, free].toarray())
+        assert np.allclose(system.a.toarray(), full.toarray()[np.ix_(free, free)])
 
 
 class TestStrongFormOracle:

@@ -215,8 +215,9 @@ class TestCli:
         ("antiparallel", "magnitude = 1e-3", "magnitude = 2.0", "[perturb]"),
         ("antiparallel", "[magnetic]", "[magnetic]\nb_r_mode = per_volume", "[magnetic]"),
         ("antiparallel", "[perturb]", "[perturb]\nmode = tip_rotation", "[perturb]"),
+        ("antiparallel", "axis = 0 1 0", "axis = 0 0 0", "[perturb] axis"),
     ], ids=["arch_angle_span", "magnetic_mu0", "magnetic_mu0_rotation", "perturb_magnitude",
-            "magnetic_b_r_mode", "perturb_mode"])
+            "magnetic_b_r_mode", "perturb_mode", "perturb_axis_zero"])
     def test_invalid_bundled_value_exit_code(self, tmp_path, capsys, name, old, new, section):
         text = (bundled_dir() / f"{name}.cfg").read_text()
         assert old in text

@@ -101,64 +101,70 @@ class TestNewtonStep:
         assert np.allclose(eta_csr, newton_step(a, b)[0], rtol=1e-12, atol=0.0)
 
     def test_plate_factors_with_diagonal_pivots(self, monkeypatch):
-        # first tangent of magnetic_plate_A: symmetric-mode ordering keeps the
-        # diagonal pivots and stays below the fill of COLAMD on the same matrix
-        cfg = load_bundled("magnetic_plate_A")
-        model = build_model(cfg)
-        system = model.build_system(1.0 / cfg.solver.load_steps)
-        factors = []
-        splu = solver.spla.splu
-
-        def capture(*args, **kwargs):
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-
-        monkeypatch.setattr(solver.spla, "splu", capture)
+        # first tangent of magnetic_plate_A: pivoting keeps the fill inside
+        # the band, as diagonal pivots kept it inside the minimum-degree fill
+        # of a sparse LU.  Every row interchange stays within kl rows below
+        # the diagonal, so the factor fits the (2 kl + ku + 1, m) work array
+        system = first_tangent("magnetic_plate_A")
+        factors = capture_factors(monkeypatch)
         _, rel = newton_step(system.a, system.b)
-        monkeypatch.undo()
         assert rel < solver.MAX_LINEAR_RESIDUAL
         (lu,) = factors
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        colamd = splu(system.a)
-        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        assert (lu.kl, lu.ku, lu.info) == (107, 107, 0)
+        drop = lu.piv - np.arange(len(lu.piv))
+        assert drop.min() >= 0 and drop.max() <= lu.kl
 
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
     def test_factor_order_keeps_minimum_degree_fill(self, name, monkeypatch):
-        # the system arrives in factor order, so its natural-order factor fills
-        # as much as minimum degree does on the same system in ascending DOF
-        # order (the inverse permutation in place of the order fills 4-6x more)
-        system = first_tangent(name)
+        # the factor order is the grid order, which keeps the band, and with
+        # it the fill and work of the band LU, at 6 (min(nx, ny) + 3) - 1;
+        # the same free DOFs in ascending order give a wider band
+        width = {"rollup_6pi": 23, "magnetic_plate_A": 107}[name]
+        cfg = load_bundled(name)
+        model = build_model(cfg)
+        system = model.build_system(1.0 / cfg.solver.load_steps)
         factors = capture_factors(monkeypatch)
         newton_step(system.a, system.b)
-        monkeypatch.undo()
         (lu,) = factors
-        ascending = np.argsort(system.free)
-        a_nat = system.a[ascending][:, ascending].tocsc()
-        assert a_nat.nnz == system.a.nnz
-        mmd = solver.spla.splu(a_nat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
-                               options={"SymmetricMode": True})
-        assert lu.L.nnz + lu.U.nnz == pytest.approx(mmd.L.nnz + mmd.U.nnz, rel=1e-3)
+        assert (lu.kl, lu.ku) == (width, width)
+        assert system.a.offsets[0] == -system.a.offsets[-1] == width
+        ascending = model.assemble(model.element_kernels(), np.sort(system.free))[0]
+        assert ascending.offsets[0] > width
 
     def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
         # eps*cond of the first plate tangent is about 1e-8, far above the
         # 1e-12 target: after one sweep that cannot halve the residual, stop
         system = first_tangent("magnetic_plate_A")
         solves = []
-        splu = solver.spla.splu
+        dgbtrs = solver.lapack.dgbtrs
 
-        class CountedSolves:
-            def __init__(self, lu):
-                self.lu = lu
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return dgbtrs(*args, **kwargs)
 
-            def solve(self, rhs):
-                solves.append(rhs)
-                return self.lu.solve(rhs)
-
-        monkeypatch.setattr(solver.spla, "splu",
-                            lambda *args, **kwargs: CountedSolves(splu(*args, **kwargs)))
+        monkeypatch.setattr(solver.lapack, "dgbtrs", counted)
         _, rel = newton_step(system.a, system.b)
         assert 1 <= len(solves) <= 2
         assert rel < solver.MAX_LINEAR_RESIDUAL
+
+    def test_zero_row_band_tangent_is_singular(self, monkeypatch):
+        # a zero row is never chosen as a pivot and never updated, so the
+        # factorization ends on an exactly zero pivot and reports info > 0
+        system = first_tangent("rollup_6pi")
+        a = system.a
+        m, ku = a.shape[0], a.offsets[0]
+        row = m // 2
+        cols = np.arange(m)
+        slot = ku + row - cols
+        inside = (slot >= 0) & (slot < len(a.offsets))
+        a.data[slot[inside], cols[inside]] = 0.0
+        assert not np.any(a.toarray()[row])
+        factors = capture_factors(monkeypatch)
+        monkeypatch.setattr(solver.lapack, "dgbtrs", None)  # never reached
+        with pytest.raises(SingularSystemError, match="1-norm estimate"):
+            newton_step(a, system.b)
+        (lu,) = factors
+        assert lu.info > 0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
@@ -463,7 +469,7 @@ class TestRun:
         assert updates == []
 
     def test_one_factorization_per_newton_step(self, monkeypatch):
-        # plus one ordering per free-DOF set, made on the first build
+        # and none for the ordering, which is the grid order of the mesh
         cfg = load_bundled("magnetic_cantilever_lh10")
         model = build_model(cfg)
         factors = capture_factors(monkeypatch)
@@ -477,8 +483,9 @@ class TestRun:
         monkeypatch.setattr(solver, "newton_step", counted_step)
         report = run(model, cfg.solver)
         assert report.converged
-        assert steps[0] == 1
-        assert len(factors) == len(steps) + 1
+        assert steps[0] == 0
+        assert len(factors) == len(steps)
+        assert all(lu.info == 0 for lu in factors)
 
     def test_rejected_attempts_are_recorded(self, monkeypatch):
         model = cantilever(nx=4)
