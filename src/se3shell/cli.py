@@ -60,7 +60,8 @@ def _execute(cfg, args) -> int:
     report, _ = run_scenario(cfg, out_dir, quiet=args.quiet)
     status = "converged" if report.converged else "FAILED"
     print(f"{cfg.name}: {status} in {report.wall_time:.2f}s "
-          f"({sum(r.iterations for r in report.steps)} iterations)")
+          f"({report.iterations} iterations, {report.attempts} attempts, "
+          f"{len(report.rejections)} rejected)")
     if not report.converged:
         print(f"  {report.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

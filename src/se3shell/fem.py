@@ -23,23 +23,33 @@ mechanical force f_ext - f_int; f_ext holds the boundary wrenches of
 `neumann_terms`, and the applied field B^a(lambda) of the model's field
 program enters through f_mag and Kmag.
 
+A build evaluates only what the Newton iteration reads.  The mechanical
+kernels depend on the sampled twists alone, so the model keeps the last
+evaluation and reuses it while the twists are exactly equal (the first build
+of an attempt starts from the state the last one converged at, or from a
+restored snapshot, which carries its kernels).  `build_system` forms the
+residual and its norms; the tangent, with the magnetic stiffness and the
+dead-load blocks, is assembled only when the solver reads `GlobalSystem.a`,
+so the check that finds a step converged assembles none.
+
 Assembly has one fixed-pattern path, straight into band storage.  On the
 first build for a given set of free DOFs the model orders those DOFs along
 the mesh grid (nodes along the longer of nx and ny, each node's six DOFs
 together), so the tangent has half-bandwidth 6 (min(nx, ny) + 3) - 1: 23 on
 a one-element-wide strip, 107 on a 20x15 plate.  The scatter of a DOF list
 holds maps from every element-block, element-force and nodal dead-load
-entry to its slot in the (kl + ku + 1, m) data of a `dia_matrix` with offsets
-ku ... -kl, which is LAPACK's column-indexed band layout, with fixed DOFs
-already dropped; each later build is then one `np.bincount` per array.  The
-full unreduced system used by diagnostics is the same scatter over all DOFs,
-in natural order (a wider band).
+entry to its slot in the data of a `dia_matrix` that stores only the
+diagonals some block writes (all 47 on a strip, 69 of 215 on the 20x15
+plate), with fixed DOFs already dropped; each later build is then one
+`np.bincount` per array.  The full unreduced system used by diagnostics is
+the same scatter over all DOFs, in natural order (a wider band).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,10 +59,10 @@ from .constitutive import (Material, internal_energy_density, metric_inverse,
 from .liegroup import ad, ad_tilde, skew
 from .magnetics import (MagneticEnvironment, element_magnetic_force,
                         element_magnetic_stiffness, local_fields)
-from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh
+from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
 
 # sample points of each strain sampling and their weight per unit chart area
-_SAMPLINGS = {"centroid": (slice(0, 1), 1.0), "gauss": (slice(1, 5), 0.25)}
+_SAMPLINGS = {"centroid": (np.array([0]), 1.0), "gauss": (GAUSS_POINTS, 0.25)}
 # backs the all-zero ElementKernels fields
 _ZERO = np.zeros(())
 
@@ -61,16 +71,26 @@ _ZERO = np.zeros(())
 class ElementKernels:
     """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6).
 
-    f_ext is a read-only all-zero broadcast view (boundary loads enter through
-    `neumann_terms`); so are f_mag and kmag without magnetics.
+    kmag is evaluated on first access from the arguments `magnetic_args` of
+    `element_magnetic_stiffness`, so a system that is never factored never
+    evaluates it.  f_ext is a read-only all-zero broadcast view (boundary
+    loads enter through `neumann_terms`); so are f_mag and kmag without
+    magnetics (`magnetic_args` None).  kmat, kgeo and f_int are read-only: they
+    are the model's memoized mechanical kernels.
     """
 
     kmat: np.ndarray
     kgeo: np.ndarray
-    kmag: np.ndarray
     f_int: np.ndarray
     f_ext: np.ndarray
     f_mag: np.ndarray
+    magnetic_args: tuple | None
+
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        if self.magnetic_args is None:
+            return np.broadcast_to(_ZERO, self.kmat.shape)
+        return element_magnetic_stiffness(*self.magnetic_args)
 
 
 @dataclass
@@ -78,17 +98,23 @@ class GlobalSystem:
     """BC-reduced Newton system A eta = b plus bookkeeping for tolerances.
 
     `free` lists the free DOFs in the row order of `a` and `b`, which is the
-    grid order of the band, not ascending DOF order.
+    grid order of the band, not ascending DOF order.  The tangent `a` is
+    assembled by `tangent` on first access, so a converged check never forms
+    it; a non-finite tangent raises FloatingPointError there.
     """
 
-    a: sp.dia_matrix
     b: np.ndarray
     free: np.ndarray
     load_norm: float
+    tangent: Callable[[], sp.dia_matrix]
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
         self.residual_norm = float(np.linalg.norm(self.b))
+
+    @cached_property
+    def a(self) -> sp.dia_matrix:
+        return self.tangent()
 
 
 class FemModel:
@@ -107,17 +133,39 @@ class FemModel:
         self.material = material
         self.field = field
         self.scheme = scheme
+        # the state keeps only what the model reads
+        mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0],
+                                         rotations=mesh.b_r is not None)
         self.d_blocks = self._build_d_blocks()
         self._scatters: dict[bytes, _Scatter] = {}
         self._band_orders: dict[bytes, np.ndarray] = {}
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
+        # (sampled twists, (kmat, kgeo, f_int)) of the last kernel evaluation
+        self._kernels = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
         if self.field is None or self.mesh.b_r is None:
             return None
+        if self.mesh.state.r_pts.shape[1] == 0:
+            raise ValueError("mesh.b_r was set after the model was built: "
+                             "the state carries no Gauss-point rotations")
         return self.field(load_factor)
+
+    def snapshot(self):
+        """A copy of the state together with its memoized kernels."""
+        return self.mesh.state.copy(), self._kernels
+
+    def restore(self, snapshot) -> None:
+        """Return to a `snapshot`; each snapshot is restored at most once.
+
+        A snapshot taken before any kernel evaluation keeps the current memo,
+        which is still checked against the restored twists.
+        """
+        self.mesh.state, kernels = snapshot
+        if kernels is not None:
+            self._kernels = kernels
 
     def _build_d_blocks(self) -> np.ndarray:
         """Per-element stiffness blocks, one evaluation per distinct metric."""
@@ -155,14 +203,28 @@ class FemModel:
                 np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
         return self._sampling_consts
 
-    def _strain_stress(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Twists, strains and weighted stresses at the sample points, (nel,G,2,6)."""
+    def _strain_stress(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Strains and weighted stresses of twists at the sample points, (nel,G,2,6)."""
         pts, _, _, wd, _, _ = self._sampling()
-        zeta = self.mesh.state.zeta_pts[:, pts]
         strain = zeta - self.mesh.zeta0_pts[:, pts]
-        return zeta, strain, stress(wd, strain)
+        return strain, stress(wd, strain)
 
     def _mechanical_kernels(self):
+        """(kmat, kgeo, f_int) of the current twists, evaluated once per state.
+
+        The last evaluation is kept with a copy of the twists it read and
+        reused while the state's twists equal them exactly, so an in-place
+        edit or a NaN evaluates anew.
+        """
+        zeta = self.mesh.state.zeta_pts
+        if self._kernels is None or not np.array_equal(self._kernels[0], zeta):
+            kernels = self._evaluate_kernels(zeta)
+            for arr in kernels:
+                arr.flags.writeable = False
+            self._kernels = (zeta.copy(), kernels)
+        return self._kernels[1]
+
+    def _evaluate_kernels(self, zeta: np.ndarray):
         """(kmat, kgeo, f_int) through the factored tangent over the sample points.
 
         With A_ga = ad(zeta_ga) the strain operator is kbar_gia = dN_gia I + N_gi A_ga,
@@ -180,7 +242,7 @@ class FemModel:
         depend on i and is returned as a broadcast view.
         """
         _, n, dn, _, d12, k0 = self._sampling()
-        zeta, _, s = self._strain_stress()
+        _, s = self._strain_stress(zeta)
         nel, g = s.shape[:2]
         adz = ad(zeta).reshape(nel, g, 12, 6)              # A_ga stacked over a
         adz_t = np.swapaxes(adz, -1, -2)
@@ -205,44 +267,50 @@ class FemModel:
         mesh = self.mesh
         kmat, kgeo, f_int = self._mechanical_kernels()
         env = self._env_at(load_factor)
+        args = None
         if env is not None:
-            args = (mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:], mesh.b_r, env,
+            args = (mesh.r0_pts[:, 1:], mesh.state.r_pts, mesh.b_r, env,
                     N_PTS[1:], self._gauss_weights())
             f_mag = element_magnetic_force(*args)
-            kmag = element_magnetic_stiffness(*args)
         else:
             f_mag = np.broadcast_to(_ZERO, f_int.shape)
-            kmag = np.broadcast_to(_ZERO, kmat.shape)
-        return ElementKernels(kmat=kmat, kgeo=kgeo, kmag=kmag, f_int=f_int,
-                              f_ext=np.broadcast_to(_ZERO, f_int.shape), f_mag=f_mag)
+        return ElementKernels(kmat=kmat, kgeo=kgeo, f_int=f_int,
+                              f_ext=np.broadcast_to(_ZERO, f_int.shape), f_mag=f_mag,
+                              magnetic_args=args)
 
     # --- global level ------------------------------------------------------
 
-    def _scatter(self, dofs: np.ndarray) -> "_Scatter":
-        """Fixed-pattern scatter onto `dofs`, built on first use per DOF set."""
+    def _scatter(self, dofs: np.ndarray | None) -> "_Scatter":
+        """Fixed-pattern scatter onto `dofs` (None: every DOF), built on first
+        use per DOF set."""
+        if dofs is None:
+            dofs = np.arange(self.mesh.n_dofs)
         key = dofs.tobytes()
         sc = self._scatters.get(key)
         if sc is None:
             sc = self._scatters[key] = _Scatter(self.mesh.conn, self.mesh.n_nodes, dofs)
         return sc
 
-    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
-                 ) -> tuple[sp.dia_matrix, np.ndarray, np.ndarray]:
-        """Scatter-add element kernels into (A, b) plus the magnetic-load part.
+    def residual(self, kern: ElementKernels, dofs: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter-add element forces into the residual b = f_mag - f_int and,
+        separately, the magnetic load vector f_mag used for tolerance scaling,
+        both restricted to `dofs` (default: every DOF)."""
+        sc = self._scatter(dofs)
+        return sc.vector(kern.f_mag - kern.f_int), sc.vector(kern.f_mag)
 
-        Returns the tangent A = Kmat + Kgeo - Kmag, the residual
-        b = f_mag - f_int, and separately the magnetic load vector f_mag used
-        for tolerance scaling, all restricted to `dofs` (default: every DOF,
-        i.e. the full unreduced system).
+    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
+                 ) -> sp.dia_matrix:
+        """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kmag.
+
+        Restricted to `dofs` (default: every DOF, i.e. the full unreduced
+        tangent).
         """
-        if dofs is None:
-            dofs = np.arange(self.mesh.n_dofs)
         sc = self._scatter(dofs)
         blocks = kern.kmat + kern.kgeo
         if not np.may_share_memory(kern.kmag, _ZERO):
             blocks -= kern.kmag
-        a = sc.matrix(blocks)
-        return a, sc.vector(kern.f_mag - kern.f_int), sc.vector(kern.f_mag)
+        return sc.matrix(blocks)
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
@@ -271,29 +339,36 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, a: sp.dia_matrix, b: np.ndarray,
-                                  load: np.ndarray, free: np.ndarray,
-                                  load_factor: float = 1.0) -> GlobalSystem:
-        """Add boundary loads and the dead-load tangent to the reduced system.
+    def apply_boundary_conditions(self, a: sp.dia_matrix, kdead: np.ndarray,
+                                  free: np.ndarray) -> sp.dia_matrix:
+        """Subtract the dead-load tangent blocks from the reduced tangent.
 
-        `a`, `b` and `load` come from `assemble(kern, free)`; the dead-load
-        blocks are subtracted in place in the slots of `a`'s band.
+        `a` comes from `assemble(kern, free)` and `kdead` from `neumann_terms`;
+        the blocks are subtracted in place in the slots of `a`'s band.
         """
-        b_neu, kdead = self.neumann_terms(load_factor)
         self._scatter(free).subtract_node_blocks(a.data, kdead)
-        b_neu = b_neu[free]
-        b = b + b_neu
-        if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
+        if not np.all(np.isfinite(a.data)):
             raise FloatingPointError("non-finite entries in the assembled system")
-        return GlobalSystem(a=a, b=b, free=free,
-                            load_norm=float(np.linalg.norm(load + b_neu)))
+        return a
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
-        """The BC-reduced system on the free DOFs in band (grid) order."""
+        """The BC-reduced system on the free DOFs in band (grid) order.
+
+        The residual side is formed here; the tangent only when the solver
+        reads `a`, so the check that finds a step converged assembles none.
+        """
         kern = self.element_kernels(load_factor)
         free = self._band_order(self.mesh.free_dofs())
-        a, b, load = self.assemble(kern, free)
-        return self.apply_boundary_conditions(a, b, load, free, load_factor)
+        b, load = self.residual(kern, free)
+        b_neu, kdead = self.neumann_terms(load_factor)
+        b_neu = b_neu[free]
+        b = b + b_neu
+        if not np.all(np.isfinite(b)):
+            raise FloatingPointError("non-finite entries in the assembled system")
+        return GlobalSystem(
+            b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
+            tangent=lambda: self.apply_boundary_conditions(self.assemble(kern, free),
+                                                           kdead, free))
 
     def _band_order(self, free: np.ndarray) -> np.ndarray:
         """`free` with nodes along the longer grid side, made once per free-DOF set."""
@@ -318,14 +393,13 @@ class FemModel:
         Elastic part integrates -l0 = 1/2 <S, E> over the strain sampling of
         the active scheme; magnetic part is -(1/mu0) B_t^r . B^a per area.
         """
-        _, strain, s = self._strain_stress()
+        strain, s = self._strain_stress(self.mesh.state.zeta_pts)
         elastic = -internal_energy_density(s, strain)
         magnetic = 0.0
         env = self._env_at(load_factor)
         mesh = self.mesh
         if env is not None:
-            b_mat, b_app = local_fields(mesh.r0_pts[:, 1:], mesh.state.r_pts[:, 1:],
-                                        mesh.b_r, env)
+            b_mat, b_app = local_fields(mesh.r0_pts[:, 1:], mesh.state.r_pts, mesh.b_r, env)
             dots = np.sum(b_mat * b_app, axis=-1) / env.mu0
             magnetic = float(-np.sum(self._gauss_weights() * dots))
         return elastic, magnetic
@@ -334,16 +408,19 @@ class FemModel:
 class _Scatter:
     """Band storage of the tangent on a DOF list, with its slot maps.
 
-    Row and column i of the matrix is DOF `dofs[i]`.  The half-bandwidth
-    kl = ku = k is the largest |row - col| the element blocks couple, and
-    entry (r, c) lives at `data[k + r - c, c]` of the (2k + 1, m) band data,
-    the layout of both `dia_matrix` (`offsets` k ... -k) and LAPACK's band
-    routines.  Every entry of the (nel,4,4,6,6) element blocks
+    Row and column i of the matrix is DOF `dofs[i]`.  The band keeps only the
+    diagonals that some element or nodal block writes, as `offsets`
+    (col - row) in strictly descending order, not necessarily contiguous:
+    on a 2-D grid most diagonals inside the half-bandwidth k are structurally
+    empty (146 of 215 on a 20x15 plate), on a strip none is.  Entry (r, c)
+    lives at `data[i, c]` of the (len(offsets), m) data with
+    `offsets[i] == c - r`, the layout of `dia_matrix`; row i is LAPACK's band
+    row ku - offsets[i].  Every entry of the (nel,4,4,6,6) element blocks
     (`k_slot`) and the (nel,4,6) element forces (`f_slot`) owns one slot of
     the flat data or of the vector; entries on dropped DOFs go to a spare
     slot one past the end, which is cut off, so each assembly is a single
     `np.bincount`.  The (n_nodes,6,6) nodal blocks touch distinct entries,
-    addressed directly by `node_at`.
+    addressed by their flat slots `node_at`.
     """
 
     def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
@@ -355,15 +432,19 @@ class _Scatter:
         # block (i, j) is row node i, column node j
         rows, cols = el[:, :, None, :, None], el[:, None, :, None, :]
         kept = (rows < m) & (cols < m)
-        k = int(np.abs(rows - cols).max(where=kept, initial=0))
-        self.m, self.offsets = m, np.arange(k, -k - 1, -1)
-        self.size = (2 * k + 1) * m
-        slot = (k + rows - cols) * m + cols
+        node_rows, node_cols = np.broadcast_arrays(node[:, :, None], node[:, None, :])
+        node_kept = (node_rows < m) & (node_cols < m)
+        self.offsets = np.union1d((cols - rows)[kept], (node_cols - node_rows)[node_kept])[::-1]
+        k = int(np.abs(self.offsets).max())
+        band_row = np.zeros(2 * k + 1, dtype=np.int64)       # of offset o at k - o
+        band_row[k - self.offsets] = np.arange(len(self.offsets))
+        self.m, self.size = m, len(self.offsets) * m
+        slot = band_row[np.where(kept, k + rows - cols, 0)] * m + cols
         self.k_slot = np.where(kept, slot, self.size).ravel()
         self.f_slot = el.ravel()
-        rows, cols = np.broadcast_arrays(node[:, :, None], node[:, None, :])
-        self.node_kept = ((rows < m) & (cols < m)).ravel()
-        self.node_at = (k + rows - cols).ravel()[self.node_kept], cols.ravel()[self.node_kept]
+        self.node_kept = np.flatnonzero(node_kept)
+        self.node_at = (band_row[(k + node_rows - node_cols)[node_kept]] * m
+                        + node_cols[node_kept])
 
     def matrix(self, blocks: np.ndarray) -> sp.dia_matrix:
         """Sum (nel,4,4,6,6) element blocks into a fresh band matrix."""
@@ -377,5 +458,9 @@ class _Scatter:
                            minlength=self.m + 1)[:self.m]
 
     def subtract_node_blocks(self, data: np.ndarray, blocks: np.ndarray) -> None:
-        """Subtract (n_nodes,6,6) nodal diagonal blocks from band `data` in place."""
-        data[self.node_at] -= blocks.reshape(-1)[self.node_kept]
+        """Subtract (n_nodes,6,6) nodal diagonal blocks from band `data` in place.
+
+        `data` is C-ordered, as `matrix` makes it, so its flat view is the
+        one `node_at` indexes.
+        """
+        np.subtract.at(data.reshape(-1), self.node_at, blocks.reshape(-1)[self.node_kept])

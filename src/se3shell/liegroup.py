@@ -263,7 +263,11 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
         exp_so3(w)                               (..., 3, 3),
         Ad(exp(-eta)) zeta + dexp_se3(eta) deta  (..., k, 6),
 
-    from one coefficient pass per point, with cross products only.  With
+    from one coefficient pass per point, with cross products only.  The
+    stacks may stop short along the last point axis: eta (..., n, 6) with
+    zeta, deta (..., m, k, 6) updates the twists of the first m points and
+    returns the rotations of all n, so points that carry a rotation but no
+    twist share the pass.  With
     exp(eta) = (R, p), Ad(exp(-eta)) = Ad(exp(eta))^-1 maps (v; w) to
     (R^T (v - p x w); R^T w), R^T = I - a w^ + b w^ w^.  dexp_se3(eta) is the
     SE(3) left Jacobian at -eta, [[J, Q], [0, J]] with
@@ -276,9 +280,12 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
     e = np.ascontiguousarray(np.moveaxis(np.asarray(eta, dtype=float), -1, 0))
     u, w = e[:3, None], e[3:, None]  # (3, 1, ...): broadcast over the stack
     a, b, c, c2, c3 = _rot_coeffs(_angle(w))
+    rot = _rodrigues(e[3:], a[0], b[0])
+    z, d = _components(zeta), _components(deta)
+    if z.shape[2:] != w.shape[2:]:  # twists at the leading points only
+        u, w, a, b, c, c2, c3 = (x[..., :z.shape[-1]] for x in (u, w, a, b, c, c2, c3))
     wu = _cross(w, u)
     p = u + b * wu + c * _cross(w, wu)
-    z, d = _components(zeta), _components(deta)
     zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
     x = zv - _cross(p, zw)
     y = _cross(w, dw)
@@ -291,8 +298,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
              + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
     out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
     out = np.concatenate((out_v, out_w))
-    return (_rodrigues(e[3:], a[0], b[0]),
-            np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2))))
+    return rot, np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2)))
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:

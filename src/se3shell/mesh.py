@@ -1,9 +1,12 @@
 """Structured quad mesh over the parameter chart with carried element state.
 
 The solver never re-derives deformation twists from nodal poses: every element
-carries its twists (and rotations, for the magnetic terms) at the centroid and
-the four 2x2 Gauss points, and evolves them multiplicatively.  Nodal poses are
-carried for output and for rotating dead loads.
+carries its twists (and rotations, for the magnetic terms) at element points
+and evolves them multiplicatively.  `build_mesh` starts the state with the
+twists at all five points and the rotations at the four Gauss points; a
+`FemModel` narrows it to what it reads, the twists at the sample points of its
+strain sampling and, on a magnetized mesh only, the Gauss-point rotations.
+Nodal poses are carried for output and for rotating dead loads.
 
 Point index convention inside an element: 0 = centroid, 1..4 = Gauss points in
 the node ordering (-,-), (+,-), (+,+), (-,+).
@@ -43,6 +46,7 @@ def shape_gradients(points: np.ndarray) -> np.ndarray:
 
 N_PTS = shape_values(PARENT_POINTS)          # (5, 4)
 DN_PTS_PARENT = shape_gradients(PARENT_POINTS)  # (5, 4, 2)
+GAUSS_POINTS = np.arange(1, 5)
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,34 @@ class NeumannLoad:
 
 @dataclass
 class ShellState:
-    """Mutable configuration state evolved by the solver."""
+    """Mutable configuration state evolved by the solver.
 
-    g_nodes: np.ndarray   # (n_nodes, 4, 4)
-    zeta_pts: np.ndarray  # (nel, 5, 2, 6)
-    r_pts: np.ndarray     # (nel, 5, 3, 3)
+    `zeta_pts` holds the twists at the element points `twist_points` only, in
+    that order; `r_pts` the rotations at the four Gauss points, or none
+    (shape (nel, 0, 3, 3)) when nothing reads them.
+    """
+
+    g_nodes: np.ndarray       # (n_nodes, 4, 4)
+    zeta_pts: np.ndarray      # (nel, len(twist_points), 2, 6)
+    r_pts: np.ndarray         # (nel, 4, 3, 3) or (nel, 0, 3, 3)
+    twist_points: np.ndarray  # element-point indices of zeta_pts, ascending
 
     def copy(self) -> "ShellState":
-        return ShellState(self.g_nodes.copy(), self.zeta_pts.copy(), self.r_pts.copy())
+        return ShellState(self.g_nodes.copy(), self.zeta_pts.copy(), self.r_pts.copy(),
+                          self.twist_points)
+
+    def carrying(self, twist_points: np.ndarray, rotations: bool) -> "ShellState":
+        """This state with only the twists at `twist_points` and, if
+        `rotations`, the Gauss-point rotations; both must be carried now."""
+        missing = set(twist_points.tolist()) - set(self.twist_points.tolist())
+        if missing:
+            raise ValueError(f"the state carries no twists at element points {sorted(missing)}")
+        if rotations and self.r_pts.shape[1] == 0:
+            raise ValueError("the state carries no Gauss-point rotations")
+        at = np.searchsorted(self.twist_points, twist_points)
+        return ShellState(self.g_nodes, self.zeta_pts[:, at],
+                          self.r_pts if rotations else self.r_pts[:, :0].copy(),
+                          np.asarray(twist_points))
 
 
 @dataclass
@@ -177,7 +201,8 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
     if np.any(jac0 <= 1e-12):
         raise ValueError("degenerate reference surface: vanishing area jacobian")
 
-    state = ShellState(g_nodes=g0.copy(), zeta_pts=zeta0.copy(), r_pts=r0.copy())
+    state = ShellState(g_nodes=g0.copy(), zeta_pts=zeta0.copy(),
+                       r_pts=r0[:, 1:].copy(), twist_points=np.arange(5))
     return ShellMesh(param=param, conn=conn, le=le, g0_nodes=g0,
                      zeta0_pts=zeta0, r0_pts=r0, jac0_pts=jac0,
                      state=state, nx=nx, ny=ny)

@@ -12,19 +12,24 @@ mesh), then applies one multiplicative update of the whole state
 
 with eta interpolated bilinearly at each carried point.  The twist rule is the
 exact body-frame derivative field of the multiplicatively updated pose field,
-so twists never need to be re-derived from poses.  Both point rules are closed
-form (no series) and evaluated together, one coefficient pass per point.
-Convergence is measured on the residual 2-norm over free DOFs against
-tol_relative * max(1, |load|).
+so twists never need to be re-derived from poses.  Twists are carried only at
+the strain sample points of the model's scheme (the centroid, or the four
+Gauss points), rotations only at the Gauss points of a magnetized mesh.  Both
+point rules are closed form (no series) and evaluated together, one
+coefficient pass over the union of those points.  Convergence is measured on
+the residual 2-norm over free DOFs against tol_relative * max(1, |load|); the
+tangent is assembled only for an iteration that goes on to a linear solve.
 
 The load factor ramps linearly over the configured number of steps; boundary
 wrenches scale with it and the applied magnetic field follows the model's
 field program.  An increment whose largest nodal rotation exceeds pi/2, a
 non-finite system, a singular tangent, a linear solve whose refined relative
 residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
-the attempt: the state is restored, the reason recorded in
+the attempt: the state is restored together with its memoized kernels
+(`FemModel.snapshot`/`restore`), the reason recorded in
 SolveReport.rejections and the load increment halved, up to max_halvings,
 after which the run fails with the last attempt's rejection reason.
+SolveReport counts every Newton iteration and attempt, rejected ones too.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .liegroup import carried_update, exp_se3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
 from .liegroup import Ad, dexp_se3, exp_so3, inv_pose  # noqa: F401
-from .mesh import DN_PTS_PARENT, N_PTS, ShellMesh
+from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
 # Relative residual of the refined linear solve above which the increment is
@@ -91,6 +96,9 @@ class SolveReport:
     wall_time: float = 0.0
     message: str = ""
     max_linear_residual: float = 0.0
+    # Newton iterations (system builds) and attempts, accepted and rejected
+    iterations: int = 0
+    attempts: int = 0
     # (step, load_factor, reason) of every rejected attempt, in order
     rejections: list[tuple[int, float, str]] = field(default_factory=list)
 
@@ -98,12 +106,14 @@ class SolveReport:
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `build_system` returns the tangent as a `dia_matrix` whose data is already
-    LAPACK's band layout (offsets ku ... -kl, grid-ordered DOFs), so the only
-    per-call work before the factorization is the copy into the
-    (2 kl + ku + 1, m) work array, whose first kl rows take the fill of
-    partial pivoting.  Any other sparse or dense matrix is converted through
-    COO to band, with kl and ku taken from its entries.  The factorization
+    `build_system` returns the tangent as a `dia_matrix` with strictly
+    descending offsets over grid-ordered DOFs, holding only the diagonals the
+    elements write, so the only per-call work before the factorization is the
+    copy of each stored diagonal with offset o into row kl + ku - o of the
+    (2 kl + ku + 1, m) work array (LAPACK's band layout), whose first kl rows
+    take the fill of partial pivoting; the diagonals not stored stay zero.
+    Any other sparse or dense matrix is converted through COO to band, with
+    kl and ku taken from its entries.  The factorization
     costs about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, so it grows with
     the square of the shorter grid side: a general sparse LU with a
     minimum-degree order would win again once min(nx, ny) is well above 15,
@@ -120,9 +130,18 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
-    band, kl, ku = _band(a)
+    band, offsets = _band(a)
+    ku, kl = int(offsets[0]), -int(offsets[-1])
     work = np.zeros((2 * kl + ku + 1, b.size), order="F")
-    work[kl:] = band
+    # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
+    # offsets is one slice copy, which numpy makes in the work array's memory
+    # order (a fancy row index took twice as long on the strips)
+    offs, start = offsets.tolist(), 0
+    for end in range(1, len(offs) + 1):
+        if end == len(offs) or offs[end] != offs[end - 1] - 1:
+            row = kl + ku - offs[start]
+            work[row:row + end - start] = band[start:end]
+            start = end
     lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
     if info > 0:
         raise SingularSystemError(_singular_message(a))
@@ -147,20 +166,21 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     return eta, rel
 
 
-def _band(a) -> tuple[np.ndarray, int, int]:
-    """(data, kl, ku) of `a` in LAPACK band layout: A[i, j] at data[ku + i - j, j]."""
+def _band(a) -> tuple[np.ndarray, np.ndarray]:
+    """(data, offsets) of `a` as column-indexed diagonals: A[i, j] at data[d, j]
+    with offsets[d] == j - i, offsets strictly descending from ku >= 0 to -kl <= 0."""
     if sp.issparse(a) and a.format == "dia":
-        ku, kl = int(a.offsets[0]), -int(a.offsets[-1])
-        if (min(kl, ku) >= 0 and a.data.shape[1] == a.shape[1]
-                and np.array_equal(a.offsets, np.arange(ku, -kl - 1, -1))):
-            return a.data, kl, ku
+        offsets = a.offsets
+        if (offsets[0] >= 0 >= offsets[-1] and np.all(np.diff(offsets) < 0)
+                and a.data.shape[1] == a.shape[1]):
+            return a.data, offsets
     coo = sp.coo_matrix(a)
     offset = coo.col - coo.row
     ku = int(offset.max(initial=0))
     kl = -int(offset.min(initial=0))
     data = np.zeros((kl + ku + 1, coo.shape[1]))
     np.add.at(data, (ku - offset, coo.col), coo.data)
-    return data, kl, ku
+    return data, np.arange(ku, -kl - 1, -1)
 
 
 def _singular_message(a) -> str:
@@ -193,7 +213,7 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
 
 
 def update_twists(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
-    """Evolve carried twists and rotations at all element points.
+    """Evolve the twists and rotations the state carries.
 
     With eta the bilinear increment field, each carried point receives
 
@@ -201,18 +221,27 @@ def update_twists(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
         R <- R exp_so3(eta_w),
 
     which equals vee((g exp(eta^))^-1 d_alpha (g exp(eta^))) for the carried
-    pose field; spatially constant eta reduces to the pure frame change.  All
-    three maps come in closed form from one `carried_update` pass per point.
+    pose field; spatially constant eta reduces to the pure frame change.  The
+    twists are evolved at `ShellState.twist_points` only and the rotations at
+    the Gauss points only when the state carries them; all three maps come in
+    closed form from one `carried_update` pass over the union of those points.
     """
     eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
-    nel = mesh.n_elements
+    state = mesh.state
+    twist_pts = state.twist_points
+    rotations = state.r_pts.shape[1] > 0
+    # twist points first: carried_update evaluates twists at the leading points
+    pts = (np.concatenate([twist_pts, np.setdiff1d(GAUSS_POINTS, twist_pts)])
+           if rotations else twist_pts)
+    nel, n, m = mesh.n_elements, len(pts), len(twist_pts)
     le1, le2 = mesh.le
-    dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])   # (5, 4, 2)
-    interp = np.concatenate([N_PTS, np.swapaxes(dn_pts, 1, 2).reshape(10, 4)])
-    at_pts = interp @ eta[mesh.conn]                            # (nel, 15, 6)
-    rot, mesh.state.zeta_pts = carried_update(
-        at_pts[:, :5], mesh.state.zeta_pts, at_pts[:, 5:].reshape(nel, 5, 2, 6))
-    mesh.state.r_pts = mesh.state.r_pts @ rot
+    dn = DN_PTS_PARENT[twist_pts] * np.array([2.0 / le1, 2.0 / le2])   # (m, 4, 2)
+    interp = np.concatenate([N_PTS[pts], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)])
+    at_pts = interp @ eta[mesh.conn]                                  # (nel, n + 2m, 6)
+    rot, state.zeta_pts = carried_update(
+        at_pts[:, :n], state.zeta_pts, at_pts[:, n:].reshape(nel, m, 2, 6))
+    if rotations:
+        state.r_pts = state.r_pts @ rot[:, np.argsort(pts)[-len(GAUSS_POINTS):]]
 
 
 def apply_increment_field(model: FemModel, eta_nodes: np.ndarray) -> None:
@@ -270,7 +299,7 @@ def _newton_loop(model: FemModel, lam: float, step_no: int,
                               residuals=residuals, converged=True)
         try:
             eta_free, lin_res = newton_step(system.a, system.b)
-        except SingularSystemError as exc:
+        except (FloatingPointError, SingularSystemError) as exc:
             raise StepRejected(str(exc)) from exc
         report.max_linear_residual = max(report.max_linear_residual, lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
@@ -297,9 +326,9 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
     settings = settings or SolverSettings()
     report = SolveReport()
     t0 = time.perf_counter()
-    mesh = model.mesh
 
     def emit(step_no, it, res):
+        report.iterations += 1
         if log is not None:
             log(f"{step_no} {it} {res:.6e}")
 
@@ -310,7 +339,8 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
             dlam = lam_target - lam
             halvings = 0
             while True:
-                snapshot = mesh.state.copy()
+                snapshot = model.snapshot()
+                report.attempts += 1
                 rec = None
                 try:
                     rec = _newton_loop(model, lam + dlam, step_no, settings,
@@ -325,7 +355,7 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     reason = (f"no convergence in {rec.iterations} iterations, "
                               f"last residual {rec.residuals[-1]:.3e}")
                 report.rejections.append((step_no, lam + dlam, reason))
-                mesh.state = snapshot
+                model.restore(snapshot)
                 halvings += 1
                 if halvings > max_halvings:
                     if rec is not None:

@@ -243,12 +243,12 @@ def dump_triangles_loop(mesh, path) -> None:
 def mechanical_tangent(model):
     """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts) on the
     free DOFs in ascending order."""
-    return model.assemble(model.element_kernels(0.0), model.mesh.free_dofs())[0]
+    return model.assemble(model.element_kernels(0.0), model.mesh.free_dofs())
 
 
 def assembled_residual(model, lam=1.0):
     kern = model.element_kernels(lam)
-    _, b, _ = model.assemble(kern)
+    b, _ = model.residual(kern)
     return b
 
 
@@ -300,14 +300,14 @@ def reject_first_solve(monkeypatch):
 
 def capture_factors(monkeypatch):
     """Record every band LU factorization made from now on as a namespace
-    with the half-bandwidths `kl`, `ku`, the pivot rows `piv` (0-based, as
-    SciPy returns them) and `info`."""
+    with the half-bandwidths `kl`, `ku`, the factor `lu`, the pivot rows
+    `piv` (0-based, as SciPy returns them) and `info`."""
     factors = []
     dgbtrf = solver.lapack.dgbtrf
 
     def capture(ab, kl, ku, *args, **kwargs):
         lu, piv, info = dgbtrf(ab, kl, ku, *args, **kwargs)
-        factors.append(SimpleNamespace(kl=kl, ku=ku, piv=piv, info=info))
+        factors.append(SimpleNamespace(kl=kl, ku=ku, lu=lu.copy(), piv=piv, info=info))
         return lu, piv, info
 
     monkeypatch.setattr(solver.lapack, "dgbtrf", capture)

@@ -7,6 +7,8 @@ oracles: a hand-written loop quadrature for a single stretched element and
 explicit two-element assembly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,13 @@ class TestElementKernels:
             assert not any(arr.strides) and not arr.flags.writeable
             assert not arr.any()
 
+    def test_magnetization_set_after_the_model_is_refused(self):
+        # the model narrowed the state without the Gauss-point rotations
+        model = make_model(env=MagneticEnvironment(np.array([0.01, 0.0, 0.0])))
+        model.mesh.b_r = np.tile([0.05, 0.0, 0.08], (model.mesh.n_elements, 1))
+        with pytest.raises(ValueError, match="no Gauss-point rotations"):
+            model.build_system()
+
     def test_gauss_scheme_spd_on_nonrigid(self):
         model = make_model(nx=1, ny=1, clamp=False, scheme="gauss")
         kmat = model.element_kernels().kmat[0].transpose(0, 2, 1, 3).reshape(24, 24)
@@ -155,7 +164,7 @@ class TestElementKernels:
         for g, (px, py) in enumerate(PARENT_POINTS[1:]):
             n, dn = shape_functions(px, py, le1, le2)
             w = le1 * le2 / 4.0
-            zeta = mesh.state.zeta_pts[0, 1 + g]
+            zeta = mesh.state.zeta_pts[0, g]  # the state carries the Gauss points
             for i in range(4):
                 kb = k_operator(n[i], dn[i], zeta)
                 f_expected[i] += w * np.einsum("apq,ap->q", kb, s)
@@ -165,8 +174,7 @@ class TestElementKernels:
     def test_factored_kernels_match_einsum_form(self, scheme):
         # the factored tangent against the direct contractions
         # sum_gab w_g kbar_gia^T D_ab kbar_gjb, kbar_gia = dN_gia I + N_gi ad(zeta_g,a)
-        base = build_model(load_bundled("arch_transverse"))
-        model = FemModel(base.mesh, base.material, scheme=scheme)
+        model = build_model(replace(load_bundled("arch_transverse"), scheme=scheme))
         random_state_perturbation(model, 0.05, seed=7)
         mesh = model.mesh
         le1, le2 = mesh.le
@@ -185,7 +193,7 @@ class TestElementKernels:
         else:
             dn = DN_PTS_PARENT[1:] * np.array([2.0 / le1, 2.0 / le2])
             w = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
-            zg = mesh.state.zeta_pts[:, 1:]
+            zg = mesh.state.zeta_pts  # the state carries the Gauss points
             s = np.einsum("eabpq,egbq->egap", model.d_blocks, zg - mesh.zeta0_pts[:, 1:])
             kbar = (dn[None, :, :, :, None, None] * np.eye(6)
                     + N_PTS[1:][None, :, :, None, None, None] * ad(zg)[:, :, None])
@@ -206,7 +214,7 @@ class TestElementKernels:
         model = make_model()
         random_state_perturbation(model, 0.03, seed=3)
         kern = model.element_kernels()
-        a_full, _, _ = model.assemble(kern)
+        a_full = model.assemble(kern)
         jac = fd_residual_jacobian(model)
         a = a_full.toarray()
         # residual b = -f_int + ...: A = -d b / d eta
@@ -216,7 +224,7 @@ class TestElementKernels:
     def test_master_fd_tangent_gauss(self):
         model = make_model(scheme="gauss")
         random_state_perturbation(model, 0.03, seed=4)
-        a = model.assemble(model.element_kernels())[0].toarray()
+        a = model.assemble(model.element_kernels()).toarray()
         jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
@@ -225,10 +233,55 @@ class TestElementKernels:
         env = MagneticEnvironment(np.array([0.01, 0.02, 0.03]))
         model = make_model(env=env, b_r=[0.05, 0.0, 0.08])
         random_state_perturbation(model, 0.05, seed=5)
-        a = model.assemble(model.element_kernels())[0].toarray()
+        a = model.assemble(model.element_kernels()).toarray()
         jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
+
+
+class TestKernelMemo:
+    """The mechanical kernels are evaluated once per state: reused while the
+    sampled twists are exactly equal, evaluated anew after any change."""
+
+    @staticmethod
+    def counted(model, monkeypatch):
+        evaluations = []
+        evaluate = model._evaluate_kernels
+
+        def counted(zeta):
+            evaluations.append(None)
+            return evaluate(zeta)
+
+        monkeypatch.setattr(model, "_evaluate_kernels", counted)
+        return evaluations
+
+    @pytest.mark.parametrize("scheme", ["centroid", "gauss"])
+    def test_in_place_edit_matches_a_fresh_model(self, scheme, monkeypatch):
+        model = make_model(nx=4, ny=2, scheme=scheme)
+        random_state_perturbation(model, 0.05, seed=17)
+        evaluations = self.counted(model, monkeypatch)
+        first = model.element_kernels()
+        assert model.element_kernels(0.5).kmat is first.kmat
+        assert len(evaluations) == 1
+        with pytest.raises(ValueError):
+            first.kmat[0, 0, 0, 0, 0] = 1.0  # the memo is read-only
+        model.mesh.state.zeta_pts[:, :, 0, 0] += 1e-3
+        edited = model.element_kernels()
+        assert len(evaluations) == 2
+        fresh = FemModel(model.mesh, MAT, scheme=scheme).element_kernels()
+        for name in ("kmat", "kgeo", "f_int"):
+            assert np.array_equal(getattr(edited, name), getattr(fresh, name))
+            assert not np.array_equal(getattr(edited, name), getattr(first, name))
+        # a NaN never equals itself, so it is evaluated on every build
+        saved = model.mesh.state.zeta_pts[0, 0, 0, 0]
+        model.mesh.state.zeta_pts[0, 0, 0, 0] = np.nan
+        assert np.isnan(model.element_kernels().f_int[0]).any()
+        assert np.isnan(model.element_kernels().f_int[0]).any()
+        assert len(evaluations) == 4
+        model.mesh.state.zeta_pts[0, 0, 0, 0] = saved
+        again = model.element_kernels()
+        for name in ("kmat", "kgeo", "f_int"):
+            assert np.array_equal(getattr(again, name), getattr(edited, name))
 
 
 class TestBoundaryConditions:
@@ -283,7 +336,8 @@ class TestAssembly:
         model = make_model(nx=1, ny=1, clamp=False)
         random_state_perturbation(model, 0.02, seed=11)
         kern = model.element_kernels()
-        a, b, _ = model.assemble(kern)
+        a = model.assemble(kern)
+        b, _ = model.residual(kern)
         k_el = kern.kmat + kern.kgeo - kern.kmag
         f_el = kern.f_ext + kern.f_mag - kern.f_int
         conn = model.mesh.conn[0]  # CCW ordering is [0, 1, 3, 2]
@@ -302,7 +356,7 @@ class TestAssembly:
         model = make_model(nx=2, ny=1, clamp=False)
         random_state_perturbation(model, 0.02, seed=12)
         kern = model.element_kernels()
-        a, _, _ = model.assemble(kern)
+        a = model.assemble(kern)
         k_el = kern.kmat + kern.kgeo - kern.kmag
         conn = model.mesh.conn
         # node 1 belongs to both elements: its diagonal block is the sum
@@ -315,7 +369,7 @@ class TestAssembly:
     def test_permutation_equivariance(self):
         model = make_model(nx=3, ny=2, clamp=False)
         random_state_perturbation(model, 0.02, seed=13)
-        a1 = model.assemble(model.element_kernels())[0].toarray()
+        a1 = model.assemble(model.element_kernels()).toarray()
 
         # renumber nodes with a random permutation and rebuild
         perm = np.random.default_rng(7).permutation(model.mesh.n_nodes)
@@ -328,11 +382,10 @@ class TestAssembly:
         mesh2.zeta0_pts = model.mesh.zeta0_pts.copy()
         mesh2.r0_pts = model.mesh.r0_pts.copy()
         mesh2.jac0_pts = model.mesh.jac0_pts.copy()
+        mesh2.state = model.mesh.state.copy()
         mesh2.state.g_nodes = model.mesh.state.g_nodes[inv]
-        mesh2.state.zeta_pts = model.mesh.state.zeta_pts.copy()
-        mesh2.state.r_pts = model.mesh.state.r_pts.copy()
         model2 = FemModel(mesh2, MAT)
-        a2 = model2.assemble(model2.element_kernels())[0].toarray()
+        a2 = model2.assemble(model2.element_kernels()).toarray()
         p = np.zeros((mesh2.n_dofs, mesh2.n_dofs))
         for old in range(model.mesh.n_nodes):
             new = perm[old]
@@ -342,7 +395,7 @@ class TestAssembly:
 
     def test_rigid_mode_nullspace(self):
         model = make_model(nx=4, ny=2, clamp=False)
-        a = model.assemble(model.element_kernels())[0]
+        a = model.assemble(model.element_kernels())
         scale = np.abs(a.toarray()).max()
         for mode in rigid_modes(model.mesh):
             assert np.linalg.norm(a @ mode) < 1e-8 * scale
@@ -398,7 +451,8 @@ class TestReducedSystem:
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
 
         kern = model.element_kernels(lam)
-        a_full, b_full, load_full = model.assemble(kern)
+        a_full = model.assemble(kern)
+        b_full, load_full = model.residual(kern)
         b_neu, kdead = model.neumann_terms(lam)
         kd = self.dense_kdead(model, kdead)
         assert np.count_nonzero(kd) > 0
@@ -430,11 +484,36 @@ class TestReducedSystem:
         lam = 0.5
         system = model.build_system(lam)
         free = system.free
-        a_full = model.assemble(model.element_kernels(lam))[0].toarray()
+        a_full = model.assemble(model.element_kernels(lam)).toarray()
         kd = self.dense_kdead(model, model.neumann_terms(lam)[1])
         expected = (a_full - kd)[np.ix_(free, free)]
         got = system.a.toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_plate_band_stores_only_the_nonzero_diagonals(self):
+        # of the 215 diagonals within the half-bandwidth 107, the elements of
+        # the 20x15 plate write 69; the band stores exactly those
+        cfg = load_bundled("magnetic_plate_A")
+        model = build_model(cfg)
+        random_state_perturbation(model, 0.01, seed=5)
+        lam = 0.5
+        system = model.build_system(lam)
+        a, free = system.a, system.free
+        at = {int(dof): i for i, dof in enumerate(free)}
+        written = set()
+        for nodes in model.mesh.conn:
+            idx = [at[d] for n in nodes for d in range(6 * n, 6 * n + 6) if d in at]
+            written.update(c - r for r in idx for c in idx)
+        assert np.array_equal(a.offsets, sorted(written, reverse=True))
+        assert len(a.offsets) == 69 and a.data.shape == (69, len(free))
+        assert a.offsets[0] == -a.offsets[-1] == 107
+        dense = a.toarray()
+        rows, cols = np.nonzero(dense)
+        assert set((cols - rows).tolist()) == written
+        a_full = model.assemble(model.element_kernels(lam)).toarray()
+        kd = self.dense_kdead(model, model.neumann_terms(lam)[1])
+        expected = (a_full - kd)[np.ix_(free, free)]
+        assert np.abs(dense - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_bundled_system_is_lapack_band(self):
         # the dia data is LAPACK's column-indexed band: A[i, j] at
@@ -468,7 +547,7 @@ class TestReducedSystem:
         free = system.free  # band (grid) order
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
         assert system.a.shape == (len(free), len(free))
-        full = model.assemble(model.element_kernels())[0]
+        full = model.assemble(model.element_kernels())
         assert np.allclose(system.a.toarray(), full.toarray()[np.ix_(free, free)])
 
 
@@ -483,10 +562,10 @@ class TestStrongFormOracle:
         kappa = 0.35
         mesh = build_mesh(build_flat_plate(length, width), 12, 1)
         model = FemModel(mesh, Material(e=e, nu=0.0, h=h))
-        mesh.state.zeta_pts = mesh.zeta0_pts.copy()
+        mesh.state.zeta_pts = mesh.zeta0_pts[:, :1].copy()  # the centroid twists
         mesh.state.zeta_pts[..., 0, 4] = kappa  # bending twist about d2
         kern = model.element_kernels()
-        _, b, _ = model.assemble(kern)
+        b, _ = model.residual(kern)
         forces = b.reshape(-1, 6)
         tip_nodes = set(int(n) for n in mesh.edge_nodes("xi1_max"))
         root_nodes = set(int(n) for n in mesh.edge_nodes("xi1_min"))

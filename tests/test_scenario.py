@@ -176,6 +176,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rollup_2pi" in out
 
+    def test_printed_iterations_match_the_report_log(self, tmp_path, capsys, monkeypatch):
+        # every Newton iteration counts, those of rejected attempts too
+        reject_first_solve(monkeypatch)
+        assert cli_main(["bench", "end_shear", "--out", str(tmp_path), "--quiet",
+                         "--steps", "2"]) == 0
+        out = capsys.readouterr().out
+        head, log = (tmp_path / "end_shear" / "solve_report.txt").read_text().split(
+            "\nlog:\n", 1)
+        log = log.splitlines()
+        attempts = sum(1 for line in log if line.split()[1] == "1")
+        rejected = sum(1 for line in head.splitlines() if line.startswith("rejected:"))
+        assert rejected >= 1
+        assert (f"({len(log)} iterations, {attempts} attempts, {rejected} rejected)"
+                in out)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[geometry]\nkind = hexagon\n")

@@ -7,6 +7,7 @@ the update rule.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ from se3shell.solver import (
 RNG = np.random.default_rng(2024)
 
 
-def cantilever(nx=10, ny=1, lx=1.0, ly=0.2, e=200e9, nu=0.0, h=0.01):
+def cantilever(nx=10, ny=1, lx=1.0, ly=0.2, e=200e9, nu=0.0, h=0.01, scheme="centroid"):
     mesh = build_mesh(build_flat_plate(lx, ly), nx, ny)
     mesh.clamp_edge("xi1_min")
-    return FemModel(mesh, Material(e=e, nu=nu, h=h))
+    return FemModel(mesh, Material(e=e, nu=nu, h=h), scheme=scheme)
 
 
 def first_tangent(name):
@@ -128,8 +129,29 @@ class TestNewtonStep:
         (lu,) = factors
         assert (lu.kl, lu.ku) == (width, width)
         assert system.a.offsets[0] == -system.a.offsets[-1] == width
-        ascending = model.assemble(model.element_kernels(), np.sort(system.free))[0]
+        ascending = model.assemble(model.element_kernels(), np.sort(system.free))
         assert ascending.offsets[0] > width
+
+    def test_compact_band_solves_like_the_coo_path(self, monkeypatch):
+        # the plate band stores 69 of its 215 diagonals; the same matrix given
+        # as COO is copied into the full band with kl = ku = 107 and factors
+        # into the same LU.  With the full band as the matrix the increment is
+        # the same bit for bit; with the COO matrix itself the refinement
+        # residual sums in another order, so it agrees to roundoff
+        system = first_tangent("magnetic_plate_A")
+        a, b = system.a, system.b
+        assert len(a.offsets) == 69
+        full_band = sp.dia_matrix(solver._band(a.tocoo()), shape=a.shape)
+        assert len(full_band.offsets) == 215
+        factors = capture_factors(monkeypatch)
+        eta, rel = newton_step(a, b)
+        assert np.array_equal(newton_step(full_band, b)[0], eta)
+        eta_coo, _ = newton_step(a.tocoo(), b)
+        assert all((f.kl, f.ku, f.info) == (107, 107, 0) for f in factors)
+        for f in factors[1:]:
+            assert np.array_equal(f.piv, factors[0].piv)
+            assert np.array_equal(f.lu, factors[0].lu)
+        assert np.abs(eta_coo - eta).max() <= 1e-10 * np.abs(eta).max()
 
     def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
         # eps*cond of the first plate tangent is about 1e-8, far above the
@@ -249,22 +271,30 @@ class TestUpdateTwists:
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
     def test_matches_matrix_composition(self, name):
         # the fused closed-form update against Ad(inv_pose(exp_se3)) and the
-        # dexp series applied to the interpolated field at all five points
-        mesh = build_model(load_bundled(name)).mesh
-        le1, le2 = mesh.le
-        dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
-        for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
-            eta = amp * RNG.normal(size=(mesh.n_nodes, 6))
-            eta_el = eta[mesh.conn]
-            eta_p = np.einsum("pi,eik->epk", N_PTS, eta_el)
-            deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)
-            zeta, r = mesh.state.zeta_pts.copy(), mesh.state.r_pts.copy()
-            expected = (np.einsum("epqr,epar->epaq", Ad(inv_pose(exp_se3(eta_p))), zeta)
-                        + np.einsum("epqr,epar->epaq", dexp_series(eta_p), deta_p))
-            update_twists(mesh, eta.ravel())
-            scale = max(1.0, np.max(np.abs(expected)))
-            assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
-            assert np.max(np.abs(mesh.state.r_pts - r @ exp_so3(eta_p[..., 3:]))) < 1e-14
+        # dexp series applied to the interpolated field at the carried points:
+        # twists at the centroid or, with scheme="gauss", the Gauss points;
+        # rotations at the Gauss points on the magnetized plate only
+        for scheme, twist_points in (("centroid", [0]), ("gauss", [1, 2, 3, 4])):
+            mesh = build_model(replace(load_bundled(name), scheme=scheme)).mesh
+            assert np.array_equal(mesh.state.twist_points, twist_points)
+            assert mesh.state.r_pts.shape[1] == (4 if name == "magnetic_plate_A" else 0)
+            le1, le2 = mesh.le
+            dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
+            for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
+                eta = amp * RNG.normal(size=(mesh.n_nodes, 6))
+                eta_el = eta[mesh.conn]
+                eta_p = np.einsum("pi,eik->epk", N_PTS, eta_el)
+                deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)[:, twist_points]
+                zeta, r = mesh.state.zeta_pts.copy(), mesh.state.r_pts.copy()
+                expected = (np.einsum("epqr,epar->epaq",
+                                      Ad(inv_pose(exp_se3(eta_p[:, twist_points]))), zeta)
+                            + np.einsum("epqr,epar->epaq",
+                                        dexp_series(eta_p[:, twist_points]), deta_p))
+                update_twists(mesh, eta.ravel())
+                scale = max(1.0, np.max(np.abs(expected)))
+                assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
+                rotations = r @ exp_so3(eta_p[:, 1:, 3:])[:, :r.shape[1]]
+                assert np.max(np.abs(mesh.state.r_pts - rotations), initial=0.0) < 1e-14
 
     def test_strain_equivalence_after_two_updates(self):
         # composing two updates stays consistent with the composed pose field
@@ -370,15 +400,14 @@ class TestRun:
         # finite differences of Pi = elastic + magnetic - sum dead . displacement
         if loading == "dead":
             p = 2e4
-            model = cantilever(nx=8, ny=1)
+            model = cantilever(nx=8, ny=1, scheme=scheme)
             model.mesh.add_edge_load("xi1_max", np.array([0, 0, p / 0.2, 0, 0, 0]),
                                      frame="dead")
             settings = SolverSettings(load_steps=2)
         else:
-            cfg = load_bundled("magnetic_cantilever_lh10")
+            cfg = replace(load_bundled("magnetic_cantilever_lh10"), scheme=scheme)
             model = build_model(cfg)
             settings = cfg.solver
-        model = FemModel(model.mesh, model.material, field=model.field, scheme=scheme)
         rep = run(model, settings)
         assert rep.converged
         mesh = model.mesh
@@ -496,6 +525,58 @@ class TestRun:
         assert report.converged
         assert report.rejections == [(1, 0.5, SINGULAR_REASON)]
         assert [rec.load_factor for rec in report.steps] == [0.25, 0.5, 1.0]
+
+    @staticmethod
+    def counted_evaluations(model, monkeypatch):
+        evaluations = []
+        evaluate = model._evaluate_kernels
+
+        def counted(zeta):
+            evaluations.append(None)
+            return evaluate(zeta)
+
+        monkeypatch.setattr(model, "_evaluate_kernels", counted)
+        return evaluations
+
+    def test_restored_state_reuses_its_kernels(self, monkeypatch):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        evaluations = self.counted_evaluations(model, monkeypatch)
+        reject_first_solve(monkeypatch)
+        at_build, reused = [], []
+
+        def log(line):
+            at_build.append(len(evaluations))
+            if len(at_build) == 2:  # first build after the rejection
+                reused.append((model.element_kernels(), model.mesh.state.copy()))
+
+        report = run(model, SolverSettings(load_steps=2), log=log)
+        assert report.converged
+        assert report.rejections == [(1, 0.5, SINGULAR_REASON)]
+        assert at_build[:2] == [1, 1]
+        # after that, one evaluation per build that does not open an attempt
+        assert len(evaluations) == len(at_build) - len(report.steps)
+        ((kern, state),) = reused
+        mesh = build_mesh(build_flat_plate(1.0, 0.2), 4, 1)
+        mesh.state = state
+        fresh = FemModel(mesh, model.material).element_kernels()
+        for name in ("kmat", "kgeo", "f_int"):
+            assert np.array_equal(getattr(kern, name), getattr(fresh, name))
+
+    def test_exhausted_attempt_gets_its_kernels_back(self, monkeypatch):
+        # the attempt moves the state before it is rejected; the retry from
+        # the restored state reuses the kernels the snapshot carried
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        model.build_system(0.0)
+        evaluations = self.counted_evaluations(model, monkeypatch)
+        at_build = []
+        report = run(model, SolverSettings(load_steps=1, max_iters=2), max_halvings=1,
+                     log=lambda line: at_build.append(len(evaluations)))
+        assert not report.converged and len(report.rejections) == 2
+        assert at_build == [0, 1, 1, 2]
 
     def test_exhausted_iterations_are_recorded(self):
         model = cantilever(nx=4)
