@@ -12,7 +12,8 @@ stress and the ad-term once, at the element centroid, weighted by the element
 area (the locking treatment); `scheme="gauss"` samples them at the 2x2 Gauss
 points (fully consistent as well, but it shear locks for thin elements; kept
 as a diagnostic).  In both the assembled tangent is the exact jacobian of the
-assembled residual.  The magnetic terms always use the Gauss points.
+assembled residual.  The magnetic terms always use the Gauss points, at the
+rotations the solver carries there on a magnetized mesh.
 
 Global system convention (tangent times increment = residual):
 
@@ -308,7 +309,7 @@ class FemModel:
         """
         sc = self._scatter(dofs)
         blocks = kern.kmat + kern.kgeo
-        if not np.may_share_memory(kern.kmag, _ZERO):
+        if kern.magnetic_args is not None:
             blocks -= kern.kmag
         return sc.matrix(blocks)
 

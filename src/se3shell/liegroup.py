@@ -19,8 +19,8 @@ whose coupling block is Barfoot's Q(-v, -w) (Barfoot & Furgale, IEEE T-RO
 2014).  Coefficient ratios that cancel at small angles are fixed Taylor
 polynomials below an angle where both forms agree to about 1e-15.
 ``carried_update`` evaluates the multiplicative update of carried twists,
-exp_so3(w), Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point
-with cross products, without forming 4x4 or 6x6 matrices.
+Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point with cross
+products, without forming 4x4 or 6x6 matrices.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
-    w = np.moveaxis(np.asarray(w, dtype=float), -1, 0)
+    w = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
     a, b, *_ = _rot_coeffs(_angle(w))
     return _rodrigues(w, a, b)
 
@@ -253,21 +253,15 @@ def _components(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, (-1, -2), (0, 1)))
 
 
-def carried_update(eta: np.ndarray, zeta: np.ndarray,
-                   deta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.ndarray:
     """Multiplicative update of twists carried at a batch of points.
 
     For increments eta = (u; w) (..., 6) and twist stacks zeta, deta
     (..., k, 6) at the same points, returns
 
-        exp_so3(w)                               (..., 3, 3),
-        Ad(exp(-eta)) zeta + dexp_se3(eta) deta  (..., k, 6),
+        Ad(exp(-eta)) zeta + dexp_se3(eta) deta  (..., k, 6)
 
-    from one coefficient pass per point, with cross products only.  The
-    stacks may stop short along the last point axis: eta (..., n, 6) with
-    zeta, deta (..., m, k, 6) updates the twists of the first m points and
-    returns the rotations of all n, so points that carry a rotation but no
-    twist share the pass.  With
+    from one coefficient pass per point, with cross products only.  With
     exp(eta) = (R, p), Ad(exp(-eta)) = Ad(exp(eta))^-1 maps (v; w) to
     (R^T (v - p x w); R^T w), R^T = I - a w^ + b w^ w^.  dexp_se3(eta) is the
     SE(3) left Jacobian at -eta, [[J, Q], [0, J]] with
@@ -280,10 +274,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
     e = np.ascontiguousarray(np.moveaxis(np.asarray(eta, dtype=float), -1, 0))
     u, w = e[:3, None], e[3:, None]  # (3, 1, ...): broadcast over the stack
     a, b, c, c2, c3 = _rot_coeffs(_angle(w))
-    rot = _rodrigues(e[3:], a[0], b[0])
     z, d = _components(zeta), _components(deta)
-    if z.shape[2:] != w.shape[2:]:  # twists at the leading points only
-        u, w, a, b, c, c2, c3 = (x[..., :z.shape[-1]] for x in (u, w, a, b, c, c2, c3))
     wu = _cross(w, u)
     p = u + b * wu + c * _cross(w, wu)
     zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
@@ -298,7 +289,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray,
              + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
     out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
     out = np.concatenate((out_v, out_w))
-    return rot, np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2)))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2)))
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:
@@ -311,5 +302,4 @@ def dexp_se3(t: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     cols = np.broadcast_to(_EYE6, t.shape[:-1] + (6, 6))  # cols[..., j, :] = e_j
-    _, d = carried_update(t, np.zeros_like(cols), cols)
-    return np.swapaxes(d, -1, -2)
+    return np.swapaxes(carried_update(t, np.zeros_like(cols), cols), -1, -2)

@@ -75,7 +75,6 @@ class ScenarioConfig:
     loads: tuple[LoadSpec, ...] = ()
     magnetic: MagneticSpec | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
-    scheme: str = "centroid"
     perturb: PerturbSpec | None = None
     csv_name: str = "load_deflection.csv"
     mesh_dumps: bool = True
@@ -100,7 +99,7 @@ _KNOWN_KEYS = {
     "bc": {"clamp"},
     "load": {"type", "magnitude", "frame", "edge", "wrench"},
     "magnetic": {"b_r", "b_a", "mu0", "b_a_start"},
-    "solver": {"load_steps", "tol", "max_iters", "scheme"},
+    "solver": {"load_steps", "tol", "max_iters"},
     "perturb": {"magnitude", "axis"},
     "outputs": {"csv", "mesh_dumps"},
 }
@@ -241,9 +240,6 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
                 raise ScenarioError("[magnetic] b_a_start must have the same "
                                     "magnitude as b_a (rotation program)")
 
-    scheme = cp.get("solver", "scheme", fallback="centroid").strip()
-    if scheme not in ("centroid", "gauss"):
-        raise ScenarioError("[solver] scheme must be centroid or gauss")
     defaults = SolverSettings()
     load_steps = _int(cp, "solver", "load_steps", defaults.load_steps)
     tol = _float(cp, "solver", "tol", defaults.tol_relative)
@@ -261,13 +257,19 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
                               axis=tuple(axis))
 
     csv_name = cp.get("outputs", "csv", fallback="load_deflection.csv")
-    dumps = cp.getboolean("outputs", "mesh_dumps", fallback=True)
+    if csv_name in ("", "..") or Path(csv_name).name != csv_name:
+        raise ScenarioError(f"[outputs] csv: not a plain file name: '{csv_name}'")
+    try:
+        dumps = cp.getboolean("outputs", "mesh_dumps", fallback=True)
+    except ValueError as exc:
+        raise ScenarioError(f"[outputs] mesh_dumps: not a boolean: "
+                            f"'{cp.get('outputs', 'mesh_dumps')}'") from exc
 
     return ScenarioConfig(
         name=name or path.stem, geometry_kind=kind, length=length, width=width,
         radius=radius, angle_span=span, material=material, nx=nx, ny=ny,
         clamp=clamp, loads=tuple(loads), magnetic=magnetic, solver=solver,
-        scheme=scheme, perturb=perturb, csv_name=csv_name, mesh_dumps=dumps,
+        perturb=perturb, csv_name=csv_name, mesh_dumps=dumps,
     )
 
 
@@ -338,7 +340,7 @@ def build_model(cfg: ScenarioConfig) -> FemModel:
             final = MagneticEnvironment(spec.b_a, spec.mu0)  # checks mu0 at build
             program = final.scaled if spec.b_a_start is None else _rotation_program(spec)
 
-    model = FemModel(mesh, cfg.material, field=program, scheme=cfg.scheme)
+    model = FemModel(mesh, cfg.material, field=program)
     if cfg.perturb is not None and cfg.perturb.magnitude != 0.0:
         with _section("perturb"):
             perturb_tip_rotation(model, cfg.perturb.magnitude,

@@ -8,17 +8,17 @@ mesh), then applies one multiplicative update of the whole state
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
-    carried rotations R <- R exp(eta_w^),
+    carried rotations R <- R exp_so3(eta_w),
 
 with eta interpolated bilinearly at each carried point.  The twist rule is the
 exact body-frame derivative field of the multiplicatively updated pose field,
 so twists never need to be re-derived from poses.  Twists are carried only at
 the strain sample points of the model's scheme (the centroid, or the four
-Gauss points), rotations only at the Gauss points of a magnetized mesh.  Both
-point rules are closed form (no series) and evaluated together, one
-coefficient pass over the union of those points.  Convergence is measured on
-the residual 2-norm over free DOFs against tol_relative * max(1, |load|); the
-tangent is assembled only for an iteration that goes on to a linear solve.
+Gauss points) and updated in closed form (no series) by `carried_update`;
+rotations are carried only at the Gauss points of a magnetized mesh, and only
+there is `exp_so3` evaluated.  Convergence is measured on the residual 2-norm
+over free DOFs against tol_relative * max(1, |load|); the tangent is
+assembled only for an iteration that goes on to a linear solve.
 
 The load factor ramps linearly over the configured number of steps; boundary
 wrenches scale with it and the applied magnetic field follows the model's
@@ -27,8 +27,8 @@ non-finite system, a singular tangent, a linear solve whose refined relative
 residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
 the attempt: the state is restored together with its memoized kernels
 (`FemModel.snapshot`/`restore`), the reason recorded in
-SolveReport.rejections and the load increment halved, up to max_halvings,
-after which the run fails with the last attempt's rejection reason.
+SolveReport.rejections and the load increment halved, up to MAX_HALVINGS
+times, after which the run fails with the last attempt's rejection reason.
 SolveReport counts every Newton iteration and attempt, rejected ones too.
 """
 
@@ -43,10 +43,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .fem import FemModel
-from .liegroup import carried_update, exp_se3, log_so3
+from .liegroup import carried_update, exp_se3, exp_so3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
-from .liegroup import Ad, dexp_se3, exp_so3, inv_pose  # noqa: F401
+from .liegroup import Ad, dexp_se3, inv_pose  # noqa: F401
 from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
@@ -54,6 +54,8 @@ MAX_ROTATION_INCREMENT = np.pi / 2
 # not a Newton step.  Accepted iterations of the bundled scenarios stay below
 # 4e-8; the near-singular systems of rejected roll-up attempts reach 1e2-1e6.
 MAX_LINEAR_RESIDUAL = 1e-6
+# Halvings of a load increment after rejected attempts before the run fails.
+MAX_HALVINGS = 8
 # Iterative refinement sweeps at most; each one costs a solve and a residual.
 REFINEMENT_SWEEPS = 3
 
@@ -106,18 +108,18 @@ class SolveReport:
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `build_system` returns the tangent as a `dia_matrix` with strictly
-    descending offsets over grid-ordered DOFs, holding only the diagonals the
-    elements write, so the only per-call work before the factorization is the
-    copy of each stored diagonal with offset o into row kl + ku - o of the
-    (2 kl + ku + 1, m) work array (LAPACK's band layout), whose first kl rows
-    take the fill of partial pivoting; the diagonals not stored stay zero.
-    Any other sparse or dense matrix is converted through COO to band, with
-    kl and ku taken from its entries.  The factorization
-    costs about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, so it grows with
-    the square of the shorter grid side: a general sparse LU with a
-    minimum-degree order would win again once min(nx, ny) is well above 15,
-    which no bundled scenario is near.
+    `a` is the tangent as `build_system` returns it: a `dia_matrix` with
+    strictly descending offsets from ku >= 0 to -kl <= 0 over grid-ordered
+    DOFs, holding only the diagonals the elements write.  The only per-call
+    work before the factorization is the copy of each stored diagonal with
+    offset o into row kl + ku - o of the (2 kl + ku + 1, m) work array
+    (LAPACK's band layout), whose first kl rows take the fill of partial
+    pivoting; the diagonals not stored stay zero.  Any other matrix raises
+    TypeError.  The factorization costs about m kl^2 with
+    kl = 6 (min(nx, ny) + 3) - 1, so it grows with the square of the shorter
+    grid side; measured on square plates up to 60x60 it still beats a sparse
+    LU with a minimum-degree order at every size (617 ms against 5.25 s at
+    60x60).
 
     Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
     of iterative refinement follow; they stop once the residual is below 1e-12
@@ -130,7 +132,12 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
-    band, offsets = _band(a)
+    if not (sp.issparse(a) and a.format == "dia" and a.data.shape[1] == b.size
+            and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
+        raise TypeError("newton_step takes the band of build_system: a dia_matrix "
+                        "with full-length diagonals, offsets strictly descending "
+                        f"through 0; got {type(a).__name__}")
+    band, offsets = a.data, a.offsets
     ku, kl = int(offsets[0]), -int(offsets[-1])
     work = np.zeros((2 * kl + ku + 1, b.size), order="F")
     # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
@@ -166,23 +173,6 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     return eta, rel
 
 
-def _band(a) -> tuple[np.ndarray, np.ndarray]:
-    """(data, offsets) of `a` as column-indexed diagonals: A[i, j] at data[d, j]
-    with offsets[d] == j - i, offsets strictly descending from ku >= 0 to -kl <= 0."""
-    if sp.issparse(a) and a.format == "dia":
-        offsets = a.offsets
-        if (offsets[0] >= 0 >= offsets[-1] and np.all(np.diff(offsets) < 0)
-                and a.data.shape[1] == a.shape[1]):
-            return a.data, offsets
-    coo = sp.coo_matrix(a)
-    offset = coo.col - coo.row
-    ku = int(offset.max(initial=0))
-    kl = -int(offset.min(initial=0))
-    data = np.zeros((kl + ku + 1, coo.shape[1]))
-    np.add.at(data, (ku - offset, coo.col), coo.data)
-    return data, np.arange(ku, -kl - 1, -1)
-
-
 def _singular_message(a) -> str:
     try:
         est = spla.onenormest(a)
@@ -215,33 +205,30 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
 def update_twists(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
     """Evolve the twists and rotations the state carries.
 
-    With eta the bilinear increment field, each carried point receives
+    With eta the bilinear increment field, each carried twist point receives
 
         zeta_alpha <- Ad(exp(eta^))^-1 zeta_alpha + dexp_se3(eta) d_alpha eta,
-        R <- R exp_so3(eta_w),
 
     which equals vee((g exp(eta^))^-1 d_alpha (g exp(eta^))) for the carried
     pose field; spatially constant eta reduces to the pure frame change.  The
-    twists are evolved at `ShellState.twist_points` only and the rotations at
-    the Gauss points only when the state carries them; all three maps come in
-    closed form from one `carried_update` pass over the union of those points.
+    twists are evolved at `ShellState.twist_points` by `carried_update`; when
+    the state carries the Gauss-point rotations, each becomes R exp_so3(eta_w).
     """
     eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
     state = mesh.state
     twist_pts = state.twist_points
     rotations = state.r_pts.shape[1] > 0
-    # twist points first: carried_update evaluates twists at the leading points
-    pts = (np.concatenate([twist_pts, np.setdiff1d(GAUSS_POINTS, twist_pts)])
-           if rotations else twist_pts)
-    nel, n, m = mesh.n_elements, len(pts), len(twist_pts)
+    nel, m = mesh.n_elements, len(twist_pts)
     le1, le2 = mesh.le
     dn = DN_PTS_PARENT[twist_pts] * np.array([2.0 / le1, 2.0 / le2])   # (m, 4, 2)
-    interp = np.concatenate([N_PTS[pts], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)])
-    at_pts = interp @ eta[mesh.conn]                                  # (nel, n + 2m, 6)
-    rot, state.zeta_pts = carried_update(
-        at_pts[:, :n], state.zeta_pts, at_pts[:, n:].reshape(nel, m, 2, 6))
+    rows = [N_PTS[twist_pts], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)]
     if rotations:
-        state.r_pts = state.r_pts @ rot[:, np.argsort(pts)[-len(GAUSS_POINTS):]]
+        rows.append(N_PTS[GAUSS_POINTS])
+    at_pts = np.concatenate(rows) @ eta[mesh.conn]                    # (nel, 3m [+ 4], 6)
+    state.zeta_pts = carried_update(
+        at_pts[:, :m], state.zeta_pts, at_pts[:, m:3 * m].reshape(nel, m, 2, 6))
+    if rotations:
+        state.r_pts = state.r_pts @ exp_so3(at_pts[:, 3 * m:, 3:])
 
 
 def apply_increment_field(model: FemModel, eta_nodes: np.ndarray) -> None:
@@ -313,9 +300,7 @@ def _newton_loop(model: FemModel, lam: float, step_no: int,
 
 
 def run(model: FemModel, settings: SolverSettings | None = None, *,
-        on_step=None,
-        log=None,
-        max_halvings: int = 8) -> SolveReport:
+        on_step=None, log=None) -> SolveReport:
     """Load-stepped Newton solve; never silently accepts non-convergence.
 
     ``on_step(load_factor, model)`` fires after each scheduled load step
@@ -357,13 +342,13 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                 report.rejections.append((step_no, lam + dlam, reason))
                 model.restore(snapshot)
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     if rec is not None:
                         report.steps.append(rec)
                     report.converged = False
                     report.message = (
                         f"no convergence at load factor {lam + dlam:.6g} "
-                        f"after {max_halvings} halvings; "
+                        f"after {MAX_HALVINGS} halvings; "
                         f"last attempt rejected: {reason}")
                     report.wall_time = time.perf_counter() - t0
                     return report

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite."""
 
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable
+from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 
-from se3shell import solver
+from se3shell import scenario, solver
+from se3shell.fem import FemModel
 from se3shell.kinematics import ReferenceSurface
 from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
                                skew, unskew)
@@ -312,3 +316,23 @@ def capture_factors(monkeypatch):
 
     monkeypatch.setattr(solver.lapack, "dgbtrf", capture)
     return factors
+
+
+def band_matrix(a) -> sp.dia_matrix:
+    """Any sparse or dense matrix as the band `newton_step` takes: one
+    full-length row per diagonal from ku to -kl, strictly descending, with
+    kl and ku taken from the entries."""
+    coo = sp.coo_matrix(a)
+    offset = coo.col - coo.row
+    ku = int(offset.max(initial=0))
+    kl = -int(offset.min(initial=0))
+    data = np.zeros((kl + ku + 1, coo.shape[1]))
+    np.add.at(data, (ku - offset, coo.col), coo.data)
+    return sp.dia_matrix((data, np.arange(ku, -kl - 1, -1)), shape=coo.shape)
+
+
+def build_gauss_model(cfg):
+    """`scenario.build_model` with the fully Gauss-sampled strain,
+    `FemModel(scheme="gauss")`, which no scenario file can select."""
+    with mock.patch.object(scenario, "FemModel", partial(FemModel, scheme="gauss")):
+        return scenario.build_model(cfg)

@@ -307,18 +307,17 @@ class TestDexp:
 
 class TestCarriedUpdate:
     def test_matches_matrix_composition(self):
-        # one pass against exp_so3 and Ad(exp(eta))^-1 zeta + dexp(eta) deta
-        # composed from the matrix maps and the dexp series
+        # one pass against Ad(exp(eta))^-1 zeta + dexp(eta) deta composed
+        # from the matrix maps and the dexp series
         for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
             eta = amp * RNG.normal(size=(7, 3, 6))
             zeta = RNG.normal(size=(7, 3, 2, 6))
             deta = amp * RNG.normal(size=(7, 3, 2, 6))
-            rot, got = carried_update(eta, zeta, deta)
+            got = carried_update(eta, zeta, deta)
             ref = (np.einsum("...qr,...ar->...aq", Ad(inv_pose(exp_se3(eta))), zeta)
                    + np.einsum("...qr,...ar->...aq", dexp_series(eta), deta))
             assert got.shape == zeta.shape
             assert np.max(np.abs(got - ref)) < 1e-13
-            assert np.max(np.abs(rot - exp_so3(eta[..., 3:]))) < 1e-15
 
 
 @settings(max_examples=25, deadline=None)

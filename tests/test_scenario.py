@@ -1,8 +1,10 @@
 """Scenario parsing, run outputs, and CLI behavior."""
 
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from se3shell import solver
 from se3shell.cli import main as cli_main
 from se3shell.outputs import run_scenario
 from se3shell.scenario import (
+    _KNOWN_KEYS,
     ScenarioError,
     bundled_dir,
     list_bundled,
@@ -76,6 +79,23 @@ class TestParsing:
             "[magnetic]\nb_r = 0.1 0 0\nb_a = -0.05 0 0\nb_a_start = 0 0 0.08\n")
         with pytest.raises(ScenarioError, match="magnitude"):
             parse_scenario(bad)
+
+    def test_config_docs_list_the_parsed_keys(self):
+        # each section of docs/config_schema.md has one table row per key the
+        # parser accepts in it, so neither a new nor a retired key goes unnoticed
+        text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+        rows, section = {}, None
+        for line in text.splitlines():
+            if line.startswith("#"):
+                heading = re.match(r"## `\[(\w+)\]`", line)
+                section = heading.group(1) if heading else None
+                rows.setdefault(section, set())
+            elif section is not None:
+                key = re.match(r"\| `(\w+)` \|", line)
+                if key:
+                    rows[section].add(key.group(1))
+        rows.pop(None)
+        assert rows == _KNOWN_KEYS
 
     def test_all_benchmarks_bundled(self):
         names = set(list_bundled())
@@ -209,9 +229,14 @@ class TestCli:
         ("nx = 20", "nx = nan", "[mesh]"),
         ("nx = 20", "nx = 2.7", "[mesh]"),
         ("load_steps = 20", "load_steps = 20\ntol = nan", "[solver]"),
+        ("load_steps = 20", "load_steps = 20\nscheme = gauss", "[solver]"),
+        ("load_steps = 20", "load_steps = 20\n[outputs]\nmesh_dumps = maybe",
+         "[outputs] mesh_dumps"),
+        ("load_steps = 20", "load_steps = 20\n[outputs]\ncsv = sub/dir.csv", "[outputs] csv"),
     ], ids=["load_edge", "material_e", "material_lame", "mesh_nx", "solver_steps",
             "solver_damping", "geometry_length", "geometry_length_inf", "material_e_nan",
-            "mesh_nx_nan", "mesh_nx_fraction", "solver_tol_nan"])
+            "mesh_nx_nan", "mesh_nx_fraction", "solver_tol_nan", "solver_scheme",
+            "outputs_mesh_dumps", "outputs_csv_path"])
     def test_invalid_value_exit_code(self, tmp_path, capsys, old, new, section):
         text = (bundled_dir() / "end_shear.cfg").read_text()
         assert old in text

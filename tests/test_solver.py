@@ -6,15 +6,14 @@ g0(xi) exp(eta(xi)^) on a single element, which is the defining property of
 the update rule.
 """
 
-import warnings
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import (
     SINGULAR_REASON,
+    band_matrix,
+    build_gauss_model,
     capture_factors,
     deformation_twists,
     dexp_series,
@@ -55,12 +54,12 @@ def first_tangent(name):
 
 class TestNewtonStep:
     def test_zero_rhs(self):
-        a = sp.identity(12, format="csr")
+        a = band_matrix(sp.identity(12))
         eta, res = newton_step(a, np.zeros(12))
         assert np.array_equal(eta, np.zeros(12))
 
     def test_scalar_analogue(self):
-        a = sp.csr_matrix(np.array([[4.0]]))
+        a = band_matrix(np.array([[4.0]]))
         eta, _ = newton_step(a, np.array([8.0]))
         assert eta[0] == pytest.approx(2.0)
 
@@ -69,8 +68,7 @@ class TestNewtonStep:
             m = RNG.normal(size=(n, n))
             a = m @ m.T + n * np.eye(n)
             b = RNG.normal(size=n)
-            a_sp = sp.csr_matrix(a)
-            eta, rel = newton_step(a_sp, b)
+            eta, rel = newton_step(band_matrix(a), b)
             assert rel < 1e-10
             assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-10
 
@@ -88,18 +86,20 @@ class TestNewtonStep:
         a = self.zero_diagonal_matrix()
         assert np.all(a.diagonal() == 0.0)
         b = RNG.normal(size=a.shape[0])
-        eta, rel = newton_step(a, b)
+        eta, rel = newton_step(band_matrix(a), b)
         assert rel < 1e-12
         assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
 
-    def test_csr_input_accepted(self):
+    def test_csr_input_refused(self):
+        # only the band layout of build_system is solved; any other format,
+        # or a band whose offsets do not descend, is a caller's error
         a = self.zero_diagonal_matrix()
         b = RNG.normal(size=a.shape[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            eta_csr, rel = newton_step(sp.csr_matrix(a), b)
-        assert rel < 1e-12
-        assert np.allclose(eta_csr, newton_step(a, b)[0], rtol=1e-12, atol=0.0)
+        band = band_matrix(a)
+        ascending = sp.dia_matrix((band.data[::-1], band.offsets[::-1]), shape=a.shape)
+        for other in (sp.csr_matrix(a), a.tocoo(), a.toarray(), ascending):
+            with pytest.raises(TypeError, match="band of build_system"):
+                newton_step(other, b)
 
     def test_plate_factors_with_diagonal_pivots(self, monkeypatch):
         # first tangent of magnetic_plate_A: pivoting keeps the fill inside
@@ -133,25 +133,20 @@ class TestNewtonStep:
         assert ascending.offsets[0] > width
 
     def test_compact_band_solves_like_the_coo_path(self, monkeypatch):
-        # the plate band stores 69 of its 215 diagonals; the same matrix given
-        # as COO is copied into the full band with kl = ku = 107 and factors
-        # into the same LU.  With the full band as the matrix the increment is
-        # the same bit for bit; with the COO matrix itself the refinement
-        # residual sums in another order, so it agrees to roundoff
+        # the plate band stores 69 of its 215 diagonals; the same matrix
+        # converted through COO into the full band with kl = ku = 107 factors
+        # into the same LU and gives the same increment bit for bit
         system = first_tangent("magnetic_plate_A")
         a, b = system.a, system.b
         assert len(a.offsets) == 69
-        full_band = sp.dia_matrix(solver._band(a.tocoo()), shape=a.shape)
+        full_band = band_matrix(a)
         assert len(full_band.offsets) == 215
         factors = capture_factors(monkeypatch)
         eta, rel = newton_step(a, b)
         assert np.array_equal(newton_step(full_band, b)[0], eta)
-        eta_coo, _ = newton_step(a.tocoo(), b)
         assert all((f.kl, f.ku, f.info) == (107, 107, 0) for f in factors)
-        for f in factors[1:]:
-            assert np.array_equal(f.piv, factors[0].piv)
-            assert np.array_equal(f.lu, factors[0].lu)
-        assert np.abs(eta_coo - eta).max() <= 1e-10 * np.abs(eta).max()
+        assert np.array_equal(factors[1].piv, factors[0].piv)
+        assert np.array_equal(factors[1].lu, factors[0].lu)
 
     def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
         # eps*cond of the first plate tangent is about 1e-8, far above the
@@ -190,7 +185,7 @@ class TestNewtonStep:
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
-        a = sp.csr_matrix(np.zeros((4, 4)))
+        a = band_matrix(np.zeros((4, 4)))
         with pytest.raises(SingularSystemError):
             newton_step(a, np.ones(4))
 
@@ -272,10 +267,10 @@ class TestUpdateTwists:
     def test_matches_matrix_composition(self, name):
         # the fused closed-form update against Ad(inv_pose(exp_se3)) and the
         # dexp series applied to the interpolated field at the carried points:
-        # twists at the centroid or, with scheme="gauss", the Gauss points;
+        # twists at the centroid or, for FemModel(scheme="gauss"), the Gauss points;
         # rotations at the Gauss points on the magnetized plate only
-        for scheme, twist_points in (("centroid", [0]), ("gauss", [1, 2, 3, 4])):
-            mesh = build_model(replace(load_bundled(name), scheme=scheme)).mesh
+        for build, twist_points in ((build_model, [0]), (build_gauss_model, [1, 2, 3, 4])):
+            mesh = build(load_bundled(name)).mesh
             assert np.array_equal(mesh.state.twist_points, twist_points)
             assert mesh.state.r_pts.shape[1] == (4 if name == "magnetic_plate_A" else 0)
             le1, le2 = mesh.le
@@ -295,6 +290,22 @@ class TestUpdateTwists:
                 assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
                 rotations = r @ exp_so3(eta_p[:, 1:, 3:])[:, :r.shape[1]]
                 assert np.max(np.abs(mesh.state.r_pts - rotations), initial=0.0) < 1e-14
+
+    @pytest.mark.parametrize("name, calls", [("rollup_6pi", 0), ("magnetic_plate_A", 1)])
+    def test_rotations_formed_only_where_carried(self, name, calls, monkeypatch):
+        # exp_so3 runs once per update, on the Gauss-point rotations of a
+        # magnetized mesh; the twist update of a strip forms no rotation
+        mesh = build_model(load_bundled(name)).mesh
+        formed = []
+        exp = solver.exp_so3
+
+        def counted(w):
+            formed.append(w.shape)
+            return exp(w)
+
+        monkeypatch.setattr(solver, "exp_so3", counted)
+        update_twists(mesh, 0.1 * RNG.normal(size=mesh.n_dofs))
+        assert formed == [(mesh.n_elements, 4, 3)] * calls
 
     def test_strain_equivalence_after_two_updates(self):
         # composing two updates stays consistent with the composed pose field
@@ -405,8 +416,8 @@ class TestRun:
                                      frame="dead")
             settings = SolverSettings(load_steps=2)
         else:
-            cfg = replace(load_bundled("magnetic_cantilever_lh10"), scheme=scheme)
-            model = build_model(cfg)
+            cfg = load_bundled("magnetic_cantilever_lh10")
+            model = (build_model if scheme == "centroid" else build_gauss_model)(cfg)
             settings = cfg.solver
         rep = run(model, settings)
         assert rep.converged
@@ -477,7 +488,8 @@ class TestRun:
                                       "(1-norm estimate 0.000e+00)")
 
         monkeypatch.setattr(solver, "newton_step", singular)
-        report = run(model, SolverSettings(load_steps=1), max_halvings=2)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
+        report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert "singular or ill-posed tangent" in report.message
         assert "1-norm estimate" in report.message
@@ -491,7 +503,8 @@ class TestRun:
                             lambda a, b: (np.zeros_like(b), 2.0e-6))
         monkeypatch.setattr(solver, "update_configuration",
                             lambda mesh, eta: updates.append(eta))
-        report = run(model, SolverSettings(load_steps=1), max_halvings=0)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert "linear residual 2.000e-06" in report.message
         assert report.max_linear_residual == 2.0e-6
@@ -573,24 +586,25 @@ class TestRun:
         model.build_system(0.0)
         evaluations = self.counted_evaluations(model, monkeypatch)
         at_build = []
-        report = run(model, SolverSettings(load_steps=1, max_iters=2), max_halvings=1,
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 1)
+        report = run(model, SolverSettings(load_steps=1, max_iters=2),
                      log=lambda line: at_build.append(len(evaluations)))
         assert not report.converged and len(report.rejections) == 2
         assert at_build == [0, 1, 1, 2]
 
-    def test_exhausted_iterations_are_recorded(self):
+    def test_exhausted_iterations_are_recorded(self, monkeypatch):
         model = cantilever(nx=4)
         model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
                                  frame="dead")
-        report = run(model, SolverSettings(load_steps=1, max_iters=1),
-                     max_halvings=1)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 1)
+        report = run(model, SolverSettings(load_steps=1, max_iters=1))
         assert not report.converged
         assert [(step, lam) for step, lam, _ in report.rejections] == [(1, 1.0), (1, 0.5)]
         assert all(r.startswith("no convergence in 1 iterations, last residual ")
                    for _, _, r in report.rejections)
         assert report.message.endswith(report.rejections[-1][2])
 
-    def test_rotation_rejection_reason_kept(self):
+    def test_rotation_rejection_reason_kept(self, monkeypatch):
         e, length, width, h = 12e6, 10.0, 1.0, 0.1
         m_full = 2 * np.pi * e * (width * h**3 / 12) / length
         mesh = build_mesh(build_flat_plate(length, width), 20, 1)
@@ -598,16 +612,17 @@ class TestRun:
         mesh.add_edge_load("xi1_max", np.array([0, 0, 0, 0, m_full / width, 0]),
                            frame="follower")
         model = FemModel(mesh, Material(e=e, nu=0.0, h=h))
-        report = run(model, SolverSettings(load_steps=1), max_halvings=0)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert "rotation increment" in report.message
 
-    def test_non_convergence_reported(self):
+    def test_non_convergence_reported(self, monkeypatch):
         model = cantilever(nx=4)
         model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e9, 0, 0, 0]),
                                  frame="dead")
-        report = run(model, SolverSettings(load_steps=1, max_iters=3),
-                     max_halvings=1)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 1)
+        report = run(model, SolverSettings(load_steps=1, max_iters=3))
         assert not report.converged
         assert report.message != ""
 
