@@ -60,7 +60,7 @@ def _execute(cfg, args) -> int:
     report, _ = run_scenario(cfg, out_dir, quiet=args.quiet)
     status = "converged" if report.converged else "FAILED"
     print(f"{cfg.name}: {status} in {report.wall_time:.2f}s "
-          f"({report.iterations} iterations, {report.attempts} attempts, "
+          f"({report.iterations} iterations, {len(report.attempts)} attempts, "
           f"{len(report.rejections)} rejected)")
     if not report.converged:
         print(f"  {report.message}", file=sys.stderr)
@@ -72,18 +72,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
-            for name in list_bundled():
-                print(name)
+            print("\n".join(list_bundled()))
             return EXIT_OK
         if args.command == "run":
-            cfg = parse_scenario(args.config)
-            return _execute(cfg, args)
+            return _execute(parse_scenario(args.config), args)
         if args.command == "bench":
             names = list_bundled() if args.name == "all" else [args.name]
             worst = EXIT_OK
             for name in names:
-                cfg = load_bundled(name)
-                worst = max(worst, _execute(cfg, args))
+                worst = max(worst, _execute(load_bundled(name), args))
             return worst
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -69,6 +69,18 @@ _SERIES = np.array([[(-1) ** j * weight / math.factorial(2 * j + offset)
                     for j in range(10)])
 
 
+def _sinc_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a and b of `_rot_coeffs`, then the guarded angle, its sine and theta^2."""
+    t2 = theta * theta
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    sin = np.sin(safe)
+    half_sinc = np.sin(0.5 * safe) / (0.5 * safe)
+    a = np.where(small, 1.0 - t2 / 6.0, sin / safe)
+    b = np.where(small, 0.5 - t2 / 24.0, 0.5 * half_sinc * half_sinc)
+    return a, b, safe, sin, t2
+
+
 def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Closed-form coefficients (a, b, c, c2, c3) of rotation angles theta.
 
@@ -82,13 +94,7 @@ def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     SERIES_ANGLE.  All five are accurate to 1e-14 relative.
     """
     theta = np.asarray(theta, dtype=float)
-    t2 = theta * theta
-    small = theta < SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    sin = np.sin(safe)
-    half_sinc = np.sin(0.5 * safe) / (0.5 * safe)
-    a = np.where(small, 1.0 - t2 / 6.0, sin / safe)
-    b = np.where(small, 0.5 - t2 / 24.0, 0.5 * half_sinc * half_sinc)
+    a, b, safe, sin, t2 = _sinc_coeffs(theta)
     rows = _SERIES.reshape(_SERIES.shape + (1,) * theta.ndim)
     series = rows[-1] * t2 + rows[-2]
     for row in rows[-3::-1]:
@@ -129,7 +135,7 @@ def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
     w = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
-    a, b, *_ = _rot_coeffs(_angle(w))
+    a, b, *_ = _sinc_coeffs(_angle(w))
     return _rodrigues(w, a, b)
 
 

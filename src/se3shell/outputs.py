@@ -4,15 +4,17 @@ CSV columns (one row per scheduled load step, plus the zero state):
 
     step, load_factor, magnitude, tip_ux, tip_uy, tip_uz, tip_rot_angle
 
-`magnitude` is the ramped total of the first boundary load's force/moment, or
-|B^a(load_factor)| of the model's field program for purely magnetic runs;
+`magnitude` is the ramped total of the first boundary load's force/moment (a
+`follower_edge` load's |wrench| times its edge length), or |B^a(load_factor)|
+of the model's field program for purely magnetic runs;
 `tip_rot_angle` is the principal angle of R_t R_0^T at the tip node, wrapped
 to [0, pi] (multi-turn winding is a post-processing quantity, see
 solver.accumulated_edge_rotation).
 
 `solve_report.txt` holds `key: value` header lines, one
 `rejected: step S load_factor L: reason` line per rejected attempt, then
-`log:` followed by one `step iter residual` line per Newton iteration.
+`log:` followed by one `step iter residual` line per Newton iteration, all
+written from the solver's attempt records.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .fem import FemModel
 from .mesh import dump_mesh, dump_triangles
-from .scenario import ScenarioConfig, build_model
+from .scenario import ScenarioConfig, build_model, edge_length
 from .solver import SolveReport, run
 
 
@@ -52,7 +54,7 @@ def primary_magnitude(cfg: ScenarioConfig, model: FemModel, load_factor: float) 
     if cfg.loads:
         first = cfg.loads[0]
         if first.kind == "follower_edge":
-            return load_factor * float(np.linalg.norm(first.wrench))
+            return load_factor * float(np.linalg.norm(first.wrench)) * edge_length(first, cfg)
         return load_factor * first.magnitude
     if model.field is not None:
         return float(np.linalg.norm(model.field(load_factor).b_applied))
@@ -77,14 +79,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         if cfg.mesh_dumps:
             emit_deformed_geometry(mdl.mesh, out_dir / f"mesh_step_{k:03d}")
 
-    iteration_log: list[str] = []
-
-    def log(line):
-        iteration_log.append(line)
-        if not quiet:
-            print(line)
-
-    report = run(model, cfg.solver, on_step=on_step, log=log)
+    report = run(model, cfg.solver, on_step=on_step, log=None if quiet else print)
 
     with open(out_dir / cfg.csv_name, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -103,7 +98,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         for step, lam, reason in report.rejections:
             fh.write(f"rejected: step {step} load_factor {lam:.6g}: {reason}\n")
         fh.write("log:\n")
-        for line in iteration_log:
-            fh.write(line + "\n")
+        fh.writelines(f"{a.log_line(it)}\n" for a in report.attempts
+                      for it in range(1, a.iterations + 1))
 
     return report, model

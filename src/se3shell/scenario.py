@@ -64,7 +64,7 @@ class PerturbSpec:
 class ScenarioConfig:
     name: str
     geometry_kind: str                  # flat | arch
-    length: float = 0.0                 # flat: chart length; arch: unused
+    length: float = 0.0                 # chart length; arch: radius * angle_span
     width: float = 0.0
     radius: float = 0.0
     angle_span: float = np.pi
@@ -90,8 +90,6 @@ DEFAULT_FRAMES = {
 
 _EDGES = ("xi1_min", "xi1_max", "xi2_min", "xi2_max")
 
-_KNOWN_SECTIONS = {"geometry", "material", "mesh", "bc", "magnetic",
-                   "solver", "perturb", "outputs"}
 _KNOWN_KEYS = {
     "geometry": {"kind", "length", "width", "radius", "angle_span"},
     "material": {"e", "nu", "h", "mu", "lam"},
@@ -127,11 +125,9 @@ def _need(cp, section: str, key: str) -> str:
 
 
 def _float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ScenarioError(f"missing key '{key}' in section [{section}]")
+    if default is not None and not cp.has_option(section, key):
         return default
-    text = cp.get(section, key)
+    text = _need(cp, section, key)
     try:
         value = float(text)
     except ValueError as exc:
@@ -156,17 +152,16 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         raise ScenarioError(f"scenario file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path.name}: {exc}") from exc
 
     for section in cp.sections():
-        base = "load" if section.startswith("load") else section
-        if base not in _KNOWN_SECTIONS and base != "load":
+        base = "load" if section.startswith("load:") else section
+        if base not in _KNOWN_KEYS:
             raise ScenarioError(f"unknown section [{section}]")
-        known = _KNOWN_KEYS.get(base, set())
         for key in cp.options(section):
-            if key not in known:
+            if key not in _KNOWN_KEYS[base]:
                 raise ScenarioError(f"unknown key '{key}' in section [{section}]")
 
     kind = _need(cp, "geometry", "kind").strip()
@@ -214,8 +209,7 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         edge = cp.get(section, "edge", fallback="xi1_max").strip()
         if edge not in _EDGES:
             raise ScenarioError(f"[{section}] edge: unknown edge '{edge}'")
-        wrench = None
-        magnitude = 0.0
+        wrench, magnitude = None, 0.0
         if ltype == "follower_edge":
             wrench = _vec(_need(cp, section, "wrench"), section, "wrench", 6)
         else:
@@ -236,9 +230,9 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         )
         if b_a_start is not None:
             na, ns = np.linalg.norm(magnetic.b_a), np.linalg.norm(b_a_start)
-            if abs(na - ns) > 1e-12 * max(na, ns):
+            if na == 0.0 or abs(na - ns) > 1e-12 * max(na, ns):
                 raise ScenarioError("[magnetic] b_a_start must have the same "
-                                    "magnitude as b_a (rotation program)")
+                                    "nonzero magnitude as b_a (rotation program)")
 
     defaults = SolverSettings()
     load_steps = _int(cp, "solver", "load_steps", defaults.load_steps)
@@ -273,11 +267,15 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
     )
 
 
+def edge_length(load: LoadSpec, cfg: ScenarioConfig) -> float:
+    """Reference length of the edge a load acts on."""
+    return cfg.width if load.edge.startswith("xi1") else cfg.length
+
+
 def _edge_wrench(load: LoadSpec, cfg: ScenarioConfig) -> np.ndarray:
     """Total edge load -> wrench per unit edge length in load-frame components."""
-    edge_len = cfg.width if load.edge.startswith("xi1") else cfg.length
     w = np.zeros(6)
-    m = load.magnitude / edge_len
+    m = load.magnitude / edge_length(load, cfg)
     if load.kind == "end_moment":
         w[4] = m                      # moment about the width axis
     elif load.kind == "end_shear":

@@ -25,11 +25,11 @@ wrenches scale with it and the applied magnetic field follows the model's
 field program.  An increment whose largest nodal rotation exceeds pi/2, a
 non-finite system, a singular tangent, a linear solve whose refined relative
 residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
-the attempt: the state is restored together with its memoized kernels
-(`FemModel.snapshot`/`restore`), the reason recorded in
-SolveReport.rejections and the load increment halved, up to MAX_HALVINGS
-times, after which the run fails with the last attempt's rejection reason.
-SolveReport counts every Newton iteration and attempt, rejected ones too.
+the attempt with an exception: the state is restored together with its
+memoized kernels (`FemModel.snapshot`/`restore`), the message kept as the
+attempt's reason and the load increment halved, up to MAX_HALVINGS times,
+after which the run fails with the last attempt's reason.  SolveReport keeps
+one Attempt record per attempt, and reads every tally from them.
 """
 
 from __future__ import annotations
@@ -83,26 +83,50 @@ class SolverSettings:
 
 
 @dataclass
-class StepRecord:
+class Attempt:
+    """One Newton attempt: a residual per system build, a linear residual per
+    solve, and the reason if it was rejected."""
+
     step: int
     load_factor: float
-    iterations: int
-    residuals: list[float]
-    converged: bool
+    residuals: list[float] = field(default_factory=list)
+    linear_residuals: list[float] = field(default_factory=list)
+    converged: bool = False
+    reason: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
+
+    def log_line(self, it: int) -> str:
+        """The `step iter residual` line of iteration `it` (from 1)."""
+        return f"{self.step} {it} {self.residuals[it - 1]:.6e}"
 
 
 @dataclass
 class SolveReport:
-    steps: list[StepRecord] = field(default_factory=list)
+    """Every attempt of a run in order; the tallies below are read from them."""
+
+    attempts: list[Attempt] = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
     message: str = ""
-    max_linear_residual: float = 0.0
-    # Newton iterations (system builds) and attempts, accepted and rejected
-    iterations: int = 0
-    attempts: int = 0
-    # (step, load_factor, reason) of every rejected attempt, in order
-    rejections: list[tuple[int, float, str]] = field(default_factory=list)
+
+    @property
+    def steps(self) -> list[Attempt]:  # the accepted attempts
+        return [a for a in self.attempts if a.converged]
+
+    @property
+    def rejections(self) -> list[tuple[int, float, str]]:
+        return [(a.step, a.load_factor, a.reason) for a in self.attempts if not a.converged]
+
+    @property
+    def iterations(self) -> int:  # Newton iterations (system builds)
+        return sum(a.iterations for a in self.attempts)
+
+    @property
+    def max_linear_residual(self) -> float:
+        return max((r for a in self.attempts for r in a.linear_residuals), default=0.0)
 
 
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -269,34 +293,29 @@ def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
     return total
 
 
-def _newton_loop(model: FemModel, lam: float, step_no: int,
-                 settings: SolverSettings, report: SolveReport, emit) -> StepRecord:
-    residuals: list[float] = []
+def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, log) -> None:
+    """Iterate at the attempt's load factor, filling its record, until the
+    residual converges; any rejection of the attempt raises."""
     for it in range(1, settings.max_iters + 1):
-        try:
-            system = model.build_system(lam)
-        except FloatingPointError as exc:
-            raise StepRejected(str(exc)) from exc
-        residuals.append(system.residual_norm)
-        emit(step_no, it, system.residual_norm)
+        system = model.build_system(attempt.load_factor)
+        attempt.residuals.append(system.residual_norm)
+        if log is not None:
+            log(attempt.log_line(it))
         tol = max(settings.tol_residual,
                   settings.tol_relative * max(1.0, system.load_norm))
         if system.residual_norm <= tol:
-            return StepRecord(step=step_no, load_factor=lam, iterations=it,
-                              residuals=residuals, converged=True)
-        try:
-            eta_free, lin_res = newton_step(system.a, system.b)
-        except (FloatingPointError, SingularSystemError) as exc:
-            raise StepRejected(str(exc)) from exc
-        report.max_linear_residual = max(report.max_linear_residual, lin_res)
+            attempt.converged = True
+            return
+        eta_free, lin_res = newton_step(system.a, system.b)
+        attempt.linear_residuals.append(lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
                                f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved")
         eta = np.zeros(model.mesh.n_dofs)
         eta[system.free] = eta_free
         apply_increment_field(model, eta)
-    return StepRecord(step=step_no, load_factor=lam, iterations=settings.max_iters,
-                      residuals=residuals, converged=False)
+    raise StepRejected(f"no convergence in {settings.max_iters} iterations, "
+                       f"last residual {attempt.residuals[-1]:.3e}")
 
 
 def run(model: FemModel, settings: SolverSettings | None = None, *,
@@ -304,55 +323,37 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
     """Load-stepped Newton solve; never silently accepts non-convergence.
 
     ``on_step(load_factor, model)`` fires after each scheduled load step
-    converges (used for CSV rows and mesh dumps); ``log`` receives one
-    `step iter residual` line per iteration.  Every rejected attempt is
-    recorded in ``report.rejections`` with its reason.
+    converges (used for CSV rows and mesh dumps); ``log`` receives the
+    `step iter residual` line of each iteration as it is made.  Every
+    attempt, accepted or rejected with its reason, is in ``report.attempts``.
     """
     settings = settings or SolverSettings()
     report = SolveReport()
     t0 = time.perf_counter()
-
-    def emit(step_no, it, res):
-        report.iterations += 1
-        if log is not None:
-            log(f"{step_no} {it} {res:.6e}")
-
     lam = 0.0
     for step_no in range(1, settings.load_steps + 1):
         lam_target = step_no / settings.load_steps
         while lam < lam_target - 1e-14:
             dlam = lam_target - lam
-            halvings = 0
-            while True:
+            for _ in range(MAX_HALVINGS + 1):
                 snapshot = model.snapshot()
-                report.attempts += 1
-                rec = None
+                attempt = Attempt(step_no, lam + dlam)
+                report.attempts.append(attempt)
                 try:
-                    rec = _newton_loop(model, lam + dlam, step_no, settings,
-                                       report, emit)
-                except StepRejected as exc:
-                    reason = str(exc)
-                if rec is not None and rec.converged:
-                    report.steps.append(rec)
+                    _newton_loop(model, attempt, settings, log)
+                except (StepRejected, SingularSystemError, FloatingPointError) as exc:
+                    attempt.reason = str(exc)
+                    model.restore(snapshot)
+                    dlam /= 2.0
+                else:
                     lam += dlam
                     break
-                if rec is not None:
-                    reason = (f"no convergence in {rec.iterations} iterations, "
-                              f"last residual {rec.residuals[-1]:.3e}")
-                report.rejections.append((step_no, lam + dlam, reason))
-                model.restore(snapshot)
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    if rec is not None:
-                        report.steps.append(rec)
-                    report.converged = False
-                    report.message = (
-                        f"no convergence at load factor {lam + dlam:.6g} "
-                        f"after {MAX_HALVINGS} halvings; "
-                        f"last attempt rejected: {reason}")
-                    report.wall_time = time.perf_counter() - t0
-                    return report
-                dlam /= 2.0
+            else:
+                report.message = (f"no convergence at load factor {attempt.load_factor:.6g} "
+                                  f"after {MAX_HALVINGS} halvings; "
+                                  f"last attempt rejected: {attempt.reason}")
+                report.wall_time = time.perf_counter() - t0
+                return report
         if on_step is not None:
             on_step(lam, model)
     report.converged = True

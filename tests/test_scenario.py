@@ -71,6 +71,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="bogus"):
             parse_scenario(bad)
 
+    def test_file_not_utf8_is_a_scenario_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ScenarioError, match="bad.cfg"):
+            parse_scenario(bad)
+        assert cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "configuration error: bad.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_inconsistent_magnetic_rotation(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -178,6 +187,39 @@ class TestRunOutputs:
         assert len(rows) == cfg.solver.load_steps + 1 and lams[-1] == 1.0
         assert np.allclose(mags, np.minimum(2.0 * lams, 1.0) * 0.05, rtol=1e-12, atol=0.0)
 
+    def test_follower_edge_magnitude_is_the_edge_total(self, tmp_path):
+        # the per-unit-length wrench summed over the loaded edge: 5000 N on the arch
+        cfg = replace(with_overrides(load_bundled("arch_transverse"), steps=2),
+                      nx=4, mesh_dumps=False)
+        report, _ = run_scenario(cfg, tmp_path, quiet=True)
+        assert report.converged
+        rows = (tmp_path / cfg.csv_name).read_text().strip().splitlines()[1:]
+        mags = np.array([float(r.split(",")[2]) for r in rows])
+        total = np.linalg.norm(cfg.loads[0].wrench) * cfg.width
+        assert total == pytest.approx(5000.0, rel=1e-12)
+        assert np.allclose(mags, np.array([0.0, 0.5, 1.0]) * total, rtol=1e-12, atol=0.0)
+
+    def test_report_file_comes_from_the_records(self, tmp_path, monkeypatch, capsys):
+        # one singular first solve, then an attempt that exhausts max_iters = 3
+        cfg = replace(with_overrides(load_bundled("end_shear"), steps=2, max_iters=3),
+                      nx=4, mesh_dumps=False)
+        reject_first_solve(monkeypatch)
+        report, _ = run_scenario(cfg, tmp_path, quiet=False)
+        printed = capsys.readouterr().out
+        head, log = (tmp_path / "solve_report.txt").read_text().split("\nlog:\n", 1)
+        assert printed == log
+        rejected = [line for line in head.splitlines() if line.startswith("rejected:")]
+        records = [a for a in report.attempts if not a.converged]
+        assert records[0].reason == SINGULAR_REASON
+        assert any(a.reason.startswith("no convergence in 3 iterations") for a in records)
+        assert rejected == [f"rejected: step {a.step} load_factor {a.load_factor:.6g}: "
+                            f"{a.reason}" for a in records]
+        log = log.splitlines()
+        assert report.iterations == len(log) == sum(len(a.residuals) for a in report.attempts)
+        assert len(report.attempts) == sum(1 for line in log if line.split()[1] == "1")
+        assert log == [f"{a.step} {it} {r:.6e}" for a in report.attempts
+                       for it, r in enumerate(a.residuals, 1)]
+
     def test_rejections_written_before_log(self, tmp_path, monkeypatch):
         cfg = replace(with_overrides(load_bundled("end_shear"), steps=2), nx=4)
         reject_first_solve(monkeypatch)
@@ -233,10 +275,11 @@ class TestCli:
         ("load_steps = 20", "load_steps = 20\n[outputs]\nmesh_dumps = maybe",
          "[outputs] mesh_dumps"),
         ("load_steps = 20", "load_steps = 20\n[outputs]\ncsv = sub/dir.csv", "[outputs] csv"),
+        ("[load]", "[loads]", "[loads]"),
     ], ids=["load_edge", "material_e", "material_lame", "mesh_nx", "solver_steps",
             "solver_damping", "geometry_length", "geometry_length_inf", "material_e_nan",
             "mesh_nx_nan", "mesh_nx_fraction", "solver_tol_nan", "solver_scheme",
-            "outputs_mesh_dumps", "outputs_csv_path"])
+            "outputs_mesh_dumps", "outputs_csv_path", "load_section_name"])
     def test_invalid_value_exit_code(self, tmp_path, capsys, old, new, section):
         text = (bundled_dir() / "end_shear.cfg").read_text()
         assert old in text
@@ -256,8 +299,11 @@ class TestCli:
         ("antiparallel", "[magnetic]", "[magnetic]\nb_r_mode = per_volume", "[magnetic]"),
         ("antiparallel", "[perturb]", "[perturb]\nmode = tip_rotation", "[perturb]"),
         ("antiparallel", "axis = 0 1 0", "axis = 0 0 0", "[perturb] axis"),
+        ("antiparallel", "b_a = -0.05 0 0\nb_a_start = 0 0 0.05",
+         "b_a = 0 0 0\nb_a_start = 0 0 0", "[magnetic]"),
     ], ids=["arch_angle_span", "magnetic_mu0", "magnetic_mu0_rotation", "perturb_magnitude",
-            "magnetic_b_r_mode", "perturb_mode", "perturb_axis_zero"])
+            "magnetic_b_r_mode", "perturb_mode", "perturb_axis_zero",
+            "magnetic_rotation_zero_field"])
     def test_invalid_bundled_value_exit_code(self, tmp_path, capsys, name, old, new, section):
         text = (bundled_dir() / f"{name}.cfg").read_text()
         assert old in text
