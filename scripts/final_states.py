@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Save or compare the final states of the bundled scenarios.
+
+    python scripts/final_states.py save STATES.npz [NAME ...]
+    python scripts/final_states.py compare OLD.npz NEW.npz
+
+`save` solves each bundled scenario (all of them by default) with its own
+settings and stores its final nodal poses `g_nodes`, its system builds and its
+Newton attempts.  `compare` prints one row per scenario: whether the poses
+are exactly equal, the largest position difference relative to the
+scenario's length scale, the largest rotation difference in radians, and the
+builds and attempts of both files.  It exits 1 when any scenario is missing
+from one file, did not converge, or differs in builds, attempts or poses.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+from se3shell.liegroup import unskew
+from se3shell.scenario import build_model, list_bundled, load_bundled
+from se3shell.solver import run
+
+
+def final_state(name: str) -> dict[str, np.ndarray]:
+    cfg = load_bundled(name)
+    model = build_model(cfg)
+    report = run(model, cfg.solver)
+    scale = cfg.length if cfg.geometry_kind == "flat" else cfg.radius
+    return {"g_nodes": model.mesh.state.g_nodes,
+            "counts": np.array([report.iterations, len(report.attempts),
+                                report.converged]),
+            "scale": np.array(scale)}
+
+
+def rotation_angle(r: np.ndarray) -> np.ndarray:
+    """Angles of rotations (..., 3, 3), accurate near 0 and near pi alike."""
+    sin = 0.5 * np.linalg.norm(unskew(r - np.swapaxes(r, -1, -2)), axis=-1)
+    cos = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(sin, cos)
+
+
+def save(path: str, names: list[str]) -> None:
+    arrays = {}
+    for name in names or list_bundled():
+        for key, value in final_state(name).items():
+            arrays[f"{name}/{key}"] = value
+        print(name, flush=True)
+    np.savez(path, **arrays)
+
+
+def compare(old_path: str, new_path: str) -> int:
+    with np.load(old_path) as old_file, np.load(new_path) as new_file:
+        old, new = dict(old_file), dict(new_file)
+    names = sorted({key.split("/")[0] for key in (*old, *new)})
+    print(f"{'scenario':28s} {'equal':>5s} {'max |dp|/L':>11s} {'max |dR| rad':>12s}"
+          f" {'builds':>11s} {'attempts':>9s}")
+    failed = 0
+    for name in names:
+        try:
+            g0, g1 = old[f"{name}/g_nodes"], new[f"{name}/g_nodes"]
+            c0, c1 = old[f"{name}/counts"], new[f"{name}/counts"]
+        except KeyError:
+            print(f"{name:28s} missing from one file")
+            failed += 1
+            continue
+        same_counts = np.array_equal(c0, c1) and c0[2] and c1[2]
+        if g0.shape != g1.shape:
+            print(f"{name:28s} meshes differ: {g0.shape} against {g1.shape}")
+            failed += 1
+            continue
+        equal = np.array_equal(g0, g1)
+        dp = np.abs(g1[:, :3, 3] - g0[:, :3, 3]).max() / float(new[f"{name}/scale"])
+        dr = rotation_angle(np.swapaxes(g0[:, :3, :3], -1, -2) @ g1[:, :3, :3]).max()
+        print(f"{name:28s} {'yes' if equal else 'no':>5s} {dp:11.3e} {dr:12.3e}"
+              f" {c0[0]:5d}/{c1[0]:<5d} {c0[1]:4d}/{c1[1]:<4d}")
+        failed += not (equal and same_counts)
+    print(f"{len(names) - failed} of {len(names)} scenarios identical")
+    return 1 if failed else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="command", required=True)
+    p_save = sub.add_parser("save", help="solve and store final states")
+    p_save.add_argument("path")
+    p_save.add_argument("names", nargs="*", help="bundled scenarios (default: all)")
+    p_compare = sub.add_parser("compare", help="compare two stored files")
+    p_compare.add_argument("old")
+    p_compare.add_argument("new")
+    args = ap.parse_args()
+    if args.command == "save":
+        save(args.path, args.names)
+        return 0
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,8 +42,16 @@ holds maps from every element-block, element-force and nodal dead-load
 entry to its slot in the data of a `dia_matrix` that stores only the
 diagonals some block writes (all 47 on a strip, 69 of 215 on the 20x15
 plate), with fixed DOFs already dropped; each later build is then one
-`np.bincount` per array.  The full unreduced system used by diagnostics is
-the same scatter over all DOFs, in natural order (a wider band).
+`np.bincount` per array, the tangent's over the element blocks followed by
+the negated dead-load blocks.  The full unreduced system used by diagnostics
+is the same scatter over all DOFs, in natural order (a wider band).
+
+Without a dead load or a field the tangent is a function of the memoized
+twists alone, so the solver's factor of it is kept with the kernel memo
+record (`GlobalSystem.factored`).  The rejected attempts of a load step
+then cost one factorization less each: the retry starts from the restored
+snapshot, whose record carries the factor its predecessor made at the same
+state, and its first solve neither assembles nor factors.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,13 +75,16 @@ from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
 _SAMPLINGS = {"centroid": (np.array([0]), 1.0), "gauss": (GAUSS_POINTS, 0.25)}
 # backs the all-zero ElementKernels fields
 _ZERO = np.zeros(())
+_Factor = TypeVar("_Factor")
 
 
 @dataclass
 class ElementKernels:
     """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6).
 
-    kmag is evaluated on first access from the arguments `magnetic_args` of
+    kmag holds only the rotation-rotation 3x3 sub-blocks of the magnetic
+    tangent, (nel,4,4,3,3); its other entries are zero.  It is evaluated on
+    first access from the arguments `magnetic_args` of
     `element_magnetic_stiffness`, so a system that is never factored never
     evaluates it.  f_ext is a read-only all-zero broadcast view (boundary
     loads enter through `neumann_terms`); so are f_mag and kmag without
@@ -90,8 +102,19 @@ class ElementKernels:
     @cached_property
     def kmag(self) -> np.ndarray:
         if self.magnetic_args is None:
-            return np.broadcast_to(_ZERO, self.kmat.shape)
+            return np.broadcast_to(_ZERO, self.kmat.shape[:3] + (3, 3))
         return element_magnetic_stiffness(*self.magnetic_args)
+
+
+@dataclass(eq=False)
+class _KernelMemo:
+    """The model's last kernel evaluation: the twists it read, its
+    (kmat, kgeo, f_int), and `factored`, the (free DOFs, factor) that
+    `GlobalSystem.factored` keeps of a tangent with no load-factor term."""
+
+    zeta: np.ndarray
+    kernels: tuple
+    factored: tuple | None = None
 
 
 @dataclass
@@ -101,13 +124,17 @@ class GlobalSystem:
     `free` lists the free DOFs in the row order of `a` and `b`, which is the
     grid order of the band, not ascending DOF order.  The tangent `a` is
     assembled by `tangent` on first access, so a converged check never forms
-    it; a non-finite tangent raises FloatingPointError there.
+    it; a non-finite tangent raises FloatingPointError there.  `memo` is the
+    kernel record of the state when the tangent has no load-factor term (no
+    dead load, no field), else None; `factored` keeps the solver's factor of
+    `a` on it.
     """
 
     b: np.ndarray
     free: np.ndarray
     load_norm: float
     tangent: Callable[[], sp.dia_matrix]
+    memo: _KernelMemo | None = None
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -116,6 +143,22 @@ class GlobalSystem:
     @cached_property
     def a(self) -> sp.dia_matrix:
         return self.tangent()
+
+    def factored(self, factor: Callable[[sp.dia_matrix], _Factor]) -> _Factor:
+        """`factor(a)`, kept on the kernel memo record when there is one.
+
+        Without a dead load or a field the tangent depends only on the
+        memoized twists and the free DOFs, so one factor serves every system
+        built from that record.  A retried attempt starts from a restored
+        snapshot, which carries the record, so its first solve reuses the
+        factor the rejected attempt made: no assembly, no factorization.
+        """
+        memo = self.memo
+        if memo is None:
+            return factor(self.a)
+        if memo.factored is None or memo.factored[0] is not self.free:
+            memo.factored = (self.free, factor(self.a))
+        return memo.factored[1]
 
 
 class FemModel:
@@ -143,7 +186,7 @@ class FemModel:
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
-        # (sampled twists, (kmat, kgeo, f_int)) of the last kernel evaluation
+        # the _KernelMemo of the last kernel evaluation
         self._kernels = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
@@ -155,13 +198,19 @@ class FemModel:
         return self.field(load_factor)
 
     def snapshot(self):
-        """A copy of the state together with its memoized kernels."""
+        """A copy of the state together with its kernel memo record.
+
+        The record is shared, not copied: a factor that a later solve keeps
+        on it (`GlobalSystem.factored`) comes back with `restore`.
+        """
         return self.mesh.state.copy(), self._kernels
 
     def restore(self, snapshot) -> None:
         """Return to a `snapshot`; each snapshot is restored at most once.
 
-        A snapshot taken before any kernel evaluation keeps the current memo,
+        The state gets its memoized kernels back and, when its tangent has no
+        load-factor term and was factored after the snapshot, that factor.  A
+        snapshot taken before any kernel evaluation keeps the current memo,
         which is still checked against the restored twists.
         """
         self.mesh.state, kernels = snapshot
@@ -218,12 +267,12 @@ class FemModel:
         edit or a NaN evaluates anew.
         """
         zeta = self.mesh.state.zeta_pts
-        if self._kernels is None or not np.array_equal(self._kernels[0], zeta):
+        if self._kernels is None or not np.array_equal(self._kernels.zeta, zeta):
             kernels = self._evaluate_kernels(zeta)
             for arr in kernels:
                 arr.flags.writeable = False
-            self._kernels = (zeta.copy(), kernels)
-        return self._kernels[1]
+            self._kernels = _KernelMemo(zeta.copy(), kernels)
+        return self._kernels.kernels
 
     def _evaluate_kernels(self, zeta: np.ndarray):
         """(kmat, kgeo, f_int) through the factored tangent over the sample points.
@@ -239,8 +288,9 @@ class FemModel:
             T_ga = ad_tilde(s_ga),
 
         where s_ga = sum_b D_ab (zeta_gb - zeta_0,gb) is the weighted stress.  At
-        the single centroid point N_i = 1/4 for every node, so kgeo does not
-        depend on i and is returned as a broadcast view.
+        the single centroid point N_i = 1/4 for every node, so P_ij = z_i / 4
+        does not depend on j and kmat is formed from the (nel,4,6,6) factor,
+        and kgeo does not depend on i and is returned as a broadcast view.
         """
         _, n, dn, _, d12, k0 = self._sampling()
         _, s = self._strain_stress(zeta)
@@ -250,17 +300,20 @@ class FemModel:
         u = d12 @ adz                                      # U_ga stacked over a
         z = (dn @ u.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
         z += (0.5 * n)[..., None, None] * (adz_t @ u)[:, :, None]
-        p = np.einsum("gj,egipq->eijpq", n, z)             # P_ij
-        kmat = k0 + p
-        kmat += p.transpose(0, 2, 1, 4, 3)
         f_int = dn @ s + n[..., None] * (adz_t @ s.reshape(nel, g, 12, 1)).reshape(nel, g, 1, 6)
         t = ad_tilde(s)                                    # (nel, G, 2, 6, 6)
         q = (dn @ t.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
         q += n[..., None, None] * (t.transpose(0, 1, 3, 2, 4).reshape(nel, g, 6, 12)
                                    @ adz)[:, :, None]
         if g == 1:
+            p4 = n[0, 0] * z[:, 0]                         # P_ij for every j
+            kmat = k0 + p4[:, :, None]
+            kmat += np.swapaxes(p4, -1, -2)[:, None]
             kgeo = np.broadcast_to(n[0, 0] * q, kmat.shape)
         else:
+            p = np.einsum("gj,egipq->eijpq", n, z)         # P_ij
+            kmat = k0 + p
+            kmat += p.transpose(0, 2, 1, 4, 3)
             kgeo = np.einsum("gi,egjpq->eijpq", n, q)
         return kmat, kgeo, f_int.sum(axis=1)
 
@@ -300,18 +353,24 @@ class FemModel:
         sc = self._scatter(dofs)
         return sc.vector(kern.f_mag - kern.f_int), sc.vector(kern.f_mag)
 
-    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None
-                 ) -> sp.dia_matrix:
-        """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kmag.
+    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None,
+                 kdead: np.ndarray | None = None) -> sp.dia_matrix:
+        """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
         Restricted to `dofs` (default: every DOF, i.e. the full unreduced
-        tangent).
+        tangent).  `kdead` holds the (n_nodes,6,6) dead-load blocks of
+        `neumann_terms` (default: none); the element blocks and the negated
+        nodal blocks are summed by one scatter, the nodal ones last.
         """
         sc = self._scatter(dofs)
-        blocks = kern.kmat + kern.kgeo
+        blocks = np.add(kern.kmat, kern.kgeo, out=sc.block_weights)
         if kern.magnetic_args is not None:
-            blocks -= kern.kmag
-        return sc.matrix(blocks)
+            blocks[..., 3:, 3:] -= kern.kmag
+        if kdead is None:
+            sc.node_weights.fill(0.0)
+        else:
+            np.negative(kdead, out=sc.node_weights)
+        return sc.matrix()
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
@@ -340,14 +399,14 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, a: sp.dia_matrix, kdead: np.ndarray,
+    def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray,
                                   free: np.ndarray) -> sp.dia_matrix:
-        """Subtract the dead-load tangent blocks from the reduced tangent.
+        """The tangent reduced to the `free` DOFs, with the dead-load blocks.
 
-        `a` comes from `assemble(kern, free)` and `kdead` from `neumann_terms`;
-        the blocks are subtracted in place in the slots of `a`'s band.
+        `kdead` comes from `neumann_terms`; `assemble` scatters it with the
+        element blocks.  A non-finite entry raises FloatingPointError.
         """
-        self._scatter(free).subtract_node_blocks(a.data, kdead)
+        a = self.assemble(kern, free, kdead)
         if not np.all(np.isfinite(a.data)):
             raise FloatingPointError("non-finite entries in the assembled system")
         return a
@@ -357,6 +416,9 @@ class FemModel:
 
         The residual side is formed here; the tangent only when the solver
         reads `a`, so the check that finds a step converged assembles none.
+        Without a field and with all dead-load blocks zero the system carries
+        the kernel memo record, on which `GlobalSystem.factored` keeps the
+        factor of the tangent.
         """
         kern = self.element_kernels(load_factor)
         free = self._band_order(self.mesh.free_dofs())
@@ -368,8 +430,8 @@ class FemModel:
             raise FloatingPointError("non-finite entries in the assembled system")
         return GlobalSystem(
             b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
-            tangent=lambda: self.apply_boundary_conditions(self.assemble(kern, free),
-                                                           kdead, free))
+            tangent=lambda: self.apply_boundary_conditions(kern, kdead, free),
+            memo=self._kernels if kern.magnetic_args is None and not kdead.any() else None)
 
     def _band_order(self, free: np.ndarray) -> np.ndarray:
         """`free` with nodes along the longer grid side, made once per free-DOF set."""
@@ -416,12 +478,14 @@ class _Scatter:
     empty (146 of 215 on a 20x15 plate), on a strip none is.  Entry (r, c)
     lives at `data[i, c]` of the (len(offsets), m) data with
     `offsets[i] == c - r`, the layout of `dia_matrix`; row i is LAPACK's band
-    row ku - offsets[i].  Every entry of the (nel,4,4,6,6) element blocks
-    (`k_slot`) and the (nel,4,6) element forces (`f_slot`) owns one slot of
-    the flat data or of the vector; entries on dropped DOFs go to a spare
-    slot one past the end, which is cut off, so each assembly is a single
-    `np.bincount`.  The (n_nodes,6,6) nodal blocks touch distinct entries,
-    addressed by their flat slots `node_at`.
+    row ku - offsets[i].  Every entry of the (nel,4,4,6,6) element blocks,
+    then of the (n_nodes,6,6) nodal blocks (`k_slot`), and of the (nel,4,6)
+    element forces (`f_slot`) owns one slot of the flat data or of the
+    vector; entries on dropped DOFs go to a spare slot one past the end,
+    which is cut off, so each assembly is a single `np.bincount`.  The
+    tangent's weights are written into `block_weights` and `node_weights`,
+    the two parts of one buffer in `k_slot` order; bincount sums in input
+    order, so the nodal blocks are added after every element block.
     """
 
     def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
@@ -441,15 +505,18 @@ class _Scatter:
         band_row[k - self.offsets] = np.arange(len(self.offsets))
         self.m, self.size = m, len(self.offsets) * m
         slot = band_row[np.where(kept, k + rows - cols, 0)] * m + cols
-        self.k_slot = np.where(kept, slot, self.size).ravel()
+        node_slot = band_row[np.where(node_kept, k + node_rows - node_cols, 0)] * m + node_cols
+        self.k_slot = np.concatenate([np.where(kept, slot, self.size).ravel(),
+                                      np.where(node_kept, node_slot, self.size).ravel()])
         self.f_slot = el.ravel()
-        self.node_kept = np.flatnonzero(node_kept)
-        self.node_at = (band_row[(k + node_rows - node_cols)[node_kept]] * m
-                        + node_cols[node_kept])
+        weights = np.empty(len(self.k_slot))
+        self.block_weights = weights[:kept.size].reshape(kept.shape)
+        self.node_weights = weights[kept.size:].reshape(n_nodes, 6, 6)
+        self._weights = weights
 
-    def matrix(self, blocks: np.ndarray) -> sp.dia_matrix:
-        """Sum (nel,4,4,6,6) element blocks into a fresh band matrix."""
-        data = np.bincount(self.k_slot, weights=blocks.ravel(), minlength=self.size + 1)
+    def matrix(self) -> sp.dia_matrix:
+        """Sum the element and nodal blocks in the weights into a fresh band matrix."""
+        data = np.bincount(self.k_slot, weights=self._weights, minlength=self.size + 1)
         return sp.dia_matrix((data[:self.size].reshape(-1, self.m), self.offsets),
                              shape=(self.m, self.m))
 
@@ -457,11 +524,3 @@ class _Scatter:
         """Sum (nel,4,6) element forces into a vector over the DOF subset."""
         return np.bincount(self.f_slot, weights=forces.ravel(),
                            minlength=self.m + 1)[:self.m]
-
-    def subtract_node_blocks(self, data: np.ndarray, blocks: np.ndarray) -> None:
-        """Subtract (n_nodes,6,6) nodal diagonal blocks from band `data` in place.
-
-        `data` is C-ordered, as `matrix` makes it, so its flat view is the
-        one `node_at` indexes.
-        """
-        np.subtract.at(data.reshape(-1), self.node_at, blocks.reshape(-1)[self.node_kept])

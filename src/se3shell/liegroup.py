@@ -13,10 +13,11 @@ shape ``(..., 6)`` yields ``(..., 4, 4)`` from ``exp_se3``, ``(..., 6, 6)``
 from ``ad``, and so on.  Operations are pure; nothing here mutates its inputs.
 
 Every map is closed form; none sums a series until it converges.  The
-exponentials and their tangents share the coefficients of ``_rot_coeffs``,
-and the differential of the SE(3) exponential is the left Jacobian at -t,
-whose coupling block is Barfoot's Q(-v, -w) (Barfoot & Furgale, IEEE T-RO
-2014).  Coefficient ratios that cancel at small angles are fixed Taylor
+exponentials and their tangents share the coefficients of ``_rot_coeffs``
+(the exponentials evaluate only the ones they read: a and b, and c for
+``exp_se3``), and the differential of the SE(3) exponential is the left
+Jacobian at -t, whose coupling block is Barfoot's Q(-v, -w) (Barfoot &
+Furgale, IEEE T-RO 2014).  Coefficient ratios that cancel at small angles are fixed Taylor
 polynomials below an angle where both forms agree to about 1e-15.
 ``carried_update`` evaluates the multiplicative update of carried twists,
 Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point with cross
@@ -95,15 +96,20 @@ def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     theta = np.asarray(theta, dtype=float)
     a, b, safe, sin, t2 = _sinc_coeffs(theta)
-    rows = _SERIES.reshape(_SERIES.shape + (1,) * theta.ndim)
-    series = rows[-1] * t2 + rows[-2]
-    for row in rows[-3::-1]:
-        series = series * t2 + row
     s2 = safe * safe
     c = (safe - sin) / (s2 * safe)
     direct = np.stack([c, (0.5 - b) / s2, (1.5 * c - 0.5 * b) / s2])
-    c, c2, c3 = np.where(theta < SERIES_ANGLE, series, direct)
+    c, c2, c3 = np.where(theta < SERIES_ANGLE, _taylor(_SERIES, t2), direct)
     return a, b, c, c2, c3
+
+
+def _taylor(rows: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Horner sum of the Taylor rows (row j for theta^2j) at theta^2 = t2."""
+    rows = rows.reshape(rows.shape + (1,) * t2.ndim)
+    series = rows[-1] * t2 + rows[-2]
+    for row in rows[-3::-1]:
+        series = series * t2 + row
+    return series
 
 
 def _angle(w: np.ndarray) -> np.ndarray:
@@ -147,7 +153,11 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     comps = np.ascontiguousarray(np.moveaxis(t, -1, 0))
     v, w = comps[:3], comps[3:]
-    a, b, c, *_ = _rot_coeffs(_angle(w))
+    theta = _angle(w)
+    a, b, safe, sin, t2 = _sinc_coeffs(theta)
+    # c of `_rot_coeffs` alone: its own Taylor row below SERIES_ANGLE
+    c = np.where(theta < SERIES_ANGLE, _taylor(_SERIES[:, 0], t2),
+                 (safe - sin) / (safe * safe * safe))
     wv = _cross(w, v)
     out = np.zeros(t.shape[:-1] + (4, 4))
     out[..., :3, :3] = _rodrigues(w, a, b)

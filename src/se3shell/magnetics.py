@@ -81,14 +81,13 @@ def element_magnetic_stiffness(r0_pts: np.ndarray, r_pts: np.ndarray, b_r0: np.n
                                weights: np.ndarray) -> np.ndarray:
     """Nodal-block magnetic tangent, the exact derivative of the force.
 
-    Returns (..., 4, 4, 6, 6) blocks whose rotation-rotation 3x3 sub-block is
-    the integral of (1/mu0) N^i N^j (R_0^T B_0^r)^ (R_t^T B^a)^; everything
-    else is zero.  The global system subtracts these blocks (A = K_MG - KM).
+    Returns the rotation-rotation 3x3 sub-blocks (..., 4, 4, 3, 3) of the
+    (..., 4, 4, 6, 6) nodal blocks, the integral of
+    (1/mu0) N^i N^j (R_0^T B_0^r)^ (R_t^T B^a)^; every other entry of the
+    blocks is zero.  The global system subtracts them from the rotation-rotation
+    sub-blocks of its tangent (A = K_MG - KM).
     """
     b_mat, b_app = local_fields(r0_pts, r_pts, b_r0, env)
     prod = skew(b_mat) @ skew(b_app) / env.mu0  # (..., G, 3, 3)
     n = np.asarray(shape_vals, dtype=float)
-    out = np.zeros(prod.shape[:-3] + (4, 4, 6, 6))
-    out[..., :, :, 3:, 3:] = np.einsum("...g,gi,gj,...gkl->...ijkl",
-                                       np.asarray(weights, float), n, n, prod)
-    return out
+    return np.einsum("...g,gi,gj,...gkl->...ijkl", np.asarray(weights, float), n, n, prod)

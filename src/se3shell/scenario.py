@@ -152,9 +152,11 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         raise ScenarioError(f"scenario file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cp.read(path, encoding="utf-8")
+        read = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path.name}: {exc}") from exc
+    if not read:  # read() skips a file it cannot open without an error
+        raise ScenarioError(f"cannot read scenario file: {path}")
 
     for section in cp.sections():
         base = "load" if section.startswith("load:") else section

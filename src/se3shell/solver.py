@@ -28,8 +28,12 @@ residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
 the attempt with an exception: the state is restored together with its
 memoized kernels (`FemModel.snapshot`/`restore`), the message kept as the
 attempt's reason and the load increment halved, up to MAX_HALVINGS times,
-after which the run fails with the last attempt's reason.  SolveReport keeps
-one Attempt record per attempt, and reads every tally from them.
+after which the run fails with the last attempt's reason.  When the tangent
+has no load-factor term (no dead load, no field), the restored kernel memo
+record also carries the `BandLU` the rejected attempt factored at that state
+(`GlobalSystem.factored`), so the retry's first iteration neither assembles
+nor factors.  SolveReport keeps one Attempt record per attempt, and reads
+every tally from them.
 """
 
 from __future__ import annotations
@@ -129,21 +133,67 @@ class SolveReport:
         return max((r for a in self.attempts for r in a.linear_residuals), default=0.0)
 
 
-def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
+class BandLU:
+    """A band tangent of `build_system` and its LU, made on the first solve.
 
-    `a` is the tangent as `build_system` returns it: a `dia_matrix` with
-    strictly descending offsets from ku >= 0 to -kl <= 0 over grid-ordered
-    DOFs, holding only the diagonals the elements write.  The only per-call
-    work before the factorization is the copy of each stored diagonal with
-    offset o into row kl + ku - o of the (2 kl + ku + 1, m) work array
-    (LAPACK's band layout), whose first kl rows take the fill of partial
-    pivoting; the diagonals not stored stay zero.  Any other matrix raises
-    TypeError.  The factorization costs about m kl^2 with
+    `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
+    -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
+    write; any other matrix raises TypeError.  The first `solve` copies each
+    stored diagonal with offset o into row kl + ku - o of the
+    (2 kl + ku + 1, m) work array (LAPACK's band layout), whose first kl rows
+    take the fill of partial pivoting, and factors it with LAPACK dgbtrf; the
+    diagonals not stored stay zero.  Later solves reuse the factor (dgbtrs
+    only).  The factorization costs about m kl^2 with
     kl = 6 (min(nx, ny) + 3) - 1, so it grows with the square of the shorter
     grid side; measured on square plates up to 60x60 it still beats a sparse
     LU with a minimum-degree order at every size (617 ms against 5.25 s at
-    60x60).
+    60x60).  An exactly zero pivot (info > 0) raises SingularSystemError with
+    a 1-norm estimate.
+    """
+
+    def __init__(self, a):
+        if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
+                and a.data.shape[1] == a.shape[0]
+                and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
+            raise TypeError("newton_step takes the band of build_system: a dia_matrix "
+                            "with full-length diagonals, offsets strictly descending "
+                            f"through 0; got {type(a).__name__}")
+        self.a = a
+        self.ku, self.kl = int(a.offsets[0]), -int(a.offsets[-1])
+        self._factor = None  # (lu, piv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._factor is None:
+            self._factor = self._factorize()
+        lu, piv = self._factor
+        return lapack.dgbtrs(lu, self.kl, self.ku, rhs, piv)[0]
+
+    def _factorize(self):
+        a, kl, ku = self.a, self.kl, self.ku
+        work = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
+        # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
+        # offsets is one slice copy, which numpy makes in the work array's memory
+        # order (a fancy row index took twice as long on the strips)
+        offs, start = a.offsets.tolist(), 0
+        for end in range(1, len(offs) + 1):
+            if end == len(offs) or offs[end] != offs[end - 1] - 1:
+                row = kl + ku - offs[start]
+                work[row:row + end - start] = a.data[start:end]
+                start = end
+        lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise SingularSystemError(_singular_message(a))
+        return lu, piv
+
+
+def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
+
+    `a` is the band tangent of `build_system`, factored here, or a `BandLU`
+    of one, whose factor is made on its first solve and reused after that:
+    the solver passes the `BandLU` that `GlobalSystem.factored` keeps with
+    the kernel memo, so the first solve of an attempt retried from a
+    restored snapshot makes no factorization.
 
     Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
     of iterative refinement follow; they stop once the residual is below 1e-12
@@ -151,46 +201,23 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     tangent).  The caller rejects the step when the residual stays above
     MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
     when the factorization meets an exactly zero pivot (info > 0) or produces
-    non-finite results.
+    non-finite results, and TypeError for a matrix that is not such a band.
     """
     b = np.asarray(b, dtype=float)
     if b.size == 0:
         return b.copy(), 0.0
-    if not (sp.issparse(a) and a.format == "dia" and a.data.shape[1] == b.size
-            and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
-        raise TypeError("newton_step takes the band of build_system: a dia_matrix "
-                        "with full-length diagonals, offsets strictly descending "
-                        f"through 0; got {type(a).__name__}")
-    band, offsets = a.data, a.offsets
-    ku, kl = int(offsets[0]), -int(offsets[-1])
-    work = np.zeros((2 * kl + ku + 1, b.size), order="F")
-    # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
-    # offsets is one slice copy, which numpy makes in the work array's memory
-    # order (a fancy row index took twice as long on the strips)
-    offs, start = offsets.tolist(), 0
-    for end in range(1, len(offs) + 1):
-        if end == len(offs) or offs[end] != offs[end - 1] - 1:
-            row = kl + ku - offs[start]
-            work[row:row + end - start] = band[start:end]
-            start = end
-    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
-    if info > 0:
-        raise SingularSystemError(_singular_message(a))
-
-    def solve(rhs):
-        return lapack.dgbtrs(lu, kl, ku, rhs, piv)[0]
-
-    eta = solve(b)
+    lu = a if isinstance(a, BandLU) else BandLU(a)
+    eta = lu.solve(b)
     if not np.all(np.isfinite(eta)):
-        raise SingularSystemError(_singular_message(a))
+        raise SingularSystemError(_singular_message(lu.a))
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    r = b - a @ eta
+    r = b - lu.a @ eta
     rel = float(np.linalg.norm(r)) / bnorm
     for _ in range(REFINEMENT_SWEEPS):
         if rel < 1e-12:
             break
-        eta = eta + solve(r)
-        r = b - a @ eta
+        eta = eta + lu.solve(r)
+        r = b - lu.a @ eta
         prev, rel = rel, float(np.linalg.norm(r)) / bnorm
         if rel > 0.5 * prev:
             break
@@ -306,7 +333,7 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         if system.residual_norm <= tol:
             attempt.converged = True
             return
-        eta_free, lin_res = newton_step(system.a, system.b)
+        eta_free, lin_res = newton_step(system.factored(BandLU), system.b)
         attempt.linear_residuals.append(lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "

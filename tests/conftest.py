@@ -250,6 +250,14 @@ def mechanical_tangent(model):
     return model.assemble(model.element_kernels(0.0), model.mesh.free_dofs())
 
 
+def element_tangent(kern):
+    """Element blocks Kmat + Kgeo - Kmag, (nel,4,4,6,6); `kern.kmag` holds
+    only the rotation-rotation sub-blocks of Kmag."""
+    blocks = kern.kmat + kern.kgeo
+    blocks[..., 3:, 3:] -= kern.kmag
+    return blocks
+
+
 def assembled_residual(model, lam=1.0):
     kern = model.element_kernels(lam)
     b, _ = model.residual(kern)

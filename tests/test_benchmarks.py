@@ -38,7 +38,9 @@ COUNTS = {
 # (mechanical kernel evaluations, tangent assemblies) of the same solves: the
 # kernels are evaluated once per distinct state (a converged state's kernels
 # serve the next attempt's first build, a restored state gets its kernels
-# back), and the tangent only for the builds that a linear solve follows.
+# back), and the tangent only for the builds that a linear solve follows,
+# less the first builds of retries that reuse the factored tangent their
+# restored state carries (the roll-ups: rollup_6pi 708 -> 642).
 WORK = {
     "antiparallel": (151, 156),
     "arch_rollup": (186, 185),
@@ -54,9 +56,9 @@ WORK = {
     "magnetic_cantilever_lh41": (91, 96),
     "magnetic_plate_A": (68, 67),
     "magnetic_plate_B": (66, 65),
-    "rollup_2pi": (309, 325),
-    "rollup_4pi": (529, 579),
-    "rollup_6pi": (643, 708),
+    "rollup_2pi": (309, 308),
+    "rollup_4pi": (529, 528),
+    "rollup_6pi": (643, 642),
     "torsion_2pi": (85, 84),
     "torsion_3pi": (120, 119),
     "torsion_pi": (48, 47),
@@ -65,6 +67,27 @@ WORK = {
 
 def test_counts_cover_every_bundled_scenario():
     assert sorted(COUNTS) == sorted(WORK) == sorted(list_bundled())
+
+
+def reused_retries(cfg, attempts) -> int:
+    """Attempts whose first solve reuses the factor of the attempt they retry.
+
+    The factor is kept only for a tangent with no load-factor term (no dead
+    load, no field), and it comes back with a snapshot only when the state's
+    kernels were evaluated before the snapshot was taken, which is not the
+    case for the attempts before the run's first accepted one.  The rejected
+    attempt must have factored, i.e. finished a solve, and the retry must
+    reach one.
+    """
+    if cfg.magnetic is not None or any(load.frame == "dead" for load in cfg.loads):
+        return 0
+    reused, accepted = 0, False
+    for prev, attempt in zip(attempts, attempts[1:]):
+        if prev.converged:
+            accepted = True
+        elif accepted and prev.linear_residuals and attempt.linear_residuals:
+            reused += 1
+    return reused
 
 
 def _counted(monkeypatch, owner, name):
@@ -87,15 +110,18 @@ def test_bundled_scenario_converges(name, monkeypatch):
     evaluations = _counted(monkeypatch, FemModel, "_evaluate_kernels")
     assemblies = _counted(monkeypatch, FemModel, "assemble")
     solves = _counted(monkeypatch, solver, "newton_step")
+    factorizations = _counted(monkeypatch, solver.lapack, "dgbtrf")
     lines = []
     report = run(model, cfg.solver, log=lines.append)
     assert report.converged, report.message
     attempts = sum(1 for line in lines if line.split()[1] == "1")
     assert (len(lines), attempts) == COUNTS[name]
-    # the tangent is assembled for every solve and only then, and the
-    # mechanical kernels once per distinct state
+    # the tangent is assembled and factored once for every solve except the
+    # first solves of retries that reuse the factor, and the mechanical
+    # kernels once per distinct state
     assert (len(evaluations), len(assemblies)) == WORK[name]
-    assert len(assemblies) == len(solves)
+    assert len(factorizations) == len(assemblies)
+    assert len(solves) - len(assemblies) == reused_retries(cfg, report.attempts)
     assert (report.iterations, len(report.attempts)) == COUNTS[name]
     assert len(report.rejections) == attempts - len(report.steps)
     # the final state actually moved for every loaded scenario

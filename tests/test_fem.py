@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     build_gauss_model,
+    element_tangent,
     fd_residual_jacobian,
     k_operator,
     mechanical_tangent,
@@ -120,7 +121,8 @@ class TestElementKernels:
     def test_absent_loads_are_zero_views(self):
         # no magnetics: nothing is allocated for the absent load fields
         kern = make_model(nx=2, ny=1).element_kernels()
-        for arr, shape in ((kern.kmag, kern.kmat.shape), (kern.f_mag, kern.f_int.shape),
+        for arr, shape in ((kern.kmag, kern.kmat.shape[:3] + (3, 3)),
+                           (kern.f_mag, kern.f_int.shape),
                            (kern.f_ext, kern.f_int.shape)):
             assert isinstance(arr, np.ndarray) and arr.shape == shape
             assert not any(arr.strides) and not arr.flags.writeable
@@ -338,7 +340,7 @@ class TestAssembly:
         kern = model.element_kernels()
         a = model.assemble(kern)
         b, _ = model.residual(kern)
-        k_el = kern.kmat + kern.kgeo - kern.kmag
+        k_el = element_tangent(kern)
         f_el = kern.f_ext + kern.f_mag - kern.f_int
         conn = model.mesh.conn[0]  # CCW ordering is [0, 1, 3, 2]
         expected_a = np.zeros((24, 24))
@@ -357,7 +359,7 @@ class TestAssembly:
         random_state_perturbation(model, 0.02, seed=12)
         kern = model.element_kernels()
         a = model.assemble(kern)
-        k_el = kern.kmat + kern.kgeo - kern.kmag
+        k_el = element_tangent(kern)
         conn = model.mesh.conn
         # node 1 belongs to both elements: its diagonal block is the sum
         loc0 = list(conn[0]).index(1)
@@ -464,7 +466,7 @@ class TestReducedSystem:
         assert system.load_norm == pytest.approx(
             np.linalg.norm((load_full + b_neu)[free]), rel=1e-12)
 
-        loop = self.dense_loop(model, kern.kmat + kern.kgeo - kern.kmag) - kd
+        loop = self.dense_loop(model, element_tangent(kern)) - kd
         assert np.abs(system.a.toarray() - loop[np.ix_(free, free)]).max() <= 1e-12 * scale
 
     def test_mechanical_tangent_matches_full_assembly(self):

@@ -1,5 +1,6 @@
 """Scenario parsing, run outputs, and CLI behavior."""
 
+import configparser
 import re
 import subprocess
 import sys
@@ -78,6 +79,29 @@ class TestParsing:
             parse_scenario(bad)
         assert cli_main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "configuration error: bad.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_path_is_a_scenario_error(self, tmp_path, capsys, monkeypatch):
+        # an existing path that cannot be opened as a file: a directory, or
+        # a file the user may not read
+        folder = tmp_path / "adir.cfg"
+        folder.mkdir()
+        locked = tmp_path / "locked.cfg"
+        locked.write_text("[geometry]\nkind = flat\n")
+
+        def refuse(file, *args, **kwargs):
+            if str(file) == str(locked):
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(configparser, "open", refuse, raising=False)
+        for path in (folder, locked):
+            with pytest.raises(ScenarioError, match="cannot read scenario file"):
+                parse_scenario(path)
+            assert cli_main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert f"configuration error: cannot read scenario file: {path}" in err
+            assert "missing section" not in err
         assert not (tmp_path / "o").exists()
 
     def test_inconsistent_magnetic_rotation(self, tmp_path):

@@ -6,6 +6,8 @@ g0(xi) exp(eta(xi)^) on a single element, which is the defining property of
 the update rule.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -625,6 +627,101 @@ class TestRun:
         report = run(model, SolverSettings(load_steps=1, max_iters=3))
         assert not report.converged
         assert report.message != ""
+
+
+FORCED_REASON = "rotation increment 9.999 rad exceeds pi/2"
+
+
+def run_with_forced_rejection(name, monkeypatch):
+    """Solve a bundled scenario, rejecting the first attempt of load step 2
+    as an oversized rotation after its first solve (so after its first
+    factorization).  Returns the report, the retry's load factor and a record
+    of the retry's first solve: the factorizations it made, its increment,
+    its right-hand side and the state it started from."""
+    cfg = load_bundled(name)
+    model = build_model(cfg)
+    factors = capture_factors(monkeypatch)
+    flags = {"armed": False, "rejected": False}
+    retry = []
+    update, step = solver.update_configuration, solver.newton_step
+
+    def log(line):
+        if line.split()[:2] == ["2", "1"] and not flags["rejected"]:
+            flags["armed"] = True
+
+    def update_or_reject(mesh, eta):
+        if flags["armed"]:
+            flags["armed"], flags["rejected"] = False, True
+            raise StepRejected(FORCED_REASON)
+        update(mesh, eta)
+
+    def recorded_step(a, b):
+        if not flags["rejected"] or retry:
+            return step(a, b)
+        start, made = model.mesh.state.copy(), len(factors)
+        eta, rel = step(a, b)
+        retry.append(SimpleNamespace(factorizations=len(factors) - made, eta=eta, b=b,
+                                     state=start))
+        return eta, rel
+
+    monkeypatch.setattr(solver, "update_configuration", update_or_reject)
+    monkeypatch.setattr(solver, "newton_step", recorded_step)
+    report = run(model, cfg.solver, log=log)
+    assert report.converged, report.message
+    reasons = [a.reason for a in report.attempts]
+    lam = report.attempts[reasons.index(FORCED_REASON) + 1].load_factor
+    (first_solve,) = retry
+    return cfg, lam, first_solve
+
+
+class TestFactorReuse:
+    """A retried attempt reuses the factor its predecessor made at the same
+    state exactly when the tangent has no load-factor term."""
+
+    @staticmethod
+    def fresh_increment(cfg, lam, state):
+        model = build_model(cfg)
+        model.mesh.state = state.copy()
+        system = model.build_system(lam)
+        return system.b, newton_step(system.a, system.b)[0]
+
+    def test_follower_retry_reuses_the_factor(self, monkeypatch):
+        cfg, lam, first_solve = run_with_forced_rejection("rollup_2pi", monkeypatch)
+        assert first_solve.factorizations == 0
+        b, eta = self.fresh_increment(cfg, lam, first_solve.state)
+        assert np.array_equal(first_solve.b, b)
+        assert np.array_equal(first_solve.eta, eta)
+
+    @pytest.mark.parametrize("name", ["end_shear", "magnetic_cantilever_lh10"])
+    def test_load_dependent_retry_factors_anew(self, name, monkeypatch):
+        # a dead load or a field puts the load factor into the tangent
+        cfg, lam, first_solve = run_with_forced_rejection(name, monkeypatch)
+        assert first_solve.factorizations == 1
+        b, eta = self.fresh_increment(cfg, lam, first_solve.state)
+        assert np.array_equal(first_solve.b, b)
+        assert np.array_equal(first_solve.eta, eta)
+
+    def test_factor_is_made_once_and_only_on_solve(self, monkeypatch):
+        system = first_tangent("rollup_6pi")
+        factors = capture_factors(monkeypatch)
+        lu = system.factored(solver.BandLU)
+        assert factors == [] and system.factored(solver.BandLU) is lu
+        eta, _ = newton_step(lu, system.b)
+        assert np.array_equal(newton_step(lu, system.b)[0], eta)
+        assert len(factors) == 1
+        assert np.array_equal(newton_step(system.a, system.b)[0], eta)
+
+    def test_factor_follows_later_clamp(self):
+        # the same twists on fewer free DOFs: the kept factor is not reused
+        model = cantilever(nx=4)
+        system = model.build_system(0.5)
+        lu = system.factored(solver.BandLU)
+        model.mesh.clamp_edge("xi1_max")
+        clamped = model.build_system(0.5)
+        assert clamped.memo is system.memo
+        lu_clamped = clamped.factored(solver.BandLU)
+        assert lu_clamped is not lu and lu_clamped.a.shape == (len(clamped.free),) * 2
+        assert clamped.factored(solver.BandLU) is lu_clamped
 
 
 class TestAccumulatedRotation:
