@@ -27,11 +27,11 @@ program enters through f_mag and Kmag.
 A build evaluates only what the Newton iteration reads.  The mechanical
 kernels depend on the sampled twists alone, so the model keeps the last
 evaluation and reuses it while the twists are exactly equal (the first build
-of an attempt starts from the state the last one converged at, or from a
-restored snapshot, which carries its kernels).  `build_system` forms the
-residual and its norms; the tangent, with the magnetic stiffness and the
-dead-load blocks, is assembled only when the solver reads `GlobalSystem.a`,
-so the check that finds a step converged assembles none.
+of an attempt starts from a load increment's snapshot, which carries the
+kernels of its state).  `build_system` forms the residual and its norms; the
+tangent, with the magnetic stiffness and the dead-load blocks, is assembled
+only when the solver reads `GlobalSystem.a`, so the check that finds a step
+converged assembles none.
 
 Assembly has one fixed-pattern path, straight into band storage.  On the
 first build for a given set of free DOFs the model orders those DOFs along
@@ -46,12 +46,11 @@ plate), with fixed DOFs already dropped; each later build is then one
 the negated dead-load blocks.  The full unreduced system used by diagnostics
 is the same scatter over all DOFs, in natural order (a wider band).
 
-Without a dead load or a field the tangent is a function of the memoized
-twists alone, so the solver's factor of it is kept with the kernel memo
-record (`GlobalSystem.factored`).  The rejected attempts of a load step
-then cost one factorization less each: the retry starts from the restored
-snapshot, whose record carries the factor its predecessor made at the same
-state, and its first solve neither assembles nor factors.
+Without a dead load or a field (`GlobalSystem.load_free`) the tangent is a
+function of the state alone, so the solver keeps its factor of a load
+increment's start tangent in the `lu` slot of the increment's snapshot: a
+retried attempt starts from the restored snapshot, and its first solve
+neither assembles nor factors.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,13 +67,12 @@ from .constitutive import (Material, internal_energy_density, metric_inverse,
 from .liegroup import ad, ad_tilde, skew
 from .magnetics import (MagneticEnvironment, element_magnetic_force,
                         element_magnetic_stiffness, local_fields)
-from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
+from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh, ShellState
 
 # sample points of each strain sampling and their weight per unit chart area
 _SAMPLINGS = {"centroid": (np.array([0]), 1.0), "gauss": (GAUSS_POINTS, 0.25)}
 # backs the all-zero ElementKernels fields
 _ZERO = np.zeros(())
-_Factor = TypeVar("_Factor")
 
 
 @dataclass
@@ -106,17 +103,6 @@ class ElementKernels:
         return element_magnetic_stiffness(*self.magnetic_args)
 
 
-@dataclass(eq=False)
-class _KernelMemo:
-    """The model's last kernel evaluation: the twists it read, its
-    (kmat, kgeo, f_int), and `factored`, the (free DOFs, factor) that
-    `GlobalSystem.factored` keeps of a tangent with no load-factor term."""
-
-    zeta: np.ndarray
-    kernels: tuple
-    factored: tuple | None = None
-
-
 @dataclass
 class GlobalSystem:
     """BC-reduced Newton system A eta = b plus bookkeeping for tolerances.
@@ -124,17 +110,16 @@ class GlobalSystem:
     `free` lists the free DOFs in the row order of `a` and `b`, which is the
     grid order of the band, not ascending DOF order.  The tangent `a` is
     assembled by `tangent` on first access, so a converged check never forms
-    it; a non-finite tangent raises FloatingPointError there.  `memo` is the
-    kernel record of the state when the tangent has no load-factor term (no
-    dead load, no field), else None; `factored` keeps the solver's factor of
-    `a` on it.
+    it; a non-finite tangent raises FloatingPointError there.  `load_free`
+    is set when the tangent has no load-factor term (no dead load, no
+    field): it is then a function of the state alone.
     """
 
     b: np.ndarray
     free: np.ndarray
     load_norm: float
     tangent: Callable[[], sp.dia_matrix]
-    memo: _KernelMemo | None = None
+    load_free: bool
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -144,21 +129,15 @@ class GlobalSystem:
     def a(self) -> sp.dia_matrix:
         return self.tangent()
 
-    def factored(self, factor: Callable[[sp.dia_matrix], _Factor]) -> _Factor:
-        """`factor(a)`, kept on the kernel memo record when there is one.
 
-        Without a dead load or a field the tangent depends only on the
-        memoized twists and the free DOFs, so one factor serves every system
-        built from that record.  A retried attempt starts from a restored
-        snapshot, which carries the record, so its first solve reuses the
-        factor the rejected attempt made: no assembly, no factorization.
-        """
-        memo = self.memo
-        if memo is None:
-            return factor(self.a)
-        if memo.factored is None or memo.factored[0] is not self.free:
-            memo.factored = (self.free, factor(self.a))
-        return memo.factored[1]
+@dataclass(eq=False)
+class Snapshot:
+    """A copy of a state, the kernel memo of that state, and `lu`, a slot
+    for the solver's factor of the state's tangent."""
+
+    state: ShellState
+    memo: tuple
+    lu: object = None
 
 
 class FemModel:
@@ -186,7 +165,7 @@ class FemModel:
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
-        # the _KernelMemo of the last kernel evaluation
+        # (twists, (kmat, kgeo, f_int)) of the last kernel evaluation
         self._kernels = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
@@ -197,25 +176,16 @@ class FemModel:
                              "the state carries no Gauss-point rotations")
         return self.field(load_factor)
 
-    def snapshot(self):
-        """A copy of the state together with its kernel memo record.
+    def snapshot(self) -> Snapshot:
+        """A copy of the state with its kernel memo, evaluated first if stale,
+        and an empty `lu` slot."""
+        self._mechanical_kernels()
+        return Snapshot(self.mesh.state.copy(), self._kernels)
 
-        The record is shared, not copied: a factor that a later solve keeps
-        on it (`GlobalSystem.factored`) comes back with `restore`.
-        """
-        return self.mesh.state.copy(), self._kernels
-
-    def restore(self, snapshot) -> None:
-        """Return to a `snapshot`; each snapshot is restored at most once.
-
-        The state gets its memoized kernels back and, when its tangent has no
-        load-factor term and was factored after the snapshot, that factor.  A
-        snapshot taken before any kernel evaluation keeps the current memo,
-        which is still checked against the restored twists.
-        """
-        self.mesh.state, kernels = snapshot
-        if kernels is not None:
-            self._kernels = kernels
+    def restore(self, snapshot: Snapshot) -> None:
+        """Return to a copy of the `snapshot` state, with its kernel memo."""
+        self.mesh.state = snapshot.state.copy()
+        self._kernels = snapshot.memo
 
     def _build_d_blocks(self) -> np.ndarray:
         """Per-element stiffness blocks, one evaluation per distinct metric."""
@@ -267,12 +237,12 @@ class FemModel:
         edit or a NaN evaluates anew.
         """
         zeta = self.mesh.state.zeta_pts
-        if self._kernels is None or not np.array_equal(self._kernels.zeta, zeta):
+        if self._kernels is None or not np.array_equal(self._kernels[0], zeta):
             kernels = self._evaluate_kernels(zeta)
             for arr in kernels:
                 arr.flags.writeable = False
-            self._kernels = _KernelMemo(zeta.copy(), kernels)
-        return self._kernels.kernels
+            self._kernels = (zeta.copy(), kernels)
+        return self._kernels[1]
 
     def _evaluate_kernels(self, zeta: np.ndarray):
         """(kmat, kgeo, f_int) through the factored tangent over the sample points.
@@ -416,9 +386,6 @@ class FemModel:
 
         The residual side is formed here; the tangent only when the solver
         reads `a`, so the check that finds a step converged assembles none.
-        Without a field and with all dead-load blocks zero the system carries
-        the kernel memo record, on which `GlobalSystem.factored` keeps the
-        factor of the tangent.
         """
         kern = self.element_kernels(load_factor)
         free = self._band_order(self.mesh.free_dofs())
@@ -431,7 +398,7 @@ class FemModel:
         return GlobalSystem(
             b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
             tangent=lambda: self.apply_boundary_conditions(kern, kdead, free),
-            memo=self._kernels if kern.magnetic_args is None and not kdead.any() else None)
+            load_free=kern.magnetic_args is None and not kdead.any())
 
     def _band_order(self, free: np.ndarray) -> np.ndarray:
         """`free` with nodes along the longer grid side, made once per free-DOF set."""

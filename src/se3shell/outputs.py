@@ -26,7 +26,7 @@ import numpy as np
 
 from .fem import FemModel
 from .mesh import dump_mesh, dump_triangles
-from .scenario import ScenarioConfig, build_model, edge_length
+from .scenario import ScenarioConfig, ScenarioError, build_model, edge_length
 from .solver import SolveReport, run
 
 
@@ -63,10 +63,17 @@ def primary_magnitude(cfg: ScenarioConfig, model: FemModel, load_factor: float) 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, *,
                  quiet: bool = False) -> tuple[SolveReport, FemModel]:
-    """Execute one scenario and write CSV, mesh dumps and the solve report."""
+    """Execute one scenario and write CSV, mesh dumps and the solve report.
+
+    An `out_dir` that cannot be created raises ScenarioError.
+    """
     model = build_model(cfg)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {out_dir}: "
+                            f"{exc.strerror or exc}") from exc
 
     rows = [(0, 0.0, 0.0, *tip_displacement(model), tip_rotation_angle(model))]
     if cfg.mesh_dumps:

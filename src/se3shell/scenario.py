@@ -145,6 +145,13 @@ def _int(cp, section, key, default=None) -> int:
     return int(value)
 
 
+def _refuse(cp, section: str, keys: tuple[str, ...], reason: str) -> None:
+    """Refuse the first of `keys` present in `section`: the parse never reads it."""
+    for key in keys:
+        if cp.has_option(section, key):
+            raise ScenarioError(f"[{section}] {key}: not read {reason}")
+
+
 def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
     """Read and validate one scenario file; errors name section and key."""
     path = Path(path)
@@ -171,15 +178,18 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
         raise ScenarioError(f"[geometry] kind must be flat or arch, got '{kind}'")
     width = _float(cp, "geometry", "width")
     if kind == "flat":
+        _refuse(cp, "geometry", ("radius", "angle_span"), "with kind = flat")
         length = _float(cp, "geometry", "length")
         radius, span = 0.0, np.pi
     else:
+        _refuse(cp, "geometry", ("length",), "with kind = arch")
         radius = _float(cp, "geometry", "radius")
         span = _float(cp, "geometry", "angle_span", np.pi)
         length = radius * span
 
     h = _float(cp, "material", "h")
     if cp.has_option("material", "mu") or cp.has_option("material", "lam"):
+        _refuse(cp, "material", ("e", "nu"), "with the Lame constants mu and lam")
         make = Material.from_lame
         args = (_float(cp, "material", "mu"), _float(cp, "material", "lam"), h)
     else:
@@ -213,8 +223,10 @@ def parse_scenario(path, name: str | None = None) -> ScenarioConfig:
             raise ScenarioError(f"[{section}] edge: unknown edge '{edge}'")
         wrench, magnitude = None, 0.0
         if ltype == "follower_edge":
+            _refuse(cp, section, ("magnitude",), "with type = follower_edge")
             wrench = _vec(_need(cp, section, "wrench"), section, "wrench", 6)
         else:
+            _refuse(cp, section, ("wrench",), f"with type = {ltype}")
             magnitude = _float(cp, section, "magnitude")
         loads.append(LoadSpec(kind=ltype, magnitude=magnitude, frame=frame,
                               edge=edge, wrench=wrench))

@@ -26,13 +26,15 @@ field program.  An increment whose largest nodal rotation exceeds pi/2, a
 non-finite system, a singular tangent, a linear solve whose refined relative
 residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
 the attempt with an exception: the state is restored together with its
-memoized kernels (`FemModel.snapshot`/`restore`), the message kept as the
-attempt's reason and the load increment halved, up to MAX_HALVINGS times,
-after which the run fails with the last attempt's reason.  When the tangent
-has no load-factor term (no dead load, no field), the restored kernel memo
-record also carries the `BandLU` the rejected attempt factored at that state
-(`GlobalSystem.factored`), so the retry's first iteration neither assembles
-nor factors.  SolveReport keeps one Attempt record per attempt, and reads
+memoized kernels from the snapshot taken once per load increment
+(`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
+and the increment halved, up to MAX_HALVINGS times, after which the run
+fails with the last attempt's reason.  When the tangent has no load-factor
+term (`GlobalSystem.load_free`: no dead load, no field), every attempt of an
+increment starts from the same tangent, so the `BandLU` of the first one to
+solve is kept in the snapshot's `lu` slot and the first iteration of each
+retry neither assembles nor factors; every other factor lives only for its
+own solve.  SolveReport keeps one Attempt record per attempt, and reads
 every tally from them.
 """
 
@@ -46,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import FemModel
+from .fem import FemModel, Snapshot
 from .liegroup import carried_update, exp_se3, exp_so3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
@@ -191,9 +193,8 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
 
     `a` is the band tangent of `build_system`, factored here, or a `BandLU`
     of one, whose factor is made on its first solve and reused after that:
-    the solver passes the `BandLU` that `GlobalSystem.factored` keeps with
-    the kernel memo, so the first solve of an attempt retried from a
-    restored snapshot makes no factorization.
+    the solver passes the `BandLU` a load increment's snapshot keeps, so the
+    first solve of an attempt retried from it makes no factorization.
 
     Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
     of iterative refinement follow; they stop once the residual is below 1e-12
@@ -320,9 +321,12 @@ def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
     return total
 
 
-def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, log) -> None:
-    """Iterate at the attempt's load factor, filling its record, until the
-    residual converges; any rejection of the attempt raises."""
+def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, log,
+                 start: Snapshot) -> None:
+    """Iterate at the attempt's load factor from the `start` state, filling
+    its record, until the residual converges; any rejection of the attempt
+    raises.  A first tangent with no load-factor term is the start state's,
+    so its factor is made once and kept in `start.lu`."""
     for it in range(1, settings.max_iters + 1):
         system = model.build_system(attempt.load_factor)
         attempt.residuals.append(system.residual_norm)
@@ -333,7 +337,12 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         if system.residual_norm <= tol:
             attempt.converged = True
             return
-        eta_free, lin_res = newton_step(system.factored(BandLU), system.b)
+        if it == 1 and system.load_free:
+            if start.lu is None:
+                start.lu = BandLU(system.a)
+            eta_free, lin_res = newton_step(start.lu, system.b)
+        else:
+            eta_free, lin_res = newton_step(system.a, system.b)
         attempt.linear_residuals.append(lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
@@ -362,12 +371,12 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
         lam_target = step_no / settings.load_steps
         while lam < lam_target - 1e-14:
             dlam = lam_target - lam
+            snapshot = model.snapshot()
             for _ in range(MAX_HALVINGS + 1):
-                snapshot = model.snapshot()
                 attempt = Attempt(step_no, lam + dlam)
                 report.attempts.append(attempt)
                 try:
-                    _newton_loop(model, attempt, settings, log)
+                    _newton_loop(model, attempt, settings, log, snapshot)
                 except (StepRejected, SingularSystemError, FloatingPointError) as exc:
                     attempt.reason = str(exc)
                     model.restore(snapshot)

@@ -325,9 +325,23 @@ class TestCli:
         ("antiparallel", "axis = 0 1 0", "axis = 0 0 0", "[perturb] axis"),
         ("antiparallel", "b_a = -0.05 0 0\nb_a_start = 0 0 0.05",
          "b_a = 0 0 0\nb_a_start = 0 0 0", "[magnetic]"),
+        # keys the parsed kind never reads
+        ("arch_rollup", "kind = arch", "kind = arch\nlength = 5.0", "[geometry] length"),
+        ("rollup_2pi", "kind = flat", "kind = flat\nradius = 1.0", "[geometry] radius"),
+        ("rollup_2pi", "kind = flat", "kind = flat\nangle_span = 1.0",
+         "[geometry] angle_span"),
+        ("rollup_2pi", "e = 12e6", "mu = 1e6\nlam = 0\ne = 12e6", "[material] e"),
+        ("rollup_2pi", "e = 12e6\nnu = 0.0", "mu = 6e6\nlam = 0\nnu = 0.0",
+         "[material] nu"),
+        ("rollup_2pi", "type = end_moment", "type = end_moment\nwrench = 0 0 0 0 1 0",
+         "[load] wrench"),
+        ("arch_tangent", "type = follower_edge", "type = follower_edge\nmagnitude = 1.0",
+         "[load] magnitude"),
     ], ids=["arch_angle_span", "magnetic_mu0", "magnetic_mu0_rotation", "perturb_magnitude",
             "magnetic_b_r_mode", "perturb_mode", "perturb_axis_zero",
-            "magnetic_rotation_zero_field"])
+            "magnetic_rotation_zero_field", "arch_length", "flat_radius", "flat_angle_span",
+            "material_e_with_lame", "material_nu_with_lame", "load_wrench_end_moment",
+            "load_magnitude_follower_edge"])
     def test_invalid_bundled_value_exit_code(self, tmp_path, capsys, name, old, new, section):
         text = (bundled_dir() / f"{name}.cfg").read_text()
         assert old in text
@@ -345,6 +359,13 @@ class TestCli:
         assert cli_main(["bench", "end_shear", "--out", str(out), "--quiet", *flags]) == 2
         assert "[solver]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_not_a_directory_exit_code(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert cli_main(["bench", "torsion_pi", "--out", str(afile), "--quiet"]) == 2
+        assert ("configuration error: cannot create output directory"
+                in capsys.readouterr().err)
 
     def test_unknown_bench_exit_code(self, tmp_path):
         assert cli_main(["bench", "nope", "--out", str(tmp_path)]) == 2

@@ -675,8 +675,9 @@ def run_with_forced_rejection(name, monkeypatch):
 
 
 class TestFactorReuse:
-    """A retried attempt reuses the factor its predecessor made at the same
-    state exactly when the tangent has no load-factor term."""
+    """A retried attempt reuses the factor an earlier attempt of its load
+    increment made at the same start state exactly when the tangent has no
+    load-factor term."""
 
     @staticmethod
     def fresh_increment(cfg, lam, state):
@@ -701,27 +702,54 @@ class TestFactorReuse:
         assert np.array_equal(first_solve.b, b)
         assert np.array_equal(first_solve.eta, eta)
 
+    def test_first_attempt_retry_reuses_kernels_and_factor(self, monkeypatch):
+        # the run's first attempt moves the state once and is rejected at its
+        # second update; the retry's first solve neither evaluates the
+        # kernels nor factors
+        cfg = load_bundled("rollup_2pi")
+        model = build_model(cfg)
+        evaluations = TestRun.counted_evaluations(model, monkeypatch)
+        factors = capture_factors(monkeypatch)
+        updates, counts, retry = [], [], []
+        update, step = solver.update_configuration, solver.newton_step
+
+        def update_or_reject(mesh, eta):
+            updates.append(None)
+            if len(updates) == 2:
+                counts.append((len(evaluations), len(factors)))
+                raise StepRejected(FORCED_REASON)
+            update(mesh, eta)
+
+        def recorded_step(a, b):
+            if len(counts) != 1:
+                return step(a, b)
+            start = model.mesh.state.copy()
+            eta, rel = step(a, b)
+            counts.append((len(evaluations), len(factors)))
+            retry.append((start, b, eta))
+            return eta, rel
+
+        monkeypatch.setattr(solver, "update_configuration", update_or_reject)
+        monkeypatch.setattr(solver, "newton_step", recorded_step)
+        report = run(model, cfg.solver)
+        assert report.converged, report.message
+        first, second = report.attempts[:2]
+        assert (first.reason, first.iterations) == (FORCED_REASON, 2)
+        assert counts == [(2, 2), (2, 2)]
+        ((state, b, eta),) = retry
+        fresh_b, fresh_eta = self.fresh_increment(cfg, second.load_factor, state)
+        assert np.array_equal(b, fresh_b)
+        assert np.array_equal(eta, fresh_eta)
+
     def test_factor_is_made_once_and_only_on_solve(self, monkeypatch):
         system = first_tangent("rollup_6pi")
         factors = capture_factors(monkeypatch)
-        lu = system.factored(solver.BandLU)
-        assert factors == [] and system.factored(solver.BandLU) is lu
+        lu = solver.BandLU(system.a)
+        assert factors == []
         eta, _ = newton_step(lu, system.b)
         assert np.array_equal(newton_step(lu, system.b)[0], eta)
         assert len(factors) == 1
         assert np.array_equal(newton_step(system.a, system.b)[0], eta)
-
-    def test_factor_follows_later_clamp(self):
-        # the same twists on fewer free DOFs: the kept factor is not reused
-        model = cantilever(nx=4)
-        system = model.build_system(0.5)
-        lu = system.factored(solver.BandLU)
-        model.mesh.clamp_edge("xi1_max")
-        clamped = model.build_system(0.5)
-        assert clamped.memo is system.memo
-        lu_clamped = clamped.factored(solver.BandLU)
-        assert lu_clamped is not lu and lu_clamped.a.shape == (len(clamped.free),) * 2
-        assert clamped.factored(solver.BandLU) is lu_clamped
 
 
 class TestAccumulatedRotation:
