@@ -5,12 +5,15 @@
     python scripts/final_states.py compare OLD.npz NEW.npz
 
 `save` solves each bundled scenario (all of them by default) with its own
-settings and stores its final nodal poses `g_nodes`, its system builds and its
-Newton attempts.  `compare` prints one row per scenario: whether the poses
-are exactly equal, the largest position difference relative to the
-scenario's length scale, the largest rotation difference in radians, and the
-builds and attempts of both files.  It exits 1 when any scenario is missing
-from one file, did not converge, or differs in builds, attempts or poses.
+settings and stores its final nodal poses `g_nodes`, the twists `zeta_pts` and
+rotations `r_pts` the state carries at its sample points, its system builds
+and its Newton attempts.  `compare` prints one row per scenario: whether the
+poses, twists and rotations are all exactly equal, the largest nodal position
+difference relative to the scenario's length scale, the largest nodal
+rotation difference in radians, the largest twist difference, the largest
+carried-rotation difference in radians, and the builds and attempts of both
+files.  It exits 1 when any scenario is missing from one file, did not
+converge, or differs in builds, attempts, poses, twists or rotations.
 """
 
 import argparse
@@ -22,13 +25,16 @@ from se3shell.liegroup import unskew
 from se3shell.scenario import build_model, list_bundled, load_bundled
 from se3shell.solver import run
 
+STATE_KEYS = ("g_nodes", "zeta_pts", "r_pts")
+
 
 def final_state(name: str) -> dict[str, np.ndarray]:
     cfg = load_bundled(name)
     model = build_model(cfg)
     report = run(model, cfg.solver)
     scale = cfg.length if cfg.geometry_kind == "flat" else cfg.radius
-    return {"g_nodes": model.mesh.state.g_nodes,
+    state = model.mesh.state
+    return {"g_nodes": state.g_nodes, "zeta_pts": state.zeta_pts, "r_pts": state.r_pts,
             "counts": np.array([report.iterations, len(report.attempts),
                                 report.converged]),
             "scale": np.array(scale)}
@@ -55,26 +61,31 @@ def compare(old_path: str, new_path: str) -> int:
         old, new = dict(old_file), dict(new_file)
     names = sorted({key.split("/")[0] for key in (*old, *new)})
     print(f"{'scenario':28s} {'equal':>5s} {'max |dp|/L':>11s} {'max |dR| rad':>12s}"
-          f" {'builds':>11s} {'attempts':>9s}")
+          f" {'max |dzeta|':>11s} {'max |dRpt|':>11s} {'builds':>11s} {'attempts':>9s}")
     failed = 0
     for name in names:
         try:
-            g0, g1 = old[f"{name}/g_nodes"], new[f"{name}/g_nodes"]
+            s0, s1 = ({key: store[f"{name}/{key}"] for key in STATE_KEYS}
+                      for store in (old, new))
             c0, c1 = old[f"{name}/counts"], new[f"{name}/counts"]
         except KeyError:
             print(f"{name:28s} missing from one file")
             failed += 1
             continue
         same_counts = np.array_equal(c0, c1) and c0[2] and c1[2]
-        if g0.shape != g1.shape:
-            print(f"{name:28s} meshes differ: {g0.shape} against {g1.shape}")
+        shapes = [(s0[key].shape, s1[key].shape) for key in STATE_KEYS]
+        if any(a != b for a, b in shapes):
+            print(f"{name:28s} states differ in shape: {shapes}")
             failed += 1
             continue
-        equal = np.array_equal(g0, g1)
+        equal = all(np.array_equal(s0[key], s1[key]) for key in STATE_KEYS)
+        g0, g1 = s0["g_nodes"], s1["g_nodes"]
         dp = np.abs(g1[:, :3, 3] - g0[:, :3, 3]).max() / float(new[f"{name}/scale"])
         dr = rotation_angle(np.swapaxes(g0[:, :3, :3], -1, -2) @ g1[:, :3, :3]).max()
+        dz = np.abs(s1["zeta_pts"] - s0["zeta_pts"]).max(initial=0.0)
+        drp = rotation_angle(np.swapaxes(s0["r_pts"], -1, -2) @ s1["r_pts"]).max(initial=0.0)
         print(f"{name:28s} {'yes' if equal else 'no':>5s} {dp:11.3e} {dr:12.3e}"
-              f" {c0[0]:5d}/{c1[0]:<5d} {c0[1]:4d}/{c1[1]:<4d}")
+              f" {dz:11.3e} {drp:11.3e} {c0[0]:5d}/{c1[0]:<5d} {c0[1]:4d}/{c1[1]:<4d}")
         failed += not (equal and same_counts)
     print(f"{len(names) - failed} of {len(names)} scenarios identical")
     return 1 if failed else 0

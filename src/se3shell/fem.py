@@ -24,14 +24,18 @@ mechanical force f_ext - f_int; f_ext holds the boundary wrenches of
 `neumann_terms`, and the applied field B^a(lambda) of the model's field
 program enters through f_mag and Kmag.
 
-A build evaluates only what the Newton iteration reads.  The mechanical
-kernels depend on the sampled twists alone, so the model keeps the last
+A build evaluates only what the Newton iteration reads.  The kernel memo
+holds what depends on the sampled twists alone: the factor P of the
+material stiffness Kmat = K0 + P + P^T with a contiguous copy of P^T, the
+internal forces, the weighted stress and ad(zeta).  The model keeps the last
 evaluation and reuses it while the twists are exactly equal (the first build
 of an attempt starts from a load increment's snapshot, which carries the
-kernels of its state).  `build_system` forms the residual and its norms; the
-tangent, with the magnetic stiffness and the dead-load blocks, is assembled
-only when the solver reads `GlobalSystem.a`, so the check that finds a step
-converged assembles none.
+memo of its state).  `build_system` forms the residual and its norms; the
+tangent is assembled only when the solver reads `GlobalSystem.a`, so the
+check that finds a step converged assembles none.  Only then are the
+geometric stiffness (from the memo's stress) and the magnetic stiffness
+formed, and each element block is written once, straight into the scatter's
+weight buffer, as ((K0 + P_i) + P_j^T) + Kgeo - Kmag.
 
 Assembly has one fixed-pattern path, straight into band storage.  On the
 first build for a given set of free DOFs the model orders those DOFs along
@@ -65,8 +69,8 @@ import scipy.sparse as sp
 from .constitutive import (Material, internal_energy_density, metric_inverse,
                            stiffness_blocks, stress)
 from .liegroup import ad, ad_tilde, skew
-from .magnetics import (MagneticEnvironment, element_magnetic_force,
-                        element_magnetic_stiffness, local_fields)
+from .magnetics import (MagneticEnvironment, applied_field, element_magnetic_force,
+                        element_magnetic_stiffness, remanent_field)
 from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh, ShellState
 
 # sample points of each strain sampling and their weight per unit chart area
@@ -77,30 +81,75 @@ _ZERO = np.zeros(())
 
 @dataclass
 class ElementKernels:
-    """Batched element arrays; forces (nel,4,6), matrices (nel,4,4,6,6).
+    """Batched element arrays of one build; forces (nel,4,6), blocks (nel,4,4,6,6).
 
-    kmag holds only the rotation-rotation 3x3 sub-blocks of the magnetic
-    tangent, (nel,4,4,3,3); its other entries are zero.  It is evaluated on
-    first access from the arguments `magnetic_args` of
-    `element_magnetic_stiffness`, so a system that is never factored never
-    evaluates it.  f_ext is a read-only all-zero broadcast view (boundary
+    Only `blocks` forms the element blocks Kmat + Kgeo - Kmag, into the
+    buffer it is given.  Kmat = K0 + P + P^T is not stored: kmat holds the
+    memoized factor P and kmat_t a contiguous P^T, broadcastable to the block
+    shape ((nel,4,1,6,6) and (nel,1,4,6,6) for the centroid sampling, where
+    P_ij does not depend on j), and k0 is the sampling's constant K0.  kmat,
+    kmat_t and f_int are the model's read-only memo.
+
+    kgeo and kmag are formed on first access, from `geometric_args` (the
+    memo's ad(zeta) and stress, with the shape functions) and
+    `magnetic_args`, so a build whose tangent is never assembled forms
+    neither.  kmag holds only the rotation-rotation 3x3 sub-blocks,
+    (nel,4,4,3,3).  f_ext is a read-only all-zero broadcast view (boundary
     loads enter through `neumann_terms`); so are f_mag and kmag without
-    magnetics (`magnetic_args` None).  kmat, kgeo and f_int are read-only: they
-    are the model's memoized mechanical kernels.
+    magnetics (`magnetic_args` None).
     """
 
+    k0: np.ndarray
     kmat: np.ndarray
-    kgeo: np.ndarray
+    kmat_t: np.ndarray
     f_int: np.ndarray
     f_ext: np.ndarray
     f_mag: np.ndarray
+    geometric_args: tuple
     magnetic_args: tuple | None
+
+    @cached_property
+    def kgeo(self) -> np.ndarray:
+        return element_geometric_stiffness(*self.geometric_args)
 
     @cached_property
     def kmag(self) -> np.ndarray:
         if self.magnetic_args is None:
-            return np.broadcast_to(_ZERO, self.kmat.shape[:3] + (3, 3))
+            return np.broadcast_to(_ZERO, self.k0.shape[:3] + (3, 3))
         return element_magnetic_stiffness(*self.magnetic_args)
+
+    def blocks(self, out: np.ndarray) -> np.ndarray:
+        """Write the element blocks ((K0 + P_i) + P_j^T) + Kgeo - Kmag into `out`,
+        (nel,4,4,6,6), and return it."""
+        np.add(self.k0, self.kmat, out=out)
+        out += self.kmat_t
+        out += self.kgeo
+        if self.magnetic_args is not None:
+            out[..., 3:, 3:] -= self.kmag
+        return out
+
+
+def element_geometric_stiffness(adz: np.ndarray, s: np.ndarray, n: np.ndarray,
+                                dn: np.ndarray) -> np.ndarray:
+    """Kgeo of the twists and weighted stresses `s` at the G sample points.
+
+    With A_ga = ad(zeta_ga) stacked over a in `adz` (nel,G,12,6),
+    T_ga = ad_tilde(s_ga) and the shape-function values n (G,4) and
+    derivatives dn (G,4,2) there,
+
+        kgeo_ij = sum_g N_gi (sum_a dN_gja T_ga + N_gj sum_a T_ga A_ga).
+
+    At the single centroid point N_i = 1/4 for every node, so kgeo does not
+    depend on i and is returned as a read-only broadcast view.
+    """
+    nel, g = s.shape[:2]
+    t = ad_tilde(s)                                    # (nel, G, 2, 6, 6)
+    q = (dn @ t.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
+    q += n[..., None, None] * (t.transpose(0, 1, 3, 2, 4).reshape(nel, g, 6, 12)
+                               @ adz)[:, :, None]
+    if g == 1:
+        return np.broadcast_to(n[0, 0] * q, (nel, 4, 4, 6, 6))
+    return np.einsum("gi,egjpq->eijpq", n, q)
 
 
 @dataclass
@@ -165,7 +214,9 @@ class FemModel:
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
-        # (twists, (kmat, kgeo, f_int)) of the last kernel evaluation
+        # (copy of mesh.b_r, R_0^T B_0^r), built on the first magnetic build
+        self._remanent = None
+        # (twists, (P, P^T, f_int, s, ad(zeta))) of the last kernel evaluation
         self._kernels = None
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
@@ -175,6 +226,19 @@ class FemModel:
             raise ValueError("mesh.b_r was set after the model was built: "
                              "the state carries no Gauss-point rotations")
         return self.field(load_factor)
+
+    def _remanent_field(self) -> np.ndarray:
+        """R_0^T B_0^r at the Gauss points, (nel,4,3).
+
+        Built on the first magnetic build, and again whenever `mesh.b_r` no
+        longer equals the copy it was built from, so replaced remanent
+        vectors are used, never a stale field.
+        """
+        b_r = self.mesh.b_r
+        if self._remanent is None or not np.array_equal(self._remanent[0], b_r):
+            self._remanent = (np.array(b_r, dtype=float),
+                              remanent_field(self.mesh.r0_pts[:, 1:], b_r))
+        return self._remanent[1]
 
     def snapshot(self) -> Snapshot:
         """A copy of the state with its kernel memo, evaluated first if stale,
@@ -230,7 +294,8 @@ class FemModel:
         return strain, stress(wd, strain)
 
     def _mechanical_kernels(self):
-        """(kmat, kgeo, f_int) of the current twists, evaluated once per state.
+        """The memo (twists, (P, P^T, f_int, s, ad(zeta))) of the current twists,
+        evaluated once per state.
 
         The last evaluation is kept with a copy of the twists it read and
         reused while the state's twists equal them exactly, so an in-place
@@ -242,10 +307,10 @@ class FemModel:
             for arr in kernels:
                 arr.flags.writeable = False
             self._kernels = (zeta.copy(), kernels)
-        return self._kernels[1]
+        return self._kernels
 
     def _evaluate_kernels(self, zeta: np.ndarray):
-        """(kmat, kgeo, f_int) through the factored tangent over the sample points.
+        """(P, P^T, f_int, s, A) through the factored tangent over the sample points.
 
         With A_ga = ad(zeta_ga) the strain operator is kbar_gia = dN_gia I + N_gi A_ga,
         so that, with D_ab the (pair-symmetric) stiffness blocks times the
@@ -254,15 +319,14 @@ class FemModel:
             kmat_ij = K0_ij + P_ij + P_ji^T,  P_ij = sum_g N_gj (X_gi + N_gi S_g / 2),
             U_ga = sum_b D_ab A_gb,  X_gi = sum_a dN_gia U_ga,  S_g = sum_a A_ga^T U_ga,
             f_int_i = sum_g (sum_a dN_gia s_ga + N_gi sum_a A_ga^T s_ga),
-            kgeo_ij = sum_g N_gi (sum_a dN_gja T_ga + N_gj sum_a T_ga A_ga),
-            T_ga = ad_tilde(s_ga),
 
-        where s_ga = sum_b D_ab (zeta_gb - zeta_0,gb) is the weighted stress.  At
-        the single centroid point N_i = 1/4 for every node, so P_ij = z_i / 4
-        does not depend on j and kmat is formed from the (nel,4,6,6) factor,
-        and kgeo does not depend on i and is returned as a broadcast view.
+        where s_ga = sum_b D_ab (zeta_gb - zeta_0,gb) is the weighted stress;
+        `element_geometric_stiffness` forms kgeo from s and A.  At the single
+        centroid point N_i = 1/4 for every node, so P_ij = z_i / 4 does not
+        depend on j and only the (nel,4,1,6,6) factor is formed; P^T is copied
+        contiguous, so the block fill adds it without strides.
         """
-        _, n, dn, _, d12, k0 = self._sampling()
+        _, n, dn, _, d12, _ = self._sampling()
         _, s = self._strain_stress(zeta)
         nel, g = s.shape[:2]
         adz = ad(zeta).reshape(nel, g, 12, 6)              # A_ga stacked over a
@@ -271,36 +335,28 @@ class FemModel:
         z = (dn @ u.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
         z += (0.5 * n)[..., None, None] * (adz_t @ u)[:, :, None]
         f_int = dn @ s + n[..., None] * (adz_t @ s.reshape(nel, g, 12, 1)).reshape(nel, g, 1, 6)
-        t = ad_tilde(s)                                    # (nel, G, 2, 6, 6)
-        q = (dn @ t.reshape(nel, g, 2, 36)).reshape(nel, g, 4, 6, 6)
-        q += n[..., None, None] * (t.transpose(0, 1, 3, 2, 4).reshape(nel, g, 6, 12)
-                                   @ adz)[:, :, None]
         if g == 1:
-            p4 = n[0, 0] * z[:, 0]                         # P_ij for every j
-            kmat = k0 + p4[:, :, None]
-            kmat += np.swapaxes(p4, -1, -2)[:, None]
-            kgeo = np.broadcast_to(n[0, 0] * q, kmat.shape)
+            p = (n[0, 0] * z[:, 0])[:, :, None]            # P_ij for every j
         else:
             p = np.einsum("gj,egipq->eijpq", n, z)         # P_ij
-            kmat = k0 + p
-            kmat += p.transpose(0, 2, 1, 4, 3)
-            kgeo = np.einsum("gi,egjpq->eijpq", n, q)
-        return kmat, kgeo, f_int.sum(axis=1)
+        p_t = np.ascontiguousarray(p.transpose(0, 2, 1, 4, 3))
+        return p, p_t, f_int.sum(axis=1), s, adz
 
     def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
         mesh = self.mesh
-        kmat, kgeo, f_int = self._mechanical_kernels()
+        _, (p, p_t, f_int, s, adz) = self._mechanical_kernels()
+        _, n, dn, _, _, k0 = self._sampling()
         env = self._env_at(load_factor)
         args = None
         if env is not None:
-            args = (mesh.r0_pts[:, 1:], mesh.state.r_pts, mesh.b_r, env,
+            args = (self._remanent_field(), applied_field(mesh.state.r_pts, env), env.mu0,
                     N_PTS[1:], self._gauss_weights())
             f_mag = element_magnetic_force(*args)
         else:
             f_mag = np.broadcast_to(_ZERO, f_int.shape)
-        return ElementKernels(kmat=kmat, kgeo=kgeo, f_int=f_int,
+        return ElementKernels(k0=k0, kmat=p, kmat_t=p_t, f_int=f_int,
                               f_ext=np.broadcast_to(_ZERO, f_int.shape), f_mag=f_mag,
-                              magnetic_args=args)
+                              geometric_args=(adz, s, n, dn), magnetic_args=args)
 
     # --- global level ------------------------------------------------------
 
@@ -329,13 +385,12 @@ class FemModel:
 
         Restricted to `dofs` (default: every DOF, i.e. the full unreduced
         tangent).  `kdead` holds the (n_nodes,6,6) dead-load blocks of
-        `neumann_terms` (default: none); the element blocks and the negated
+        `neumann_terms` (default: none).  `kern.blocks` writes the element
+        blocks straight into the scatter's weight buffer; they and the negated
         nodal blocks are summed by one scatter, the nodal ones last.
         """
         sc = self._scatter(dofs)
-        blocks = np.add(kern.kmat, kern.kgeo, out=sc.block_weights)
-        if kern.magnetic_args is not None:
-            blocks[..., 3:, 3:] -= kern.kmag
+        kern.blocks(sc.block_weights)
         if kdead is None:
             sc.node_weights.fill(0.0)
         else:
@@ -429,8 +484,8 @@ class FemModel:
         env = self._env_at(load_factor)
         mesh = self.mesh
         if env is not None:
-            b_mat, b_app = local_fields(mesh.r0_pts[:, 1:], mesh.state.r_pts, mesh.b_r, env)
-            dots = np.sum(b_mat * b_app, axis=-1) / env.mu0
+            b_app = applied_field(mesh.state.r_pts, env)
+            dots = np.sum(self._remanent_field() * b_app, axis=-1) / env.mu0
             magnetic = float(-np.sum(self._gauss_weights() * dots))
         return elastic, magnetic
 

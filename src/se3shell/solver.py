@@ -28,8 +28,9 @@ residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
 the attempt with an exception: the state is restored together with its
 memoized kernels from the snapshot taken once per load increment
 (`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
-and the increment halved, up to MAX_HALVINGS times, after which the run
-fails with the last attempt's reason.  When the tangent has no load-factor
+(with a category, set where the exception is raised) and the increment
+halved, up to MAX_HALVINGS times, after which the run fails with the last
+attempt's reason.  When the tangent has no load-factor
 term (`GlobalSystem.load_free`: no dead load, no field), every attempt of an
 increment starts from the same tangent, so the `BandLU` of the first one to
 solve is kept in the snapshot's `lu` slot and the first iteration of each
@@ -67,11 +68,21 @@ REFINEMENT_SWEEPS = 3
 
 
 class StepRejected(RuntimeError):
-    """Increment too large for the multiplicative update; halve the load step."""
+    """The attempt cannot go on; halve the load step.
+
+    `category` names the cause: "rotation_increment", "linear_residual",
+    "nonfinite" or "max_iters".
+    """
+
+    def __init__(self, reason: str, category: str):
+        super().__init__(reason)
+        self.category = category
 
 
 class SingularSystemError(RuntimeError):
     """Tangent is singular (bifurcation or ill-posed boundary conditions)."""
+
+    category = "singular_tangent"
 
 
 @dataclass(frozen=True)
@@ -90,15 +101,20 @@ class SolverSettings:
 
 @dataclass
 class Attempt:
-    """One Newton attempt: a residual per system build, a linear residual per
-    solve, and the reason if it was rejected."""
+    """One Newton attempt: its load increment `dlam` up to `load_factor`, a
+    residual per system build, a linear residual per solve and, if it was
+    rejected, the reason and its category, one of "rotation_increment",
+    "linear_residual", "singular_tangent", "nonfinite" (a non-finite
+    increment or system) and "max_iters"."""
 
     step: int
     load_factor: float
+    dlam: float
     residuals: list[float] = field(default_factory=list)
     linear_residuals: list[float] = field(default_factory=list)
     converged: bool = False
     reason: str = ""
+    category: str = ""
 
     @property
     def iterations(self) -> int:
@@ -242,10 +258,11 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
     """
     eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
     if not np.all(np.isfinite(eta)):
-        raise StepRejected("non-finite increment")
+        raise StepRejected("non-finite increment", "nonfinite")
     wmax = float(np.max(np.linalg.norm(eta[:, 3:], axis=1)))
     if wmax > MAX_ROTATION_INCREMENT:
-        raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2")
+        raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2",
+                           "rotation_increment")
     mesh.state.g_nodes = mesh.state.g_nodes @ exp_se3(eta)
     r = mesh.state.g_nodes[:, :3, :3]
     drift = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
@@ -346,12 +363,13 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         attempt.linear_residuals.append(lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
-                               f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved")
+                               f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved",
+                               "linear_residual")
         eta = np.zeros(model.mesh.n_dofs)
         eta[system.free] = eta_free
         apply_increment_field(model, eta)
     raise StepRejected(f"no convergence in {settings.max_iters} iterations, "
-                       f"last residual {attempt.residuals[-1]:.3e}")
+                       f"last residual {attempt.residuals[-1]:.3e}", "max_iters")
 
 
 def run(model: FemModel, settings: SolverSettings | None = None, *,
@@ -373,12 +391,15 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
             dlam = lam_target - lam
             snapshot = model.snapshot()
             for _ in range(MAX_HALVINGS + 1):
-                attempt = Attempt(step_no, lam + dlam)
+                attempt = Attempt(step_no, lam + dlam, dlam)
                 report.attempts.append(attempt)
                 try:
                     _newton_loop(model, attempt, settings, log, snapshot)
                 except (StepRejected, SingularSystemError, FloatingPointError) as exc:
                     attempt.reason = str(exc)
+                    # a FloatingPointError is a non-finite system (or, under
+                    # np.seterr(all="raise"), any non-finite operation)
+                    attempt.category = getattr(exc, "category", "nonfinite")
                     model.restore(snapshot)
                     dlam /= 2.0
                 else:

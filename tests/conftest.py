@@ -251,11 +251,20 @@ def mechanical_tangent(model):
 
 
 def element_tangent(kern):
-    """Element blocks Kmat + Kgeo - Kmag, (nel,4,4,6,6); `kern.kmag` holds
-    only the rotation-rotation sub-blocks of Kmag."""
-    blocks = kern.kmat + kern.kgeo
-    blocks[..., 3:, 3:] -= kern.kmag
-    return blocks
+    """Element blocks Kmat + Kgeo - Kmag, (nel,4,4,6,6), from the production
+    fill `ElementKernels.blocks` into a fresh buffer."""
+    return kern.blocks(np.empty(kern.k0.shape))
+
+
+def magnetic_stiffness_einsum(r0_pts, r_pts, b_r0, env, shape_vals, weights):
+    """Rotation-rotation magnetic blocks by one four-operand einsum, with both
+    local fields formed here: the reference for
+    `magnetics.element_magnetic_stiffness`, which must equal it exactly."""
+    b_mat = np.einsum("...ji,...j->...i", r0_pts, np.asarray(b_r0, dtype=float)[..., None, :])
+    b_app = np.einsum("...ji,j->...i", r_pts, env.b_applied)
+    prod = skew(b_mat) @ skew(b_app) / env.mu0
+    n = np.asarray(shape_vals, dtype=float)
+    return np.einsum("...g,gi,gj,...gkl->...ijkl", np.asarray(weights, float), n, n, prod)
 
 
 def assembled_residual(model, lam=1.0):

@@ -4,7 +4,7 @@ the pinned number of system builds and Newton attempts."""
 import numpy as np
 import pytest
 
-from se3shell import solver
+from se3shell import fem, solver
 from se3shell.fem import FemModel
 from se3shell.scenario import build_model, list_bundled, load_bundled
 from se3shell.solver import run
@@ -95,6 +95,15 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
+def _memo_arrays(memo):
+    """Every array in a (nested) kernel memo tuple."""
+    for item in memo:
+        if isinstance(item, tuple):
+            yield from _memo_arrays(item)
+        else:
+            yield item
+
+
 @pytest.mark.parametrize("name", list_bundled())
 def test_bundled_scenario_converges(name, monkeypatch):
     cfg = load_bundled(name)
@@ -104,8 +113,30 @@ def test_bundled_scenario_converges(name, monkeypatch):
     solves = _counted(monkeypatch, solver, "newton_step")
     factorizations = _counted(monkeypatch, solver.lapack, "dgbtrf")
     lines = []
-    report = run(model, cfg.solver, log=lines.append)
+    # the build (counted from 1) during which each Kgeo is formed
+    geometric = []
+    form_kgeo = fem.element_geometric_stiffness
+    monkeypatch.setattr(fem, "element_geometric_stiffness",
+                        lambda *args: geometric.append(len(lines)) or form_kgeo(*args))
+    # no memo, of the model or of a load increment's snapshot, keeps an array
+    # the size of the element blocks
+    block_size = model.mesh.n_elements * 4 * 4 * 36
+    memo_sizes = set()
+    take_snapshot = model.snapshot
+
+    def snapshot():
+        snap = take_snapshot()
+        memo_sizes.update(a.size for a in _memo_arrays(snap.memo))
+        return snap
+
+    def log(line):
+        lines.append(line)
+        memo_sizes.update(a.size for a in _memo_arrays(model._kernels))
+
+    monkeypatch.setattr(model, "snapshot", snapshot)
+    report = run(model, cfg.solver, log=log)
     assert report.converged, report.message
+    assert memo_sizes and block_size not in memo_sizes
     attempts = sum(1 for line in lines if line.split()[1] == "1")
     assert (len(lines), attempts) == COUNTS[name]
     # the tangent is assembled and factored once for every solve except the
@@ -113,6 +144,11 @@ def test_bundled_scenario_converges(name, monkeypatch):
     # kernels once per distinct state
     assert (len(evaluations), len(assemblies)) == WORK[name]
     assert len(factorizations) == len(assemblies)
+    # Kgeo is formed once per assembly, and never at a build that converges
+    assert len(geometric) == len(set(geometric)) == len(assemblies)
+    ends = np.cumsum([a.iterations for a in report.attempts])
+    assert not set(geometric) & {int(end) for end, a in zip(ends, report.attempts)
+                                 if a.converged}
     assert len(solves) - len(assemblies) == reused_retries(cfg, report.attempts)
     assert (report.iterations, len(report.attempts)) == COUNTS[name]
     assert len(report.rejections) == attempts - len(report.steps)

@@ -113,7 +113,8 @@ class TestElementKernels:
         kern = model.element_kernels()
         assert np.allclose(kern.f_int, 0.0)
         assert np.allclose(kern.kgeo, 0.0)
-        kmat = kern.kmat[0].transpose(0, 2, 1, 3).reshape(24, 24)
+        # no stress and no field: the element blocks are Kmat
+        kmat = element_tangent(kern)[0].transpose(0, 2, 1, 3).reshape(24, 24)
         assert np.allclose(kmat, kmat.T, atol=1e-12 * np.abs(kmat).max())
         eig = np.linalg.eigvalsh(kmat)
         assert eig.min() >= -1e-10 * eig.max()
@@ -121,7 +122,7 @@ class TestElementKernels:
     def test_absent_loads_are_zero_views(self):
         # no magnetics: nothing is allocated for the absent load fields
         kern = make_model(nx=2, ny=1).element_kernels()
-        for arr, shape in ((kern.kmag, kern.kmat.shape[:3] + (3, 3)),
+        for arr, shape in ((kern.kmag, kern.k0.shape[:3] + (3, 3)),
                            (kern.f_mag, kern.f_int.shape),
                            (kern.f_ext, kern.f_int.shape)):
             assert isinstance(arr, np.ndarray) and arr.shape == shape
@@ -135,16 +136,38 @@ class TestElementKernels:
         with pytest.raises(ValueError, match="no Gauss-point rotations"):
             model.build_system()
 
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_remanent_field_follows_new_magnetization(self, replace):
+        # the model caches R_0^T B_0^r on its first magnetic build; new
+        # remanent vectors, in place or as a new array, must be used
+        env = MagneticEnvironment(np.array([0.01, 0.02, 0.03]))
+        model = make_model(env=env, b_r=[0.05, 0.0, 0.08])
+        random_state_perturbation(model, 0.05, seed=9)
+        before = model.build_system(0.5)
+        before.a
+        b_r = RNG.normal(size=model.mesh.b_r.shape) * 0.05
+        if replace:
+            model.mesh.b_r = b_r.copy()
+        else:
+            model.mesh.b_r[:] = b_r
+        got = model.build_system(0.5)
+        fresh_model = FemModel(model.mesh, MAT, field=env.scaled)
+        fresh = fresh_model.build_system(0.5)
+        assert not np.array_equal(got.b, before.b)
+        assert np.array_equal(got.b, fresh.b)
+        assert np.array_equal(got.a.toarray(), fresh.a.toarray())
+        assert model.energies(0.5) == fresh_model.energies(0.5)
+
     def test_gauss_scheme_spd_on_nonrigid(self):
         model = make_model(nx=1, ny=1, clamp=False, scheme="gauss")
-        kmat = model.element_kernels().kmat[0].transpose(0, 2, 1, 3).reshape(24, 24)
+        kmat = element_tangent(model.element_kernels())[0].transpose(0, 2, 1, 3).reshape(24, 24)
         eig = np.linalg.eigvalsh(kmat)
         assert (eig < 1e-9 * eig.max()).sum() == 6  # exactly the rigid modes
 
     def test_centroid_scheme_has_hourglass_nullspace(self):
         # strain sampled once per element: PSD with extra zero-energy modes
         model = make_model(nx=1, ny=1, clamp=False, scheme="centroid")
-        kmat = model.element_kernels().kmat[0].transpose(0, 2, 1, 3).reshape(24, 24)
+        kmat = element_tangent(model.element_kernels())[0].transpose(0, 2, 1, 3).reshape(24, 24)
         eig = np.linalg.eigvalsh(kmat)
         assert eig.min() >= -1e-10 * eig.max()
         assert (eig < 1e-9 * eig.max()).sum() == 12
@@ -205,12 +228,15 @@ class TestElementKernels:
             kgeo = np.einsum("eg,gi,egapq,egjaqr->eijpr",
                              w, N_PTS[1:], ad_tilde(s), kbar, optimize=True)
         kern = model.element_kernels()
-        for got, ref in ((kern.kmat, kmat), (kern.kgeo, kgeo), (kern.f_int, f_int)):
+        for got, ref in ((element_tangent(kern), kmat + kgeo), (kern.kgeo, kgeo),
+                         (kern.f_int, f_int)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
         if scheme == "centroid":
-            # one geometric block per element and column node, not four copies
+            # one geometric block per element and column node, not four copies,
+            # and the memo holds P only per element and row node
             assert kern.kgeo.strides[1] == 0
+            assert kern.kmat.shape[2] == kern.kmat_t.shape[1] == 1
 
     def test_master_fd_tangent_centroid(self):
         model = make_model()
@@ -271,7 +297,7 @@ class TestKernelMemo:
         edited = model.element_kernels()
         assert len(evaluations) == 2
         fresh = FemModel(model.mesh, MAT, scheme=scheme).element_kernels()
-        for name in ("kmat", "kgeo", "f_int"):
+        for name in ("kmat", "kmat_t", "kgeo", "f_int"):
             assert np.array_equal(getattr(edited, name), getattr(fresh, name))
             assert not np.array_equal(getattr(edited, name), getattr(first, name))
         # a NaN never equals itself, so it is evaluated on every build
@@ -282,7 +308,7 @@ class TestKernelMemo:
         assert len(evaluations) == 4
         model.mesh.state.zeta_pts[0, 0, 0, 0] = saved
         again = model.element_kernels()
-        for name in ("kmat", "kgeo", "f_int"):
+        for name in ("kmat", "kmat_t", "kgeo", "f_int"):
             assert np.array_equal(getattr(again, name), getattr(edited, name))
 
 
@@ -473,7 +499,7 @@ class TestReducedSystem:
         model = self.loaded_model()
         free = model.mesh.free_dofs()
         kern = model.element_kernels(0.0)
-        expected = self.dense_loop(model, kern.kmat + kern.kgeo)[np.ix_(free, free)]
+        expected = self.dense_loop(model, element_tangent(kern))[np.ix_(free, free)]
         got = mechanical_tangent(model).toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 

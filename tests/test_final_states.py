@@ -25,14 +25,48 @@ def test_save_then_compare(tmp_path, capsys):
     with np.load(old) as stored:
         arrays = dict(stored)
     assert arrays["torsion_pi/counts"].tolist() == [67, 20, 1]
-    g = arrays["torsion_pi/g_nodes"]
-    g[-1, :3, 3] += 1e-9 * arrays["torsion_pi/scale"]
-    new = tmp_path / "new.npz"
-    np.savez(new, **arrays)
-    assert script.compare(str(old), str(new)) == 1
+    assert arrays["torsion_pi/zeta_pts"].shape[1:] == (1, 2, 6)  # centroid twists
+    assert arrays["torsion_pi/r_pts"].shape[1:] == (0, 3, 3)     # no magnetization
+
+    def compared_row(**edits):
+        changed = dict(arrays)
+        for key, edit in edits.items():
+            changed[f"torsion_pi/{key}"] = edit(changed[f"torsion_pi/{key}"].copy())
+        new = tmp_path / "new.npz"
+        np.savez(new, **changed)
+        status = script.compare(str(old), str(new))
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("torsion_pi"))
+        return status, row.split()[1:6]
+
+    def moved_tip(g):
+        g[-1, :3, 3] += 1e-9 * arrays["torsion_pi/scale"]
+        return g
+
+    def moved_twist(zeta):
+        zeta[3, 0, 1, 4] += 2e-12
+        return zeta
+
+    zero = "0.000e+00"
+    assert compared_row(g_nodes=moved_tip) == (1, ["no", "1.000e-09", zero, zero, zero])
+    assert compared_row(zeta_pts=moved_twist) == (1, ["no", zero, zero, "2.000e-12", zero])
+
+
+def test_compare_reports_carried_rotations(tmp_path, capsys):
+    script = _load_script()
+    angle = 3e-8
+    c, s = np.cos(angle), np.sin(angle)
+    r_pts = np.broadcast_to(np.eye(3), (2, 4, 3, 3)).copy()
+    state = {"g_nodes": np.broadcast_to(np.eye(4), (6, 4, 4)), "zeta_pts": np.zeros((2, 4, 2, 6)),
+             "r_pts": r_pts, "counts": np.array([5, 1, 1]), "scale": np.array(1.0)}
+    paths = [tmp_path / "old.npz", tmp_path / "new.npz"]
+    np.savez(paths[0], **{f"plate/{key}": value for key, value in state.items()})
+    r_pts[1, 2] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    np.savez(paths[1], **{f"plate/{key}": value for key, value in state.items()})
+    assert script.compare(*map(str, paths)) == 1
     row = next(line for line in capsys.readouterr().out.splitlines()
-               if line.startswith("torsion_pi"))
-    assert row.split()[1:4] == ["no", "1.000e-09", "0.000e+00"]
+               if line.startswith("plate"))
+    assert row.split()[1:6] == ["no", "0.000e+00", "0.000e+00", "0.000e+00", "3.000e-08"]
 
 
 def test_rotation_angle_near_zero_and_pi():

@@ -8,14 +8,10 @@ points, which is exactly how the solver perturbs the carried rotations.
 import numpy as np
 import pytest
 
-from conftest import magnetic_couple, rotated_remanent
+from conftest import magnetic_couple, magnetic_stiffness_einsum, rotated_remanent
+from se3shell import magnetics
 from se3shell.liegroup import exp_so3
-from se3shell.magnetics import (
-    MU0,
-    MagneticEnvironment,
-    element_magnetic_force,
-    element_magnetic_stiffness,
-)
+from se3shell.magnetics import MU0, MagneticEnvironment, applied_field, remanent_field
 
 RNG = np.random.default_rng(99)
 
@@ -29,6 +25,21 @@ SHAPE_VALS = 0.25 * (1 + np.outer(GP[:, 0], CORNERS[:, 0])) * (
 
 def random_rotation(scale=1.0):
     return exp_so3(RNG.normal(size=3) * scale)
+
+
+def local_args(r0, rt, b_r, env):
+    """The field arguments of the element kernels: R_0^T B_0^r, R_t^T B^a, mu0."""
+    return remanent_field(r0, b_r), applied_field(rt, env), env.mu0
+
+
+def force_of(r0, rt, b_r, env, shape_vals, weights):
+    return magnetics.element_magnetic_force(*local_args(r0, rt, b_r, env),
+                                            shape_vals, weights)
+
+
+def stiffness_of(r0, rt, b_r, env, shape_vals, weights):
+    return magnetics.element_magnetic_stiffness(*local_args(r0, rt, b_r, env),
+                                                shape_vals, weights)
 
 
 class TestRotatedRemanent:
@@ -82,7 +93,7 @@ class TestElementForce:
         r0, rt = flat_element_rotations()
         env = MagneticEnvironment(np.zeros(3))
         w = np.full(4, 0.25)
-        f = element_magnetic_force(r0, rt, np.array([0, 0, 0.1]), env, SHAPE_VALS, w)
+        f = force_of(r0, rt, np.array([0, 0, 0.1]), env, SHAPE_VALS, w)
         assert np.array_equal(f, np.zeros((4, 6)))
 
     def test_undeformed_plate_perpendicular_fields(self):
@@ -93,7 +104,7 @@ class TestElementForce:
         env = MagneticEnvironment(np.array([0.05, 0.0, 0.0]))
         b_r = np.array([0.0, 0.0, 0.143])
         w = np.full(4, area / 4)
-        f = element_magnetic_force(r0, rt, b_r, env, SHAPE_VALS, w)
+        f = force_of(r0, rt, b_r, env, SHAPE_VALS, w)
         assert np.allclose(f[:, :3], 0.0)
         total = f[:, 3:].sum(axis=0)
         expected_dir = np.cross(b_r, env.b_applied)
@@ -108,16 +119,16 @@ class TestElementForce:
         env = MagneticEnvironment(np.array([0.0, 0.0, 0.05]))
         b_r = np.array([0.143, 0.0, 0.0])
         w = np.full(4, 0.25)
-        f0 = element_magnetic_force(r0, r0, b_r, env, SHAPE_VALS, w)
-        f1 = element_magnetic_force(r0, rt, b_r, env, SHAPE_VALS, w)
+        f0 = force_of(r0, r0, b_r, env, SHAPE_VALS, w)
+        f1 = force_of(r0, rt, b_r, env, SHAPE_VALS, w)
         assert np.linalg.norm(f1) < 1e-12 * np.linalg.norm(f0)
 
     def test_force_slots_always_zero(self):
         r0 = np.stack([random_rotation(0.3) for _ in range(4)])
         rt = np.stack([random_rotation(0.7) for _ in range(4)])
         env = MagneticEnvironment(RNG.normal(size=3) * 0.05)
-        f = element_magnetic_force(r0, rt, RNG.normal(size=3) * 0.1, env,
-                                   SHAPE_VALS, np.full(4, 0.25))
+        f = force_of(r0, rt, RNG.normal(size=3) * 0.1, env,
+                     SHAPE_VALS, np.full(4, 0.25))
         assert np.array_equal(f[:, :3], np.zeros((4, 3)))
 
 
@@ -125,8 +136,8 @@ class TestElementStiffness:
     def test_zero_applied_field(self):
         r0, rt = flat_element_rotations()
         env = MagneticEnvironment(np.zeros(3))
-        k = element_magnetic_stiffness(r0, rt, np.array([0, 0, 0.1]), env,
-                                       SHAPE_VALS, np.full(4, 0.25))
+        k = stiffness_of(r0, rt, np.array([0, 0, 0.1]), env,
+                         SHAPE_VALS, np.full(4, 0.25))
         assert np.array_equal(k, np.zeros((4, 4, 3, 3)))
 
     def test_aligned_is_negative_semidefinite(self):
@@ -135,8 +146,8 @@ class TestElementStiffness:
         r0, rt = flat_element_rotations()
         b_dir = np.array([0.0, 0.0, 1.0])
         env = MagneticEnvironment(0.05 * b_dir)
-        k = element_magnetic_stiffness(r0, rt, 0.143 * b_dir, env,
-                                       SHAPE_VALS, np.full(4, 0.25))
+        k = stiffness_of(r0, rt, 0.143 * b_dir, env,
+                         SHAPE_VALS, np.full(4, 0.25))
         blk = k[0, 0]
         eig = np.linalg.eigvalsh(0.5 * (blk + blk.T))
         assert eig.max() <= 1e-12
@@ -150,8 +161,8 @@ class TestElementStiffness:
         r0, rt = flat_element_rotations()
         b_dir = np.array([1.0, 0.0, 0.0])
         env = MagneticEnvironment(-0.05 * b_dir)
-        k = element_magnetic_stiffness(r0, rt, 0.143 * b_dir, env,
-                                       SHAPE_VALS, np.full(4, 0.25))
+        k = stiffness_of(r0, rt, 0.143 * b_dir, env,
+                         SHAPE_VALS, np.full(4, 0.25))
         blk = k[2, 2]
         eig = np.linalg.eigvalsh(0.5 * (blk + blk.T))
         assert eig.min() >= -1e-12
@@ -162,7 +173,7 @@ class TestElementStiffness:
         b_r = np.array([0.1, -0.05, 0.08])
         env = MagneticEnvironment(np.array([0.02, 0.05, -0.03]))
         w = np.full(4, 0.25) * 1.3
-        k = element_magnetic_stiffness(r0, rt, b_r, env, SHAPE_VALS, w)
+        k = stiffness_of(r0, rt, b_r, env, SHAPE_VALS, w)
 
         eps = 1e-6
         for j in range(4):
@@ -174,11 +185,23 @@ class TestElementStiffness:
                 for g in range(4):
                     rt_p[g] = rt[g] @ exp_so3(eps * SHAPE_VALS[g, j] * eta)
                     rt_m[g] = rt[g] @ exp_so3(-eps * SHAPE_VALS[g, j] * eta)
-                fp = element_magnetic_force(r0, rt_p, b_r, env, SHAPE_VALS, w)
-                fm = element_magnetic_force(r0, rt_m, b_r, env, SHAPE_VALS, w)
+                fp = force_of(r0, rt_p, b_r, env, SHAPE_VALS, w)
+                fm = force_of(r0, rt_m, b_r, env, SHAPE_VALS, w)
                 fd = (fp - fm)[:, 3:] / (2 * eps)
                 ana = k[:, j, :, c]
                 assert np.allclose(fd, ana, rtol=1e-5, atol=1e-9 * np.abs(k).max())
+
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    def test_equals_the_four_operand_einsum(self, batch):
+        # the two-einsum form is exact, not merely close: same products, same sums
+        r0 = exp_so3(RNG.normal(size=batch + (4, 3)))
+        rt = exp_so3(RNG.normal(size=batch + (4, 3)) * 2.0)
+        b_r = RNG.normal(size=batch + (3,)) * 0.1
+        env = MagneticEnvironment(RNG.normal(size=3) * 0.05)
+        w = RNG.uniform(0.1, 1.0, size=batch + (4,))
+        k = stiffness_of(r0, rt, b_r, env, SHAPE_VALS, w)
+        assert k.shape == batch + (4, 4, 3, 3)
+        assert np.array_equal(k, magnetic_stiffness_einsum(r0, rt, b_r, env, SHAPE_VALS, w))
 
     def test_couple_vanishes_iff_parallel(self):
         env = MagneticEnvironment(np.array([0.07, 0.0, 0.0]))

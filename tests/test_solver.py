@@ -495,6 +495,8 @@ class TestRun:
         assert not report.converged
         assert "singular or ill-posed tangent" in report.message
         assert "1-norm estimate" in report.message
+        assert [a.category for a in report.attempts] == ["singular_tangent"] * 3
+        assert [a.dlam for a in report.attempts] == [1.0, 0.5, 0.25]
 
     def test_unsolved_linear_system_rejects_the_attempt(self, monkeypatch):
         model = cantilever(nx=4)
@@ -511,6 +513,24 @@ class TestRun:
         assert "linear residual 2.000e-06" in report.message
         assert report.max_linear_residual == 2.0e-6
         assert updates == []
+        assert [a.category for a in report.attempts] == ["linear_residual"]
+
+    @pytest.mark.parametrize("source", ["increment", "system"])
+    def test_nonfinite_rejects_the_attempt(self, source, monkeypatch):
+        model = cantilever(nx=4)
+        model.mesh.add_edge_load("xi1_max", np.array([0, 0, 1e3, 0, 0, 0]),
+                                 frame="dead")
+        if source == "increment":
+            monkeypatch.setattr(solver, "newton_step",
+                                lambda a, b: (np.full_like(b, np.nan), 0.0))
+            reason = "non-finite increment"
+        else:
+            model.mesh.state.zeta_pts[0, 0, 0, 0] = np.nan
+            reason = "non-finite entries in the assembled system"
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        report = run(model, SolverSettings(load_steps=1))
+        assert not report.converged
+        assert [(a.reason, a.category) for a in report.attempts] == [(reason, "nonfinite")]
 
     def test_one_factorization_per_newton_step(self, monkeypatch):
         # and none for the ordering, which is the grid order of the mesh
@@ -540,6 +560,8 @@ class TestRun:
         assert report.converged
         assert report.rejections == [(1, 0.5, SINGULAR_REASON)]
         assert [rec.load_factor for rec in report.steps] == [0.25, 0.5, 1.0]
+        assert [(a.dlam, a.category) for a in report.attempts] == [
+            (0.5, "singular_tangent"), (0.25, ""), (0.25, ""), (0.5, "")]
 
     @staticmethod
     def counted_evaluations(model, monkeypatch):
@@ -605,6 +627,7 @@ class TestRun:
         assert all(r.startswith("no convergence in 1 iterations, last residual ")
                    for _, _, r in report.rejections)
         assert report.message.endswith(report.rejections[-1][2])
+        assert [a.category for a in report.attempts] == ["max_iters"] * 2
 
     def test_rotation_rejection_reason_kept(self, monkeypatch):
         e, length, width, h = 12e6, 10.0, 1.0, 0.1
@@ -618,6 +641,7 @@ class TestRun:
         report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert "rotation increment" in report.message
+        assert [a.category for a in report.attempts] == ["rotation_increment"]
 
     def test_non_convergence_reported(self, monkeypatch):
         model = cantilever(nx=4)
@@ -652,7 +676,7 @@ def run_with_forced_rejection(name, monkeypatch):
     def update_or_reject(mesh, eta):
         if flags["armed"]:
             flags["armed"], flags["rejected"] = False, True
-            raise StepRejected(FORCED_REASON)
+            raise StepRejected(FORCED_REASON, "rotation_increment")
         update(mesh, eta)
 
     def recorded_step(a, b):
@@ -717,7 +741,7 @@ class TestFactorReuse:
             updates.append(None)
             if len(updates) == 2:
                 counts.append((len(evaluations), len(factors)))
-                raise StepRejected(FORCED_REASON)
+                raise StepRejected(FORCED_REASON, "rotation_increment")
             update(mesh, eta)
 
         def recorded_step(a, b):
