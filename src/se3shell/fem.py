@@ -49,12 +49,6 @@ plate), with fixed DOFs already dropped; each later build is then one
 `np.bincount` per array, the tangent's over the element blocks followed by
 the negated dead-load blocks.  The full unreduced system used by diagnostics
 is the same scatter over all DOFs, in natural order (a wider band).
-
-Without a dead load or a field (`GlobalSystem.load_free`) the tangent is a
-function of the state alone, so the solver keeps its factor of a load
-increment's start tangent in the `lu` slot of the increment's snapshot: a
-retried attempt starts from the restored snapshot, and its first solve
-neither assembles nor factors.
 """
 
 from __future__ import annotations
@@ -159,16 +153,13 @@ class GlobalSystem:
     `free` lists the free DOFs in the row order of `a` and `b`, which is the
     grid order of the band, not ascending DOF order.  The tangent `a` is
     assembled by `tangent` on first access, so a converged check never forms
-    it; a non-finite tangent raises FloatingPointError there.  `load_free`
-    is set when the tangent has no load-factor term (no dead load, no
-    field): it is then a function of the state alone.
+    it; a non-finite tangent raises FloatingPointError there.
     """
 
     b: np.ndarray
     free: np.ndarray
     load_norm: float
     tangent: Callable[[], sp.dia_matrix]
-    load_free: bool
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -181,12 +172,10 @@ class GlobalSystem:
 
 @dataclass(eq=False)
 class Snapshot:
-    """A copy of a state, the kernel memo of that state, and `lu`, a slot
-    for the solver's factor of the state's tangent."""
+    """A copy of a state and the kernel memo of that state."""
 
     state: ShellState
     memo: tuple
-    lu: object = None
 
 
 class FemModel:
@@ -241,8 +230,7 @@ class FemModel:
         return self._remanent[1]
 
     def snapshot(self) -> Snapshot:
-        """A copy of the state with its kernel memo, evaluated first if stale,
-        and an empty `lu` slot."""
+        """A copy of the state with its kernel memo, evaluated first if stale."""
         self._mechanical_kernels()
         return Snapshot(self.mesh.state.copy(), self._kernels)
 
@@ -452,8 +440,7 @@ class FemModel:
             raise FloatingPointError("non-finite entries in the assembled system")
         return GlobalSystem(
             b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
-            tangent=lambda: self.apply_boundary_conditions(kern, kdead, free),
-            load_free=kern.magnetic_args is None and not kdead.any())
+            tangent=lambda: self.apply_boundary_conditions(kern, kdead, free))
 
     def _band_order(self, free: np.ndarray) -> np.ndarray:
         """`free` with nodes along the longer grid side, made once per free-DOF set."""

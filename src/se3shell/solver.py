@@ -30,13 +30,9 @@ memoized kernels from the snapshot taken once per load increment
 (`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
 (with a category, set where the exception is raised) and the increment
 halved, up to MAX_HALVINGS times, after which the run fails with the last
-attempt's reason.  When the tangent has no load-factor
-term (`GlobalSystem.load_free`: no dead load, no field), every attempt of an
-increment starts from the same tangent, so the `BandLU` of the first one to
-solve is kept in the snapshot's `lu` slot and the first iteration of each
-retry neither assembles nor factors; every other factor lives only for its
-own solve.  SolveReport keeps one Attempt record per attempt, and reads
-every tally from them.
+attempt's reason.  Every solve assembles and factors its own tangent, and the
+factor lives only for that solve.  SolveReport keeps one Attempt record per
+attempt, and reads every tally from them.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import FemModel, Snapshot
+from .fem import FemModel
 from .liegroup import carried_update, exp_se3, exp_so3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
@@ -151,69 +147,12 @@ class SolveReport:
         return max((r for a in self.attempts for r in a.linear_residuals), default=0.0)
 
 
-class BandLU:
-    """A band tangent of `build_system` and its LU, made on the first solve.
-
-    `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
-    -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
-    write; any other matrix raises TypeError.  The first `solve` copies each
-    stored diagonal with offset o into row kl + ku - o of the
-    (2 kl + ku + 1, m) work array (LAPACK's band layout), whose first kl rows
-    take the fill of partial pivoting, and factors it with LAPACK dgbtrf; the
-    diagonals not stored stay zero.  Later solves reuse the factor (dgbtrs
-    only).  The factorization costs about m kl^2 with
-    kl = 6 (min(nx, ny) + 3) - 1, so it grows with the square of the shorter
-    grid side; measured on square plates up to 60x60 it still beats a sparse
-    LU with a minimum-degree order at every size (617 ms against 5.25 s at
-    60x60).  An exactly zero pivot (info > 0) raises SingularSystemError with
-    a 1-norm estimate.
-    """
-
-    def __init__(self, a):
-        if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
-                and a.data.shape[1] == a.shape[0]
-                and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
-            raise TypeError("newton_step takes the band of build_system: a dia_matrix "
-                            "with full-length diagonals, offsets strictly descending "
-                            f"through 0; got {type(a).__name__}")
-        self.a = a
-        self.ku, self.kl = int(a.offsets[0]), -int(a.offsets[-1])
-        self._factor = None  # (lu, piv)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor is None:
-            self._factor = self._factorize()
-        lu, piv = self._factor
-        return lapack.dgbtrs(lu, self.kl, self.ku, rhs, piv)[0]
-
-    def _factorize(self):
-        a, kl, ku = self.a, self.kl, self.ku
-        work = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
-        # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
-        # offsets is one slice copy, which numpy makes in the work array's memory
-        # order (a fancy row index took twice as long on the strips)
-        offs, start = a.offsets.tolist(), 0
-        for end in range(1, len(offs) + 1):
-            if end == len(offs) or offs[end] != offs[end - 1] - 1:
-                row = kl + ku - offs[start]
-                work[row:row + end - start] = a.data[start:end]
-                start = end
-        lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
-        if info > 0:
-            raise SingularSystemError(_singular_message(a))
-        return lu, piv
-
-
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `a` is the band tangent of `build_system`, factored here, or a `BandLU`
-    of one, whose factor is made on its first solve and reused after that:
-    the solver passes the `BandLU` a load increment's snapshot keeps, so the
-    first solve of an attempt retried from it makes no factorization.
-
-    Returns (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps
-    of iterative refinement follow; they stop once the residual is below 1e-12
+    `a` is the band tangent of `build_system`, factored once here.  Returns
+    (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps of
+    iterative refinement follow; they stop once the residual is below 1e-12
     relative or a sweep fails to halve it (the roundoff floor eps*cond of the
     tangent).  The caller rejects the step when the residual stays above
     MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
@@ -221,24 +160,60 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     non-finite results, and TypeError for a matrix that is not such a band.
     """
     b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        return b.copy(), 0.0
-    lu = a if isinstance(a, BandLU) else BandLU(a)
-    eta = lu.solve(b)
+    lu, piv, kl, ku = _band_factor(a)
+    eta = lapack.dgbtrs(lu, kl, ku, b, piv)[0]
     if not np.all(np.isfinite(eta)):
-        raise SingularSystemError(_singular_message(lu.a))
+        raise SingularSystemError(_singular_message(a))
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    r = b - lu.a @ eta
+    r = b - a @ eta
     rel = float(np.linalg.norm(r)) / bnorm
     for _ in range(REFINEMENT_SWEEPS):
         if rel < 1e-12:
             break
-        eta = eta + lu.solve(r)
-        r = b - lu.a @ eta
+        eta = eta + lapack.dgbtrs(lu, kl, ku, r, piv)[0]
+        r = b - a @ eta
         prev, rel = rel, float(np.linalg.norm(r)) / bnorm
         if rel > 0.5 * prev:
             break
     return eta, rel
+
+
+def _band_factor(a):
+    """(lu, piv, kl, ku): the LAPACK dgbtrf factor of a band of `build_system`.
+
+    `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
+    -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
+    write; any other matrix raises TypeError.  Each stored diagonal with
+    offset o is copied into row kl + ku - o of the (2 kl + ku + 1, m) work
+    array (LAPACK's band layout), whose first kl rows take the fill of
+    partial pivoting; the diagonals not stored stay zero.  The factorization
+    costs about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, so it grows with
+    the square of the shorter grid side; measured on square plates up to
+    60x60 it still beats a sparse LU with a minimum-degree order at every
+    size (617 ms against 5.25 s at 60x60).  An exactly zero pivot (info > 0)
+    raises SingularSystemError with a 1-norm estimate.
+    """
+    if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
+            and a.data.shape[1] == a.shape[0]
+            and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
+        raise TypeError("newton_step takes the band of build_system: a dia_matrix "
+                        "with full-length diagonals, offsets strictly descending "
+                        f"through 0; got {type(a).__name__}")
+    ku, kl = int(a.offsets[0]), -int(a.offsets[-1])
+    work = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
+    # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
+    # offsets is one slice copy, which numpy makes in the work array's memory
+    # order (a fancy row index took twice as long on the strips)
+    offs, start = a.offsets.tolist(), 0
+    for end in range(1, len(offs) + 1):
+        if end == len(offs) or offs[end] != offs[end - 1] - 1:
+            row = kl + ku - offs[start]
+            work[row:row + end - start] = a.data[start:end]
+            start = end
+    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise SingularSystemError(_singular_message(a))
+    return lu, piv, kl, ku
 
 
 def _singular_message(a) -> str:
@@ -318,9 +293,8 @@ def perturb_tip_rotation(model: FemModel, magnitude: float, axis: np.ndarray) ->
     apply_increment_field(model, eta)
 
 
-def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
-                              row: int | None = None) -> float:
-    """Total rotation about `axis` accumulated along a xi1 node row.
+def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray) -> float:
+    """Total rotation about `axis` accumulated along the middle xi1 node row.
 
     Sums the logs of consecutive relative rotations, so multi-turn states are
     measured without 2*pi wrapping (each inter-node rotation must stay under
@@ -328,7 +302,7 @@ def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
     """
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    j = mesh.ny // 2 if row is None else row
+    j = mesh.ny // 2
     nodes = [mesh.node_index(i, j) for i in range(mesh.nx + 1)]
     total = 0.0
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -338,12 +312,9 @@ def accumulated_edge_rotation(mesh: ShellMesh, axis: np.ndarray,
     return total
 
 
-def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, log,
-                 start: Snapshot) -> None:
-    """Iterate at the attempt's load factor from the `start` state, filling
-    its record, until the residual converges; any rejection of the attempt
-    raises.  A first tangent with no load-factor term is the start state's,
-    so its factor is made once and kept in `start.lu`."""
+def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, log) -> None:
+    """Iterate at the attempt's load factor, filling its record, until the
+    residual converges; any rejection of the attempt raises."""
     for it in range(1, settings.max_iters + 1):
         system = model.build_system(attempt.load_factor)
         attempt.residuals.append(system.residual_norm)
@@ -354,12 +325,7 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         if system.residual_norm <= tol:
             attempt.converged = True
             return
-        if it == 1 and system.load_free:
-            if start.lu is None:
-                start.lu = BandLU(system.a)
-            eta_free, lin_res = newton_step(start.lu, system.b)
-        else:
-            eta_free, lin_res = newton_step(system.a, system.b)
+        eta_free, lin_res = newton_step(system.a, system.b)
         attempt.linear_residuals.append(lin_res)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
@@ -394,7 +360,7 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                 attempt = Attempt(step_no, lam + dlam, dlam)
                 report.attempts.append(attempt)
                 try:
-                    _newton_loop(model, attempt, settings, log, snapshot)
+                    _newton_loop(model, attempt, settings, log)
                 except (StepRejected, SingularSystemError, FloatingPointError) as exc:
                     attempt.reason = str(exc)
                     # a FloatingPointError is a non-finite system (or, under

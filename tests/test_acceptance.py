@@ -6,6 +6,7 @@ fixtures.  Every tolerance is stated inline next to its assertion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,6 +357,59 @@ def test_bundled_magnetic_cantilevers_match_rod_oracle(name):
     err = abs(dz / cfg.length - defl_oracle) / abs(defl_oracle)
     print(f"\n{name}: normalized tip deflection error {err:.3%}")
     assert err < 0.005
+
+
+def observed_orders(errors) -> np.ndarray:
+    """log2 of the ratios of successive errors as the mesh size halves."""
+    errors = np.asarray(errors)
+    return np.log2(errors[:-1] / errors[1:])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_magnetic_cantilever_converges_at_second_order():
+    # the signed tip-deflection error of lh10 against the rod oracle at
+    # nx = 10, 20, 40 (-2.4e-3, -6.0e-4, -1.5e-4) falls with h^2, and the
+    # Richardson extrapolation of the finest pair cancels it to 1e-7: the
+    # discretization converges to the oracle, not just near it
+    cfg = load_bundled("magnetic_cantilever_lh10")
+    h = cfg.material.h
+    k_bend = cfg.material.e * h**3 / (12 * (1 + cfg.material.nu))
+    couple = h * np.linalg.norm(cfg.magnetic.b_r) * np.linalg.norm(cfg.magnetic.b_a) / MU0
+    _, defl_oracle = magneto_elastica_oracle(k_bend, couple, cfg.length)
+    errors = []
+    for nx in (10, 20, 40):
+        model = build_model(replace(cfg, nx=nx))
+        assert run(model, cfg.solver).converged
+        tip = model.mesh.tip_node()
+        dz = model.mesh.state.g_nodes[tip, 2, 3] - model.mesh.g0_nodes[tip, 2, 3]
+        errors.append((dz / cfg.length - defl_oracle) / defl_oracle)
+    orders = observed_orders(errors)
+    richardson = (4 * errors[2] - errors[1]) / 3
+    print(f"\nlh10 errors {errors}, orders {orders}, Richardson {richardson:.2e}")
+    assert np.all((1.9 <= orders) & (orders <= 2.1))
+    assert abs(richardson) < 1e-5
+
+
+def test_quarter_rollup_converges_at_second_order():
+    # a quarter of rollup_2pi's end moment bends the strip into a quarter
+    # circle of curvature pi / (2 L); the tip error against that arc
+    # (1.0e-3, 2.6e-4, 6.4e-5 L at nx = 10, 20, 40) falls with h^2
+    cfg = load_bundled("rollup_2pi")
+    (load,) = cfg.loads
+    cfg = replace(cfg, loads=(replace(load, magnitude=load.magnitude / 4),),
+                  solver=replace(cfg.solver, load_steps=5))
+    length = cfg.length
+    kappa = np.pi / (2 * length)
+    arc_tip = np.array([np.sin(kappa * length), -(1 - np.cos(kappa * length))]) / kappa
+    errors = []
+    for nx in (10, 20, 40):
+        model = build_model(replace(cfg, nx=nx))
+        assert run(model, cfg.solver).converged
+        tip = model.mesh.state.g_nodes[model.mesh.tip_node()]
+        errors.append(np.linalg.norm(tip[[0, 2], 3] - arc_tip) / length)
+    orders = observed_orders(errors)
+    print(f"\nquarter roll-up errors {errors}, orders {orders}")
+    assert np.all((1.9 <= orders) & (orders <= 2.1))
 
 
 def test_criterion_10_antiparallel_instability():

@@ -26,7 +26,7 @@ from se3shell import solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
-from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose
+from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose, log_so3
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
 from se3shell.scenario import build_model, load_bundled
 from se3shell.solver import (
@@ -195,6 +195,32 @@ class TestNewtonStep:
 class TestUpdateConfiguration:
     def test_zero_increment(self):
         model = cantilever()
+        before = model.mesh.state.g_nodes.copy()
+        update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
+        assert np.array_equal(model.mesh.state.g_nodes, before)
+
+    @staticmethod
+    def drifted(size):
+        """A cantilever in a rotated state whose node 3 rotation is pushed
+        off SO(3) by `size`, with that rotation before the push."""
+        model = cantilever()
+        update_configuration(model.mesh, 0.3 * RNG.normal(size=model.mesh.n_dofs))
+        g = model.mesh.state.g_nodes
+        r = g[3, :3, :3].copy()
+        g[3, :3, :3] = r @ (np.eye(3) + size * np.diag([1.0, -0.5, 0.3]))
+        return model, r
+
+    def test_drift_is_projected_back_onto_so3(self):
+        model, r = self.drifted(1e-9)
+        g = model.mesh.state.g_nodes
+        assert np.abs(g[3, :3, :3].T @ g[3, :3, :3] - np.eye(3)).max() > 1e-12
+        update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
+        rot = model.mesh.state.g_nodes[:, :3, :3]
+        assert np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max() <= 1e-14
+        assert np.linalg.norm(log_so3(r.T @ rot[3])) < 1e-8
+
+    def test_drift_below_threshold_is_left_alone(self):
+        model, _ = self.drifted(1e-14)
         before = model.mesh.state.g_nodes.copy()
         update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
         assert np.array_equal(model.mesh.state.g_nodes, before)
@@ -698,10 +724,10 @@ def run_with_forced_rejection(name, monkeypatch):
     return cfg, lam, first_solve
 
 
-class TestFactorReuse:
-    """A retried attempt reuses the factor an earlier attempt of its load
-    increment made at the same start state exactly when the tangent has no
-    load-factor term."""
+class TestRetrySolve:
+    """A retried attempt starts from its load increment's restored snapshot,
+    and its first solve assembles and factors its own tangent, as a fresh
+    model at that state would."""
 
     @staticmethod
     def fresh_increment(cfg, lam, state):
@@ -710,37 +736,30 @@ class TestFactorReuse:
         system = model.build_system(lam)
         return system.b, newton_step(system.a, system.b)[0]
 
-    def test_follower_retry_reuses_the_factor(self, monkeypatch):
-        cfg, lam, first_solve = run_with_forced_rejection("rollup_2pi", monkeypatch)
-        assert first_solve.factorizations == 0
-        b, eta = self.fresh_increment(cfg, lam, first_solve.state)
-        assert np.array_equal(first_solve.b, b)
-        assert np.array_equal(first_solve.eta, eta)
-
-    @pytest.mark.parametrize("name", ["end_shear", "magnetic_cantilever_lh10"])
-    def test_load_dependent_retry_factors_anew(self, name, monkeypatch):
-        # a dead load or a field puts the load factor into the tangent
+    @pytest.mark.parametrize("name", ["rollup_2pi", "end_shear",
+                                      "magnetic_cantilever_lh10"])
+    def test_retry_factors_anew(self, name, monkeypatch):
+        # a follower load (no load-factor term in the tangent), a dead load
+        # and a field alike
         cfg, lam, first_solve = run_with_forced_rejection(name, monkeypatch)
         assert first_solve.factorizations == 1
         b, eta = self.fresh_increment(cfg, lam, first_solve.state)
         assert np.array_equal(first_solve.b, b)
         assert np.array_equal(first_solve.eta, eta)
 
-    def test_first_attempt_retry_reuses_kernels_and_factor(self, monkeypatch):
+    def test_first_attempt_retry_reuses_kernels(self, monkeypatch):
         # the run's first attempt moves the state once and is rejected at its
-        # second update; the retry's first solve neither evaluates the
-        # kernels nor factors
+        # second update; the retry's first build evaluates no kernels
         cfg = load_bundled("rollup_2pi")
         model = build_model(cfg)
         evaluations = TestRun.counted_evaluations(model, monkeypatch)
-        factors = capture_factors(monkeypatch)
         updates, counts, retry = [], [], []
         update, step = solver.update_configuration, solver.newton_step
 
         def update_or_reject(mesh, eta):
             updates.append(None)
             if len(updates) == 2:
-                counts.append((len(evaluations), len(factors)))
+                counts.append(len(evaluations))
                 raise StepRejected(FORCED_REASON, "rotation_increment")
             update(mesh, eta)
 
@@ -749,7 +768,7 @@ class TestFactorReuse:
                 return step(a, b)
             start = model.mesh.state.copy()
             eta, rel = step(a, b)
-            counts.append((len(evaluations), len(factors)))
+            counts.append(len(evaluations))
             retry.append((start, b, eta))
             return eta, rel
 
@@ -759,21 +778,11 @@ class TestFactorReuse:
         assert report.converged, report.message
         first, second = report.attempts[:2]
         assert (first.reason, first.iterations) == (FORCED_REASON, 2)
-        assert counts == [(2, 2), (2, 2)]
+        assert counts == [2, 2]
         ((state, b, eta),) = retry
         fresh_b, fresh_eta = self.fresh_increment(cfg, second.load_factor, state)
         assert np.array_equal(b, fresh_b)
         assert np.array_equal(eta, fresh_eta)
-
-    def test_factor_is_made_once_and_only_on_solve(self, monkeypatch):
-        system = first_tangent("rollup_6pi")
-        factors = capture_factors(monkeypatch)
-        lu = solver.BandLU(system.a)
-        assert factors == []
-        eta, _ = newton_step(lu, system.b)
-        assert np.array_equal(newton_step(lu, system.b)[0], eta)
-        assert len(factors) == 1
-        assert np.array_equal(newton_step(system.a, system.b)[0], eta)
 
 
 class TestAccumulatedRotation:
