@@ -2,18 +2,20 @@
 """Save or compare the final states of the bundled scenarios.
 
     python scripts/final_states.py save STATES.npz [NAME ...]
-    python scripts/final_states.py compare OLD.npz NEW.npz
+    python scripts/final_states.py compare OLD.npz NEW.npz [--tol T]
 
 `save` solves each bundled scenario (all of them by default) with its own
 settings and stores its final nodal poses `g_nodes`, the twists `zeta_pts` and
 rotations `r_pts` the state carries at its sample points, its system builds
 and its Newton attempts.  `compare` prints one row per scenario: whether the
-poses, twists and rotations are all exactly equal, the largest nodal position
+poses, twists and rotations are all exactly equal (`yes`), differ by at most
+the tolerance T of `--tol` in each of the four largest differences that
+follow (`within`) or not (`no`), the largest nodal position
 difference relative to the scenario's length scale, the largest nodal
 rotation difference in radians, the largest twist difference, the largest
 carried-rotation difference in radians, and the builds and attempts of both
 files.  It exits 1 when any scenario is missing from one file, did not
-converge, or differs in builds, attempts, poses, twists or rotations.
+converge, differs in builds or attempts, or is `no`.
 """
 
 import argparse
@@ -56,13 +58,13 @@ def save(path: str, names: list[str]) -> None:
     np.savez(path, **arrays)
 
 
-def compare(old_path: str, new_path: str) -> int:
+def compare(old_path: str, new_path: str, tol: float = 0.0) -> int:
     with np.load(old_path) as old_file, np.load(new_path) as new_file:
         old, new = dict(old_file), dict(new_file)
     names = sorted({key.split("/")[0] for key in (*old, *new)})
     print(f"{'scenario':28s} {'equal':>5s} {'max |dp|/L':>11s} {'max |dR| rad':>12s}"
           f" {'max |dzeta|':>11s} {'max |dRpt|':>11s} {'builds':>11s} {'attempts':>9s}")
-    failed = 0
+    failed = identical = 0
     for name in names:
         try:
             s0, s1 = ({key: store[f"{name}/{key}"] for key in STATE_KEYS}
@@ -84,10 +86,14 @@ def compare(old_path: str, new_path: str) -> int:
         dr = rotation_angle(np.swapaxes(g0[:, :3, :3], -1, -2) @ g1[:, :3, :3]).max()
         dz = np.abs(s1["zeta_pts"] - s0["zeta_pts"]).max(initial=0.0)
         drp = rotation_angle(np.swapaxes(s0["r_pts"], -1, -2) @ s1["r_pts"]).max(initial=0.0)
-        print(f"{name:28s} {'yes' if equal else 'no':>5s} {dp:11.3e} {dr:12.3e}"
+        within = not equal and max(dp, dr, dz, drp) <= tol
+        verdict = "yes" if equal else "within" if within else "no"
+        print(f"{name:28s} {verdict:>5s} {dp:11.3e} {dr:12.3e}"
               f" {dz:11.3e} {drp:11.3e} {c0[0]:5d}/{c1[0]:<5d} {c0[1]:4d}/{c1[1]:<4d}")
-        failed += not (equal and same_counts)
-    print(f"{len(names) - failed} of {len(names)} scenarios identical")
+        identical += equal and same_counts
+        failed += not ((equal or within) and same_counts)
+    print(f"{identical} of {len(names)} scenarios identical, "
+          f"{len(names) - failed - identical} within {tol:.1e}")
     return 1 if failed else 0
 
 
@@ -101,11 +107,13 @@ def main() -> int:
     p_compare = sub.add_parser("compare", help="compare two stored files")
     p_compare.add_argument("old")
     p_compare.add_argument("new")
+    p_compare.add_argument("--tol", type=float, default=0.0,
+                           help="largest difference that counts as within (default 0)")
     args = ap.parse_args()
     if args.command == "save":
         save(args.path, args.names)
         return 0
-    return compare(args.old, args.new)
+    return compare(args.old, args.new, args.tol)
 
 
 if __name__ == "__main__":

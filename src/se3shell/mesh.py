@@ -115,6 +115,8 @@ class ShellMesh:
     dirichlet: dict[int, np.ndarray] = field(default_factory=dict)
     neumann: list[NeumannLoad] = field(default_factory=list)
     b_r: np.ndarray | None = None  # (nel, 3) remanent per unit area, inertial frame
+    _interpolation: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -130,6 +132,23 @@ class ShellMesh:
 
     def node_index(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i
+
+    def interpolation_rows(self, twist_points: np.ndarray, rotations: bool) -> np.ndarray:
+        """The (3m [+ 4], 4) rows taking an element's nodal values to its m
+        `twist_points`: N there, then d/dxi1 and d/dxi2 of N at each point in
+        turn, then, if `rotations`, N at the four Gauss points.  Built once
+        per set of points and element sizes."""
+        key = (twist_points.tobytes(), rotations, self.le)
+        rows = self._interpolation.get(key)
+        if rows is None:
+            m = len(twist_points)
+            le1, le2 = self.le
+            dn = DN_PTS_PARENT[twist_points] * np.array([2.0 / le1, 2.0 / le2])  # (m, 4, 2)
+            parts = [N_PTS[twist_points], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)]
+            if rotations:
+                parts.append(N_PTS[GAUSS_POINTS])
+            rows = self._interpolation[key] = np.concatenate(parts)
+        return rows
 
     def free_dofs(self) -> np.ndarray:
         fixed = np.zeros(self.n_dofs, dtype=bool)

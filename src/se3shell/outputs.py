@@ -11,7 +11,10 @@ of the model's field program for purely magnetic runs;
 to [0, pi] (multi-turn winding is a post-processing quantity, see
 solver.accumulated_edge_rotation).
 
-`solve_report.txt` holds `key: value` header lines, one
+`solve_report.txt` holds `key: value` header lines (among them
+`band_scaling`, the variant of the band LU, `jacobi` or `none`, and
+`lu_row_interchanges`, the row interchanges of the factors of all the run's
+solves), one
 `rejected: step S load_factor L: reason` line per rejected attempt, then
 `log:` followed by one `step iter residual` line per Newton iteration, all
 written from the solver's attempt records.
@@ -100,6 +103,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         fh.write(f"converged: {report.converged}\n")
         fh.write(f"wall_time_s: {report.wall_time:.3f}\n")
         fh.write(f"max_linear_residual: {report.max_linear_residual:.3e}\n")
+        fh.write(f"band_scaling: {model.band_plan().scaling}\n")
+        fh.write(f"lu_row_interchanges: {report.row_interchanges}\n")
         if report.message:
             fh.write(f"message: {report.message}\n")
         for step, lam, reason in report.rejections:

@@ -4,7 +4,14 @@ Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
 on the free DOFs by one banded LU factorization (LAPACK dgbtrf with partial
 pivoting, on the band that `build_system` scatters in the grid order of the
 mesh), then applies one multiplicative update of the whole state
-(`apply_increment_field`):
+(`apply_increment_field`).  The factored band is either A itself or its
+symmetric Jacobi scaling D A D, D = |diag A|^-1/2, whichever the DOF set's
+first two tangents showed to need fewer row interchanges: six DOFs per node
+in SI units give a thin plate rotational diagonals near 1e-4 next to
+translational ones near 5e2, so partial pivoting of A swaps almost every row
+and widens each trailing update, while D A D pivots on its diagonal.  The
+choice is made once per free-DOF set (see `_band_factor`) and the
+refinement is always against the unscaled A.  The update is:
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -30,9 +37,12 @@ memoized kernels from the snapshot taken once per load increment
 (`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
 (with a category, set where the exception is raised) and the increment
 halved, up to MAX_HALVINGS times, after which the run fails with the last
-attempt's reason.  Every solve assembles and factors its own tangent, and the
-factor lives only for that solve.  SolveReport keeps one Attempt record per
-attempt, and reads every tally from them.
+attempt's reason.  Every solve assembles and factors its own tangent (the
+second solve of a DOF set factors D A D first, and A again when D A D
+pivots more), and the factor lives only for that solve; only the variant, D and the D_i D_j
+multiplier of the stored diagonals outlive it, in the DOF set's `BandPlan`.
+SolveReport keeps one Attempt record per attempt, with the row interchanges
+of each solve's factor, and reads every tally from them.
 """
 
 from __future__ import annotations
@@ -45,12 +55,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import FemModel
+from .fem import BandPlan, FemModel
 from .liegroup import carried_update, exp_se3, exp_so3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
 from .liegroup import Ad, dexp_se3, inv_pose  # noqa: F401
-from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh
+from .mesh import ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
 # Relative residual of the refined linear solve above which the increment is
@@ -61,6 +71,7 @@ MAX_LINEAR_RESIDUAL = 1e-6
 MAX_HALVINGS = 8
 # Iterative refinement sweeps at most; each one costs a solve and a residual.
 REFINEMENT_SWEEPS = 3
+_IDENTITY3 = np.eye(3)
 
 
 class StepRejected(RuntimeError):
@@ -98,16 +109,18 @@ class SolverSettings:
 @dataclass
 class Attempt:
     """One Newton attempt: its load increment `dlam` up to `load_factor`, a
-    residual per system build, a linear residual per solve and, if it was
-    rejected, the reason and its category, one of "rotation_increment",
-    "linear_residual", "singular_tangent", "nonfinite" (a non-finite
-    increment or system) and "max_iters"."""
+    residual per system build, a linear residual and the row interchanges of
+    the band LU factor per solve and, if it was rejected, the reason and its
+    category, one of "rotation_increment", "linear_residual",
+    "singular_tangent", "nonfinite" (a non-finite increment or system) and
+    "max_iters"."""
 
     step: int
     load_factor: float
     dlam: float
     residuals: list[float] = field(default_factory=list)
     linear_residuals: list[float] = field(default_factory=list)
+    interchanges: list[int] = field(default_factory=list)
     converged: bool = False
     reason: str = ""
     category: str = ""
@@ -146,22 +159,36 @@ class SolveReport:
     def max_linear_residual(self) -> float:
         return max((r for a in self.attempts for r in a.linear_residuals), default=0.0)
 
+    @property
+    def row_interchanges(self) -> int:  # of the factors of every solve
+        return sum(sum(a.interchanges) for a in self.attempts)
+
 
 def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `a` is the band tangent of `build_system`, factored once here.  Returns
-    (eta, relative linear residual).  Up to REFINEMENT_SWEEPS sweeps of
-    iterative refinement follow; they stop once the residual is below 1e-12
-    relative or a sweep fails to halve it (the roundoff floor eps*cond of the
-    tangent).  The caller rejects the step when the residual stays above
+    `a` is the band tangent of `build_system`, factored once here (the
+    second tangent of a DOF set also makes the trial factorization of
+    `_band_factor`).  When the DOF set factors the Jacobi scaling D A D, the
+    solve is for D^-1 eta: eta = D (D A D)^-1 D b.  Returns (eta, relative
+    linear residual |b - A eta| / |b| of the unscaled A).  Up to
+    REFINEMENT_SWEEPS sweeps of iterative refinement against the unscaled A
+    follow; they stop once the residual is below 1e-12 relative or a sweep
+    fails to halve it (the roundoff floor eps*cond of the tangent).  The
+    caller rejects the step when the residual stays above
     MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
     when the factorization meets an exactly zero pivot (info > 0) or produces
     non-finite results, and TypeError for a matrix that is not such a band.
     """
     b = np.asarray(b, dtype=float)
-    lu, piv, kl, ku = _band_factor(a)
-    eta = lapack.dgbtrs(lu, kl, ku, b, piv)[0]
+    lu, piv, kl, ku, scale = _band_factor(a)
+
+    def solve(r):
+        if scale is None:
+            return lapack.dgbtrs(lu, kl, ku, r, piv)[0]
+        return scale * lapack.dgbtrs(lu, kl, ku, scale * r, piv)[0]
+
+    eta = solve(b)
     if not np.all(np.isfinite(eta)):
         raise SingularSystemError(_singular_message(a))
     bnorm = max(float(np.linalg.norm(b)), 1e-300)
@@ -170,7 +197,7 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
     for _ in range(REFINEMENT_SWEEPS):
         if rel < 1e-12:
             break
-        eta = eta + lapack.dgbtrs(lu, kl, ku, r, piv)[0]
+        eta = eta + solve(r)
         r = b - a @ eta
         prev, rel = rel, float(np.linalg.norm(r)) / bnorm
         if rel > 0.5 * prev:
@@ -179,19 +206,32 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _band_factor(a):
-    """(lu, piv, kl, ku): the LAPACK dgbtrf factor of a band of `build_system`.
+    """(lu, piv, kl, ku, D or None): the LAPACK dgbtrf factor of a band of
+    `build_system`, of A or of D A D.
 
     `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
     -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
-    write; any other matrix raises TypeError.  Each stored diagonal with
-    offset o is copied into row kl + ku - o of the (2 kl + ku + 1, m) work
-    array (LAPACK's band layout), whose first kl rows take the fill of
-    partial pivoting; the diagonals not stored stay zero.  The factorization
-    costs about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, so it grows with
-    the square of the shorter grid side; measured on square plates up to
-    60x60 it still beats a sparse LU with a minimum-degree order at every
-    size (617 ms against 5.25 s at 60x60).  An exactly zero pivot (info > 0)
-    raises SingularSystemError with a 1-norm estimate.
+    write; any other matrix raises TypeError.  Its `band_plan` (a fresh
+    `BandPlan` for a band without one) copies each run of stored diagonals
+    into the (2 kl + ku + 1, m) work array as one slice, multiplied entrywise
+    by D_i D_j for the Jacobi variant; the first kl rows take the fill of
+    partial pivoting and the diagonals not stored stay zero.
+
+    The variant is chosen once per DOF set, over its first two tangents:
+    the first is factored unscaled, and it gives D = |a_ii|^-1/2 (1 where
+    a_ii = 0).  The second is factored as D A D with that D, and the
+    variant whose factor interchanged fewer rows is kept from then on; when
+    it is the unscaled one (ties included), that tangent is factored again
+    unscaled, so only one work array is held at a time.  Measured on the
+    bundled scenarios the Jacobi variant pivots far less on the thin plates
+    (`magnetic_plate_A`: about 72 of 1920 rows against 1854) and far more on
+    the roll-up strips, hence a choice per DOF set.  The factorization costs
+    about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, plus a share per row
+    interchange, which widens the trailing update from ku to kl + ku
+    columns; measured on square plates up to 60x60 the band LU still beats
+    a sparse LU with a minimum-degree order at every size (617 ms against
+    5.25 s at 60x60).  An exactly zero pivot (info > 0) raises
+    SingularSystemError with a 1-norm estimate.
     """
     if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
             and a.data.shape[1] == a.shape[0]
@@ -199,21 +239,61 @@ def _band_factor(a):
         raise TypeError("newton_step takes the band of build_system: a dia_matrix "
                         "with full-length diagonals, offsets strictly descending "
                         f"through 0; got {type(a).__name__}")
-    ku, kl = int(a.offsets[0]), -int(a.offsets[-1])
-    work = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
-    # diagonal i (offset o) goes to row kl + ku - o; each run of consecutive
-    # offsets is one slice copy, which numpy makes in the work array's memory
-    # order (a fancy row index took twice as long on the strips)
-    offs, start = a.offsets.tolist(), 0
-    for end in range(1, len(offs) + 1):
-        if end == len(offs) or offs[end] != offs[end - 1] - 1:
-            row = kl + ku - offs[start]
-            work[row:row + end - start] = a.data[start:end]
-            start = end
-    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
+    plan = getattr(a, "band_plan", None) or BandPlan(a.offsets)
+    if plan.interchanges and not plan.chosen:
+        # the DOF set's second tangent: the trial of the Jacobi variant
+        plan.multiplier = _jacobi_multiplier(plan.scale, a.offsets)
+        lu, piv, swaps = _factor(a, plan, plan.multiplier)
+        plan.chosen = True
+        if swaps < plan.interchanges[0]:
+            plan.scaling = "jacobi"
+            plan.interchanges.append(swaps)
+            return lu, piv, plan.kl, plan.ku, plan.scale
+        lu = piv = plan.scale = plan.multiplier = None
+    jacobi = plan.scaling == "jacobi"
+    lu, piv, swaps = _factor(a, plan, plan.multiplier if jacobi else None)
+    if not plan.interchanges:
+        plan.scale = _jacobi_scale(a)
+    plan.interchanges.append(swaps)
+    return lu, piv, plan.kl, plan.ku, plan.scale if jacobi else None
+
+
+def _factor(a, plan: BandPlan, multiplier: np.ndarray | None):
+    """(lu, piv, row interchanges) of dgbtrf on the band `a`, multiplied
+    entrywise by `multiplier` when one is given."""
+    work = np.zeros((2 * plan.kl + plan.ku + 1, a.shape[0]), order="F")
+    # each run of consecutive offsets is one slice copy, which numpy makes in
+    # the work array's memory order (a fancy row index took twice as long on
+    # the strips)
+    for first, stop, row in plan.runs:
+        rows = work[row:row + stop - first]
+        if multiplier is None:
+            rows[...] = a.data[first:stop]
+        else:
+            np.multiply(a.data[first:stop], multiplier[first:stop], out=rows)
+    lu, piv, info = lapack.dgbtrf(work, plan.kl, plan.ku, overwrite_ab=True)
     if info > 0:
         raise SingularSystemError(_singular_message(a))
-    return lu, piv, kl, ku
+    return lu, piv, int(np.count_nonzero(piv != np.arange(len(piv))))
+
+
+def _jacobi_scale(a) -> np.ndarray:
+    """D = |a_ii|^-1/2, and 1 where a_ii = 0."""
+    diag = np.abs(a.diagonal())
+    scale = np.ones_like(diag)
+    np.divide(1.0, np.sqrt(diag), out=scale, where=diag > 0.0)
+    return scale
+
+
+def _jacobi_multiplier(scale: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """D_i D_j at each stored entry (i, j) = (c - o, c) of the band's data,
+    0 where the data row of offset o has no entry."""
+    m = len(scale)
+    out = np.zeros((len(offsets), m))
+    for row, o in zip(out, offsets.tolist()):
+        lo, hi = max(o, 0), m + min(o, 0)
+        np.multiply(scale[lo - o:hi - o], scale[lo:hi], out=row[lo:hi])
+    return out
 
 
 def _singular_message(a) -> str:
@@ -240,7 +320,7 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
                            "rotation_increment")
     mesh.state.g_nodes = mesh.state.g_nodes @ exp_se3(eta)
     r = mesh.state.g_nodes[:, :3, :3]
-    drift = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
+    drift = np.abs(np.swapaxes(r, -1, -2) @ r - _IDENTITY3).max()
     if drift > 1e-12:
         u, _, vt = np.linalg.svd(r)
         mesh.state.g_nodes[:, :3, :3] = u @ vt
@@ -260,15 +340,10 @@ def update_twists(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
     """
     eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
     state = mesh.state
-    twist_pts = state.twist_points
     rotations = state.r_pts.shape[1] > 0
-    nel, m = mesh.n_elements, len(twist_pts)
-    le1, le2 = mesh.le
-    dn = DN_PTS_PARENT[twist_pts] * np.array([2.0 / le1, 2.0 / le2])   # (m, 4, 2)
-    rows = [N_PTS[twist_pts], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)]
-    if rotations:
-        rows.append(N_PTS[GAUSS_POINTS])
-    at_pts = np.concatenate(rows) @ eta[mesh.conn]                    # (nel, 3m [+ 4], 6)
+    nel, m = mesh.n_elements, len(state.twist_points)
+    rows = mesh.interpolation_rows(state.twist_points, rotations)
+    at_pts = rows @ eta[mesh.conn]                                     # (nel, 3m [+ 4], 6)
     state.zeta_pts = carried_update(
         at_pts[:, :m], state.zeta_pts, at_pts[:, m:3 * m].reshape(nel, m, 2, 6))
     if rotations:
@@ -325,8 +400,11 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         if system.residual_norm <= tol:
             attempt.converged = True
             return
-        eta_free, lin_res = newton_step(system.a, system.b)
+        a = system.a
+        solved = len(a.band_plan.interchanges)
+        eta_free, lin_res = newton_step(a, system.b)
         attempt.linear_residuals.append(lin_res)
+        attempt.interchanges += a.band_plan.interchanges[solved:]
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
                                f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved",

@@ -471,6 +471,23 @@ class TestReducedSystem:
             out[6 * node:6 * node + 6, 6 * node:6 * node + 6] = blk
         return out
 
+    @pytest.mark.parametrize("name, scattered", [("rollup_2pi", 1),
+                                                 ("magnetic_plate_A", 2)])
+    def test_zero_magnetic_load_is_not_scattered(self, name, scattered, monkeypatch):
+        # without magnetics the load vector is zero and only the residual is
+        # scattered; its norm is unchanged
+        model = build_model(load_bundled(name))
+        model.build_system(0.05)
+        calls = []
+        sc = model._scatter(model._band_order(model.mesh.free_dofs()))
+        vector = sc.vector
+        monkeypatch.setattr(sc, "vector", lambda f: calls.append(None) or vector(f))
+        system = model.build_system(0.05)
+        assert len(calls) == scattered
+        kern = model.element_kernels(0.05)
+        load = vector(kern.f_mag) + model.neumann_terms(0.05)[0][system.free]
+        assert system.load_norm == float(np.linalg.norm(load))
+
     def test_build_system_matches_full_assembly(self):
         lam = 0.7
         model = self.loaded_model()

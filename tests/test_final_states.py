@@ -75,3 +75,35 @@ def test_rotation_angle_near_zero_and_pi():
         c, s = np.cos(angle), np.sin(angle)
         r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         assert abs(script.rotation_angle(r) - angle) <= 1e-15 * max(angle, 1.0)
+
+
+def test_compare_within_tolerance(tmp_path, capsys):
+    # a state that moved by no more than --tol passes as `within`, unless its
+    # builds or attempts differ
+    script = _load_script()
+    g_nodes = np.broadcast_to(np.eye(4), (6, 4, 4)).copy()
+    state = {"g_nodes": g_nodes, "zeta_pts": np.zeros((2, 1, 2, 6)),
+             "r_pts": np.zeros((2, 0, 3, 3)), "counts": np.array([5, 1, 1]),
+             "scale": np.array(2.0)}
+    paths = [tmp_path / "old.npz", tmp_path / "new.npz", tmp_path / "recount.npz"]
+    np.savez(paths[0], **{f"strip/{key}": value for key, value in state.items()})
+    g_nodes[-1, 2, 3] += 4e-10                  # 2e-10 of the length scale
+    state["zeta_pts"][1, 0, 0, 3] = -3e-10
+    np.savez(paths[1], **{f"strip/{key}": value for key, value in state.items()})
+    state["counts"] = np.array([6, 1, 1])
+    np.savez(paths[2], **{f"strip/{key}": value for key, value in state.items()})
+
+    def compared(new, tol):
+        status = script.compare(str(paths[0]), str(new), tol)
+        out = capsys.readouterr().out.splitlines()
+        row = next(line for line in out if line.startswith("strip"))
+        return status, row.split()[1:5], out[-1]
+
+    assert compared(paths[1], 1e-9) == (
+        0, ["within", "2.000e-10", "0.000e+00", "3.000e-10"],
+        "0 of 1 scenarios identical, 1 within 1.0e-09")
+    assert compared(paths[1], 2e-10)[:2] == (1, ["no", "2.000e-10", "0.000e+00", "3.000e-10"])
+    assert compared(paths[1], 0.0)[0] == 1
+    assert compared(paths[2], 1e-9)[:2] == (
+        1, ["within", "2.000e-10", "0.000e+00", "3.000e-10"])
+    assert compared(paths[0], 1e-9)[2] == "1 of 1 scenarios identical, 0 within 1.0e-09"

@@ -244,6 +244,22 @@ class TestRunOutputs:
         assert log == [f"{a.step} {it} {r:.6e}" for a in report.attempts
                        for it, r in enumerate(a.residuals, 1)]
 
+    @pytest.mark.parametrize("name, scaling", [("end_shear", "none"),
+                                               ("magnetic_plate_B", "jacobi")])
+    def test_report_header_names_the_band_scaling(self, name, scaling, tmp_path):
+        cfg = replace(with_overrides(load_bundled(name), steps=2), mesh_dumps=False)
+        report, model = run_scenario(cfg, tmp_path, quiet=True)
+        assert report.converged
+        head = (tmp_path / "solve_report.txt").read_text().split("\nlog:\n", 1)[0]
+        lines = head.splitlines()
+        assert f"band_scaling: {scaling}" in lines
+        assert model.band_plan().scaling == scaling
+        # one count per solve, the factor that solved it
+        assert all(len(a.interchanges) == len(a.linear_residuals) for a in report.attempts)
+        total = sum(n for a in report.attempts for n in a.interchanges)
+        assert total == report.row_interchanges > 0
+        assert f"lu_row_interchanges: {total}" in lines
+
     def test_rejections_written_before_log(self, tmp_path, monkeypatch):
         cfg = replace(with_overrides(load_bundled("end_shear"), steps=2), nx=4)
         reject_first_solve(monkeypatch)

@@ -24,7 +24,7 @@ from conftest import (
 )
 from se3shell import solver
 from se3shell.constitutive import Material
-from se3shell.fem import FemModel
+from se3shell.fem import BandPlan, FemModel
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose, log_so3
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
@@ -192,6 +192,134 @@ class TestNewtonStep:
             newton_step(a, np.ones(4))
 
 
+def newton_iterations(model, load_factor, count):
+    """`count` Newton iterations at `load_factor`: the system, increment and
+    relative linear residual of each."""
+    out = []
+    for _ in range(count):
+        system = model.build_system(load_factor)
+        eta_free, rel = newton_step(system.a, system.b)
+        out.append((system, eta_free, rel))
+        eta = np.zeros(model.mesh.n_dofs)
+        eta[system.free] = eta_free
+        solver.apply_increment_field(model, eta)
+    return out
+
+
+def unplanned(a):
+    """The band `a` without its DOF set's plan, so it is factored unscaled."""
+    return sp.dia_matrix((a.data, a.offsets), shape=a.shape)
+
+
+class TestBandScaling:
+    """The band LU factors A or its Jacobi scaling D A D, chosen once per DOF
+    set over the set's first two tangents by the row interchanges of their
+    factors, and always refines against the unscaled A."""
+
+    def test_plate_factors_the_jacobi_scaling(self, monkeypatch):
+        cfg = load_bundled("magnetic_plate_A")
+        model = build_model(cfg)
+        factors = capture_factors(monkeypatch)
+        iterations = newton_iterations(model, 1.0 / cfg.solver.load_steps, 3)
+        plan = model.band_plan()
+        assert (plan.scaling, plan.chosen) == ("jacobi", True)
+        # the unscaled first tangent swaps almost every row; each later
+        # factor, the trial included, fewer than 10%
+        m = iterations[0][0].b.size
+        assert len(factors) == 3
+        assert plan.interchanges[0] > 0.9 * m
+        assert all(0 < n < 0.1 * m for n in plan.interchanges[1:])
+        assert [int(np.count_nonzero(f.piv != np.arange(m))) for f in factors] == \
+            plan.interchanges
+        for system, eta, rel in iterations:
+            assert rel < solver.MAX_LINEAR_RESIDUAL
+            # the relative residual is that of the unscaled tangent
+            r = system.b - system.a @ eta
+            assert np.linalg.norm(r) / np.linalg.norm(system.b) == rel
+
+    def test_rollup_keeps_the_unscaled_band_bit_for_bit(self, monkeypatch):
+        cfg = load_bundled("rollup_2pi")
+        model = build_model(cfg)
+        factors = capture_factors(monkeypatch)
+        lam = 1.0 / cfg.solver.load_steps
+        for it in range(4):
+            system = model.build_system(lam)
+            made = len(factors)
+            eta, rel = newton_step(system.a, system.b)
+            kept = factors[-1]
+            # the second solve also factors the discarded Jacobi trial
+            assert len(factors) - made == (2 if it == 1 else 1)
+            ref_eta, ref_rel = newton_step(unplanned(system.a), system.b)
+            assert np.array_equal(eta, ref_eta) and rel == ref_rel
+            assert np.array_equal(kept.lu, factors[-1].lu)
+            assert np.array_equal(kept.piv, factors[-1].piv)
+            full = np.zeros(model.mesh.n_dofs)
+            full[system.free] = eta
+            solver.apply_increment_field(model, full)
+        plan = model.band_plan()
+        assert (plan.scaling, plan.chosen) == ("none", True)
+        assert plan.scale is None and plan.multiplier is None
+
+    @pytest.mark.parametrize("name, scaling, per_solve", [
+        ("rollup_2pi", "none", [1, 2, 1, 1]),
+        ("magnetic_plate_A", "jacobi", [1, 1, 1, 1]),
+    ])
+    def test_choice_is_made_once_per_dof_set(self, name, scaling, per_solve,
+                                             monkeypatch):
+        cfg = load_bundled(name)
+        model = build_model(cfg)
+        lam = 1.0 / cfg.solver.load_steps
+        factors = capture_factors(monkeypatch)
+
+        def factorizations_per_solve(count):
+            made = []
+            for _ in range(count):
+                before = len(factors)
+                newton_iterations(model, lam, 1)
+                made.append(len(factors) - before)
+            return made
+
+        assert factorizations_per_solve(4) == per_solve
+        first = model.band_plan()
+        assert (first.scaling, len(first.interchanges)) == (scaling, 4)
+        # a later clamp is a new DOF set, which starts unscaled and decides anew
+        model.mesh.clamp_edge("xi1_max")
+        assert factorizations_per_solve(3) == per_solve[:3]
+        second = model.band_plan()
+        assert second is not first and second.chosen
+        assert (first.scaling, len(first.interchanges)) == (scaling, 4)
+        assert len(second.interchanges) == 3
+
+    def test_zero_and_negative_diagonal_entries(self):
+        # 2x2 blocks [[d, c], [c, k]] with d = -1e-4 (one block d = 0) and
+        # c = 5e-2, k = 5e2, weakly coupled: partial pivoting of A swaps
+        # every block, D A D swaps only the block with the zero diagonal
+        n_blocks = 40
+        d = np.full(n_blocks, -1e-4)
+        d[7] = 0.0
+        diag = np.column_stack([d, np.full(n_blocks, 5e2)]).ravel()
+        m = 2 * n_blocks
+        coupling = np.zeros(m - 1)
+        coupling[::2] = 5e-2
+        between = np.zeros(m - 2)
+        between[1::2] = 1e-3                            # k to the next block's k
+        a = (sp.diags(diag) + sp.diags(coupling, 1) + sp.diags(coupling, -1)
+             + sp.diags(between, 2) + sp.diags(between, -2))
+        band = band_matrix(a)
+        band.band_plan = BandPlan(band.offsets)
+        b = RNG.normal(size=m)
+        for _ in range(3):
+            eta, rel = newton_step(band, b)
+            assert rel < 1e-12
+            assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
+        plan = band.band_plan
+        assert plan.scaling == "jacobi"
+        assert plan.interchanges == [n_blocks, 1, 1]
+        assert plan.scale[14] == 1.0                       # the zero diagonal
+        assert np.all(plan.scale[::2][d != 0] == 1e2)      # |-1e-4|^-1/2
+        assert np.all(np.isfinite(plan.multiplier))
+
+
 class TestUpdateConfiguration:
     def test_zero_increment(self):
         model = cantilever()
@@ -334,6 +462,20 @@ class TestUpdateTwists:
         monkeypatch.setattr(solver, "exp_so3", counted)
         update_twists(mesh, 0.1 * RNG.normal(size=mesh.n_dofs))
         assert formed == [(mesh.n_elements, 4, 3)] * calls
+
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_interpolation_rows_are_built_once(self, name):
+        # the constant rows of the update are made on the first update and
+        # read by every later one
+        mesh = build_model(load_bundled(name)).mesh
+        update_twists(mesh, 0.01 * RNG.normal(size=mesh.n_dofs))
+        (rows,) = mesh._interpolation.values()
+        for _ in range(2):
+            update_twists(mesh, 0.01 * RNG.normal(size=mesh.n_dofs))
+        rotations = mesh.state.r_pts.shape[1] > 0
+        assert mesh.interpolation_rows(mesh.state.twist_points, rotations) is rows
+        assert len(mesh._interpolation) == 1
+        assert rows.shape == (3 * len(mesh.state.twist_points) + 4 * rotations, 4)
 
     def test_strain_equivalence_after_two_updates(self):
         # composing two updates stays consistent with the composed pose field
@@ -573,8 +715,11 @@ class TestRun:
         monkeypatch.setattr(solver, "newton_step", counted_step)
         report = run(model, cfg.solver)
         assert report.converged
-        assert steps[0] == 0
-        assert len(factors) == len(steps)
+        # the second solve also factors the Jacobi-scaled trial band; the
+        # unscaled band pivots less here, so that solve factors it again
+        assert model.band_plan().scaling == "none"
+        assert steps[:3] == [0, 1, 3]
+        assert len(factors) == len(steps) + 1
         assert all(lu.info == 0 for lu in factors)
 
     def test_rejected_attempts_are_recorded(self, monkeypatch):
