@@ -49,11 +49,6 @@ plate), with fixed DOFs already dropped; each later build is then one
 `np.bincount` per array, the tangent's over the element blocks followed by
 the negated dead-load blocks.  The full unreduced system used by diagnostics
 is the same scatter over all DOFs, in natural order (a wider band).
-
-Each scatter also keeps the `BandPlan` of its DOF set: how the stored
-diagonals go into LAPACK's band layout, and the symmetric scaling that the
-solver's band LU chose for that DOF set.  Every band the scatter assembles
-carries it as `band_plan`.
 """
 
 from __future__ import annotations
@@ -449,9 +444,10 @@ class FemModel:
             b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
             tangent=lambda: self.apply_boundary_conditions(kern, kdead, free))
 
-    def band_plan(self) -> "BandPlan":
-        """The `BandPlan` of the current free DOFs, whose tangents the solver factors."""
-        return self._scatter(self._band_order(self.mesh.free_dofs())).plan
+    def half_bandwidth(self) -> int:
+        """The half-bandwidth kl of the band `build_system` assembles on the
+        current free DOFs."""
+        return int(-self._scatter(self._band_order(self.mesh.free_dofs())).offsets[-1])
 
     def _band_order(self, free: np.ndarray) -> np.ndarray:
         """`free` with nodes along the longer grid side, made once per free-DOF set."""
@@ -488,39 +484,6 @@ class FemModel:
         return elastic, magnetic
 
 
-class BandPlan:
-    """The band LU's state for one DOF set, kept by the set's `_Scatter`.
-
-    `kl` and `ku` are LAPACK's half-bandwidths of the stored `offsets`
-    (strictly descending through 0).  `runs` lists each run of consecutive
-    offsets as (first, stop, work row): data rows first..stop-1 go, as one
-    slice, to rows work row.. of LAPACK's (2 kl + ku + 1, m) work array, where
-    offset o lands in row kl + ku - o.
-
-    The solver fills in the rest (see `solver._band_factor`):
-    `interchanges`, the row interchanges of the factor that made each solve
-    on this DOF set, in order, the first of an unscaled factor; `scale`, the
-    Jacobi scaling D = |diag A|^-1/2 of the first tangent (1 where the
-    diagonal is zero); `scaling`, the variant factored ("none" or
-    "jacobi"), fixed once `chosen`; and `multiplier`, D_i D_j at each stored
-    entry of the Jacobi variant.
-    """
-
-    def __init__(self, offsets: np.ndarray):
-        offs = [int(o) for o in offsets]
-        self.ku, self.kl = offs[0], -offs[-1]
-        self.runs, start = [], 0
-        for end in range(1, len(offs) + 1):
-            if end == len(offs) or offs[end] != offs[end - 1] - 1:
-                self.runs.append((start, end, self.kl + self.ku - offs[start]))
-                start = end
-        self.interchanges: list[int] = []
-        self.scale: np.ndarray | None = None
-        self.scaling = "none"
-        self.chosen = False
-        self.multiplier: np.ndarray | None = None
-
-
 class _Scatter:
     """Band storage of the tangent on a DOF list, with its slot maps.
 
@@ -538,8 +501,7 @@ class _Scatter:
     which is cut off, so each assembly is a single `np.bincount`.  The
     tangent's weights are written into `block_weights` and `node_weights`,
     the two parts of one buffer in `k_slot` order; bincount sums in input
-    order, so the nodal blocks are added after every element block.  `plan`
-    is the DOF set's `BandPlan`, attached to every band `matrix` returns.
+    order, so the nodal blocks are added after every element block.
     """
 
     def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
@@ -567,16 +529,13 @@ class _Scatter:
         self.block_weights = weights[:kept.size].reshape(kept.shape)
         self.node_weights = weights[kept.size:].reshape(n_nodes, 6, 6)
         self._weights = weights
-        self.plan = BandPlan(self.offsets)
 
     def matrix(self) -> sp.dia_matrix:
         """Sum the element and nodal blocks in the weights into a fresh band
-        matrix, carrying the DOF set's plan as `band_plan`."""
+        matrix."""
         data = np.bincount(self.k_slot, weights=self._weights, minlength=self.size + 1)
-        band = sp.dia_matrix((data[:self.size].reshape(-1, self.m), self.offsets),
+        return sp.dia_matrix((data[:self.size].reshape(-1, self.m), self.offsets),
                              shape=(self.m, self.m))
-        band.band_plan = self.plan
-        return band
 
     def vector(self, forces: np.ndarray) -> np.ndarray:
         """Sum (nel,4,6) element forces into a vector over the DOF subset."""

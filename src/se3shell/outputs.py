@@ -12,12 +12,12 @@ to [0, pi] (multi-turn winding is a post-processing quantity, see
 solver.accumulated_edge_rotation).
 
 `solve_report.txt` holds `key: value` header lines (among them
-`band_scaling`, the variant of the band LU, `jacobi` or `none`, and
+`band_scaling`, the variant of the band LU that `solver.band_scaling` picks
+from the width of the final free-DOF band, `jacobi` or `none`, and
 `lu_row_interchanges`, the row interchanges of the factors of all the run's
-solves), one
-`rejected: step S load_factor L: reason` line per rejected attempt, then
-`log:` followed by one `step iter residual` line per Newton iteration, all
-written from the solver's attempt records.
+solves), one `rejected: step S load_factor L: reason` line per rejected
+attempt, then `log:` followed by one `step iter residual` line per Newton
+iteration, all written from the solver's attempt records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .fem import FemModel
 from .mesh import dump_mesh, dump_triangles
 from .scenario import ScenarioConfig, ScenarioError, build_model, edge_length
-from .solver import SolveReport, run
+from .solver import SolveReport, band_scaling, run
 
 
 def emit_deformed_geometry(mesh, path_base) -> None:
@@ -103,7 +103,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
         fh.write(f"converged: {report.converged}\n")
         fh.write(f"wall_time_s: {report.wall_time:.3f}\n")
         fh.write(f"max_linear_residual: {report.max_linear_residual:.3e}\n")
-        fh.write(f"band_scaling: {model.band_plan().scaling}\n")
+        fh.write(f"band_scaling: {band_scaling(model.half_bandwidth())}\n")
         fh.write(f"lu_row_interchanges: {report.row_interchanges}\n")
         if report.message:
             fh.write(f"message: {report.message}\n")

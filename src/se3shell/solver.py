@@ -4,14 +4,15 @@ Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
 on the free DOFs by one banded LU factorization (LAPACK dgbtrf with partial
 pivoting, on the band that `build_system` scatters in the grid order of the
 mesh), then applies one multiplicative update of the whole state
-(`apply_increment_field`).  The factored band is either A itself or its
-symmetric Jacobi scaling D A D, D = |diag A|^-1/2, whichever the DOF set's
-first two tangents showed to need fewer row interchanges: six DOFs per node
-in SI units give a thin plate rotational diagonals near 1e-4 next to
-translational ones near 5e2, so partial pivoting of A swaps almost every row
-and widens each trailing update, while D A D pivots on its diagonal.  The
-choice is made once per free-DOF set (see `_band_factor`) and the
-refinement is always against the unscaled A.  The update is:
+(`apply_increment_field`).  The factored band is A itself on a band of
+half-bandwidth kl below JACOBI_MIN_HALF_BANDWIDTH, and its symmetric Jacobi
+scaling D A D, D = |diag A|^-1/2 of that tangent, from there on (see
+`band_scaling`): six DOFs per node in SI units put the rotational diagonals
+of a mm-scale shell about 1e-7 below the translational ones, so partial
+pivoting of a wide band swaps almost every row and widens each trailing
+update, while D A D pivots near its diagonal.  The choice reads only the
+band's width, and the refinement is always against the unscaled A.  The
+update is:
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -37,12 +38,10 @@ memoized kernels from the snapshot taken once per load increment
 (`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
 (with a category, set where the exception is raised) and the increment
 halved, up to MAX_HALVINGS times, after which the run fails with the last
-attempt's reason.  Every solve assembles and factors its own tangent (the
-second solve of a DOF set factors D A D first, and A again when D A D
-pivots more), and the factor lives only for that solve; only the variant, D and the D_i D_j
-multiplier of the stored diagonals outlive it, in the DOF set's `BandPlan`.
-SolveReport keeps one Attempt record per attempt, with the row interchanges
-of each solve's factor, and reads every tally from them.
+attempt's reason.  Every solve assembles and factors its own tangent, and
+the factor lives only for that solve.  SolveReport keeps one Attempt record
+per attempt, with the row interchanges of each solve's factor, and reads
+every tally from them.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import BandPlan, FemModel
+from .fem import FemModel
 from .liegroup import carried_update, exp_se3, exp_so3, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
@@ -71,6 +70,12 @@ MAX_LINEAR_RESIDUAL = 1e-6
 MAX_HALVINGS = 8
 # Iterative refinement sweeps at most; each one costs a solve and a residual.
 REFINEMENT_SWEEPS = 3
+# Half-bandwidth from which the band LU factors D A D in place of A: four or
+# more elements across the shorter grid side (kl = 6 (min(nx, ny) + 3) - 1).
+# Measured by dgbtrf time on the bundled meshes and their 2-10 wide variants
+# (ROADMAP standing notes): D A D is never faster on the strips (kl 23), about
+# even at kl 29-35, and 25-40% faster from kl 41 on.
+JACOBI_MIN_HALF_BANDWIDTH = 41
 _IDENTITY3 = np.eye(3)
 
 
@@ -164,21 +169,27 @@ class SolveReport:
         return sum(sum(a.interchanges) for a in self.attempts)
 
 
-def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
+def band_scaling(kl: int) -> str:
+    """The variant the band LU factors on a band of half-bandwidth `kl`:
+    "jacobi" (D A D) from JACOBI_MIN_HALF_BANDWIDTH on, "none" (A) below."""
+    return "jacobi" if kl >= JACOBI_MIN_HALF_BANDWIDTH else "none"
+
+
+def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `a` is the band tangent of `build_system`, factored once here (the
-    second tangent of a DOF set also makes the trial factorization of
-    `_band_factor`).  When the DOF set factors the Jacobi scaling D A D, the
+    `a` is the band tangent of `build_system`, factored once here by
+    `_band_factor`.  When its width makes that the Jacobi scaling D A D, the
     solve is for D^-1 eta: eta = D (D A D)^-1 D b.  Returns (eta, relative
-    linear residual |b - A eta| / |b| of the unscaled A).  Up to
-    REFINEMENT_SWEEPS sweeps of iterative refinement against the unscaled A
-    follow; they stop once the residual is below 1e-12 relative or a sweep
-    fails to halve it (the roundoff floor eps*cond of the tangent).  The
-    caller rejects the step when the residual stays above
-    MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm estimate
-    when the factorization meets an exactly zero pivot (info > 0) or produces
-    non-finite results, and TypeError for a matrix that is not such a band.
+    linear residual |b - A eta| / |b| of the unscaled A, row interchanges of
+    the factor).  Up to REFINEMENT_SWEEPS sweeps of iterative refinement
+    against the unscaled A follow; they stop once the residual is below
+    1e-12 relative or a sweep fails to halve it (the roundoff floor eps*cond
+    of the tangent).  The caller rejects the step when the residual stays
+    above MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm
+    estimate when the factorization meets an exactly zero pivot (info > 0)
+    or produces non-finite results, and TypeError for a matrix that is not
+    such a band.
     """
     b = np.asarray(b, dtype=float)
     lu, piv, kl, ku, scale = _band_factor(a)
@@ -202,36 +213,31 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float]:
         prev, rel = rel, float(np.linalg.norm(r)) / bnorm
         if rel > 0.5 * prev:
             break
-    return eta, rel
+    return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
 
 
 def _band_factor(a):
     """(lu, piv, kl, ku, D or None): the LAPACK dgbtrf factor of a band of
-    `build_system`, of A or of D A D.
+    `build_system`, of A or of D A D, a function of `a` alone.
 
     `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
     -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
-    write; any other matrix raises TypeError.  Its `band_plan` (a fresh
-    `BandPlan` for a band without one) copies each run of stored diagonals
-    into the (2 kl + ku + 1, m) work array as one slice, multiplied entrywise
-    by D_i D_j for the Jacobi variant; the first kl rows take the fill of
-    partial pivoting and the diagonals not stored stay zero.
+    write; any other matrix raises TypeError.  Each run of consecutive
+    offsets is copied into the (2 kl + ku + 1, m) work array as one slice,
+    offset o to row kl + ku - o; the first kl rows take the fill of partial
+    pivoting and the diagonals not stored stay zero.
 
-    The variant is chosen once per DOF set, over its first two tangents:
-    the first is factored unscaled, and it gives D = |a_ii|^-1/2 (1 where
-    a_ii = 0).  The second is factored as D A D with that D, and the
-    variant whose factor interchanged fewer rows is kept from then on; when
-    it is the unscaled one (ties included), that tangent is factored again
-    unscaled, so only one work array is held at a time.  Measured on the
-    bundled scenarios the Jacobi variant pivots far less on the thin plates
-    (`magnetic_plate_A`: about 72 of 1920 rows against 1854) and far more on
-    the roll-up strips, hence a choice per DOF set.  The factorization costs
-    about m kl^2 with kl = 6 (min(nx, ny) + 3) - 1, plus a share per row
-    interchange, which widens the trailing update from ku to kl + ku
-    columns; measured on square plates up to 60x60 the band LU still beats
-    a sparse LU with a minimum-degree order at every size (617 ms against
-    5.25 s at 60x60).  An exactly zero pivot (info > 0) raises
-    SingularSystemError with a 1-norm estimate.
+    `band_scaling(kl)` picks the variant.  For "jacobi", D = |a_ii|^-1/2
+    (1 where a_ii = 0) of this tangent, and each run is multiplied
+    entrywise by D_i D_j.  The factorization costs about m kl^2 with
+    kl = 6 (min(nx, ny) + 3) - 1, plus a share per row interchange, which
+    widens the trailing update from ku to kl + ku columns: unscaled, a thin
+    plate interchanges almost every row (`magnetic_plate_A`: 1854 of 1920,
+    about 70 under D A D), while on the one-element strips D A D pivots
+    less or more but never factors faster.  Measured on square plates up to
+    60x60 the band LU still beats a sparse LU with a minimum-degree order
+    at every size (617 ms against 5.25 s at 60x60).  An exactly zero pivot
+    (info > 0) raises SingularSystemError with a 1-norm estimate.
     """
     if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
             and a.data.shape[1] == a.shape[0]
@@ -239,42 +245,35 @@ def _band_factor(a):
         raise TypeError("newton_step takes the band of build_system: a dia_matrix "
                         "with full-length diagonals, offsets strictly descending "
                         f"through 0; got {type(a).__name__}")
-    plan = getattr(a, "band_plan", None) or BandPlan(a.offsets)
-    if plan.interchanges and not plan.chosen:
-        # the DOF set's second tangent: the trial of the Jacobi variant
-        plan.multiplier = _jacobi_multiplier(plan.scale, a.offsets)
-        lu, piv, swaps = _factor(a, plan, plan.multiplier)
-        plan.chosen = True
-        if swaps < plan.interchanges[0]:
-            plan.scaling = "jacobi"
-            plan.interchanges.append(swaps)
-            return lu, piv, plan.kl, plan.ku, plan.scale
-        lu = piv = plan.scale = plan.multiplier = None
-    jacobi = plan.scaling == "jacobi"
-    lu, piv, swaps = _factor(a, plan, plan.multiplier if jacobi else None)
-    if not plan.interchanges:
-        plan.scale = _jacobi_scale(a)
-    plan.interchanges.append(swaps)
-    return lu, piv, plan.kl, plan.ku, plan.scale if jacobi else None
-
-
-def _factor(a, plan: BandPlan, multiplier: np.ndarray | None):
-    """(lu, piv, row interchanges) of dgbtrf on the band `a`, multiplied
-    entrywise by `multiplier` when one is given."""
-    work = np.zeros((2 * plan.kl + plan.ku + 1, a.shape[0]), order="F")
+    offs = a.offsets.tolist()
+    m, ku, kl = a.shape[0], offs[0], -offs[-1]
+    scale = _jacobi_scale(a) if band_scaling(kl) == "jacobi" else None
+    if scale is not None:
+        # D_(c - o) at data row o, column c: row ku - o of the sliding windows
+        # of D padded by ku zeros before and kl after
+        row_scale = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([np.zeros(ku), scale, np.zeros(kl)]), m)
+    work = np.zeros((2 * kl + ku + 1, m), order="F")
     # each run of consecutive offsets is one slice copy, which numpy makes in
     # the work array's memory order (a fancy row index took twice as long on
     # the strips)
-    for first, stop, row in plan.runs:
-        rows = work[row:row + stop - first]
-        if multiplier is None:
+    first = 0
+    for stop in range(1, len(offs) + 1):
+        if stop < len(offs) and offs[stop] == offs[stop - 1] - 1:
+            continue
+        rows = work[kl + ku - offs[first]:kl + ku - offs[stop - 1] + 1]
+        if scale is None:
             rows[...] = a.data[first:stop]
         else:
-            np.multiply(a.data[first:stop], multiplier[first:stop], out=rows)
-    lu, piv, info = lapack.dgbtrf(work, plan.kl, plan.ku, overwrite_ab=True)
+            # D_i D_j formed apart: multiplied in place in the strided work
+            # rows, the copy took about 1.4x as long on the plate
+            d_ij = row_scale[ku - offs[first]:ku - offs[stop - 1] + 1] * scale
+            np.multiply(d_ij, a.data[first:stop], out=rows)
+        first = stop
+    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
     if info > 0:
         raise SingularSystemError(_singular_message(a))
-    return lu, piv, int(np.count_nonzero(piv != np.arange(len(piv))))
+    return lu, piv, kl, ku, scale
 
 
 def _jacobi_scale(a) -> np.ndarray:
@@ -283,17 +282,6 @@ def _jacobi_scale(a) -> np.ndarray:
     scale = np.ones_like(diag)
     np.divide(1.0, np.sqrt(diag), out=scale, where=diag > 0.0)
     return scale
-
-
-def _jacobi_multiplier(scale: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """D_i D_j at each stored entry (i, j) = (c - o, c) of the band's data,
-    0 where the data row of offset o has no entry."""
-    m = len(scale)
-    out = np.zeros((len(offsets), m))
-    for row, o in zip(out, offsets.tolist()):
-        lo, hi = max(o, 0), m + min(o, 0)
-        np.multiply(scale[lo - o:hi - o], scale[lo:hi], out=row[lo:hi])
-    return out
 
 
 def _singular_message(a) -> str:
@@ -400,11 +388,9 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         if system.residual_norm <= tol:
             attempt.converged = True
             return
-        a = system.a
-        solved = len(a.band_plan.interchanges)
-        eta_free, lin_res = newton_step(a, system.b)
+        eta_free, lin_res, interchanges = newton_step(system.a, system.b)
         attempt.linear_residuals.append(lin_res)
-        attempt.interchanges += a.band_plan.interchanges[solved:]
+        attempt.interchanges.append(interchanges)
         if lin_res > MAX_LINEAR_RESIDUAL:
             raise StepRejected(f"linear residual {lin_res:.3e} exceeds "
                                f"{MAX_LINEAR_RESIDUAL:.0e}: tangent system not solved",

@@ -125,12 +125,9 @@ def test_bundled_scenario_converges(name, monkeypatch):
     attempts = sum(1 for line in lines if line.split()[1] == "1")
     assert (len(lines), attempts) == COUNTS[name]
     # the tangent is assembled and factored once for every solve, and the
-    # mechanical kernels once per distinct state; the DOF set's second solve
-    # also factors the Jacobi-scaled trial band, discarded when the unscaled
-    # band pivots less
+    # mechanical kernels once per distinct state
     assert (len(evaluations), len(assemblies)) == WORK[name]
-    trials = 1 if model.band_plan().scaling == "none" else 0
-    assert len(solves) == len(assemblies) == len(factorizations) - trials
+    assert len(solves) == len(assemblies) == len(factorizations)
     assert sum(len(a.interchanges) for a in report.attempts) == len(solves)
     # Kgeo is formed once per assembly, and never at a build that converges
     assert len(geometric) == len(set(geometric)) == len(assemblies)

@@ -253,7 +253,8 @@ class TestRunOutputs:
         head = (tmp_path / "solve_report.txt").read_text().split("\nlog:\n", 1)[0]
         lines = head.splitlines()
         assert f"band_scaling: {scaling}" in lines
-        assert model.band_plan().scaling == scaling
+        wide = model.half_bandwidth() >= solver.JACOBI_MIN_HALF_BANDWIDTH
+        assert wide == (scaling == "jacobi")
         # one count per solve, the factor that solved it
         assert all(len(a.interchanges) == len(a.linear_residuals) for a in report.attempts)
         total = sum(n for a in report.attempts for n in a.interchanges)

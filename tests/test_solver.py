@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from conftest import (
     SINGULAR_REASON,
@@ -24,11 +25,11 @@ from conftest import (
 )
 from se3shell import solver
 from se3shell.constitutive import Material
-from se3shell.fem import BandPlan, FemModel
+from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose, log_so3
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
-from se3shell.scenario import build_model, load_bundled
+from se3shell.scenario import build_model, list_bundled, load_bundled
 from se3shell.solver import (
     SingularSystemError,
     SolverSettings,
@@ -57,12 +58,12 @@ def first_tangent(name):
 class TestNewtonStep:
     def test_zero_rhs(self):
         a = band_matrix(sp.identity(12))
-        eta, res = newton_step(a, np.zeros(12))
+        eta, res, _ = newton_step(a, np.zeros(12))
         assert np.array_equal(eta, np.zeros(12))
 
     def test_scalar_analogue(self):
         a = band_matrix(np.array([[4.0]]))
-        eta, _ = newton_step(a, np.array([8.0]))
+        eta = newton_step(a, np.array([8.0]))[0]
         assert eta[0] == pytest.approx(2.0)
 
     def test_random_spd_residual(self):
@@ -70,7 +71,7 @@ class TestNewtonStep:
             m = RNG.normal(size=(n, n))
             a = m @ m.T + n * np.eye(n)
             b = RNG.normal(size=n)
-            eta, rel = newton_step(band_matrix(a), b)
+            eta, rel, _ = newton_step(band_matrix(a), b)
             assert rel < 1e-10
             assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-10
 
@@ -88,7 +89,7 @@ class TestNewtonStep:
         a = self.zero_diagonal_matrix()
         assert np.all(a.diagonal() == 0.0)
         b = RNG.normal(size=a.shape[0])
-        eta, rel = newton_step(band_matrix(a), b)
+        eta, rel, _ = newton_step(band_matrix(a), b)
         assert rel < 1e-12
         assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
 
@@ -110,7 +111,7 @@ class TestNewtonStep:
         # the diagonal, so the factor fits the (2 kl + ku + 1, m) work array
         system = first_tangent("magnetic_plate_A")
         factors = capture_factors(monkeypatch)
-        _, rel = newton_step(system.a, system.b)
+        rel = newton_step(system.a, system.b)[1]
         assert rel < solver.MAX_LINEAR_RESIDUAL
         (lu,) = factors
         assert (lu.kl, lu.ku, lu.info) == (107, 107, 0)
@@ -144,7 +145,7 @@ class TestNewtonStep:
         full_band = band_matrix(a)
         assert len(full_band.offsets) == 215
         factors = capture_factors(monkeypatch)
-        eta, rel = newton_step(a, b)
+        eta = newton_step(a, b)[0]
         assert np.array_equal(newton_step(full_band, b)[0], eta)
         assert all((f.kl, f.ku, f.info) == (107, 107, 0) for f in factors)
         assert np.array_equal(factors[1].piv, factors[0].piv)
@@ -162,7 +163,7 @@ class TestNewtonStep:
             return dgbtrs(*args, **kwargs)
 
         monkeypatch.setattr(solver.lapack, "dgbtrs", counted)
-        _, rel = newton_step(system.a, system.b)
+        rel = newton_step(system.a, system.b)[1]
         assert 1 <= len(solves) <= 2
         assert rel < solver.MAX_LINEAR_RESIDUAL
 
@@ -198,7 +199,7 @@ def newton_iterations(model, load_factor, count):
     out = []
     for _ in range(count):
         system = model.build_system(load_factor)
-        eta_free, rel = newton_step(system.a, system.b)
+        eta_free, rel, _ = newton_step(system.a, system.b)
         out.append((system, eta_free, rel))
         eta = np.zeros(model.mesh.n_dofs)
         eta[system.free] = eta_free
@@ -206,89 +207,103 @@ def newton_iterations(model, load_factor, count):
     return out
 
 
-def unplanned(a):
-    """The band `a` without its DOF set's plan, so it is factored unscaled."""
-    return sp.dia_matrix((a.data, a.offsets), shape=a.shape)
+def capture_bands(monkeypatch):
+    """Record a copy of every LAPACK band work array as it is handed to
+    dgbtrf, before the factorization overwrites it."""
+    bands = []
+    dgbtrf = solver.lapack.dgbtrf
+
+    def capture(ab, kl, ku, *args, **kwargs):
+        bands.append(ab.copy())
+        return dgbtrf(ab, kl, ku, *args, **kwargs)
+
+    monkeypatch.setattr(solver.lapack, "dgbtrf", capture)
+    return bands
+
+
+def lapack_band(a, scale=None):
+    """The (2 kl + ku + 1, m) dgbtrf work array of the band `a`, built entry
+    by entry, of D A D (entries (D_i D_j) a_ij) when the scaling D is given."""
+    coo = a.tocoo()
+    ku, kl = a.offsets[0], -a.offsets[-1]
+    values = coo.data if scale is None else scale[coo.row] * scale[coo.col] * coo.data
+    band = np.zeros((2 * kl + ku + 1, a.shape[0]))
+    band[kl + ku + coo.row - coo.col, coo.col] = values
+    return band
+
+
+def unit_diagonal(band, kl, ku):
+    """Whether every nonzero diagonal entry of a work array is +-1, as
+    scaling by D = |a_ii|^-1/2 leaves it."""
+    diag = band[kl + ku]
+    return np.allclose(np.abs(diag[diag != 0.0]), 1.0, rtol=1e-12, atol=0.0)
 
 
 class TestBandScaling:
-    """The band LU factors A or its Jacobi scaling D A D, chosen once per DOF
-    set over the set's first two tangents by the row interchanges of their
-    factors, and always refines against the unscaled A."""
+    """The band LU factors A on a band narrower than
+    JACOBI_MIN_HALF_BANDWIDTH and its Jacobi scaling D A D, D = |diag A|^-1/2
+    of the same tangent, on a wider one; the choice reads only the band, and
+    the refinement is always against the unscaled A."""
 
-    def test_plate_factors_the_jacobi_scaling(self, monkeypatch):
-        cfg = load_bundled("magnetic_plate_A")
+    @staticmethod
+    def factored_bands(name, monkeypatch):
+        """The first two Newton iterations of a bundled scenario, each with
+        the work array its factorization was handed."""
+        cfg = load_bundled(name)
         model = build_model(cfg)
-        factors = capture_factors(monkeypatch)
-        iterations = newton_iterations(model, 1.0 / cfg.solver.load_steps, 3)
-        plan = model.band_plan()
-        assert (plan.scaling, plan.chosen) == ("jacobi", True)
-        # the unscaled first tangent swaps almost every row; each later
-        # factor, the trial included, fewer than 10%
-        m = iterations[0][0].b.size
-        assert len(factors) == 3
-        assert plan.interchanges[0] > 0.9 * m
-        assert all(0 < n < 0.1 * m for n in plan.interchanges[1:])
-        assert [int(np.count_nonzero(f.piv != np.arange(m))) for f in factors] == \
-            plan.interchanges
-        for system, eta, rel in iterations:
+        bands = capture_bands(monkeypatch)
+        iterations = newton_iterations(model, 1.0 / cfg.solver.load_steps, 2)
+        assert len(bands) == len(iterations)
+        for (system, eta, rel), band in zip(iterations, list(bands)):
             assert rel < solver.MAX_LINEAR_RESIDUAL
             # the relative residual is that of the unscaled tangent
             r = system.b - system.a @ eta
             assert np.linalg.norm(r) / np.linalg.norm(system.b) == rel
+            yield system.a, band
 
     def test_rollup_keeps_the_unscaled_band_bit_for_bit(self, monkeypatch):
-        cfg = load_bundled("rollup_2pi")
-        model = build_model(cfg)
-        factors = capture_factors(monkeypatch)
-        lam = 1.0 / cfg.solver.load_steps
-        for it in range(4):
-            system = model.build_system(lam)
-            made = len(factors)
-            eta, rel = newton_step(system.a, system.b)
-            kept = factors[-1]
-            # the second solve also factors the discarded Jacobi trial
-            assert len(factors) - made == (2 if it == 1 else 1)
-            ref_eta, ref_rel = newton_step(unplanned(system.a), system.b)
-            assert np.array_equal(eta, ref_eta) and rel == ref_rel
-            assert np.array_equal(kept.lu, factors[-1].lu)
-            assert np.array_equal(kept.piv, factors[-1].piv)
-            full = np.zeros(model.mesh.n_dofs)
-            full[system.free] = eta
-            solver.apply_increment_field(model, full)
-        plan = model.band_plan()
-        assert (plan.scaling, plan.chosen) == ("none", True)
-        assert plan.scale is None and plan.multiplier is None
+        for a, band in self.factored_bands("rollup_2pi", monkeypatch):
+            assert solver.band_scaling(-a.offsets[-1]) == "none"
+            assert np.array_equal(band, lapack_band(a))
 
-    @pytest.mark.parametrize("name, scaling, per_solve", [
-        ("rollup_2pi", "none", [1, 2, 1, 1]),
-        ("magnetic_plate_A", "jacobi", [1, 1, 1, 1]),
-    ])
-    def test_choice_is_made_once_per_dof_set(self, name, scaling, per_solve,
-                                             monkeypatch):
+    def test_plate_factors_the_jacobi_scaling(self, monkeypatch):
+        for a, band in self.factored_bands("magnetic_plate_A", monkeypatch):
+            assert solver.band_scaling(-a.offsets[-1]) == "jacobi"
+            # bit for bit D A D with D of this tangent
+            scale = 1.0 / np.sqrt(np.abs(a.diagonal()))
+            assert np.array_equal(band, lapack_band(a, scale))
+            # unscaled, the plate swaps almost every row; D A D fewer than 10%
+            m, kl = a.shape[0], -a.offsets[-1]
+            unscaled = lapack.dgbtrf(lapack_band(a), kl, kl)[1]
+            assert np.count_nonzero(unscaled != np.arange(m)) > 0.9 * m
+            swaps = newton_step(a, np.ones(m))[2]
+            assert 0 < swaps < 0.1 * m
+
+    def test_newton_step_is_a_function_of_the_band(self):
+        # solving the same band twice factors it the same way twice
+        system = first_tangent("magnetic_plate_A")
+        a, b = system.a, system.b
+        data = a.data.copy()
+        eta, rel, swaps = newton_step(a, b)
+        again = newton_step(a, b)
+        assert np.array_equal(again[0], eta)
+        assert again[1:] == (rel, swaps)
+        assert np.array_equal(a.data, data)
+
+    @pytest.mark.parametrize("name", list_bundled())
+    def test_first_tangent_variant_follows_the_width(self, name, monkeypatch):
+        # D A D exactly on the meshes four or more elements wide
         cfg = load_bundled(name)
         model = build_model(cfg)
-        lam = 1.0 / cfg.solver.load_steps
-        factors = capture_factors(monkeypatch)
-
-        def factorizations_per_solve(count):
-            made = []
-            for _ in range(count):
-                before = len(factors)
-                newton_iterations(model, lam, 1)
-                made.append(len(factors) - before)
-            return made
-
-        assert factorizations_per_solve(4) == per_solve
-        first = model.band_plan()
-        assert (first.scaling, len(first.interchanges)) == (scaling, 4)
-        # a later clamp is a new DOF set, which starts unscaled and decides anew
-        model.mesh.clamp_edge("xi1_max")
-        assert factorizations_per_solve(3) == per_solve[:3]
-        second = model.band_plan()
-        assert second is not first and second.chosen
-        assert (first.scaling, len(first.interchanges)) == (scaling, 4)
-        assert len(second.interchanges) == 3
+        system = model.build_system(1.0 / cfg.solver.load_steps)
+        bands = capture_bands(monkeypatch)
+        newton_step(system.a, system.b)
+        (band,) = bands
+        kl = -system.a.offsets[-1]
+        assert model.half_bandwidth() == kl
+        jacobi = unit_diagonal(band, kl, system.a.offsets[0])
+        assert jacobi == (name in {"magnetic_plate_A", "magnetic_plate_B", "gripper_finger"})
+        assert solver.band_scaling(kl) == ("jacobi" if jacobi else "none")
 
     def test_zero_and_negative_diagonal_entries(self):
         # 2x2 blocks [[d, c], [c, k]] with d = -1e-4 (one block d = 0) and
@@ -303,21 +318,22 @@ class TestBandScaling:
         coupling[::2] = 5e-2
         between = np.zeros(m - 2)
         between[1::2] = 1e-3                            # k to the next block's k
-        a = (sp.diags(diag) + sp.diags(coupling, 1) + sp.diags(coupling, -1)
-             + sp.diags(between, 2) + sp.diags(between, -2))
-        band = band_matrix(a)
-        band.band_plan = BandPlan(band.offsets)
+        narrow = (sp.diags(diag) + sp.diags(coupling, 1) + sp.diags(coupling, -1)
+                  + sp.diags(between, 2) + sp.diags(between, -2))
+        # one far coupling of the first k to a d makes the band wide enough
+        kl = solver.JACOBI_MIN_HALF_BANDWIDTH
+        far = sp.coo_matrix(([1e-9, 1e-9], ([1, kl + 1], [kl + 1, 1])), shape=(m, m))
         b = RNG.normal(size=m)
-        for _ in range(3):
-            eta, rel = newton_step(band, b)
-            assert rel < 1e-12
-            assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
-        plan = band.band_plan
-        assert plan.scaling == "jacobi"
-        assert plan.interchanges == [n_blocks, 1, 1]
-        assert plan.scale[14] == 1.0                       # the zero diagonal
-        assert np.all(plan.scale[::2][d != 0] == 1e2)      # |-1e-4|^-1/2
-        assert np.all(np.isfinite(plan.multiplier))
+        for a, scaling, swaps in ((narrow, "none", n_blocks), (narrow + far, "jacobi", 1)):
+            band = band_matrix(a)
+            assert solver.band_scaling(-band.offsets[-1]) == scaling
+            for _ in range(2):
+                eta, rel, n = newton_step(band, b)
+                assert rel < 1e-12 and n == swaps
+                assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
+        scale = solver._band_factor(band)[4]
+        assert scale[14] == 1.0                       # the zero diagonal
+        assert np.all(scale[::2][d != 0] == 1e2)      # |-1e-4|^-1/2
 
 
 class TestUpdateConfiguration:
@@ -672,7 +688,7 @@ class TestRun:
                                  frame="dead")
         updates = []
         monkeypatch.setattr(solver, "newton_step",
-                            lambda a, b: (np.zeros_like(b), 2.0e-6))
+                            lambda a, b: (np.zeros_like(b), 2.0e-6, 0))
         monkeypatch.setattr(solver, "update_configuration",
                             lambda mesh, eta: updates.append(eta))
         monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
@@ -690,7 +706,7 @@ class TestRun:
                                  frame="dead")
         if source == "increment":
             monkeypatch.setattr(solver, "newton_step",
-                                lambda a, b: (np.full_like(b, np.nan), 0.0))
+                                lambda a, b: (np.full_like(b, np.nan), 0.0, 0))
             reason = "non-finite increment"
         else:
             model.mesh.state.zeta_pts[0, 0, 0, 0] = np.nan
@@ -715,11 +731,8 @@ class TestRun:
         monkeypatch.setattr(solver, "newton_step", counted_step)
         report = run(model, cfg.solver)
         assert report.converged
-        # the second solve also factors the Jacobi-scaled trial band; the
-        # unscaled band pivots less here, so that solve factors it again
-        assert model.band_plan().scaling == "none"
-        assert steps[:3] == [0, 1, 3]
-        assert len(factors) == len(steps) + 1
+        assert steps == list(range(len(steps)))
+        assert len(factors) == len(steps)
         assert all(lu.info == 0 for lu in factors)
 
     def test_rejected_attempts_are_recorded(self, monkeypatch):
@@ -854,10 +867,10 @@ def run_with_forced_rejection(name, monkeypatch):
         if not flags["rejected"] or retry:
             return step(a, b)
         start, made = model.mesh.state.copy(), len(factors)
-        eta, rel = step(a, b)
-        retry.append(SimpleNamespace(factorizations=len(factors) - made, eta=eta, b=b,
-                                     state=start))
-        return eta, rel
+        result = step(a, b)
+        retry.append(SimpleNamespace(factorizations=len(factors) - made, eta=result[0],
+                                     b=b, state=start))
+        return result
 
     monkeypatch.setattr(solver, "update_configuration", update_or_reject)
     monkeypatch.setattr(solver, "newton_step", recorded_step)
@@ -912,10 +925,10 @@ class TestRetrySolve:
             if len(counts) != 1:
                 return step(a, b)
             start = model.mesh.state.copy()
-            eta, rel = step(a, b)
+            result = step(a, b)
             counts.append(len(evaluations))
-            retry.append((start, b, eta))
-            return eta, rel
+            retry.append((start, b, result[0]))
+            return result
 
         monkeypatch.setattr(solver, "update_configuration", update_or_reject)
         monkeypatch.setattr(solver, "newton_step", recorded_step)
