@@ -35,12 +35,12 @@ class Material:
     h: float
 
     def __post_init__(self):
-        if self.e <= 0:
-            raise ValueError("Young's modulus must be positive")
+        if not 0 < self.e < np.inf:
+            raise ValueError("Young's modulus must be positive and finite")
         if not -1.0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (-1, 0.5)")
-        if self.h <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("thickness must be positive and finite")
 
     @staticmethod
     def from_lame(mu: float, lam: float, h: float) -> "Material":

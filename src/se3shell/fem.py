@@ -41,14 +41,14 @@ Assembly has one fixed-pattern path, straight into band storage.  On the
 first build for a given set of free DOFs the model orders those DOFs along
 the mesh grid (nodes along the longer of nx and ny, each node's six DOFs
 together), so the tangent has half-bandwidth 6 (min(nx, ny) + 3) - 1: 23 on
-a one-element-wide strip, 107 on a 20x15 plate.  The scatter of a DOF list
-holds maps from every element-block, element-force and nodal dead-load
-entry to its slot in the data of a `dia_matrix` that stores only the
-diagonals some block writes (all 47 on a strip, 69 of 215 on the 20x15
-plate), with fixed DOFs already dropped; each later build is then one
+a one-element-wide strip, 107 on a 20x15 plate.  The scatter of that set
+holds its grid order and maps from every element-block, element-force and
+nodal dead-load entry to its slot in the data of a `dia_matrix` that stores
+only the diagonals some block writes (all 47 on a strip, 69 of 215 on the
+20x15 plate), with fixed DOFs already dropped; each later build is then one
 `np.bincount` per array, the tangent's over the element blocks followed by
-the negated dead-load blocks.  The full unreduced system used by diagnostics
-is the same scatter over all DOFs, in natural order (a wider band).
+the negated dead-load blocks.  The model forms no other system: an
+unsupported mesh gives the band over every DOF, still in grid order.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ class FemModel:
         mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0],
                                          rotations=mesh.b_r is not None)
         self.d_blocks = self._build_d_blocks()
+        # the scatter of each free-DOF set, keyed by its bytes
         self._scatters: dict[bytes, _Scatter] = {}
-        self._band_orders: dict[bytes, np.ndarray] = {}
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
@@ -348,43 +348,17 @@ class FemModel:
 
     # --- global level ------------------------------------------------------
 
-    def _scatter(self, dofs: np.ndarray | None) -> "_Scatter":
-        """Fixed-pattern scatter onto `dofs` (None: every DOF), built on first
-        use per DOF set."""
-        if dofs is None:
-            dofs = np.arange(self.mesh.n_dofs)
-        key = dofs.tobytes()
-        sc = self._scatters.get(key)
-        if sc is None:
-            sc = self._scatters[key] = _Scatter(self.mesh.conn, self.mesh.n_nodes, dofs)
-        return sc
-
-    def residual(self, kern: ElementKernels, dofs: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter-add element forces into the residual b = f_mag - f_int and,
-        separately, the magnetic load vector f_mag used for tolerance scaling,
-        both restricted to `dofs` (default: every DOF).  Without magnetics
-        f_mag is zero and is not scattered."""
-        sc = self._scatter(dofs)
-        load = sc.vector(kern.f_mag) if kern.magnetic_args is not None else np.zeros(sc.m)
-        return sc.vector(kern.f_mag - kern.f_int), load
-
-    def assemble(self, kern: ElementKernels, dofs: np.ndarray | None = None,
-                 kdead: np.ndarray | None = None) -> sp.dia_matrix:
+    def assemble(self, kern: ElementKernels, kdead: np.ndarray,
+                 sc: "_Scatter") -> sp.dia_matrix:
         """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
-        Restricted to `dofs` (default: every DOF, i.e. the full unreduced
-        tangent).  `kdead` holds the (n_nodes,6,6) dead-load blocks of
-        `neumann_terms` (default: none).  `kern.blocks` writes the element
+        `sc` is the scatter of the free DOFs, `kdead` the (n_nodes,6,6)
+        dead-load blocks of `neumann_terms`.  `kern.blocks` writes the element
         blocks straight into the scatter's weight buffer; they and the negated
         nodal blocks are summed by one scatter, the nodal ones last.
         """
-        sc = self._scatter(dofs)
         kern.blocks(sc.block_weights)
-        if kdead is None:
-            sc.node_weights.fill(0.0)
-        else:
-            np.negative(kdead, out=sc.node_weights)
+        np.negative(kdead, out=sc.node_weights)
         return sc.matrix()
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -415,13 +389,13 @@ class FemModel:
         return b.ravel(), kdead
 
     def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray,
-                                  free: np.ndarray) -> sp.dia_matrix:
-        """The tangent reduced to the `free` DOFs, with the dead-load blocks.
+                                  sc: "_Scatter") -> sp.dia_matrix:
+        """The tangent on the free DOFs of the scatter `sc`, with the dead loads.
 
         `kdead` comes from `neumann_terms`; `assemble` scatters it with the
         element blocks.  A non-finite entry raises FloatingPointError.
         """
-        a = self.assemble(kern, free, kdead)
+        a = self.assemble(kern, kdead, sc)
         if not np.all(np.isfinite(a.data)):
             raise FloatingPointError("non-finite entries in the assembled system")
         return a
@@ -429,40 +403,36 @@ class FemModel:
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
         """The BC-reduced system on the free DOFs in band (grid) order.
 
-        The residual side is formed here; the tangent only when the solver
+        b = f_mag - f_int plus the boundary wrenches is formed here, with the
+        load vector f_mag plus the wrenches that scales the tolerances (f_mag
+        is not scattered without magnetics); the tangent only when the solver
         reads `a`, so the check that finds a step converged assembles none.
         """
         kern = self.element_kernels(load_factor)
-        free = self._band_order(self.mesh.free_dofs())
-        b, load = self.residual(kern, free)
+        sc = self._layout()
         b_neu, kdead = self.neumann_terms(load_factor)
-        b_neu = b_neu[free]
-        b = b + b_neu
+        b_neu = b_neu[sc.order]
+        b = sc.vector(kern.f_mag - kern.f_int) + b_neu
         if not np.all(np.isfinite(b)):
             raise FloatingPointError("non-finite entries in the assembled system")
+        load = b_neu if kern.magnetic_args is None else sc.vector(kern.f_mag) + b_neu
         return GlobalSystem(
-            b=b, free=free, load_norm=float(np.linalg.norm(load + b_neu)),
-            tangent=lambda: self.apply_boundary_conditions(kern, kdead, free))
+            b=b, free=sc.order, load_norm=float(np.linalg.norm(load)),
+            tangent=lambda: self.apply_boundary_conditions(kern, kdead, sc))
 
     def half_bandwidth(self) -> int:
         """The half-bandwidth kl of the band `build_system` assembles on the
         current free DOFs."""
-        return int(-self._scatter(self._band_order(self.mesh.free_dofs())).offsets[-1])
+        return int(-self._layout().offsets[-1])
 
-    def _band_order(self, free: np.ndarray) -> np.ndarray:
-        """`free` with nodes along the longer grid side, made once per free-DOF set."""
+    def _layout(self) -> "_Scatter":
+        """The scatter of the current free DOFs, built once per free-DOF set."""
+        free = self.mesh.free_dofs()
         key = free.tobytes()
-        order = self._band_orders.get(key)
-        if order is None:
-            mesh = self.mesh
-            nodes = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
-            if mesh.nx > mesh.ny:
-                nodes = nodes.T  # node_index runs along xi1 first
-            dofs = (6 * nodes.reshape(-1, 1) + np.arange(6)).ravel()
-            kept = np.zeros(mesh.n_dofs, dtype=bool)
-            kept[free] = True
-            order = self._band_orders[key] = dofs[kept[dofs]]
-        return order
+        sc = self._scatters.get(key)
+        if sc is None:
+            sc = self._scatters[key] = _Scatter(self.mesh, free)
+        return sc
 
     # --- diagnostics --------------------------------------------------------
 
@@ -485,11 +455,13 @@ class FemModel:
 
 
 class _Scatter:
-    """Band storage of the tangent on a DOF list, with its slot maps.
+    """Band storage of the tangent on one set of free DOFs, with its slot maps.
 
-    Row and column i of the matrix is DOF `dofs[i]`.  The band keeps only the
-    diagonals that some element or nodal block writes, as `offsets`
-    (col - row) in strictly descending order, not necessarily contiguous:
+    `order` lists the free DOFs along the mesh grid (nodes along the longer
+    of nx and ny, each node's six DOFs together); row and column i of the
+    matrix is DOF `order[i]`.  The band keeps only the diagonals that some
+    element or nodal block writes, as `offsets` (col - row) in strictly
+    descending order, not necessarily contiguous:
     on a 2-D grid most diagonals inside the half-bandwidth k are structurally
     empty (146 of 215 on a 20x15 plate), on a strip none is.  Entry (r, c)
     lives at `data[i, c]` of the (len(offsets), m) data with
@@ -497,18 +469,26 @@ class _Scatter:
     row ku - offsets[i].  Every entry of the (nel,4,4,6,6) element blocks,
     then of the (n_nodes,6,6) nodal blocks (`k_slot`), and of the (nel,4,6)
     element forces (`f_slot`) owns one slot of the flat data or of the
-    vector; entries on dropped DOFs go to a spare slot one past the end,
+    vector; entries on fixed DOFs go to a spare slot one past the end,
     which is cut off, so each assembly is a single `np.bincount`.  The
     tangent's weights are written into `block_weights` and `node_weights`,
     the two parts of one buffer in `k_slot` order; bincount sums in input
     order, so the nodal blocks are added after every element block.
     """
 
-    def __init__(self, conn: np.ndarray, n_nodes: int, dofs: np.ndarray):
-        m = len(dofs)
+    def __init__(self, mesh: ShellMesh, free: np.ndarray):
+        n_nodes = mesh.n_nodes
+        nodes = np.arange(n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+        if mesh.nx > mesh.ny:
+            nodes = nodes.T  # node_index runs along xi1 first
+        grid = (6 * nodes.reshape(-1, 1) + np.arange(6)).ravel()
+        is_free = np.zeros(mesh.n_dofs, dtype=bool)
+        is_free[free] = True
+        self.order = grid[is_free[grid]]
+        m = len(self.order)
         pos = np.full(6 * n_nodes, m, dtype=np.int64)
-        pos[dofs] = np.arange(m)
-        el = pos[6 * conn[:, :, None] + np.arange(6)]        # (nel, 4, 6)
+        pos[self.order] = np.arange(m)
+        el = pos[6 * mesh.conn[:, :, None] + np.arange(6)]   # (nel, 4, 6)
         node = pos[6 * np.arange(n_nodes)[:, None] + np.arange(6)]  # (n_nodes, 6)
         # block (i, j) is row node i, column node j
         rows, cols = el[:, :, None, :, None], el[:, None, :, None, :]

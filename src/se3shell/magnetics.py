@@ -39,8 +39,8 @@ class MagneticEnvironment:
 
     def __post_init__(self):
         object.__setattr__(self, "b_applied", np.asarray(self.b_applied, dtype=float))
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+        if not 0 < self.mu0 < np.inf:
+            raise ValueError("mu0 must be positive and finite")
 
     def scaled(self, factor: float) -> "MagneticEnvironment":
         return MagneticEnvironment(self.b_applied * factor, self.mu0)

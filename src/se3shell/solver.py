@@ -107,8 +107,9 @@ class SolverSettings:
     def __post_init__(self):
         if not (0 < self.tol_relative < np.inf and 0 < self.tol_residual < np.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iters < 1 or self.load_steps < 1:
-            raise ValueError("max_iters and load_steps must be at least 1")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1
+                   for n in (self.max_iters, self.load_steps)):
+            raise ValueError("max_iters and load_steps must be whole numbers, at least 1")
 
 
 @dataclass

@@ -245,9 +245,48 @@ def dump_triangles_loop(mesh, path) -> None:
 
 
 def mechanical_tangent(model):
-    """BC-reduced Kmat + Kgeo (no magnetic or load-stiffness parts) on the
-    free DOFs in ascending order."""
-    return model.assemble(model.element_kernels(0.0), model.mesh.free_dofs())
+    """BC-reduced Kmat + Kgeo on the free DOFs in band (grid) order: the
+    production tangent at load factor 0, where the magnetic and dead-load
+    parts vanish."""
+    return model.build_system(0.0).a
+
+
+def natural_order(free, x, n_dofs):
+    """`x`, a vector or (sparse) matrix over the band-ordered DOFs `free` of a
+    `GlobalSystem` (its `b` or `a`), in natural DOF order over all `n_dofs`
+    DOFs, with zeros on the fixed DOFs."""
+    x = x.toarray() if sp.issparse(x) else np.asarray(x)
+    out = np.zeros((n_dofs,) * x.ndim)
+    out[np.ix_(*(free,) * x.ndim)] = x
+    return out
+
+
+def dense_loop(model, blocks):
+    """(nel,4,4,6,6) element blocks summed into a dense (n_dofs, n_dofs)
+    matrix in natural DOF order, one block at a time."""
+    n = model.mesh.n_dofs
+    out = np.zeros((n, n))
+    for e, nodes in enumerate(model.mesh.conn):
+        for i, gi in enumerate(nodes):
+            for j, gj in enumerate(nodes):
+                out[6 * gi:6 * gi + 6, 6 * gj:6 * gj + 6] += blocks[e, i, j]
+    return out
+
+
+def dense_kdead(model, kdead):
+    """(n_nodes,6,6) nodal blocks on the diagonal of a dense (n_dofs, n_dofs)
+    matrix in natural DOF order."""
+    out = np.zeros((model.mesh.n_dofs, model.mesh.n_dofs))
+    for node, blk in enumerate(kdead):
+        out[6 * node:6 * node + 6, 6 * node:6 * node + 6] = blk
+    return out
+
+
+def natural_tangent(model, lam=1.0):
+    """The tangent `build_system(lam)` assembles, in natural DOF order over
+    every DOF (dense)."""
+    system = model.build_system(lam)
+    return natural_order(system.free, system.a, model.mesh.n_dofs)
 
 
 def element_tangent(kern):
@@ -268,14 +307,16 @@ def magnetic_stiffness_einsum(r0_pts, r_pts, b_r0, env, shape_vals, weights):
 
 
 def assembled_residual(model, lam=1.0):
-    kern = model.element_kernels(lam)
-    b, _ = model.residual(kern)
-    return b
+    """The residual `build_system(lam)` forms, in natural DOF order."""
+    system = model.build_system(lam)
+    return natural_order(system.free, system.b, model.mesh.n_dofs)
 
 
 def fd_residual_jacobian(model, lam=1.0, eps=1e-7):
     """Central-difference jacobian of the assembled residual under
-    multiplicative nodal updates (configuration + carried twists)."""
+    multiplicative nodal updates (configuration + carried twists), in natural
+    DOF order; zero in the rows of fixed DOFs, so an unsupported model checks
+    every DOF."""
     mesh = model.mesh
     n = mesh.n_dofs
     jac = np.zeros((n, n))

@@ -91,6 +91,11 @@ class TestStiffnessBlocks:
             Material(e=1.0, nu=0.5, h=0.1)
         with pytest.raises(ValueError):
             Material(e=1.0, nu=0.3, h=0.0)
+        # non-finite values are refused at construction, not in the solve
+        for e, nu, h in ((np.nan, 0.3, 0.1), (np.inf, 0.3, 0.1), (1.0, np.nan, 0.1),
+                         (1.0, 0.3, np.nan), (1.0, 0.3, np.inf), (np.nan, 0.3, np.inf)):
+            with pytest.raises(ValueError):
+                Material(e=e, nu=nu, h=h)
 
     def test_lame_conversion(self):
         mat = Material.from_lame(mu=303e3, lam=7.3e6, h=1e-3)

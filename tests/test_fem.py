@@ -4,22 +4,30 @@ The master check is finite-difference consistency: the assembled tangent must
 equal the jacobian of the assembled residual under multiplicative nodal
 updates (configuration + carried twists), for both sampling schemes.  Other
 oracles: a hand-written loop quadrature for a single stretched element and
-explicit two-element assembly.
+explicit two-element assembly.  Every system checked is the band that
+`FemModel.build_system` forms on the free DOFs in grid order, mapped back to
+natural DOF order where a check needs it; the FD checks run on unsupported
+meshes, so that band covers every DOF.
 """
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assembled_residual,
     build_gauss_model,
+    dense_kdead,
+    dense_loop,
     element_tangent,
     fd_residual_jacobian,
     k_operator,
     mechanical_tangent,
+    natural_tangent,
     random_state_perturbation,
     rigid_modes,
     shape_functions,
 )
+from se3shell import fem
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
@@ -239,29 +247,27 @@ class TestElementKernels:
             assert kern.kmat.shape[2] == kern.kmat_t.shape[1] == 1
 
     def test_master_fd_tangent_centroid(self):
-        model = make_model()
+        model = make_model(clamp=False)
         random_state_perturbation(model, 0.03, seed=3)
-        kern = model.element_kernels()
-        a_full = model.assemble(kern)
+        a = natural_tangent(model)
         jac = fd_residual_jacobian(model)
-        a = a_full.toarray()
         # residual b = -f_int + ...: A = -d b / d eta
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
 
     def test_master_fd_tangent_gauss(self):
-        model = make_model(scheme="gauss")
+        model = make_model(clamp=False, scheme="gauss")
         random_state_perturbation(model, 0.03, seed=4)
-        a = model.assemble(model.element_kernels()).toarray()
+        a = natural_tangent(model)
         jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
 
     def test_master_fd_tangent_magnetic(self):
         env = MagneticEnvironment(np.array([0.01, 0.02, 0.03]))
-        model = make_model(env=env, b_r=[0.05, 0.0, 0.08])
+        model = make_model(clamp=False, env=env, b_r=[0.05, 0.0, 0.08])
         random_state_perturbation(model, 0.05, seed=5)
-        a = model.assemble(model.element_kernels()).toarray()
+        a = natural_tangent(model)
         jac = fd_residual_jacobian(model)
         err = np.linalg.norm(a + jac) / np.linalg.norm(a)
         assert err < 1e-5
@@ -364,8 +370,8 @@ class TestAssembly:
         model = make_model(nx=1, ny=1, clamp=False)
         random_state_perturbation(model, 0.02, seed=11)
         kern = model.element_kernels()
-        a = model.assemble(kern)
-        b, _ = model.residual(kern)
+        a = natural_tangent(model)
+        b = assembled_residual(model)
         k_el = element_tangent(kern)
         f_el = kern.f_ext + kern.f_mag - kern.f_int
         conn = model.mesh.conn[0]  # CCW ordering is [0, 1, 3, 2]
@@ -377,27 +383,27 @@ class TestAssembly:
             for j in range(4):
                 gj = conn[j]
                 expected_a[6 * gi:6 * gi + 6, 6 * gj:6 * gj + 6] = k_el[0, i, j]
-        assert np.allclose(a.toarray(), expected_a)
+        assert np.allclose(a, expected_a)
         assert np.allclose(b, expected_b)
 
     def test_two_element_strip_shared_blocks_sum(self):
         model = make_model(nx=2, ny=1, clamp=False)
         random_state_perturbation(model, 0.02, seed=12)
         kern = model.element_kernels()
-        a = model.assemble(kern)
+        a = natural_tangent(model)
         k_el = element_tangent(kern)
         conn = model.mesh.conn
         # node 1 belongs to both elements: its diagonal block is the sum
         loc0 = list(conn[0]).index(1)
         loc1 = list(conn[1]).index(1)
         expected = k_el[0, loc0, loc0] + k_el[1, loc1, loc1]
-        got = a.toarray()[6:12, 6:12]
+        got = a[6:12, 6:12]
         assert np.allclose(got, expected)
 
     def test_permutation_equivariance(self):
         model = make_model(nx=3, ny=2, clamp=False)
         random_state_perturbation(model, 0.02, seed=13)
-        a1 = model.assemble(model.element_kernels()).toarray()
+        a1 = natural_tangent(model)
 
         # renumber nodes with a random permutation and rebuild
         perm = np.random.default_rng(7).permutation(model.mesh.n_nodes)
@@ -413,7 +419,7 @@ class TestAssembly:
         mesh2.state = model.mesh.state.copy()
         mesh2.state.g_nodes = model.mesh.state.g_nodes[inv]
         model2 = FemModel(mesh2, MAT)
-        a2 = model2.assemble(model2.element_kernels()).toarray()
+        a2 = natural_tangent(model2)
         p = np.zeros((mesh2.n_dofs, mesh2.n_dofs))
         for old in range(model.mesh.n_nodes):
             new = perm[old]
@@ -423,8 +429,8 @@ class TestAssembly:
 
     def test_rigid_mode_nullspace(self):
         model = make_model(nx=4, ny=2, clamp=False)
-        a = model.assemble(model.element_kernels())
-        scale = np.abs(a.toarray()).max()
+        a = natural_tangent(model)
+        scale = np.abs(a).max()
         for mode in rigid_modes(model.mesh):
             assert np.linalg.norm(a @ mode) < 1e-8 * scale
 
@@ -440,8 +446,9 @@ class TestAssembly:
 
 class TestReducedSystem:
     """The production system comes from a fixed-pattern scatter straight into
-    the BC-reduced tangent; check it against the full assembly sliced to the
-    free DOFs and against a dense loop over the element blocks."""
+    the BC-reduced band; check it against dense loops over the element
+    blocks, element forces and nodal blocks in natural DOF order, sliced to
+    the band's free DOFs."""
 
     @staticmethod
     def loaded_model():
@@ -455,21 +462,10 @@ class TestReducedSystem:
         return model
 
     @staticmethod
-    def dense_loop(model, blocks):
-        n = model.mesh.n_dofs
-        out = np.zeros((n, n))
-        for e, nodes in enumerate(model.mesh.conn):
-            for i, gi in enumerate(nodes):
-                for j, gj in enumerate(nodes):
-                    out[6 * gi:6 * gi + 6, 6 * gj:6 * gj + 6] += blocks[e, i, j]
-        return out
-
-    @staticmethod
-    def dense_kdead(model, kdead):
-        out = np.zeros((model.mesh.n_dofs, model.mesh.n_dofs))
-        for node, blk in enumerate(kdead):
-            out[6 * node:6 * node + 6, 6 * node:6 * node + 6] = blk
-        return out
+    def loop_tangent(model, lam):
+        """Kmat + Kgeo - Kmag - Kdead by dense loops, natural DOF order."""
+        return (dense_loop(model, element_tangent(model.element_kernels(lam)))
+                - dense_kdead(model, model.neumann_terms(lam)[1]))
 
     @pytest.mark.parametrize("name, scattered", [("rollup_2pi", 1),
                                                  ("magnetic_plate_A", 2)])
@@ -479,7 +475,7 @@ class TestReducedSystem:
         model = build_model(load_bundled(name))
         model.build_system(0.05)
         calls = []
-        sc = model._scatter(model._band_order(model.mesh.free_dofs()))
+        sc = model._layout()
         vector = sc.vector
         monkeypatch.setattr(sc, "vector", lambda f: calls.append(None) or vector(f))
         system = model.build_system(0.05)
@@ -496,27 +492,24 @@ class TestReducedSystem:
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
 
         kern = model.element_kernels(lam)
-        a_full = model.assemble(kern)
-        b_full, load_full = model.residual(kern)
         b_neu, kdead = model.neumann_terms(lam)
-        kd = self.dense_kdead(model, kdead)
-        assert np.count_nonzero(kd) > 0
-        expected_a = a_full.toarray()[np.ix_(free, free)] - kd[np.ix_(free, free)]
-        expected_b = (b_full + b_neu)[free]
+        assert np.count_nonzero(kdead) > 0
+        expected_a = self.loop_tangent(model, lam)[np.ix_(free, free)]
+        forces, load = np.zeros((2, model.mesh.n_nodes, 6))
+        np.add.at(forces, model.mesh.conn, kern.f_mag - kern.f_int)
+        np.add.at(load, model.mesh.conn, kern.f_mag)
+        expected_b = (forces.ravel() + b_neu)[free]
         scale = np.abs(expected_a).max()
         assert np.abs(system.a.toarray() - expected_a).max() <= 1e-12 * scale
         assert np.abs(system.b - expected_b).max() <= 1e-12 * np.abs(expected_b).max()
         assert system.load_norm == pytest.approx(
-            np.linalg.norm((load_full + b_neu)[free]), rel=1e-12)
-
-        loop = self.dense_loop(model, element_tangent(kern)) - kd
-        assert np.abs(system.a.toarray() - loop[np.ix_(free, free)]).max() <= 1e-12 * scale
+            np.linalg.norm((load.ravel() + b_neu)[free]), rel=1e-12)
 
     def test_mechanical_tangent_matches_full_assembly(self):
         model = self.loaded_model()
-        free = model.mesh.free_dofs()
+        free = model.build_system(0.0).free
         kern = model.element_kernels(0.0)
-        expected = self.dense_loop(model, element_tangent(kern))[np.ix_(free, free)]
+        expected = dense_loop(model, element_tangent(kern))[np.ix_(free, free)]
         got = mechanical_tangent(model).toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -529,9 +522,7 @@ class TestReducedSystem:
         lam = 0.5
         system = model.build_system(lam)
         free = system.free
-        a_full = model.assemble(model.element_kernels(lam)).toarray()
-        kd = self.dense_kdead(model, model.neumann_terms(lam)[1])
-        expected = (a_full - kd)[np.ix_(free, free)]
+        expected = self.loop_tangent(model, lam)[np.ix_(free, free)]
         got = system.a.toarray()
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -555,9 +546,7 @@ class TestReducedSystem:
         dense = a.toarray()
         rows, cols = np.nonzero(dense)
         assert set((cols - rows).tolist()) == written
-        a_full = model.assemble(model.element_kernels(lam)).toarray()
-        kd = self.dense_kdead(model, model.neumann_terms(lam)[1])
-        expected = (a_full - kd)[np.ix_(free, free)]
+        expected = self.loop_tangent(model, lam)[np.ix_(free, free)]
         assert np.abs(dense - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_bundled_system_is_lapack_band(self):
@@ -575,14 +564,23 @@ class TestReducedSystem:
         assert np.array_equal(a.data[k + rows - cols, cols], dense[rows, cols])
         assert np.abs(rows - cols).max() <= k
 
-    def test_order_built_once_per_free_set(self):
+    def test_order_built_once_per_free_set(self, monkeypatch):
+        built = []
+        scatter = fem._Scatter
+        monkeypatch.setattr(fem, "_Scatter",
+                            lambda *args: built.append(None) or scatter(*args))
         model = make_model(nx=3, ny=2)
         free = model.build_system().free
+        assert len(built) == 1
         assert model.build_system(0.5).free is free
+        assert model.half_bandwidth() == -model.build_system(0.5).a.offsets[-1]
+        assert len(built) == 1
         model.mesh.clamp_edge("xi1_max")
         clamped = model.build_system().free
+        assert len(built) == 2
         assert clamped is not free and len(clamped) < len(free)
         assert model.build_system(0.5).free is clamped
+        assert len(built) == 2
 
     def test_pattern_follows_later_clamp(self):
         model = make_model(nx=3, ny=2)
@@ -592,8 +590,8 @@ class TestReducedSystem:
         free = system.free  # band (grid) order
         assert np.array_equal(np.sort(free), model.mesh.free_dofs())
         assert system.a.shape == (len(free), len(free))
-        full = model.assemble(model.element_kernels())
-        assert np.allclose(system.a.toarray(), full.toarray()[np.ix_(free, free)])
+        full = dense_loop(model, element_tangent(model.element_kernels()))
+        assert np.allclose(system.a.toarray(), full[np.ix_(free, free)])
 
 
 class TestStrongFormOracle:
@@ -609,9 +607,7 @@ class TestStrongFormOracle:
         model = FemModel(mesh, Material(e=e, nu=0.0, h=h))
         mesh.state.zeta_pts = mesh.zeta0_pts[:, :1].copy()  # the centroid twists
         mesh.state.zeta_pts[..., 0, 4] = kappa  # bending twist about d2
-        kern = model.element_kernels()
-        b, _ = model.residual(kern)
-        forces = b.reshape(-1, 6)
+        forces = assembled_residual(model).reshape(-1, 6)
         tip_nodes = set(int(n) for n in mesh.edge_nodes("xi1_max"))
         root_nodes = set(int(n) for n in mesh.edge_nodes("xi1_min"))
         moment = e * h**3 / 12 * kappa  # boundary resultant per unit width

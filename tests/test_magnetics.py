@@ -82,6 +82,11 @@ class TestCouple:
     def test_mu0_default(self):
         assert MagneticEnvironment(np.zeros(3)).mu0 == pytest.approx(4e-7 * np.pi)
 
+    @pytest.mark.parametrize("mu0", [0.0, -1.0, np.nan, np.inf])
+    def test_mu0_validation(self, mu0):
+        with pytest.raises(ValueError, match="mu0"):
+            MagneticEnvironment(np.zeros(3), mu0=mu0)
+
 
 def flat_element_rotations():
     eye = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()

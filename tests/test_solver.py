@@ -122,7 +122,8 @@ class TestNewtonStep:
     def test_factor_order_keeps_minimum_degree_fill(self, name, monkeypatch):
         # the factor order is the grid order, which keeps the band, and with
         # it the fill and work of the band LU, at 6 (min(nx, ny) + 3) - 1;
-        # the same free DOFs in ascending order give a wider band
+        # the same free DOFs in ascending order give a wider band: the widest
+        # element, read from the connectivity, spans more positions
         width = {"rollup_6pi": 23, "magnetic_plate_A": 107}[name]
         cfg = load_bundled(name)
         model = build_model(cfg)
@@ -132,8 +133,12 @@ class TestNewtonStep:
         (lu,) = factors
         assert (lu.kl, lu.ku) == (width, width)
         assert system.a.offsets[0] == -system.a.offsets[-1] == width
-        ascending = model.assemble(model.element_kernels(), np.sort(system.free))
-        assert ascending.offsets[0] > width
+        mesh = model.mesh
+        pos = np.full(mesh.n_dofs, -1)
+        pos[np.sort(system.free)] = np.arange(len(system.free))
+        el = pos[6 * mesh.conn[:, :, None] + np.arange(6)].reshape(mesh.n_elements, -1)
+        ascending = np.max(el.max(axis=1) - np.where(el < 0, el.max(), el).min(axis=1))
+        assert ascending > width
 
     def test_compact_band_solves_like_the_coo_path(self, monkeypatch):
         # the plate band stores 69 of its 215 diagonals; the same matrix
@@ -521,6 +526,17 @@ class TestUpdateTwists:
 
 
 class TestRun:
+    @pytest.mark.parametrize("kwargs", [
+        {"load_steps": 0}, {"max_iters": 0}, {"load_steps": 2.5}, {"max_iters": 3.0},
+        {"tol_relative": 0.0}, {"tol_relative": np.nan}, {"tol_residual": np.inf}],
+        ids=["steps_zero", "iters_zero", "steps_fraction", "iters_float", "tol_zero",
+             "tol_nan", "floor_inf"])
+    def test_settings_validation(self, kwargs):
+        # counts must be whole numbers, since `run` steps the load with range
+        with pytest.raises(ValueError):
+            SolverSettings(**kwargs)
+        assert SolverSettings(load_steps=np.int64(3)).load_steps == 3
+
     def test_zero_load(self):
         model = cantilever()
         report = run(model, SolverSettings(load_steps=1))
