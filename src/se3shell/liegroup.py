@@ -238,26 +238,33 @@ def Ad(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _skew_index(k: int) -> np.ndarray:
+    """Positions of skew(t[k:k+3]) in concatenate([t, -t, 0]) of a 6-vector t."""
+    return np.array([[12, 8 + k, k + 1], [k + 2, 12, 6 + k], [7 + k, k, 12]])
+
+
+# Each 6x6 form as one gather from concatenate([t, -t, 0]), (36,) positions;
+# entries and signed zeros are those of the skew blocks written one by one.
+_ZERO_BLOCK = np.full((3, 3), 12)
+_AD_INDEX = np.block([[_skew_index(3), _skew_index(0)],
+                      [_ZERO_BLOCK, _skew_index(3)]]).ravel()
+_AD_TILDE_INDEX = np.block([[_ZERO_BLOCK, _skew_index(0)],
+                            [_skew_index(0), _skew_index(3)]]).ravel()
+
+
+def _gather6(t: np.ndarray, index: np.ndarray) -> np.ndarray:
+    signed = np.concatenate([t, -t, np.zeros(t.shape[:-1] + (1,))], axis=-1)
+    return signed[..., index].reshape(t.shape[:-1] + (6, 6))
+
+
 def ad(t: np.ndarray) -> np.ndarray:
     """Algebra adjoint [[w^, v^], [0, w^]]; ad(x) @ y == vee([x^, y^])."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape[:-1] + (6, 6))
-    wh = skew(t[..., 3:])
-    out[..., :3, :3] = wh
-    out[..., :3, 3:] = skew(t[..., :3])
-    out[..., 3:, 3:] = wh
-    return out
+    return _gather6(np.asarray(t, dtype=float), _AD_INDEX)
 
 
 def ad_tilde(w: np.ndarray) -> np.ndarray:
     """Wrench form [[0, n^], [n^, m^]] with ad_tilde(y) @ x == ad(x).T @ y."""
-    w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape[:-1] + (6, 6))
-    nh = skew(w[..., :3])
-    out[..., :3, 3:] = nh
-    out[..., 3:, :3] = nh
-    out[..., 3:, 3:] = skew(w[..., 3:])
-    return out
+    return _gather6(np.asarray(w, dtype=float), _AD_TILDE_INDEX)
 
 
 def _components(x: np.ndarray) -> np.ndarray:

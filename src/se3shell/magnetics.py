@@ -39,6 +39,8 @@ class MagneticEnvironment:
 
     def __post_init__(self):
         object.__setattr__(self, "b_applied", np.asarray(self.b_applied, dtype=float))
+        if self.b_applied.shape != (3,) or not np.all(np.isfinite(self.b_applied)):
+            raise ValueError("b_applied must be a finite 3-vector")
         if not 0 < self.mu0 < np.inf:
             raise ValueError("mu0 must be positive and finite")
 

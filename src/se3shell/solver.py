@@ -11,8 +11,8 @@ scaling D A D, D = |diag A|^-1/2 of that tangent, from there on (see
 of a mm-scale shell about 1e-7 below the translational ones, so partial
 pivoting of a wide band swaps almost every row and widens each trailing
 update, while D A D pivots near its diagonal.  The choice reads only the
-band's width, and the refinement is always against the unscaled A.  The
-update is:
+band's width.  Each iteration makes one triangular solve with that factor,
+and its relative residual is always that of the unscaled A.  The update is:
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -31,14 +31,14 @@ assembled only for an iteration that goes on to a linear solve.
 The load factor ramps linearly over the configured number of steps; boundary
 wrenches scale with it and the applied magnetic field follows the model's
 field program.  An increment whose largest nodal rotation exceeds pi/2, a
-non-finite system, a singular tangent, a linear solve whose refined relative
-residual exceeds 1e-6, or a Newton loop that exhausts max_iters all reject
-the attempt with an exception: the state is restored together with its
-memoized kernels from the snapshot taken once per load increment
-(`FemModel.snapshot`/`restore`), the message kept as the attempt's reason
-(with a category, set where the exception is raised) and the increment
-halved, up to MAX_HALVINGS times, after which the run fails with the last
-attempt's reason.  Every solve assembles and factors its own tangent, and
+non-finite system, a singular tangent, a linear solve whose relative
+residual |b - A eta| / |b| exceeds 1e-6, or a Newton loop that exhausts
+max_iters all reject the attempt with an exception: the state is restored
+together with its memoized kernels from the snapshot taken once per load
+increment (`FemModel.snapshot`/`restore`), the message kept as the attempt's
+reason (with a category, set where the exception is raised) and the
+increment halved, up to MAX_HALVINGS times, after which the run fails with
+the last attempt's reason.  Every solve assembles and factors its own tangent, and
 the factor lives only for that solve.  SolveReport keeps one Attempt record
 per attempt, with the row interchanges of each solve's factor, and reads
 every tally from them.
@@ -62,14 +62,14 @@ from .liegroup import Ad, dexp_se3, inv_pose  # noqa: F401
 from .mesh import ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
-# Relative residual of the refined linear solve above which the increment is
-# not a Newton step.  Accepted iterations of the bundled scenarios stay below
-# 4e-8; the near-singular systems of rejected roll-up attempts reach 1e2-1e6.
+# Relative residual |b - A eta| / |b| of the linear solve above which the
+# increment is not a Newton step.  The other solves of the bundled scenarios
+# stay below 2.3e-8 on 17 of them and reach 7.9e-8, 9.1e-7 and 4.6e-7 on
+# rollup_2pi/4pi/6pi; the near-singular systems of rejected roll-up attempts
+# read 3.4e-6 to 3.5.
 MAX_LINEAR_RESIDUAL = 1e-6
 # Halvings of a load increment after rejected attempts before the run fails.
 MAX_HALVINGS = 8
-# Iterative refinement sweeps at most; each one costs a solve and a residual.
-REFINEMENT_SWEEPS = 3
 # Half-bandwidth from which the band LU factors D A D in place of A: four or
 # more elements across the shorter grid side (kl = 6 (min(nx, ny) + 3) - 1).
 # Measured by dgbtrf time on the bundled meshes and their 2-10 wide variants
@@ -180,40 +180,24 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
     `a` is the band tangent of `build_system`, factored once here by
-    `_band_factor`.  When its width makes that the Jacobi scaling D A D, the
-    solve is for D^-1 eta: eta = D (D A D)^-1 D b.  Returns (eta, relative
-    linear residual |b - A eta| / |b| of the unscaled A, row interchanges of
-    the factor).  Up to REFINEMENT_SWEEPS sweeps of iterative refinement
-    against the unscaled A follow; they stop once the residual is below
-    1e-12 relative or a sweep fails to halve it (the roundoff floor eps*cond
-    of the tangent).  The caller rejects the step when the residual stays
-    above MAX_LINEAR_RESIDUAL.  Raises SingularSystemError with a 1-norm
-    estimate when the factorization meets an exactly zero pivot (info > 0)
-    or produces non-finite results, and TypeError for a matrix that is not
-    such a band.
+    `_band_factor` and solved once with that factor (one dgbtrs).  When its
+    width makes that the Jacobi scaling D A D, the solve is for D^-1 eta:
+    eta = D (D A D)^-1 D b.  Returns (eta, relative linear residual
+    |b - A eta| / |b| of the unscaled A, row interchanges of the factor).
+    No refinement follows: on the bundled scenarios a refinement sweep
+    halved the residual in under 1% of solves and never brought a solve
+    under MAX_LINEAR_RESIDUAL, above which the caller rejects the step.
+    Raises SingularSystemError with a 1-norm estimate when the
+    factorization meets an exactly zero pivot (info > 0) or produces
+    non-finite results, and TypeError for a matrix that is not such a band.
     """
     b = np.asarray(b, dtype=float)
     lu, piv, kl, ku, scale = _band_factor(a)
-
-    def solve(r):
-        if scale is None:
-            return lapack.dgbtrs(lu, kl, ku, r, piv)[0]
-        return scale * lapack.dgbtrs(lu, kl, ku, scale * r, piv)[0]
-
-    eta = solve(b)
+    d = 1.0 if scale is None else scale  # multiplying by 1.0 changes no bit
+    eta = d * lapack.dgbtrs(lu, kl, ku, d * b, piv)[0]
     if not np.all(np.isfinite(eta)):
         raise SingularSystemError(_singular_message(a))
-    bnorm = max(float(np.linalg.norm(b)), 1e-300)
-    r = b - a @ eta
-    rel = float(np.linalg.norm(r)) / bnorm
-    for _ in range(REFINEMENT_SWEEPS):
-        if rel < 1e-12:
-            break
-        eta = eta + solve(r)
-        r = b - a @ eta
-        prev, rel = rel, float(np.linalg.norm(r)) / bnorm
-        if rel > 0.5 * prev:
-            break
+    rel = float(np.linalg.norm(b - a @ eta)) / max(float(np.linalg.norm(b)), 1e-300)
     return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
 
 

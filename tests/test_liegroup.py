@@ -213,6 +213,24 @@ class TestAlgebraAdjoint:
         expected = np.block([[np.zeros((3, 3)), nh], [nh, mh]])
         assert np.array_equal(ad_tilde(gamma), expected)
 
+    def test_stacks_equal_the_skew_blocks_with_signed_zeros(self):
+        # each form is one gather; on stacks with +-0 components it must give
+        # the skew blocks written one by one, down to the sign of every zero
+        t = RNG.normal(size=(7, 3, 2, 6))
+        t[RNG.random(t.shape) < 0.3] = 0.0
+        t[RNG.random(t.shape) < 0.3] *= -0.0
+        assert np.any(np.signbit(t) & (t == 0.0)) and np.any(~np.signbit(t) & (t == 0.0))
+        zero = np.zeros(t.shape[:-1] + (3, 3))
+        vh, wh = skew(t[..., :3]), skew(t[..., 3:])
+        blocks = {ad: np.block([[wh, vh], [zero, wh]]),
+                  ad_tilde: np.block([[zero, vh], [vh, wh]])}
+        for form, expected in blocks.items():
+            got = form(t)
+            assert got.shape == t.shape[:-1] + (6, 6)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert np.array_equal(form(t[0, 0, 0]), expected[0, 0, 0])
+
 
 def dexp_fd(t, step=1e-6):
     """Central finite difference of u -> vee(exp(-t^) d/ds exp((t+s u)^))."""

@@ -12,6 +12,8 @@ from conftest import magnetic_couple, magnetic_stiffness_einsum, rotated_remanen
 from se3shell import magnetics
 from se3shell.liegroup import exp_so3
 from se3shell.magnetics import MU0, MagneticEnvironment, applied_field, remanent_field
+from se3shell.scenario import build_model, load_bundled
+from se3shell.solver import run
 
 RNG = np.random.default_rng(99)
 
@@ -86,6 +88,30 @@ class TestCouple:
     def test_mu0_validation(self, mu0):
         with pytest.raises(ValueError, match="mu0"):
             MagneticEnvironment(np.zeros(3), mu0=mu0)
+
+    @pytest.mark.parametrize("b_applied", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                                           np.zeros(2), np.zeros((1, 3))])
+    def test_b_applied_validation(self, b_applied):
+        with pytest.raises(ValueError, match="b_applied"):
+            MagneticEnvironment(b_applied)
+
+    def test_nan_field_program_fails_at_its_first_build(self):
+        # refused when the program builds the field, not after 9 attempts
+        # rejected for non-finite entries in the assembled system
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        model = build_model(cfg)
+        model.field = lambda lam: MagneticEnvironment(np.array([np.nan, 0.0, 0.0]) * lam)
+        builds = []
+        build_system = model.build_system
+
+        def counted(load_factor):
+            builds.append(load_factor)
+            return build_system(load_factor)
+
+        model.build_system = counted
+        with pytest.raises(ValueError, match="b_applied must be a finite 3-vector"):
+            run(model, cfg.solver)
+        assert builds == [1.0 / cfg.solver.load_steps]
 
 
 def flat_element_rotations():

@@ -156,10 +156,12 @@ class TestNewtonStep:
         assert np.array_equal(factors[1].piv, factors[0].piv)
         assert np.array_equal(factors[1].lu, factors[0].lu)
 
-    def test_refinement_stops_at_the_roundoff_floor(self, monkeypatch):
-        # eps*cond of the first plate tangent is about 1e-8, far above the
-        # 1e-12 target: after one sweep that cannot halve the residual, stop
-        system = first_tangent("magnetic_plate_A")
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_one_triangular_solve_per_step(self, name, monkeypatch):
+        # one dgbtrs with the factor and no refinement sweep after it, on the
+        # unscaled strip and on the Jacobi-scaled plate alike; the residual
+        # returned is that of the unscaled A at the one solution
+        system = first_tangent(name)
         solves = []
         dgbtrs = solver.lapack.dgbtrs
 
@@ -168,9 +170,11 @@ class TestNewtonStep:
             return dgbtrs(*args, **kwargs)
 
         monkeypatch.setattr(solver.lapack, "dgbtrs", counted)
-        rel = newton_step(system.a, system.b)[1]
-        assert 1 <= len(solves) <= 2
+        eta, rel, _ = newton_step(system.a, system.b)
+        assert len(solves) == 1
         assert rel < solver.MAX_LINEAR_RESIDUAL
+        b = system.b
+        assert rel == np.linalg.norm(b - system.a @ eta) / np.linalg.norm(b)
 
     def test_zero_row_band_tangent_is_singular(self, monkeypatch):
         # a zero row is never chosen as a pivot and never updated, so the
@@ -248,7 +252,7 @@ class TestBandScaling:
     """The band LU factors A on a band narrower than
     JACOBI_MIN_HALF_BANDWIDTH and its Jacobi scaling D A D, D = |diag A|^-1/2
     of the same tangent, on a wider one; the choice reads only the band, and
-    the refinement is always against the unscaled A."""
+    the linear residual is always that of the unscaled A."""
 
     @staticmethod
     def factored_bands(name, monkeypatch):
