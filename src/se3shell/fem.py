@@ -182,7 +182,11 @@ class FemModel:
     """Mesh + material + applied-field program, able to produce the Newton system.
 
     `field(load_factor) -> MagneticEnvironment` is the magnetic load path; the
-    magnetic terms are active when both it and `mesh.b_r` are set.
+    magnetic terms are active when both it and `mesh.b_r` are set.  It must
+    be a pure function of the load factor: `environment_at` evaluates it once
+    per load factor and keeps only the last result, while `field` is the same
+    object, so a replaced program is evaluated afresh and a run evaluates it
+    once per attempt.
     """
 
     def __init__(self, mesh: ShellMesh, material: Material,
@@ -207,6 +211,26 @@ class FemModel:
         self._remanent = None
         # (twists, (P, P^T, f_int, s, ad(zeta))) of the last kernel evaluation
         self._kernels = None
+        # (field, load factor, environment) of the last field-program call
+        self._environment = None
+
+    def environment_at(self, load_factor: float) -> MagneticEnvironment | None:
+        """The applied-field environment `field(load_factor)`, None without a
+        program.
+
+        Evaluated once per load factor: the last (field, load factor,
+        environment) is kept and returned again while `field` is the same
+        object and the load factor is equal, so the builds of one attempt
+        and the CSV row of its converged step share one evaluation
+        (`antiparallel`: 49 calls for its 49 attempts, where each build and
+        row called the program, 239 times).
+        """
+        if self.field is None:
+            return None
+        last = self._environment
+        if last is None or last[0] is not self.field or last[1] != load_factor:
+            last = self._environment = (self.field, load_factor, self.field(load_factor))
+        return last[2]
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
         if self.field is None or self.mesh.b_r is None:
@@ -214,7 +238,7 @@ class FemModel:
         if self.mesh.state.r_pts.shape[1] == 0:
             raise ValueError("mesh.b_r was set after the model was built: "
                              "the state carries no Gauss-point rotations")
-        return self.field(load_factor)
+        return self.environment_at(load_factor)
 
     def _remanent_field(self) -> np.ndarray:
         """R_0^T B_0^r at the Gauss points, (nel,4,3).

@@ -21,7 +21,10 @@ Furgale, IEEE T-RO 2014).  Coefficient ratios that cancel at small angles are fi
 polynomials below an angle where both forms agree to about 1e-15.
 ``carried_update`` evaluates the multiplicative update of carried twists,
 Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point with cross
-products, without forming 4x4 or 6x6 matrices.
+products, without forming 4x4 or 6x6 matrices.  These kernels store vectors
+component first and move axes with ``transpose`` views: the same arrays in
+the same layout as ``np.moveaxis`` gives, without its axis normalisation,
+which cost 4-7 us a call against under 1 us for the view.
 """
 
 from __future__ import annotations
@@ -135,12 +138,13 @@ def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     flat[::4] += 1.0 - b * np.sum(w * w, axis=0)
     flat[[5, 6, 1]] -= aw
     flat[[7, 2, 3]] += aw
-    return np.ascontiguousarray(np.moveaxis(r, (0, 1), (-2, -1)))
+    return np.ascontiguousarray(r.transpose(*range(2, r.ndim), 0, 1))
 
 
 def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
-    w = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
+    w = np.asarray(w, dtype=float)
+    w = np.ascontiguousarray(w.transpose(-1, *range(w.ndim - 1)))
     a, b, *_ = _sinc_coeffs(_angle(w))
     return _rodrigues(w, a, b)
 
@@ -151,7 +155,7 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     For w = 0 this reduces exactly to a pure translation by v.
     """
     t = np.asarray(t, dtype=float)
-    comps = np.ascontiguousarray(np.moveaxis(t, -1, 0))
+    comps = np.ascontiguousarray(t.transpose(-1, *range(t.ndim - 1)))
     v, w = comps[:3], comps[3:]
     theta = _angle(w)
     a, b, safe, sin, t2 = _sinc_coeffs(theta)
@@ -161,7 +165,7 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     wv = _cross(w, v)
     out = np.zeros(t.shape[:-1] + (4, 4))
     out[..., :3, :3] = _rodrigues(w, a, b)
-    out[..., :3, 3] = np.moveaxis(v + b * wv + c * _cross(w, wv), 0, -1)
+    out[..., :3, 3] = (v + b * wv + c * _cross(w, wv)).transpose(*range(1, t.ndim), 0)
     out[..., 3, 3] = 1.0
     return out
 
@@ -273,7 +277,7 @@ def _components(x: np.ndarray) -> np.ndarray:
     Component-first storage lets the cross products below work on whole
     contiguous (k, ...) planes.
     """
-    return np.ascontiguousarray(np.moveaxis(x, (-1, -2), (0, 1)))
+    return np.ascontiguousarray(x.transpose(-1, -2, *range(x.ndim - 2)))
 
 
 def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.ndarray:
@@ -294,7 +298,8 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
     The terms are regrouped so that each application costs ten cross
     products on the stack.
     """
-    e = np.ascontiguousarray(np.moveaxis(np.asarray(eta, dtype=float), -1, 0))
+    e = np.asarray(eta, dtype=float)
+    e = np.ascontiguousarray(e.transpose(-1, *range(e.ndim - 1)))
     u, w = e[:3, None], e[3:, None]  # (3, 1, ...): broadcast over the stack
     a, b, c, c2, c3 = _rot_coeffs(_angle(w))
     z, d = _components(zeta), _components(deta)
@@ -312,7 +317,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
              + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
     out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
     out = np.concatenate((out_v, out_w))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2)))
+    return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 1, 0))
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:

@@ -117,6 +117,9 @@ class ShellMesh:
     b_r: np.ndarray | None = None  # (nel, 3) remanent per unit area, inertial frame
     _interpolation: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
+    # (copy of param, copy of conn, node format, element block, triangle file)
+    # of the dumps, see `_run_constant_text`
+    _dump_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -227,26 +230,54 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
                      state=state, nx=nx, ny=ny)
 
 
+def _run_constant_text(mesh: ShellMesh) -> tuple[str, str, str]:
+    """The text of the dumps that depends on `param` and `conn` alone.
+
+    Returns the node block as a format string, with the header, each node's
+    id and chart coordinates already written in and one %.17g left per pose
+    value, then the element block and the whole triangle file.  Built on the
+    first dump and kept on the mesh with copies of `param` and `conn`;
+    rebuilt whenever either no longer equals its copy, so an edited chart or
+    connectivity is written, never stale text.
+    """
+    cached = mesh._dump_text
+    if (cached is None or not np.array_equal(cached[0], mesh.param)
+            or not np.array_equal(cached[1], mesh.conn)):
+        n, nel = mesh.n_nodes, mesh.n_elements
+        chart = np.column_stack([np.arange(n), mesh.param]).ravel().tolist()
+        elements = np.column_stack([np.arange(nel), mesh.conn]).ravel().tolist()
+        t = 2 * np.arange(nel)
+        a, b, c, d = mesh.conn.T
+        tris = np.column_stack([t, a, b, c, t + 1, a, c, d]).ravel().tolist()  # 2 rows each
+        # "%%" survives the chart formatting as the "%" of each pose value
+        node_line = "%d %.17g %.17g" + " %%.17g" * 12 + "\n"
+        text = (f"# nodes {n}\n" + node_line * n % tuple(chart),
+                f"# elements {nel}\n" + "%d %d %d %d %d\n" * nel % tuple(elements),
+                f"# triangles {2 * nel}\n" + "%d %d %d %d\n" * (2 * nel) % tuple(tris))
+        cached = mesh._dump_text = (np.array(mesh.param), np.array(mesh.conn), *text)
+    return cached[2:]
+
+
 def dump_mesh(mesh: ShellMesh, path) -> None:
-    """Plain-text dump: `id xi1 xi2 px py pz r11..r33` then `id n1 n2 n3 n4`."""
-    n, nel = mesh.n_nodes, mesh.n_elements
+    """Plain-text dump: `id xi1 xi2 px py pz r11..r33` then `id n1 n2 n3 n4`.
+
+    Only the 12 pose values per node are formatted here; the rest of the
+    text is built once and kept on the mesh until `param` or `conn` changes
+    (`_run_constant_text`).
+    """
+    nodes, elements, _ = _run_constant_text(mesh)
     g = mesh.state.g_nodes
-    nodes = np.column_stack([np.arange(n), mesh.param, g[:, :3, 3],
-                             g[:, :3, :3].reshape(n, 9)])
-    elements = np.column_stack([np.arange(nel), mesh.conn])
+    pose = np.column_stack([g[:, :3, 3], g[:, :3, :3].reshape(len(g), 9)])
     with open(path, "w") as fh:
-        fh.write(f"# nodes {n}\n")
-        fh.write(("%d" + " %.17g" * 14 + "\n") * n % tuple(nodes.ravel().tolist()))
-        fh.write(f"# elements {nel}\n")
-        fh.write("%d %d %d %d %d\n" * nel % tuple(elements.ravel().tolist()))
+        fh.write(nodes % tuple(pose.ravel().tolist()))
+        fh.write(elements)
 
 
 def dump_triangles(mesh: ShellMesh, path) -> None:
-    """Two triangles per quad, for plotting tools that want simplices."""
-    nel = mesh.n_elements
-    t = 2 * np.arange(nel)
-    a, b, c, d = mesh.conn.T
-    tris = np.column_stack([t, a, b, c, t + 1, a, c, d])  # two rows per element
+    """Two triangles per quad, for plotting tools that want simplices.
+
+    The file depends on `conn` alone and is kept on the mesh with the other
+    run-constant dump text (`_run_constant_text`).
+    """
     with open(path, "w") as fh:
-        fh.write(f"# triangles {2 * nel}\n")
-        fh.write("%d %d %d %d\n" * (2 * nel) % tuple(tris.ravel().tolist()))
+        fh.write(_run_constant_text(mesh)[2])

@@ -6,7 +6,9 @@ CSV columns (one row per scheduled load step, plus the zero state):
 
 `magnitude` is the ramped total of the first boundary load's force/moment (a
 `follower_edge` load's |wrench| times its edge length), or |B^a(load_factor)|
-of the model's field program for purely magnetic runs;
+of the model's field program for purely magnetic runs (read through
+`FemModel.environment_at`, so it reuses the environment the step's last
+build evaluated);
 `tip_rot_angle` is the principal angle of R_t R_0^T at the tip node, wrapped
 to [0, pi] (multi-turn winding is a post-processing quantity, see
 solver.accumulated_edge_rotation).
@@ -59,9 +61,8 @@ def primary_magnitude(cfg: ScenarioConfig, model: FemModel, load_factor: float) 
         if first.kind == "follower_edge":
             return load_factor * float(np.linalg.norm(first.wrench)) * edge_length(first, cfg)
         return load_factor * first.magnitude
-    if model.field is not None:
-        return float(np.linalg.norm(model.field(load_factor).b_applied))
-    return 0.0
+    env = model.environment_at(load_factor)
+    return 0.0 if env is None else float(np.linalg.norm(env.b_applied))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, *,

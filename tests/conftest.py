@@ -306,6 +306,16 @@ def magnetic_stiffness_einsum(r0_pts, r_pts, b_r0, env, shape_vals, weights):
     return np.einsum("...g,gi,gj,...gkl->...ijkl", np.asarray(weights, float), n, n, prod)
 
 
+def magnetic_force_cross(b_mat, b_app, mu0, shape_vals, weights):
+    """Nodal magnetic wrenches with the couple from `np.cross`: the reference
+    for `magnetics.element_magnetic_force`, which must equal it exactly."""
+    m_loc = np.cross(b_mat, b_app) / mu0
+    out = np.zeros(m_loc.shape[:-2] + (4, 6))
+    out[..., :, 3:] = np.einsum("...g,gi,...gk->...ik", np.asarray(weights, float),
+                                np.asarray(shape_vals, float), m_loc)
+    return out
+
+
 def assembled_residual(model, lam=1.0):
     """The residual `build_system(lam)` forms, in natural DOF order."""
     system = model.build_system(lam)

@@ -27,7 +27,7 @@ from conftest import (
     rigid_modes,
     shape_functions,
 )
-from se3shell import fem
+from se3shell import fem, outputs
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
@@ -165,6 +165,31 @@ class TestElementKernels:
         assert np.array_equal(got.b, fresh.b)
         assert np.array_equal(got.a.toarray(), fresh.a.toarray())
         assert model.energies(0.5) == fresh_model.energies(0.5)
+
+    def test_field_program_evaluated_once_per_load_factor(self):
+        # the model keeps the last (program, load factor, environment): one
+        # call per distinct load factor, none for the CSV magnitude of that
+        # load factor, and a fresh call once the program is replaced
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        model = build_model(cfg)
+        program, calls = model.field, []
+
+        def counted(lam):
+            calls.append(lam)
+            return program(lam)
+
+        model.field = counted
+        for lam in (0.25, 0.25, 0.5):
+            model.build_system(lam)
+        assert calls == [0.25, 0.5]
+        outputs.primary_magnitude(cfg, model, 0.5)
+        assert calls == [0.25, 0.5]
+        model.field = lambda lam: counted(2.0 * lam)
+        doubled = model.build_system(0.5)
+        assert calls == [0.25, 0.5, 1.0]
+        model.field = counted
+        assert np.array_equal(doubled.b, model.build_system(1.0).b)
+        assert calls == [0.25, 0.5, 1.0, 1.0]
 
     def test_gauss_scheme_spd_on_nonrigid(self):
         model = make_model(nx=1, ny=1, clamp=False, scheme="gauss")

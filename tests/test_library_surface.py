@@ -7,7 +7,8 @@ below.  A definition is used when code at module level, or inside a used
 definition other than itself, refers to it: a function or class by its name
 (in its own module or where it is imported) or as an attribute, a method as
 an attribute.  So a helper that only another test-only helper calls counts
-as unused too.
+as unused too.  A last check keeps `np.moveaxis` and `np.cross` out of the
+modules that run on every build and dump.
 """
 
 import ast
@@ -25,6 +26,13 @@ ALLOWED = {
     "accumulated_edge_rotation": "the benchmark answer check "
                                  "(perfbench/answers.py) measures windings with it",
 }
+
+# Modules that run on every system build or mesh dump.  They move axes with
+# transpose views, not np.moveaxis (4-7 us of axis normalisation a call), and
+# form cross products from components, not with np.cross (twice the cost);
+# the set-up code in scenario.py is exempt.
+PER_BUILD_MODULES = ("liegroup", "fem", "magnetics", "solver", "mesh")
+SLOW_HELPERS = {"moveaxis", "cross"}
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -125,3 +133,12 @@ def test_allowlist_names_exist():
     defined = {name for path in PACKAGE.glob("*.py")
                for name, _, _ in _definitions(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
+
+
+def test_per_build_modules_call_neither_moveaxis_nor_cross():
+    calls = [f"{module}.py:{node.lineno}" for module in PER_BUILD_MODULES
+             for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in SLOW_HELPERS)
+             or (isinstance(node, ast.ImportFrom)
+                 and SLOW_HELPERS & {alias.name for alias in node.names})]
+    assert not calls, f"np.moveaxis or np.cross in a per-build module: {calls}"

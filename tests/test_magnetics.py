@@ -8,7 +8,8 @@ points, which is exactly how the solver perturbs the carried rotations.
 import numpy as np
 import pytest
 
-from conftest import magnetic_couple, magnetic_stiffness_einsum, rotated_remanent
+from conftest import (magnetic_couple, magnetic_force_cross, magnetic_stiffness_einsum,
+                      rotated_remanent)
 from se3shell import magnetics
 from se3shell.liegroup import exp_so3
 from se3shell.magnetics import MU0, MagneticEnvironment, applied_field, remanent_field
@@ -161,6 +162,29 @@ class TestElementForce:
         f = force_of(r0, rt, RNG.normal(size=3) * 0.1, env,
                      SHAPE_VALS, np.full(4, 0.25))
         assert np.array_equal(f[:, :3], np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("exponents", [(-1, 1), (-150, 150), (-300, 300)])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    def test_equals_the_np_cross_form(self, batch, exponents):
+        # the component-wise couple makes the products and differences of
+        # np.cross in its order: the same bits on stacks with signed zeros,
+        # and the same infinities and NaNs where the widest magnitudes overflow
+        shape = batch + (4, 3)
+
+        def stack():
+            x = RNG.choice([-1.0, 1.0], size=shape)
+            x *= 10.0 ** RNG.uniform(*exponents, size=shape)
+            zero = RNG.random(shape) < 0.2
+            x[zero] = np.copysign(0.0, x[zero])
+            return x
+
+        b_mat, b_app = stack(), stack()
+        w = RNG.uniform(0.1, 1.0, size=batch + (4,))
+        with np.errstate(all="ignore"):
+            got = magnetics.element_magnetic_force(b_mat, b_app, MU0, SHAPE_VALS, w)
+            expected = magnetic_force_cross(b_mat, b_app, MU0, SHAPE_VALS, w)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestElementStiffness:

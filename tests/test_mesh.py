@@ -89,3 +89,27 @@ def test_dumps_equal_per_value_writers(name, tmp_path):
     dump_triangles(mesh, got)
     dump_triangles_loop(mesh, expected)
     assert got.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["rollup_6pi", "arch_transverse", "magnetic_plate_A"])
+def test_dumps_follow_state_chart_and_connectivity(name, tmp_path):
+    # the dumps keep their node, element and triangle text on the mesh: a new
+    # state, a chart edited in place and a replaced connectivity must each be
+    # written as the per-value writers write them
+    model = build_model(load_bundled(name))
+    mesh = model.mesh
+    got, expected = tmp_path / "got", tmp_path / "expected"
+
+    def check():
+        for dump, loop in ((dump_mesh, dump_mesh_loop), (dump_triangles, dump_triangles_loop)):
+            dump(mesh, got)
+            loop(mesh, expected)
+            assert got.read_bytes() == expected.read_bytes()
+
+    check()
+    random_state_perturbation(model, 0.05, seed=6)
+    check()
+    mesh.param[1] += 0.25 * np.array(mesh.le)
+    check()
+    mesh.conn = mesh.conn[:, [1, 2, 3, 0]]
+    check()
