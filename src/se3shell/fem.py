@@ -53,6 +53,7 @@ unsupported mesh gives the band over every DOF, still in grid order.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +65,7 @@ from .constitutive import (Material, internal_energy_density, metric_inverse,
                            stiffness_blocks, stress)
 from .liegroup import ad, ad_tilde, skew
 from .magnetics import (MagneticEnvironment, applied_field, element_magnetic_force,
-                        element_magnetic_stiffness, remanent_field)
+                        element_magnetic_stiffness, remanent_field, stiffness_weights)
 from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh, ShellState
 
 # sample points of each strain sampling and their weight per unit chart area
@@ -86,11 +87,13 @@ class ElementKernels:
 
     kgeo and kmag are formed on first access, from `geometric_args` (the
     memo's ad(zeta) and stress, with the shape functions) and
-    `magnetic_args`, so a build whose tangent is never assembled forms
-    neither.  kmag holds only the rotation-rotation 3x3 sub-blocks,
-    (nel,4,4,3,3).  f_ext is a read-only all-zero broadcast view (boundary
-    loads enter through `neumann_terms`); so are f_mag and kmag without
-    magnetics (`magnetic_args` None).
+    `magnetic_args` (the arguments of `element_magnetic_stiffness`: both
+    local fields, mu0 and the model's quadrature weights), so a build whose
+    tangent is never assembled forms neither.  kmag holds only the
+    rotation-rotation 3x3 sub-blocks, (nel,4,4,3,3).  f_ext is the model's
+    read-only all-zero broadcast view (boundary loads enter through
+    `neumann_terms`); without magnetics (`magnetic_args` None) f_mag is that
+    view too, and kmag an all-zero view.
     """
 
     k0: np.ndarray
@@ -163,7 +166,7 @@ class GlobalSystem:
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.residual_norm = float(np.linalg.norm(self.b))
+        self.residual_norm = math.sqrt(self.b.dot(self.b))
 
     @cached_property
     def a(self) -> sp.dia_matrix:
@@ -209,6 +212,11 @@ class FemModel:
         self._sampling_consts = None
         # (copy of mesh.b_r, R_0^T B_0^r), built on the first magnetic build
         self._remanent = None
+        # (w_g, w_g N_gi N_gj) of the Gauss points, built on the first magnetic
+        # build; like the sampling constants, they read the reference geometry
+        self._magnetic_weights = None
+        # f_ext, and f_mag without magnetics
+        self._zero_forces = np.broadcast_to(_ZERO, (mesh.n_elements, 4, 6))
         # (twists, (P, P^T, f_int, s, ad(zeta))) of the last kernel evaluation
         self._kernels = None
         # (field, load factor, environment) of the last field-program call
@@ -272,9 +280,18 @@ class FemModel:
                       for t in uniq])
         return d[inv.reshape(-1)]
 
-    def _gauss_weights(self) -> np.ndarray:
-        le1, le2 = self.mesh.le
-        return (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]  # (nel, 4)
+    def _magnetic_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, wnn): the Gauss weights w_g with the surface jacobian, (nel,4),
+        and the weights w_g N_gi N_gj of the magnetic stiffness, (nel,4,4,4).
+
+        Built on the first magnetic build and kept: both depend on the
+        reference geometry alone.
+        """
+        if self._magnetic_weights is None:
+            le1, le2 = self.mesh.le
+            w = (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]
+            self._magnetic_weights = (w, stiffness_weights(N_PTS[1:], w))
+        return self._magnetic_weights
 
     # --- element level -----------------------------------------------------
 
@@ -360,14 +377,14 @@ class FemModel:
         _, n, dn, _, _, k0 = self._sampling()
         env = self._env_at(load_factor)
         args = None
+        f_mag = self._zero_forces
         if env is not None:
-            args = (self._remanent_field(), applied_field(mesh.state.r_pts, env), env.mu0,
-                    N_PTS[1:], self._gauss_weights())
-            f_mag = element_magnetic_force(*args)
-        else:
-            f_mag = np.broadcast_to(_ZERO, f_int.shape)
+            w, wnn = self._magnetic_quadrature()
+            b_mat, b_app = self._remanent_field(), applied_field(mesh.state.r_pts, env)
+            f_mag = element_magnetic_force(b_mat, b_app, env.mu0, N_PTS[1:], w)
+            args = (b_mat, b_app, env.mu0, wnn)
         return ElementKernels(k0=k0, kmat=p, kmat_t=p_t, f_int=f_int,
-                              f_ext=np.broadcast_to(_ZERO, f_int.shape), f_mag=f_mag,
+                              f_ext=self._zero_forces, f_mag=f_mag,
                               geometric_args=(adz, s, n, dn), magnetic_args=args)
 
     # --- global level ------------------------------------------------------
@@ -420,7 +437,7 @@ class FemModel:
         element blocks.  A non-finite entry raises FloatingPointError.
         """
         a = self.assemble(kern, kdead, sc)
-        if not np.all(np.isfinite(a.data)):
+        if not np.isfinite(a.data).all():
             raise FloatingPointError("non-finite entries in the assembled system")
         return a
 
@@ -437,11 +454,11 @@ class FemModel:
         b_neu, kdead = self.neumann_terms(load_factor)
         b_neu = b_neu[sc.order]
         b = sc.vector(kern.f_mag - kern.f_int) + b_neu
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise FloatingPointError("non-finite entries in the assembled system")
         load = b_neu if kern.magnetic_args is None else sc.vector(kern.f_mag) + b_neu
         return GlobalSystem(
-            b=b, free=sc.order, load_norm=float(np.linalg.norm(load)),
+            b=b, free=sc.order, load_norm=math.sqrt(load.dot(load)),
             tangent=lambda: self.apply_boundary_conditions(kern, kdead, sc))
 
     def half_bandwidth(self) -> int:
@@ -474,7 +491,7 @@ class FemModel:
         if env is not None:
             b_app = applied_field(mesh.state.r_pts, env)
             dots = np.sum(self._remanent_field() * b_app, axis=-1) / env.mu0
-            magnetic = float(-np.sum(self._gauss_weights() * dots))
+            magnetic = float(-np.sum(self._magnetic_quadrature()[0] * dots))
         return elastic, magnetic
 
 

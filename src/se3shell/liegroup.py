@@ -13,18 +13,24 @@ shape ``(..., 6)`` yields ``(..., 4, 4)`` from ``exp_se3``, ``(..., 6, 6)``
 from ``ad``, and so on.  Operations are pure; nothing here mutates its inputs.
 
 Every map is closed form; none sums a series until it converges.  The
-exponentials and their tangents share the coefficients of ``_rot_coeffs``
-(the exponentials evaluate only the ones they read: a and b, and c for
-``exp_se3``), and the differential of the SE(3) exponential is the left
-Jacobian at -t, whose coupling block is Barfoot's Q(-v, -w) (Barfoot &
-Furgale, IEEE T-RO 2014).  Coefficient ratios that cancel at small angles are fixed Taylor
-polynomials below an angle where both forms agree to about 1e-15.
-``carried_update`` evaluates the multiplicative update of carried twists,
-Ad(exp(-eta)) and dexp(eta), from one coefficient pass per point with cross
-products, without forming 4x4 or 6x6 matrices.  These kernels store vectors
-component first and move axes with ``transpose`` views: the same arrays in
-the same layout as ``np.moveaxis`` gives, without its axis normalisation,
-which cost 4-7 us a call against under 1 us for the view.
+exponentials and their tangents share one coefficient helper,
+``_rot_coeffs``, which evaluates a stack of rotation angles and each
+coefficient only on the part of the stack that reads it: a and b
+everywhere, c where ``exp_se3`` or ``carried_update`` reads it, c2 and c3
+for ``carried_update`` alone.  The differential of the SE(3) exponential is
+the left Jacobian at -t, whose coupling block is Barfoot's Q(-v, -w)
+(Barfoot & Furgale, IEEE T-RO 2014).  Coefficient ratios that cancel at
+small angles are fixed Taylor polynomials below an angle where both forms
+agree to about 1e-15.  ``carried_update`` evaluates the multiplicative
+update of carried twists, Ad(exp(-eta)) and dexp(eta), with cross products,
+without forming 4x4 or 6x6 matrices.  ``increment_maps`` makes the three
+maps of one solver update, the nodal exponentials, the carried twists and
+the Gauss-point rotations, from a single coefficient pass over all of their
+points, with the same elementwise arithmetic as the three separate calls,
+so with their bits.  These kernels store vectors component first, one per
+column, and move axes with ``transpose`` views: the same arrays in the same
+layout as ``np.moveaxis`` gives, without its axis normalisation, which cost
+4-7 us a call against under 1 us for the view.
 """
 
 from __future__ import annotations
@@ -85,24 +91,30 @@ def _sinc_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     return a, b, safe, sin, t2
 
 
-def _rot_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Closed-form coefficients (a, b, c, c2, c3) of rotation angles theta.
+def _rot_coeffs(theta: np.ndarray, n_c: int, n_q: int) -> tuple[np.ndarray, ...]:
+    """Closed-form coefficients (a, b, c, c2, c3) of a stack of rotation angles.
 
+    For the angles theta (N,), a and b are evaluated at every angle, c at the
+    first n_c and c2, c3 at the first n_q <= n_c, so a caller that stacks its
+    points by what they read evaluates each coefficient only where it is read.
     a = sin t/t, b = (1-cos t)/t^2 and c = (t-sin t)/t^3 are the Rodrigues
     coefficients and those of T(w) = I + b w^ + c w^ w^, the map from the
     linear twist part to the translation of exp_se3;
     c2 = (t^2+2cos t-2)/(2t^4) = (1/2-b)/t^2 and
     c3 = (2t-3sin t+t cos t)/(2t^5) = (3c-b)/(2t^2) complete the coupling
     block of the SE(3) Jacobian.  b is evaluated as (sin(t/2)/(t/2))^2 / 2,
-    which does not cancel; c, c2 and c3 take one stacked Taylor series below
-    SERIES_ANGLE.  All five are accurate to 1e-14 relative.
+    which does not cancel; c, c2 and c3 take their Taylor series below
+    SERIES_ANGLE.  All five are accurate to 1e-14 relative, and each value
+    is the same elementwise arithmetic wherever its angle sits in the stack.
     """
-    theta = np.asarray(theta, dtype=float)
     a, b, safe, sin, t2 = _sinc_coeffs(theta)
-    s2 = safe * safe
-    c = (safe - sin) / (s2 * safe)
-    direct = np.stack([c, (0.5 - b) / s2, (1.5 * c - 0.5 * b) / s2])
-    c, c2, c3 = np.where(theta < SERIES_ANGLE, _taylor(_SERIES, t2), direct)
+    s = safe[:n_c]
+    s2 = s * s
+    direct_c = (s - sin[:n_c]) / (s2 * s)
+    c = np.where(theta[:n_c] < SERIES_ANGLE, _taylor(_SERIES[:, 0], t2[:n_c]), direct_c)
+    s2, bq = s2[:n_q], b[:n_q]
+    direct = np.stack([(0.5 - bq) / s2, (1.5 * direct_c[:n_q] - 0.5 * bq) / s2])
+    c2, c3 = np.where(theta[:n_q] < SERIES_ANGLE, _taylor(_SERIES[:, 1:], t2[:n_q]), direct)
     return a, b, c, c2, c3
 
 
@@ -111,13 +123,20 @@ def _taylor(rows: np.ndarray, t2: np.ndarray) -> np.ndarray:
     rows = rows.reshape(rows.shape + (1,) * t2.ndim)
     series = rows[-1] * t2 + rows[-2]
     for row in rows[-3::-1]:
-        series = series * t2 + row
+        series *= t2
+        series += row
     return series
 
 
 def _angle(w: np.ndarray) -> np.ndarray:
     """|w| of vectors stored along axis 0."""
     return np.sqrt(np.sum(w * w, axis=0))
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The vectors (..., k) of x as a contiguous (k, N) array, one per column."""
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,12 +160,25 @@ def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(*range(2, r.ndim), 0, 1))
 
 
+def _poses(v: np.ndarray, w: np.ndarray, rot: np.ndarray, b: np.ndarray,
+           c: np.ndarray) -> np.ndarray:
+    """exp_se3 of the N twists (v; w) stored along axis 0, (N, 4, 4), given
+    their rotations `rot` (N, 3, 3) and coefficients b, c: the translation is
+    T(w) v = v + b w x v + c w x (w x v)."""
+    wv = _cross(w, v)
+    out = np.zeros((v.shape[1], 4, 4))
+    out[:, :3, :3] = rot
+    out[:, :3, 3] = (v + b * wv + c * _cross(w, wv)).T
+    out[:, 3, 3] = 1.0
+    return out
+
+
 def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
     w = np.asarray(w, dtype=float)
-    w = np.ascontiguousarray(w.transpose(-1, *range(w.ndim - 1)))
-    a, b, *_ = _sinc_coeffs(_angle(w))
-    return _rodrigues(w, a, b)
+    cols = _columns(w)
+    a, b, *_ = _rot_coeffs(_angle(cols), 0, 0)
+    return _rodrigues(cols, a, b).reshape(w.shape[:-1] + (3, 3))
 
 
 def exp_se3(t: np.ndarray) -> np.ndarray:
@@ -155,19 +187,10 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     For w = 0 this reduces exactly to a pure translation by v.
     """
     t = np.asarray(t, dtype=float)
-    comps = np.ascontiguousarray(t.transpose(-1, *range(t.ndim - 1)))
-    v, w = comps[:3], comps[3:]
-    theta = _angle(w)
-    a, b, safe, sin, t2 = _sinc_coeffs(theta)
-    # c of `_rot_coeffs` alone: its own Taylor row below SERIES_ANGLE
-    c = np.where(theta < SERIES_ANGLE, _taylor(_SERIES[:, 0], t2),
-                 (safe - sin) / (safe * safe * safe))
-    wv = _cross(w, v)
-    out = np.zeros(t.shape[:-1] + (4, 4))
-    out[..., :3, :3] = _rodrigues(w, a, b)
-    out[..., :3, 3] = (v + b * wv + c * _cross(w, wv)).transpose(*range(1, t.ndim), 0)
-    out[..., 3, 3] = 1.0
-    return out
+    cols = _columns(t)
+    v, w = cols[:3], cols[3:]
+    a, b, c, *_ = _rot_coeffs(_angle(w), w.shape[1], 0)
+    return _poses(v, w, _rodrigues(w, a, b), b, c).reshape(t.shape[:-1] + (4, 4))
 
 
 def make_pose(r: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -272,12 +295,39 @@ def ad_tilde(w: np.ndarray) -> np.ndarray:
 
 
 def _components(x: np.ndarray) -> np.ndarray:
-    """Twists (..., k, 6) as a contiguous (6, k, ...) array.
+    """Twist stacks (N, k, 6) as a contiguous (6, k, N) array.
 
     Component-first storage lets the cross products below work on whole
-    contiguous (k, ...) planes.
+    contiguous (k, N) planes.
     """
-    return np.ascontiguousarray(x.transpose(-1, -2, *range(x.ndim - 2)))
+    return np.ascontiguousarray(x.transpose(2, 1, 0))
+
+
+def _carry(u: np.ndarray, w: np.ndarray, coeffs: tuple, zeta: np.ndarray,
+           deta: np.ndarray) -> np.ndarray:
+    """Ad(exp(-eta)) zeta + dexp_se3(eta) deta at N points, (N, k, 6), for
+    the increments eta = (u; w) stored along axis 0 with their coefficients
+    (a, b, c, c2, c3), (N,) each, and twist stacks zeta, deta (N, k, 6).
+
+    See `carried_update` for the closed form.
+    """
+    a, b, c, c2, c3 = coeffs
+    u, w = u[:, None], w[:, None]  # (3, 1, N): broadcast over the stack
+    z, d = _components(zeta), _components(deta)
+    wu = _cross(w, u)
+    p = u + b * wu + c * _cross(w, wu)
+    zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
+    x = zv - _cross(p, zw)
+    y = _cross(w, dw)
+    yy = _cross(w, y)
+    up, uq, us = _cross(u, dw), _cross(u, y), _cross(u, yy)
+    q_outer = c * up + (3.0 * c2 - c) * uq + c3 * us
+    q_inner = c3 * uq - c2 * up
+    # R^T x + J dv + Q dw and R^T zw + J dw, sharing the outer w x (.)
+    out_v = (x + dv - 0.5 * up + c * uq - c2 * us
+             + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
+    out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
+    return np.concatenate((out_v, out_w)).transpose(2, 1, 0).copy()
 
 
 def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.ndarray:
@@ -298,26 +348,37 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
     The terms are regrouped so that each application costs ten cross
     products on the stack.
     """
-    e = np.asarray(eta, dtype=float)
-    e = np.ascontiguousarray(e.transpose(-1, *range(e.ndim - 1)))
-    u, w = e[:3, None], e[3:, None]  # (3, 1, ...): broadcast over the stack
-    a, b, c, c2, c3 = _rot_coeffs(_angle(w))
-    z, d = _components(zeta), _components(deta)
-    wu = _cross(w, u)
-    p = u + b * wu + c * _cross(w, wu)
-    zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
-    x = zv - _cross(p, zw)
-    y = _cross(w, dw)
-    yy = _cross(w, y)
-    up, uq, us = _cross(u, dw), _cross(u, y), _cross(u, yy)
-    q_outer = c * up + (3.0 * c2 - c) * uq + c3 * us
-    q_inner = c3 * uq - c2 * up
-    # R^T x + J dv + Q dw and R^T zw + J dw, sharing the outer w x (.)
-    out_v = (x + dv - 0.5 * up + c * uq - c2 * us
-             + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
-    out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
-    out = np.concatenate((out_v, out_w))
-    return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 1, 0))
+    eta = np.asarray(eta, dtype=float)
+    cols = _columns(eta)
+    n, k = cols.shape[1], np.shape(zeta)[-2]
+    coeffs = _rot_coeffs(_angle(cols[3:]), n, n)
+    out = _carry(cols[:3], cols[3:], coeffs, np.asarray(zeta, dtype=float).reshape(n, k, 6),
+                 np.asarray(deta, dtype=float).reshape(n, k, 6))
+    return out.reshape(eta.shape[:-1] + (k, 6))
+
+
+def increment_maps(eta_nodes: np.ndarray, eta_pts: np.ndarray, zeta: np.ndarray,
+                   deta: np.ndarray, w_rot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three maps of one multiplicative update from one coefficient pass:
+
+        (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
+
+    for nodal increments eta_nodes (n, 6), increments eta_pts (p, 6) at the
+    twist points with their twist stacks zeta, deta (p, k, 6), and rotation
+    vectors w_rot (r, 3), bit for bit equal to the three calls.  The rotation
+    vectors are stacked twist points, nodes, rotation points, and
+    `_rot_coeffs` runs once over the stack: a and b at every point, c at the
+    twist points and nodes, c2 and c3 at the twist points only.  One
+    `_rodrigues` call forms the rotations of the nodes and rotation points.
+    """
+    n, p = len(eta_nodes), len(eta_pts)
+    pts, nodes = _columns(eta_pts), _columns(eta_nodes)
+    w = np.concatenate((pts[3:], nodes[3:], w_rot.T), axis=1)
+    a, b, c, c2, c3 = _rot_coeffs(_angle(w), p + n, p)
+    rot = _rodrigues(w[:, p:], a[p:], b[p:])
+    poses = _poses(nodes[:3], w[:, p:p + n], rot[:n], b[p:p + n], c[p:])
+    twists = _carry(pts[:3], w[:, :p], (a[:p], b[:p], c[:p], c2, c3), zeta, deta)
+    return poses, twists, rot[n:]
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:

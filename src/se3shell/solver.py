@@ -22,9 +22,14 @@ with eta interpolated bilinearly at each carried point.  The twist rule is the
 exact body-frame derivative field of the multiplicatively updated pose field,
 so twists never need to be re-derived from poses.  Twists are carried only at
 the strain sample points of the model's scheme (the centroid, or the four
-Gauss points) and updated in closed form (no series) by `carried_update`;
-rotations are carried only at the Gauss points of a magnetized mesh, and only
-there is `exp_so3` evaluated.  Convergence is measured on the residual 2-norm
+Gauss points), and rotations only at the Gauss points of a magnetized mesh.
+Each update first interpolates eta to those points, then evaluates the
+rotation coefficients once, in one pass over the nodes, the twist points and
+the Gauss points (`liegroup.increment_maps`): a and b at every point, c at
+the nodes and twist points, c2 and c3 at the twist points only, and one
+Rodrigues evaluation for the nodal and Gauss-point rotations.  The three
+maps are closed form (no series) and equal exp_se3, carried_update and
+exp_so3 bit for bit.  Convergence is measured on the residual 2-norm
 over free DOFs against tol_relative * max(1, |load|); the tangent is
 assembled only for an iteration that goes on to a linear solve.
 
@@ -46,6 +51,7 @@ every tally from them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,10 +61,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .fem import FemModel
-from .liegroup import carried_update, exp_se3, exp_so3, log_so3
+from .liegroup import increment_maps, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
-from .liegroup import Ad, dexp_se3, inv_pose  # noqa: F401
+from .liegroup import Ad, dexp_se3, exp_se3, exp_so3, inv_pose  # noqa: F401
 from .mesh import ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
@@ -195,9 +201,10 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     lu, piv, kl, ku, scale = _band_factor(a)
     d = 1.0 if scale is None else scale  # multiplying by 1.0 changes no bit
     eta = d * lapack.dgbtrs(lu, kl, ku, d * b, piv)[0]
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise SingularSystemError(_singular_message(a))
-    rel = float(np.linalg.norm(b - a @ eta)) / max(float(np.linalg.norm(b)), 1e-300)
+    r = b - a @ eta
+    rel = math.sqrt(r.dot(r)) / max(math.sqrt(b.dot(b)), 1e-300)
     return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
 
 
@@ -277,56 +284,79 @@ def _singular_message(a) -> str:
     return f"singular or ill-posed tangent (1-norm estimate {est:.3e})"
 
 
-def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
-    """Right-multiply nodal poses by exp of the nodal increments.
+def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
+                         at_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-multiply the nodal poses by exp of the nodal increments, from the
+    one rotation-coefficient pass of the update.
 
-    Rejects the whole increment if any nodal rotation exceeds pi/2 (the load
-    step is then halved by the caller).  Rotations are re-orthonormalized by
-    polar projection when drift exceeds 1e-12.
+    `eta_nodes` (n_nodes, 6) are the nodal increments and `at_pts` their
+    interpolation to the carried points (`apply_increment_field`).  Rejects
+    the whole increment if it is not finite or any nodal rotation exceeds
+    pi/2 (the load step is then halved by the caller).  Otherwise
+    `liegroup.increment_maps` evaluates the rotation coefficients once, over
+    the nodes, the twist points and, on a magnetized mesh, the Gauss points,
+    and the poses take their exponentials.  Rotations are re-orthonormalized
+    by polar projection when drift exceeds 1e-12.  Returns the evolved twists
+    and the Gauss-point rotation increments (none on an unmagnetized mesh)
+    for `update_twists`.
     """
-    eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta_nodes).all():
         raise StepRejected("non-finite increment", "nonfinite")
-    wmax = float(np.max(np.linalg.norm(eta[:, 3:], axis=1)))
+    wmax = float(np.max(np.linalg.norm(eta_nodes[:, 3:], axis=1)))
     if wmax > MAX_ROTATION_INCREMENT:
         raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2",
                            "rotation_increment")
-    mesh.state.g_nodes = mesh.state.g_nodes @ exp_se3(eta)
-    r = mesh.state.g_nodes[:, :3, :3]
+    state = mesh.state
+    nel, m = mesh.n_elements, len(state.twist_points)
+    points = nel * m
+    poses, twists, rotations = increment_maps(
+        eta_nodes, at_pts[:, :m].reshape(points, 6), state.zeta_pts.reshape(points, 2, 6),
+        at_pts[:, m:3 * m].reshape(points, 2, 6), at_pts[:, 3 * m:, 3:].reshape(-1, 3))
+    state.g_nodes = state.g_nodes @ poses
+    r = state.g_nodes[:, :3, :3]
     drift = np.abs(np.swapaxes(r, -1, -2) @ r - _IDENTITY3).max()
     if drift > 1e-12:
         u, _, vt = np.linalg.svd(r)
-        mesh.state.g_nodes[:, :3, :3] = u @ vt
+        state.g_nodes[:, :3, :3] = u @ vt
+    return twists.reshape(state.zeta_pts.shape), rotations.reshape(state.r_pts.shape)
 
 
-def update_twists(mesh: ShellMesh, eta_nodes: np.ndarray) -> None:
-    """Evolve the twists and rotations the state carries.
+def update_twists(mesh: ShellMesh, twists: np.ndarray, rotations: np.ndarray) -> None:
+    """Evolve the twists and rotations the state carries, from the update
+    `update_configuration` evaluated.
 
-    With eta the bilinear increment field, each carried twist point receives
+    With eta the bilinear increment field, each carried twist point has
+    received
 
         zeta_alpha <- Ad(exp(eta^))^-1 zeta_alpha + dexp_se3(eta) d_alpha eta,
 
     which equals vee((g exp(eta^))^-1 d_alpha (g exp(eta^))) for the carried
     pose field; spatially constant eta reduces to the pure frame change.  The
-    twists are evolved at `ShellState.twist_points` by `carried_update`; when
-    the state carries the Gauss-point rotations, each becomes R exp_so3(eta_w).
+    twists at `ShellState.twist_points` become `twists`; when the state
+    carries the Gauss-point rotations, each R becomes R exp_so3(eta_w), with
+    the increments `rotations`.
     """
-    eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
     state = mesh.state
-    rotations = state.r_pts.shape[1] > 0
-    nel, m = mesh.n_elements, len(state.twist_points)
-    rows = mesh.interpolation_rows(state.twist_points, rotations)
-    at_pts = rows @ eta[mesh.conn]                                     # (nel, 3m [+ 4], 6)
-    state.zeta_pts = carried_update(
-        at_pts[:, :m], state.zeta_pts, at_pts[:, m:3 * m].reshape(nel, m, 2, 6))
-    if rotations:
-        state.r_pts = state.r_pts @ exp_so3(at_pts[:, 3 * m:, 3:])
+    state.zeta_pts = twists
+    if rotations.size:
+        state.r_pts = state.r_pts @ rotations
 
 
 def apply_increment_field(model: FemModel, eta_nodes: np.ndarray) -> None:
-    """One multiplicative update of the whole state (poses, twists, rotations)."""
-    update_configuration(model.mesh, eta_nodes)
-    update_twists(model.mesh, eta_nodes)
+    """One multiplicative update of the whole state (poses, twists, rotations).
+
+    The nodal increments are first interpolated to the carried points (the
+    twist points, then the Gauss points of a magnetized mesh) by the cached
+    `ShellMesh.interpolation_rows`; `update_configuration` then evaluates the
+    rotation coefficients of nodes and carried points in one pass and
+    `update_twists` stores the carried points' share.
+    """
+    mesh = model.mesh
+    eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
+    state = mesh.state
+    rows = mesh.interpolation_rows(state.twist_points, state.r_pts.shape[1] > 0)
+    at_pts = rows @ eta[mesh.conn]                                     # (nel, 3m [+ 4], 6)
+    update_twists(mesh, *update_configuration(mesh, eta, at_pts))
 
 
 def perturb_tip_rotation(model: FemModel, magnitude: float, axis: np.ndarray) -> None:

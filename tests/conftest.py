@@ -14,7 +14,7 @@ from se3shell.kinematics import ReferenceSurface
 from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
                                skew, unskew)
 from se3shell.mesh import shape_gradients, shape_values
-from se3shell.solver import SingularSystemError, update_configuration, update_twists
+from se3shell.solver import SingularSystemError, apply_increment_field
 
 SINGULAR_REASON = "singular or ill-posed tangent (1-norm estimate 0.000e+00)"
 
@@ -51,7 +51,9 @@ def so3_tangent(w: np.ndarray) -> np.ndarray:
     series sum_k (skew w)^k / (k+1)!.
     """
     w = np.asarray(w, dtype=float)
-    _, b, c, *_ = _rot_coeffs(np.linalg.norm(w, axis=-1))
+    theta = np.linalg.norm(w, axis=-1)
+    _, b, c, *_ = _rot_coeffs(theta.reshape(-1), theta.size, 0)
+    b, c = b.reshape(theta.shape), c.reshape(theta.shape)
     wh = skew(w)
     return np.eye(3) + b[..., None, None] * wh + c[..., None, None] * (wh @ wh)
 
@@ -335,13 +337,11 @@ def fd_residual_jacobian(model, lam=1.0, eps=1e-7):
         eta = np.zeros(n)
         eta[j] = eps
         mesh.state = base.copy()
-        update_configuration(mesh, eta)
-        update_twists(mesh, eta)
+        apply_increment_field(model, eta)
         bp = assembled_residual(model, lam)
         eta[j] = -eps
         mesh.state = base.copy()
-        update_configuration(mesh, eta)
-        update_twists(mesh, eta)
+        apply_increment_field(model, eta)
         bm = assembled_residual(model, lam)
         jac[:, j] = (bp - bm) / (2 * eps)
     mesh.state = base
@@ -351,8 +351,13 @@ def fd_residual_jacobian(model, lam=1.0, eps=1e-7):
 def random_state_perturbation(model, scale, seed):
     rng = np.random.default_rng(seed)
     eta = scale * rng.normal(size=(model.mesh.n_nodes, 6))
-    update_configuration(model.mesh, eta)
-    update_twists(model.mesh, eta)
+    apply_increment_field(model, eta)
+
+
+def increment_mesh(mesh, eta):
+    """`solver.apply_increment_field` on a bare mesh, whose state carries the
+    twists at all five element points and the Gauss-point rotations."""
+    apply_increment_field(SimpleNamespace(mesh=mesh), eta)
 
 
 def reject_first_solve(monkeypatch):

@@ -21,6 +21,7 @@ from conftest import (
     element_tangent,
     fd_residual_jacobian,
     k_operator,
+    magnetic_stiffness_einsum,
     mechanical_tangent,
     natural_tangent,
     random_state_perturbation,
@@ -136,6 +137,40 @@ class TestElementKernels:
             assert isinstance(arr, np.ndarray) and arr.shape == shape
             assert not any(arr.strides) and not arr.flags.writeable
             assert not arr.any()
+
+    def test_zero_views_built_once_per_model(self):
+        # the absent f_ext and f_mag share one view, made with the model
+        model = make_model(nx=2, ny=1)
+        first, second = model.element_kernels(), model.element_kernels(0.5)
+        assert first.f_ext is second.f_ext is first.f_mag is second.f_mag
+
+    def test_magnetic_quadrature_built_once(self, monkeypatch):
+        # the Gauss weights and w_g N_gi N_gj of the magnetic stiffness are
+        # built on the first magnetic build, with the bytes of the per-build
+        # form, and read by every later build, its tangent and its energy
+        built = []
+        weights = fem.stiffness_weights
+        monkeypatch.setattr(fem, "stiffness_weights",
+                            lambda *args: built.append(None) or weights(*args))
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        model = build_model(cfg)
+        mesh = model.mesh
+        random_state_perturbation(model, 0.05, seed=5)
+        le1, le2 = mesh.le
+        w = (le1 * le2 / 4.0) * mesh.jac0_pts[:, 1:]
+        for lam in (0.1, 0.5, 1.0):
+            kern = model.element_kernels(lam)
+            model.build_system(lam).a
+            model.energies(lam)
+            b_mat, b_app, mu0, wnn = kern.magnetic_args
+            assert wnn.tobytes() == np.einsum("...g,gi,gj->...gij", w, N_PTS[1:],
+                                              N_PTS[1:]).tobytes()
+            env = model.environment_at(lam)
+            expected = magnetic_stiffness_einsum(mesh.r0_pts[:, 1:], mesh.state.r_pts,
+                                                 mesh.b_r, env, N_PTS[1:], w)
+            assert kern.kmag.tobytes() == expected.tobytes()
+        assert len(built) == 1
+        assert model._magnetic_quadrature()[0].tobytes() == w.tobytes()
 
     def test_magnetization_set_after_the_model_is_refused(self):
         # the model narrowed the state without the Gauss-point rotations

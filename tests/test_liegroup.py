@@ -32,6 +32,7 @@ from se3shell.liegroup import (
     dexp_se3,
     exp_se3,
     exp_so3,
+    increment_maps,
     inv_pose,
     log_se3,
     make_pose,
@@ -262,14 +263,14 @@ class TestRotCoeffs:
         thetas = np.concatenate([np.logspace(-9, 0.5, 400),
                                  [SMALL_ANGLE * (1 + 1e-9), SERIES_ANGLE * (1 + 1e-9),
                                   SERIES_ANGLE * (1 - 1e-9)]])
-        got = np.array(_rot_coeffs(thetas))
+        got = np.array(_rot_coeffs(thetas, len(thetas), len(thetas)))
         # the closed forms of the references cancel by up to 45 digits at 1e-9
         with mpmath.workdps(100):
             ref = np.array([[float(x) for x in self.exact(th)] for th in thetas]).T
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
 
     def test_zero_angle_limits(self):
-        got = [float(x) for x in _rot_coeffs(np.array(0.0))]
+        got = [float(x[0]) for x in _rot_coeffs(np.zeros(1), 1, 1)]
         assert got == [1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0]
 
 
@@ -336,6 +337,31 @@ class TestCarriedUpdate:
                    + np.einsum("...qr,...ar->...aq", dexp_series(eta), deta))
             assert got.shape == zeta.shape
             assert np.max(np.abs(got - ref)) < 1e-13
+
+
+class TestIncrementMaps:
+    @staticmethod
+    def twists(angles):
+        """Twists with random linear parts and rotations of the given angles."""
+        w = RNG.normal(size=(len(angles), 3))
+        w *= np.asarray(angles)[:, None] / np.linalg.norm(w, axis=1, keepdims=True)
+        return np.concatenate([RNG.normal(size=(len(angles), 3)), w], axis=1)
+
+    @pytest.mark.parametrize("rotation_points", [0, 5])
+    def test_equals_the_per_part_maps(self, rotation_points):
+        # one stacked coefficient pass gives the bytes of the three calls, at
+        # every switch angle in every part, with or without rotation points
+        angles = np.repeat(SWITCH_ANGLES, 2)
+        eta_nodes = self.twists(RNG.permutation(angles))
+        eta_pts = self.twists(RNG.permutation(angles)[:17])
+        zeta = RNG.normal(size=(17, 2, 6))
+        deta = RNG.normal(size=(17, 2, 6))
+        w_rot = self.twists(RNG.choice(SWITCH_ANGLES, rotation_points))[:, 3:]
+        got = increment_maps(eta_nodes, eta_pts, zeta, deta, w_rot)
+        expected = (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -41,8 +41,8 @@ def force_of(r0, rt, b_r, env, shape_vals, weights):
 
 
 def stiffness_of(r0, rt, b_r, env, shape_vals, weights):
-    return magnetics.element_magnetic_stiffness(*local_args(r0, rt, b_r, env),
-                                                shape_vals, weights)
+    return magnetics.element_magnetic_stiffness(
+        *local_args(r0, rt, b_r, env), magnetics.stiffness_weights(shape_vals, weights))
 
 
 class TestRotatedRemanent:

@@ -20,14 +20,16 @@ from conftest import (
     capture_factors,
     deformation_twists,
     dexp_series,
+    increment_mesh,
     reject_first_solve,
     transform_reference,
 )
-from se3shell import solver
+from se3shell import liegroup, solver
 from se3shell.constitutive import Material
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
-from se3shell.liegroup import Ad, exp_se3, exp_so3, inv_pose, log_so3
+from se3shell.liegroup import (SERIES_ANGLE, SMALL_ANGLE, Ad, carried_update, exp_se3,
+                                exp_so3, inv_pose, log_so3)
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
 from se3shell.scenario import build_model, list_bundled, load_bundled
 from se3shell.solver import (
@@ -35,13 +37,25 @@ from se3shell.solver import (
     SolverSettings,
     StepRejected,
     accumulated_edge_rotation,
+    apply_increment_field,
     newton_step,
     run,
-    update_configuration,
-    update_twists,
 )
 
 RNG = np.random.default_rng(2024)
+# rotation angles of the update tests: zero, below SMALL_ANGLE, on both sides
+# of SERIES_ANGLE and up to pi/2, the largest nodal rotation accepted (less
+# a margin for the rounding of the rotation vectors)
+UPDATE_ANGLES = [0.0, 0.5 * SMALL_ANGLE, 2.0 * SMALL_ANGLE, 0.3,
+                 SERIES_ANGLE * (1 - 1e-9), SERIES_ANGLE * (1 + 1e-9), np.pi / 2 * (1 - 1e-12)]
+
+
+def capped_rotations(eta, angle):
+    """Nodal increments (n, 6) with every rotation longer than `angle`
+    shortened to it."""
+    norms = np.linalg.norm(eta[:, 3:], axis=1, keepdims=True)
+    eta[:, 3:] *= np.minimum(1.0, angle / np.maximum(norms, 1e-300))
+    return eta
 
 
 def cantilever(nx=10, ny=1, lx=1.0, ly=0.2, e=200e9, nu=0.0, h=0.01, scheme="centroid"):
@@ -202,6 +216,40 @@ class TestNewtonStep:
             newton_step(a, np.ones(4))
 
 
+@pytest.mark.parametrize("name", ["antiparallel", "end_shear", "magnetic_plate_A",
+                                  "rollup_2pi"])
+def test_norms_equal_the_linalg_forms(name, monkeypatch):
+    # the residual, load and linear-residual norms are sqrt(x.dot(x)), the
+    # arithmetic of np.linalg.norm on a vector: the same bits on every build
+    # and solve of a run
+    cfg = load_bundled(name)
+    model = build_model(cfg)
+    build, step = FemModel.build_system, solver.newton_step
+    checked = []
+
+    def checked_build(self, lam=1.0):
+        system = build(self, lam)
+        kern = self.element_kernels(lam)
+        load = self.neumann_terms(lam)[0][system.free]
+        if kern.magnetic_args is not None:
+            load = self._layout().vector(kern.f_mag) + load
+        assert system.residual_norm == float(np.linalg.norm(system.b))
+        assert system.load_norm == float(np.linalg.norm(load))
+        checked.append(system)
+        return system
+
+    def checked_step(a, b):
+        eta, rel, interchanges = step(a, b)
+        assert rel == float(np.linalg.norm(b - a @ eta)) / max(float(np.linalg.norm(b)), 1e-300)
+        return eta, rel, interchanges
+
+    monkeypatch.setattr(FemModel, "build_system", checked_build)
+    monkeypatch.setattr(solver, "newton_step", checked_step)
+    report = run(model, cfg.solver)
+    assert report.converged
+    assert len(checked) == report.iterations
+
+
 def newton_iterations(model, load_factor, count):
     """`count` Newton iterations at `load_factor`: the system, increment and
     relative linear residual of each."""
@@ -349,7 +397,7 @@ class TestUpdateConfiguration:
     def test_zero_increment(self):
         model = cantilever()
         before = model.mesh.state.g_nodes.copy()
-        update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
+        apply_increment_field(model, np.zeros(model.mesh.n_dofs))
         assert np.array_equal(model.mesh.state.g_nodes, before)
 
     @staticmethod
@@ -357,7 +405,7 @@ class TestUpdateConfiguration:
         """A cantilever in a rotated state whose node 3 rotation is pushed
         off SO(3) by `size`, with that rotation before the push."""
         model = cantilever()
-        update_configuration(model.mesh, 0.3 * RNG.normal(size=model.mesh.n_dofs))
+        apply_increment_field(model, 0.3 * RNG.normal(size=model.mesh.n_dofs))
         g = model.mesh.state.g_nodes
         r = g[3, :3, :3].copy()
         g[3, :3, :3] = r @ (np.eye(3) + size * np.diag([1.0, -0.5, 0.3]))
@@ -367,7 +415,7 @@ class TestUpdateConfiguration:
         model, r = self.drifted(1e-9)
         g = model.mesh.state.g_nodes
         assert np.abs(g[3, :3, :3].T @ g[3, :3, :3] - np.eye(3)).max() > 1e-12
-        update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
+        apply_increment_field(model, np.zeros(model.mesh.n_dofs))
         rot = model.mesh.state.g_nodes[:, :3, :3]
         assert np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max() <= 1e-14
         assert np.linalg.norm(log_so3(r.T @ rot[3])) < 1e-8
@@ -375,7 +423,7 @@ class TestUpdateConfiguration:
     def test_drift_below_threshold_is_left_alone(self):
         model, _ = self.drifted(1e-14)
         before = model.mesh.state.g_nodes.copy()
-        update_configuration(model.mesh, np.zeros(model.mesh.n_dofs))
+        apply_increment_field(model, np.zeros(model.mesh.n_dofs))
         assert np.array_equal(model.mesh.state.g_nodes, before)
 
     def test_pure_translation(self):
@@ -384,7 +432,7 @@ class TestUpdateConfiguration:
         eta[:, :3] = [0.1, -0.2, 0.3]
         p0 = model.mesh.state.g_nodes[:, :3, 3].copy()
         r0 = model.mesh.state.g_nodes[:, :3, :3].copy()
-        update_configuration(model.mesh, eta)
+        apply_increment_field(model, eta)
         # R = I at reference: positions shift by R v = v, rotations unchanged
         assert np.allclose(model.mesh.state.g_nodes[:, :3, 3], p0 + eta[:, :3])
         assert np.allclose(model.mesh.state.g_nodes[:, :3, :3], r0)
@@ -394,14 +442,14 @@ class TestUpdateConfiguration:
         eta = np.zeros((model.mesh.n_nodes, 6))
         eta[-1, 4] = np.pi / 2 + 0.01
         with pytest.raises(StepRejected):
-            update_configuration(model.mesh, eta)
+            apply_increment_field(model, eta)
 
 
 class TestUpdateTwists:
     def test_zero_increment(self):
         model = cantilever(nx=3)
         before = model.mesh.state.zeta_pts.copy()
-        update_twists(model.mesh, np.zeros(model.mesh.n_dofs))
+        apply_increment_field(model, np.zeros(model.mesh.n_dofs))
         assert np.allclose(model.mesh.state.zeta_pts, before, atol=1e-15)
 
     def test_constant_increment_is_frame_change(self):
@@ -409,7 +457,7 @@ class TestUpdateTwists:
         eta_c = RNG.normal(size=6) * 0.3
         eta = np.tile(eta_c, (model.mesh.n_nodes, 1))
         before = model.mesh.state.zeta_pts.copy()
-        update_twists(model.mesh, eta)
+        apply_increment_field(model, eta)
         expected = np.einsum(
             "qr,epar->epaq", Ad(inv_pose(exp_se3(eta_c))), before)
         assert np.allclose(model.mesh.state.zeta_pts, expected, atol=1e-12)
@@ -432,7 +480,7 @@ class TestUpdateTwists:
             return surface.pose_at(x1, x2) @ exp_se3(eta_field(x1, x2))
 
         eta_flat = eta_nodes.reshape(-1)
-        update_twists(mesh, eta_flat)
+        increment_mesh(mesh, eta_flat)
         # centroid point
         z1, z2 = deformation_twists(g_new, lx / 2, ly / 2, step=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 0, 0], z1, atol=1e-6)
@@ -451,13 +499,16 @@ class TestUpdateTwists:
         # twists at the centroid or, for FemModel(scheme="gauss"), the Gauss points;
         # rotations at the Gauss points on the magnetized plate only
         for build, twist_points in ((build_model, [0]), (build_gauss_model, [1, 2, 3, 4])):
-            mesh = build(load_bundled(name)).mesh
+            model = build(load_bundled(name))
+            mesh = model.mesh
             assert np.array_equal(mesh.state.twist_points, twist_points)
             assert mesh.state.r_pts.shape[1] == (4 if name == "magnetic_plate_A" else 0)
             le1, le2 = mesh.le
             dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
             for amp in (1e-9, 1e-6, 1e-3, 0.1, 0.6, 1.2):
-                eta = amp * RNG.normal(size=(mesh.n_nodes, 6))
+                # nodal rotations beyond pi/2 are rejected: cap them at 1.55 rad,
+                # above SERIES_ANGLE
+                eta = capped_rotations(amp * RNG.normal(size=(mesh.n_nodes, 6)), 1.55)
                 eta_el = eta[mesh.conn]
                 eta_p = np.einsum("pi,eik->epk", N_PTS, eta_el)
                 deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)[:, twist_points]
@@ -466,37 +517,103 @@ class TestUpdateTwists:
                                       Ad(inv_pose(exp_se3(eta_p[:, twist_points]))), zeta)
                             + np.einsum("epqr,epar->epaq",
                                         dexp_series(eta_p[:, twist_points]), deta_p))
-                update_twists(mesh, eta.ravel())
+                apply_increment_field(model, eta.ravel())
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
                 rotations = r @ exp_so3(eta_p[:, 1:, 3:])[:, :r.shape[1]]
                 assert np.max(np.abs(mesh.state.r_pts - rotations), initial=0.0) < 1e-14
 
-    @pytest.mark.parametrize("name, calls", [("rollup_6pi", 0), ("magnetic_plate_A", 1)])
-    def test_rotations_formed_only_where_carried(self, name, calls, monkeypatch):
-        # exp_so3 runs once per update, on the Gauss-point rotations of a
-        # magnetized mesh; the twist update of a strip forms no rotation
-        mesh = build_model(load_bundled(name)).mesh
+    @pytest.mark.parametrize("scheme", ["centroid", "gauss"])
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_one_pass_equals_the_per_part_maps(self, name, scheme):
+        # the one coefficient pass gives the bytes of exp_se3 at the nodes,
+        # carried_update at the twist points and exp_so3 at the Gauss points,
+        # for rotations of 0, below SMALL_ANGLE, on both sides of
+        # SERIES_ANGLE and up to pi/2, constant over the mesh (so that the
+        # carried points see those angles too) and mixed node by node
+        model = (build_model if scheme == "centroid" else build_gauss_model)(load_bundled(name))
+        mesh = model.mesh
+        state = mesh.state
+        nel, m = mesh.n_elements, len(state.twist_points)
+        apply_increment_field(model, 0.05 * RNG.normal(size=mesh.n_dofs))
+        rows = mesh.interpolation_rows(state.twist_points, state.r_pts.shape[1] > 0)
+        fields = []
+        for angle in UPDATE_ANGLES:
+            eta = np.tile(RNG.normal(size=6), (mesh.n_nodes, 1))
+            axis = RNG.normal(size=3)
+            eta[:, 3:] = angle * axis / np.linalg.norm(axis)
+            fields.append(eta)
+        axes = RNG.normal(size=(mesh.n_nodes, 3))
+        mixed = RNG.normal(size=(mesh.n_nodes, 6))
+        mixed[:, 3:] = (RNG.choice(UPDATE_ANGLES, size=mesh.n_nodes)[:, None] * axes
+                        / np.linalg.norm(axes, axis=1, keepdims=True))
+        fields.append(mixed)
+        for eta in fields:
+            before = mesh.state.copy()
+            at_pts = rows @ eta[mesh.conn]
+            poses = before.g_nodes @ exp_se3(eta)
+            twists = carried_update(at_pts[:, :m], before.zeta_pts,
+                                    at_pts[:, m:3 * m].reshape(nel, m, 2, 6))
+            rotations = before.r_pts @ exp_so3(at_pts[:, 3 * m:, 3:])
+            apply_increment_field(model, eta)
+            for got, expected in ((state.g_nodes, poses), (state.zeta_pts, twists),
+                                  (state.r_pts, rotations)):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            mesh.state = state = before
+
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
+    def test_one_coefficient_pass_per_update(self, name, monkeypatch):
+        # apply_increment_field evaluates the rotation coefficients once:
+        # a and b everywhere, c at the twist points and nodes, c2 and c3 at
+        # the twist points only
+        model = build_model(load_bundled(name))
+        mesh = model.mesh
+        calls = []
+        coeffs = liegroup._rot_coeffs
+
+        def counted(theta, n_c, n_q):
+            calls.append((len(theta), n_c, n_q))
+            return coeffs(theta, n_c, n_q)
+
+        monkeypatch.setattr(liegroup, "_rot_coeffs", counted)
+        for k in range(1, 4):
+            apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
+            assert len(calls) == k
+        points = mesh.n_elements * len(mesh.state.twist_points)
+        gauss = mesh.n_elements * mesh.state.r_pts.shape[1]
+        assert calls[0] == (points + mesh.n_nodes + gauss, points + mesh.n_nodes, points)
+
+    @pytest.mark.parametrize("name, magnetized", [("rollup_6pi", 0), ("magnetic_plate_A", 1)])
+    def test_rotations_formed_only_where_carried(self, name, magnetized, monkeypatch):
+        # an update forms rotations at the nodes and, on a magnetized mesh
+        # only, at the four Gauss points of each element, in one Rodrigues
+        # evaluation; no twist point gets one
+        gauss_points = 4 * magnetized
+        model = build_model(load_bundled(name))
+        mesh = model.mesh
         formed = []
-        exp = solver.exp_so3
+        rodrigues = liegroup._rodrigues
 
-        def counted(w):
+        def counted(w, a, b):
             formed.append(w.shape)
-            return exp(w)
+            return rodrigues(w, a, b)
 
-        monkeypatch.setattr(solver, "exp_so3", counted)
-        update_twists(mesh, 0.1 * RNG.normal(size=mesh.n_dofs))
-        assert formed == [(mesh.n_elements, 4, 3)] * calls
+        monkeypatch.setattr(liegroup, "_rodrigues", counted)
+        apply_increment_field(model, 0.1 * RNG.normal(size=mesh.n_dofs))
+        assert formed == [(3, mesh.n_nodes + gauss_points * mesh.n_elements)]
+        assert mesh.state.r_pts.shape == (mesh.n_elements, gauss_points, 3, 3)
 
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
     def test_interpolation_rows_are_built_once(self, name):
         # the constant rows of the update are made on the first update and
         # read by every later one
-        mesh = build_model(load_bundled(name)).mesh
-        update_twists(mesh, 0.01 * RNG.normal(size=mesh.n_dofs))
+        model = build_model(load_bundled(name))
+        mesh = model.mesh
+        apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
         (rows,) = mesh._interpolation.values()
         for _ in range(2):
-            update_twists(mesh, 0.01 * RNG.normal(size=mesh.n_dofs))
+            apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
         rotations = mesh.state.r_pts.shape[1] > 0
         assert mesh.interpolation_rows(mesh.state.twist_points, rotations) is rows
         assert len(mesh._interpolation) == 1
@@ -523,7 +640,7 @@ class TestUpdateTwists:
             return g
 
         for k in range(2):
-            update_twists(mesh, etas[k].reshape(-1))
+            increment_mesh(mesh, etas[k].reshape(-1))
         z1, z2 = deformation_twists(g_new, lx / 2, ly / 2, step=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 0, 0], z1, atol=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 0, 1], z2, atol=1e-6)
@@ -655,12 +772,10 @@ class TestRun:
             direction /= np.linalg.norm(direction)
             eps = 1e-6
             mesh.state = base.copy()
-            update_configuration(mesh, eps * direction)
-            update_twists(mesh, eps * direction)
+            apply_increment_field(model, eps * direction)
             pi_p = potential()
             mesh.state = base.copy()
-            update_configuration(mesh, -eps * direction)
-            update_twists(mesh, -eps * direction)
+            apply_increment_field(model, -eps * direction)
             pi_m = potential()
             deriv = (pi_p - pi_m) / (2 * eps)
             assert abs(deriv) < 1e-4 * scale
@@ -710,7 +825,7 @@ class TestRun:
         monkeypatch.setattr(solver, "newton_step",
                             lambda a, b: (np.zeros_like(b), 2.0e-6, 0))
         monkeypatch.setattr(solver, "update_configuration",
-                            lambda mesh, eta: updates.append(eta))
+                            lambda *args: updates.append(args))
         monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
         report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
@@ -877,11 +992,11 @@ def run_with_forced_rejection(name, monkeypatch):
         if line.split()[:2] == ["2", "1"] and not flags["rejected"]:
             flags["armed"] = True
 
-    def update_or_reject(mesh, eta):
+    def update_or_reject(*args):
         if flags["armed"]:
             flags["armed"], flags["rejected"] = False, True
             raise StepRejected(FORCED_REASON, "rotation_increment")
-        update(mesh, eta)
+        return update(*args)
 
     def recorded_step(a, b):
         if not flags["rejected"] or retry:
@@ -934,12 +1049,12 @@ class TestRetrySolve:
         updates, counts, retry = [], [], []
         update, step = solver.update_configuration, solver.newton_step
 
-        def update_or_reject(mesh, eta):
+        def update_or_reject(*args):
             updates.append(None)
             if len(updates) == 2:
                 counts.append(len(evaluations))
                 raise StepRejected(FORCED_REASON, "rotation_increment")
-            update(mesh, eta)
+            return update(*args)
 
         def recorded_step(a, b):
             if len(counts) != 1:

@@ -27,3 +27,9 @@ def test_lists_the_unexecuted_polar_projection():
                        out, re.M)
     unrun += re.findall(r"^  solver\.py:\d+ (newton_step): (.*)$", out, re.M)
     assert all(source.startswith("raise ") for _, source in unrun), unrun
+    # the update has one path too, one coefficient pass per update: apart from
+    # a raise and the polar re-projection above, every statement of it runs
+    unrun = re.findall(r"^  solver\.py:\d+ (apply_increment_field|update_configuration|"
+                       r"update_twists): (.*)$", out, re.M)
+    polar = {"u, _, vt = np.linalg.svd(r)", "state.g_nodes[:, :3, :3] = u @ vt"}
+    assert all(source.startswith("raise ") or source in polar for _, source in unrun), unrun
