@@ -205,8 +205,8 @@ class FemModel:
         mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0],
                                          rotations=mesh.b_r is not None)
         self.d_blocks = self._build_d_blocks()
-        # the scatter of each free-DOF set, keyed by its bytes
-        self._scatters: dict[bytes, _Scatter] = {}
+        # the scatter of each set of Dirichlet masks (see _layout)
+        self._scatters: dict[tuple, _Scatter] = {}
         # constants of the strain sampling, built on the first build;
         # the reference geometry and d_blocks are fixed after construction
         self._sampling_consts = None
@@ -467,12 +467,18 @@ class FemModel:
         return int(-self._layout().offsets[-1])
 
     def _layout(self) -> "_Scatter":
-        """The scatter of the current free DOFs, built once per free-DOF set."""
-        free = self.mesh.free_dofs()
-        key = free.tobytes()
+        """The scatter of the current free DOFs, built once per set of
+        Dirichlet masks.
+
+        The key is each constrained node with its mask's dtype and bytes, read
+        afresh on every build, so a mask edited in place or a node clamped
+        later gets its own scatter; `free_dofs` runs only for a new key.
+        """
+        key = tuple([(node, mask.dtype, mask.tobytes())
+                     for node, mask in self.mesh.dirichlet.items()])
         sc = self._scatters.get(key)
         if sc is None:
-            sc = self._scatters[key] = _Scatter(self.mesh, free)
+            sc = self._scatters[key] = _Scatter(self.mesh, self.mesh.free_dofs())
         return sc
 
     # --- diagnostics --------------------------------------------------------

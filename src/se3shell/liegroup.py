@@ -21,20 +21,24 @@ for ``carried_update`` alone.  The differential of the SE(3) exponential is
 the left Jacobian at -t, whose coupling block is Barfoot's Q(-v, -w)
 (Barfoot & Furgale, IEEE T-RO 2014).  Coefficient ratios that cancel at
 small angles are fixed Taylor polynomials below an angle where both forms
-agree to about 1e-15.  ``carried_update`` evaluates the multiplicative
-update of carried twists, Ad(exp(-eta)) and dexp(eta), with cross products,
-without forming 4x4 or 6x6 matrices.  ``increment_maps`` makes the three
-maps of one solver update, the nodal exponentials, the carried twists and
-the Gauss-point rotations, from a single coefficient pass over all of their
-points, with the same elementwise arithmetic as the three separate calls,
-so with their bits.  These kernels store vectors component first, one per
-column, and move axes with ``transpose`` views: the same arrays in the same
-layout as ``np.moveaxis`` gives, without its axis normalisation, which cost
-4-7 us a call against under 1 us for the view.
+agree to about 1e-15; the three of them are summed in one Horner loop over a
+packed stack against a coefficient table built once per pair of point
+counts.  ``carried_update`` evaluates the multiplicative update of carried
+twists, Ad(exp(-eta)) and dexp(eta), with cross products, without forming
+4x4 or 6x6 matrices.  ``increment_maps`` makes the three maps of one solver
+update, the nodal exponentials, the carried twists and the Gauss-point
+rotations, from a single angle pass and a single coefficient pass over all
+of their points, with the same elementwise arithmetic as the three separate
+calls, so with their bits, and returns the nodal angles for the solver's
+bound on the rotation increment.  These kernels store vectors component
+first, one per column, and move axes with ``transpose`` views: the same
+arrays in the same layout as ``np.moveaxis`` gives, without its axis
+normalisation, which cost 4-7 us a call against under 1 us for the view.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,28 +108,39 @@ def _rot_coeffs(theta: np.ndarray, n_c: int, n_q: int) -> tuple[np.ndarray, ...]
     c3 = (2t-3sin t+t cos t)/(2t^5) = (3c-b)/(2t^2) complete the coupling
     block of the SE(3) Jacobian.  b is evaluated as (sin(t/2)/(t/2))^2 / 2,
     which does not cancel; c, c2 and c3 take their Taylor series below
-    SERIES_ANGLE.  All five are accurate to 1e-14 relative, and each value
-    is the same elementwise arithmetic wherever its angle sits in the stack.
+    SERIES_ANGLE, all three in one Horner loop over the packed squares
+    [t2[:n_c], t2[:n_q], t2[:n_q]] against the rows of `_series_table`.  All
+    five are accurate to 1e-14 relative, and each value is the same
+    elementwise arithmetic wherever its angle sits in the stack.
     """
     a, b, safe, sin, t2 = _sinc_coeffs(theta)
     s = safe[:n_c]
     s2 = s * s
     direct_c = (s - sin[:n_c]) / (s2 * s)
-    c = np.where(theta[:n_c] < SERIES_ANGLE, _taylor(_SERIES[:, 0], t2[:n_c]), direct_c)
     s2, bq = s2[:n_q], b[:n_q]
-    direct = np.stack([(0.5 - bq) / s2, (1.5 * direct_c[:n_q] - 0.5 * bq) / s2])
-    c2, c3 = np.where(theta[:n_q] < SERIES_ANGLE, _taylor(_SERIES[:, 1:], t2[:n_q]), direct)
-    return a, b, c, c2, c3
-
-
-def _taylor(rows: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Horner sum of the Taylor rows (row j for theta^2j) at theta^2 = t2."""
-    rows = rows.reshape(rows.shape + (1,) * t2.ndim)
-    series = rows[-1] * t2 + rows[-2]
+    # c at the first n_c angles, then c2 and c3 at the first n_q
+    packed = np.concatenate((direct_c, (0.5 - bq) / s2, (1.5 * direct_c[:n_q] - 0.5 * bq) / s2))
+    x = np.concatenate((t2[:n_c], t2[:n_q], t2[:n_q]))
+    near = theta < SERIES_ANGLE
+    rows = _series_table(n_c, n_q)
+    series = rows[-1] * x
+    series += rows[-2]
     for row in rows[-3::-1]:
-        series *= t2
+        series *= x
         series += row
-    return series
+    np.copyto(packed, series, where=np.concatenate((near[:n_c], near[:n_q], near[:n_q])))
+    return a, b, packed[:n_c], packed[n_c:n_c + n_q], packed[n_c + n_q:]
+
+
+@functools.lru_cache(maxsize=16)
+def _series_table(n_c: int, n_q: int) -> np.ndarray:
+    """The read-only (10, n_c + 2 n_q) Taylor rows of `_rot_coeffs`' packed
+    series: row j holds the theta^2j coefficient of c in its first n_c
+    columns, then that of c2 and of c3 in n_q columns each.  A model's point
+    counts are fixed, so a run builds its table once."""
+    table = np.repeat(_SERIES.T, (n_c, n_q, n_q), axis=0).T.copy()
+    table.flags.writeable = False
+    return table
 
 
 def _angle(w: np.ndarray) -> np.ndarray:
@@ -359,26 +374,32 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
 
 def increment_maps(eta_nodes: np.ndarray, eta_pts: np.ndarray, zeta: np.ndarray,
                    deta: np.ndarray, w_rot: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The three maps of one multiplicative update from one coefficient pass:
+    """The three maps of one multiplicative update from one angle pass and one
+    coefficient pass:
 
-        (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
+        (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot),
+         |nodal rotation vectors|)
 
     for nodal increments eta_nodes (n, 6), increments eta_pts (p, 6) at the
     twist points with their twist stacks zeta, deta (p, k, 6), and rotation
-    vectors w_rot (r, 3), bit for bit equal to the three calls.  The rotation
-    vectors are stacked twist points, nodes, rotation points, and
-    `_rot_coeffs` runs once over the stack: a and b at every point, c at the
-    twist points and nodes, c2 and c3 at the twist points only.  One
-    `_rodrigues` call forms the rotations of the nodes and rotation points.
+    vectors w_rot (r, 3), bit for bit equal to the three calls; the nodal
+    angles (n,) are those of np.linalg.norm(eta_nodes[:, 3:], axis=1), for
+    the caller's bound on the rotation increment.  The rotation vectors are
+    stacked twist points, nodes, rotation points, their angles are taken
+    once, and `_rot_coeffs` runs once over the stack: a and b at every point,
+    c at the twist points and nodes, c2 and c3 at the twist points only.
+    One `_rodrigues` call forms the rotations of the nodes and rotation
+    points.
     """
     n, p = len(eta_nodes), len(eta_pts)
     pts, nodes = _columns(eta_pts), _columns(eta_nodes)
     w = np.concatenate((pts[3:], nodes[3:], w_rot.T), axis=1)
-    a, b, c, c2, c3 = _rot_coeffs(_angle(w), p + n, p)
+    theta = _angle(w)
+    a, b, c, c2, c3 = _rot_coeffs(theta, p + n, p)
     rot = _rodrigues(w[:, p:], a[p:], b[p:])
     poses = _poses(nodes[:3], w[:, p:p + n], rot[:n], b[p:p + n], c[p:])
     twists = _carry(pts[:3], w[:, :p], (a[:p], b[:p], c[:p], c2, c3), zeta, deta)
-    return poses, twists, rot[n:]
+    return poses, twists, rot[n:], theta[p:p + n]
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:

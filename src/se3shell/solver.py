@@ -23,15 +23,19 @@ exact body-frame derivative field of the multiplicatively updated pose field,
 so twists never need to be re-derived from poses.  Twists are carried only at
 the strain sample points of the model's scheme (the centroid, or the four
 Gauss points), and rotations only at the Gauss points of a magnetized mesh.
-Each update first interpolates eta to those points, then evaluates the
-rotation coefficients once, in one pass over the nodes, the twist points and
-the Gauss points (`liegroup.increment_maps`): a and b at every point, c at
-the nodes and twist points, c2 and c3 at the twist points only, and one
-Rodrigues evaluation for the nodal and Gauss-point rotations.  The three
-maps are closed form (no series) and equal exp_se3, carried_update and
-exp_so3 bit for bit.  Convergence is measured on the residual 2-norm
-over free DOFs against tol_relative * max(1, |load|); the tangent is
-assembled only for an iteration that goes on to a linear solve.
+Each update first interpolates eta to those points, then takes the rotation
+angles once and evaluates the rotation coefficients once from them, in one
+pass over the nodes, the twist points and the Gauss points
+(`liegroup.increment_maps`): a and b at every point, c at the nodes and
+twist points, c2 and c3 at the twist points only, and one Rodrigues
+evaluation for the nodal and Gauss-point rotations.  The three maps are
+closed form (no series) and equal exp_se3, carried_update and exp_so3 bit
+for bit; the nodal angles of the same pass decide the pi/2 rejection below.
+The nodal rotations are checked for drift off SO(3) once per accepted
+attempt, not per update (`project_rotations`), and polar-projected past
+1e-12.  Convergence is measured on the residual 2-norm over free DOFs
+against tol_relative * max(1, |load|); the tangent is assembled only for an
+iteration that goes on to a linear solve.
 
 The load factor ramps linearly over the configured number of steps; boundary
 wrenches scale with it and the applied magnetic field follows the model's
@@ -257,10 +261,11 @@ def _band_factor(a):
         if scale is None:
             rows[...] = a.data[first:stop]
         else:
-            # D_i D_j formed apart: multiplied in place in the strided work
-            # rows, the copy took about 1.4x as long on the plate
+            # (D_i D_j) a formed in a C-order temp, then copied: multiplied
+            # straight into the strided work rows, the copy took about 1.2x
+            # as long on the plate (850-890 against 690-710 us a factor)
             d_ij = row_scale[ku - offs[first]:ku - offs[stop - 1] + 1] * scale
-            np.multiply(d_ij, a.data[first:stop], out=rows)
+            rows[...] = d_ij * a.data[first:stop]
         first = stop
     lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
     if info > 0:
@@ -287,38 +292,50 @@ def _singular_message(a) -> str:
 def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
                          at_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-multiply the nodal poses by exp of the nodal increments, from the
-    one rotation-coefficient pass of the update.
+    one angle pass and one rotation-coefficient pass of the update.
 
     `eta_nodes` (n_nodes, 6) are the nodal increments and `at_pts` their
-    interpolation to the carried points (`apply_increment_field`).  Rejects
-    the whole increment if it is not finite or any nodal rotation exceeds
-    pi/2 (the load step is then halved by the caller).  Otherwise
-    `liegroup.increment_maps` evaluates the rotation coefficients once, over
-    the nodes, the twist points and, on a magnetized mesh, the Gauss points,
-    and the poses take their exponentials.  Rotations are re-orthonormalized
-    by polar projection when drift exceeds 1e-12.  Returns the evolved twists
-    and the Gauss-point rotation increments (none on an unmagnetized mesh)
-    for `update_twists`.
+    interpolation to the carried points (`apply_increment_field`).
+    `liegroup.increment_maps` takes the rotation angles once, over the twist
+    points, the nodes and, on a magnetized mesh, the Gauss points, and
+    evaluates the rotation coefficients once from them.  The whole increment
+    is rejected, before the state changes, if it is not finite or any nodal
+    angle of that pass exceeds pi/2 (the load step is then halved by the
+    caller); otherwise the poses take their exponentials.  Drift off SO(3)
+    is checked once per accepted attempt, by `run` (`project_rotations`),
+    not here.  Returns the evolved twists and the Gauss-point rotation
+    increments (none on an unmagnetized mesh) for `update_twists`.
     """
     if not np.isfinite(eta_nodes).all():
         raise StepRejected("non-finite increment", "nonfinite")
-    wmax = float(np.max(np.linalg.norm(eta_nodes[:, 3:], axis=1)))
-    if wmax > MAX_ROTATION_INCREMENT:
-        raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2",
-                           "rotation_increment")
     state = mesh.state
     nel, m = mesh.n_elements, len(state.twist_points)
     points = nel * m
-    poses, twists, rotations = increment_maps(
+    poses, twists, rotations, angles = increment_maps(
         eta_nodes, at_pts[:, :m].reshape(points, 6), state.zeta_pts.reshape(points, 2, 6),
         at_pts[:, m:3 * m].reshape(points, 2, 6), at_pts[:, 3 * m:, 3:].reshape(-1, 3))
+    wmax = float(angles.max())
+    if wmax > MAX_ROTATION_INCREMENT:
+        raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2",
+                           "rotation_increment")
     state.g_nodes = state.g_nodes @ poses
+    return twists.reshape(state.zeta_pts.shape), rotations.reshape(state.r_pts.shape)
+
+
+def project_rotations(mesh: ShellMesh) -> None:
+    """Re-orthonormalize the nodal rotations by polar projection when any has
+    drifted off SO(3) by more than 1e-12 (max |R^T R - I|).
+
+    `run` calls it once per accepted attempt.  One update moves a rotation
+    off SO(3) by about 2e-16, so an attempt of max_iters updates (50 by
+    default) stays far below the threshold; no bundled scenario reaches it.
+    """
+    state = mesh.state
     r = state.g_nodes[:, :3, :3]
     drift = np.abs(np.swapaxes(r, -1, -2) @ r - _IDENTITY3).max()
     if drift > 1e-12:
         u, _, vt = np.linalg.svd(r)
         state.g_nodes[:, :3, :3] = u @ vt
-    return twists.reshape(state.zeta_pts.shape), rotations.reshape(state.r_pts.shape)
 
 
 def update_twists(mesh: ShellMesh, twists: np.ndarray, rotations: np.ndarray) -> None:
@@ -421,10 +438,12 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
         on_step=None, log=None) -> SolveReport:
     """Load-stepped Newton solve; never silently accepts non-convergence.
 
-    ``on_step(load_factor, model)`` fires after each scheduled load step
-    converges (used for CSV rows and mesh dumps); ``log`` receives the
-    `step iter residual` line of each iteration as it is made.  Every
-    attempt, accepted or rejected with its reason, is in ``report.attempts``.
+    Each accepted attempt ends with one drift check of the nodal rotations
+    (`project_rotations`).  ``on_step(load_factor, model)`` fires after each
+    scheduled load step converges (used for CSV rows and mesh dumps);
+    ``log`` receives the `step iter residual` line of each iteration as it
+    is made.  Every attempt, accepted or rejected with its reason, is in
+    ``report.attempts``.
     """
     settings = settings or SolverSettings()
     report = SolveReport()
@@ -448,6 +467,7 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                     model.restore(snapshot)
                     dlam /= 2.0
                 else:
+                    project_rotations(model.mesh)
                     lam += dlam
                     break
             else:

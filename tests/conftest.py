@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import scipy.sparse as sp
 
-from se3shell import scenario, solver
+from se3shell import liegroup, scenario, solver
 from se3shell.fem import FemModel
 from se3shell.kinematics import ReferenceSurface
 from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
@@ -56,6 +56,34 @@ def so3_tangent(w: np.ndarray) -> np.ndarray:
     b, c = b.reshape(theta.shape), c.reshape(theta.shape)
     wh = skew(w)
     return np.eye(3) + b[..., None, None] * wh + c[..., None, None] * (wh @ wh)
+
+
+def horner(rows: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Horner sum of the Taylor rows (row j for theta^2j) at theta^2 = t2,
+    each row broadcast over t2."""
+    rows = rows.reshape(rows.shape + (1,) * t2.ndim)
+    series = rows[-1] * t2 + rows[-2]
+    for row in rows[-3::-1]:
+        series *= t2
+        series += row
+    return series
+
+
+def per_row_rot_coeffs(theta: np.ndarray, n_c: int, n_q: int) -> tuple[np.ndarray, ...]:
+    """`liegroup._rot_coeffs` with its series summed per coefficient: c by one
+    `horner` call over its row, c2 and c3 by a second over their (10, 2)
+    rows, each against its own slice of theta^2."""
+    a, b, safe, sin, t2 = liegroup._sinc_coeffs(theta)
+    s = safe[:n_c]
+    s2 = s * s
+    direct_c = (s - sin[:n_c]) / (s2 * s)
+    rows = liegroup._SERIES
+    c = np.where(theta[:n_c] < liegroup.SERIES_ANGLE, horner(rows[:, 0], t2[:n_c]), direct_c)
+    s2, bq = s2[:n_q], b[:n_q]
+    direct = np.stack([(0.5 - bq) / s2, (1.5 * direct_c[:n_q] - 0.5 * bq) / s2])
+    c2, c3 = np.where(theta[:n_q] < liegroup.SERIES_ANGLE, horner(rows[:, 1:], t2[:n_q]),
+                      direct)
+    return a, b, c, c2, c3
 
 
 def trans_of(g: np.ndarray) -> np.ndarray:

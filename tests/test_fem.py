@@ -642,6 +642,29 @@ class TestReducedSystem:
         assert model.build_system(0.5).free is clamped
         assert len(built) == 2
 
+    def test_scatter_follows_in_place_mask_edits(self, monkeypatch):
+        # the scatter is keyed on the Dirichlet masks: an unchanged mask reuses
+        # its scatter without computing the free DOFs, a mask edited in place
+        # gets a fresh one, and the edit undone finds the first again
+        model = make_model(nx=3, ny=2)
+        mesh = model.mesh
+        first = model._layout()
+        calls = []
+        free_dofs = mesh.free_dofs
+        monkeypatch.setattr(mesh, "free_dofs", lambda: calls.append(None) or free_dofs())
+        assert model.build_system().free is first.order
+        assert model._layout() is first and calls == []
+        mask = mesh.dirichlet[0]
+        mask[3:] = False
+        edited = model._layout()
+        assert edited is not first and len(calls) == 1
+        assert np.array_equal(np.sort(edited.order), free_dofs())
+        assert len(edited.order) == len(first.order) + 3
+        system = model.build_system()
+        assert system.free is edited.order and system.a.shape == (len(edited.order),) * 2
+        mask[3:] = True
+        assert model._layout() is first and len(calls) == 1
+
     def test_pattern_follows_later_clamp(self):
         model = make_model(nx=3, ny=2)
         assert model.build_system().b.size == len(model.mesh.free_dofs())

@@ -17,10 +17,12 @@ from conftest import (
     dexp_series,
     hat_se3,
     is_rotation,
+    per_row_rot_coeffs,
     so3_tangent,
     trans_of,
     vee_se3,
 )
+from se3shell import liegroup
 from se3shell.liegroup import (
     SERIES_ANGLE,
     SMALL_ANGLE,
@@ -272,6 +274,31 @@ class TestRotCoeffs:
     def test_zero_angle_limits(self):
         got = [float(x[0]) for x in _rot_coeffs(np.zeros(1), 1, 1)]
         assert got == [1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0]
+
+    @pytest.mark.parametrize("n_c, n_q", [(26, 0), (26, 26), (26, 11), (0, 0)])
+    def test_packed_series_equals_the_per_row_horner(self, n_c, n_q):
+        # the one Horner loop over [t2[:n_c], t2[:n_q], t2[:n_q]] gives the
+        # bytes of c, c2 and c3 summed coefficient by coefficient, at 0, below
+        # SMALL_ANGLE, on both sides of SERIES_ANGLE and up to pi/2 and past it
+        thetas = RNG.permutation(np.repeat(SWITCH_ANGLES + [np.pi / 2], 2))
+        got = _rot_coeffs(thetas, n_c, n_q)
+        expected = per_row_rot_coeffs(thetas, n_c, n_q)
+        assert [len(x) for x in got] == [26, 26, n_c, n_q, n_q]
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+
+    def test_series_table_built_once_per_point_counts(self):
+        liegroup._series_table.cache_clear()
+        for n_c, n_q in [(7, 3), (7, 3), (7, 0), (7, 3), (7, 0)]:
+            _rot_coeffs(RNG.uniform(0.0, 2.0, size=9), n_c, n_q)
+        info = liegroup._series_table.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+        table = liegroup._series_table(7, 3)
+        assert table.shape == (10, 13) and not table.flags.writeable
+        # c in the first n_c columns, then c2 and c3 in n_q columns each
+        for j, (first, last) in enumerate([(0, 7), (7, 10), (10, 13)]):
+            assert np.all(table[:, first:last] == liegroup._SERIES[:, j, None])
 
 
 class TestDexp:

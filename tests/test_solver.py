@@ -39,6 +39,7 @@ from se3shell.solver import (
     accumulated_edge_rotation,
     apply_increment_field,
     newton_step,
+    project_rotations,
     run,
 )
 
@@ -415,7 +416,7 @@ class TestUpdateConfiguration:
         model, r = self.drifted(1e-9)
         g = model.mesh.state.g_nodes
         assert np.abs(g[3, :3, :3].T @ g[3, :3, :3] - np.eye(3)).max() > 1e-12
-        apply_increment_field(model, np.zeros(model.mesh.n_dofs))
+        project_rotations(model.mesh)
         rot = model.mesh.state.g_nodes[:, :3, :3]
         assert np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max() <= 1e-14
         assert np.linalg.norm(log_so3(r.T @ rot[3])) < 1e-8
@@ -423,8 +424,45 @@ class TestUpdateConfiguration:
     def test_drift_below_threshold_is_left_alone(self):
         model, _ = self.drifted(1e-14)
         before = model.mesh.state.g_nodes.copy()
+        project_rotations(model.mesh)
+        assert model.mesh.state.g_nodes.tobytes() == before.tobytes()
+
+    def test_update_leaves_drift_to_the_accepted_step(self):
+        # the update checks no drift: a zero increment keeps the drifted bytes
+        model, _ = self.drifted(1e-9)
+        before = model.mesh.state.g_nodes.copy()
         apply_increment_field(model, np.zeros(model.mesh.n_dofs))
-        assert np.array_equal(model.mesh.state.g_nodes, before)
+        assert model.mesh.state.g_nodes.tobytes() == before.tobytes()
+
+    def test_rejection_reads_the_angles_of_the_coefficient_pass(self, monkeypatch):
+        # the pi/2 test reads the nodal angles of the update's one angle pass,
+        # which are those of np.linalg.norm, and rejects before the state moves
+        model = build_model(load_bundled("magnetic_cantilever_lh10"))
+        mesh = model.mesh
+        apply_increment_field(model, 0.05 * RNG.normal(size=mesh.n_dofs))
+        angles = []
+        maps = solver.increment_maps
+
+        def recorded(*args):
+            out = maps(*args)
+            angles.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver, "increment_maps", recorded)
+        eta = 0.3 * RNG.normal(size=(mesh.n_nodes, 6))
+        eta[7, 3:] = [1.0, -1.1, 0.6]  # |w| = 1.60 > pi/2
+        before = mesh.state.copy()
+        with pytest.raises(StepRejected) as rejected:
+            apply_increment_field(model, eta.ravel())
+        expected = np.linalg.norm(eta[:, 3:], axis=1)
+        (nodal,) = angles
+        assert nodal.tobytes() == expected.tobytes()
+        assert float(nodal.max()) == expected.max() > np.pi / 2
+        assert str(rejected.value) == f"rotation increment {expected.max():.3f} rad exceeds pi/2"
+        assert rejected.value.category == "rotation_increment"
+        assert mesh.state.r_pts.size
+        for key in ("g_nodes", "zeta_pts", "r_pts"):
+            assert getattr(mesh.state, key).tobytes() == getattr(before, key).tobytes()
 
     def test_pure_translation(self):
         model = cantilever(nx=2)
@@ -583,6 +621,15 @@ class TestUpdateTwists:
         points = mesh.n_elements * len(mesh.state.twist_points)
         gauss = mesh.n_elements * mesh.state.r_pts.shape[1]
         assert calls[0] == (points + mesh.n_nodes + gauss, points + mesh.n_nodes, points)
+
+    def test_series_table_built_once_per_model(self):
+        # a model's point counts are fixed, so its updates share one table
+        model = build_model(load_bundled("magnetic_plate_A"))
+        liegroup._series_table.cache_clear()
+        for _ in range(3):
+            apply_increment_field(model, 0.01 * RNG.normal(size=model.mesh.n_dofs))
+        info = liegroup._series_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("name, magnetized", [("rollup_6pi", 0), ("magnetic_plate_A", 1)])
     def test_rotations_formed_only_where_carried(self, name, magnetized, monkeypatch):
@@ -934,6 +981,56 @@ class TestRun:
                      log=lambda line: at_build.append(len(evaluations)))
         assert not report.converged and len(report.rejections) == 2
         assert at_build == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("size, projected", [(1e-9, True), (1e-14, False)])
+    def test_drift_made_mid_attempt_is_checked_at_acceptance(self, size, projected,
+                                                             monkeypatch):
+        # drift pushed into one nodal rotation after an update inside an
+        # attempt is projected away when that attempt is accepted, and drift
+        # under 1e-12 is left alone
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        model = build_model(cfg)
+        lines, injected, svds, accepted = [], [], [], []
+        update, svd = solver.update_configuration, np.linalg.svd
+
+        def drifting_update(mesh, *args):
+            out = update(mesh, *args)
+            step, it = map(int, lines[-1].split()[:2])
+            if (step, it) == (2, 1):
+                injected.append(None)
+                r = mesh.state.g_nodes[3, :3, :3]
+                r[...] = r @ (np.eye(3) + size * np.diag([1.0, -0.5, 0.3]))
+            return out
+
+        def on_step(lam, model):
+            rot = model.mesh.state.g_nodes[:, :3, :3]
+            accepted.append(np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)).max())
+
+        monkeypatch.setattr(solver, "update_configuration", drifting_update)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(None) or svd(*a, **k))
+        report = run(model, cfg.solver, on_step=on_step, log=lines.append)
+        assert report.converged, report.message
+        # once, after the first update of step 2, whose attempt builds on
+        (second,) = [a for a in report.attempts if a.step == 2]
+        assert len(injected) == 1 and second.converged and second.iterations >= 3
+        assert len(svds) == int(projected)
+        assert accepted[0] <= 1e-14
+        if projected:
+            assert max(accepted[1:]) <= 1e-14
+        else:
+            assert min(accepted[1:]) > 1e-14
+
+    def test_drift_checked_once_per_accepted_attempt(self, monkeypatch):
+        cfg = load_bundled("magnetic_cantilever_lh20p5")
+        model = build_model(cfg)
+        checks = []
+        project = solver.project_rotations
+        monkeypatch.setattr(solver, "project_rotations",
+                            lambda mesh: checks.append(mesh) or project(mesh))
+        report = run(model, cfg.solver)
+        assert report.converged and report.rejections
+        assert len(checks) == len(report.steps)
+        assert all(mesh is model.mesh for mesh in checks)
 
     def test_exhausted_iterations_are_recorded(self, monkeypatch):
         model = cantilever(nx=4)

@@ -10,14 +10,14 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "traffic.py"
 
 def test_lists_the_unexecuted_polar_projection():
     # no bundled scenario drifts off SO(3) by more than 1e-12, so the polar
-    # re-projection of update_configuration never runs
+    # re-projection of project_rotations never runs
     done = subprocess.run([sys.executable, str(SCRIPT), "magnetic_cantilever_lh10"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     out = done.stdout
     assert "magnetic_cantilever_lh10: converged" in out
     assert re.search(r"^solver\.py: \d+ of \d+ statements not executed$", out, re.M)
-    assert re.search(r"^  solver\.py:\d+ update_configuration: "
+    assert re.search(r"^  solver\.py:\d+ project_rotations: "
                      r"u, _, vt = np\.linalg\.svd\(r\)$", out, re.M)
     # the model has one assembly path and the solver one linear solve, which
     # every solve runs whole: apart from the raise of an error path, no
@@ -27,9 +27,10 @@ def test_lists_the_unexecuted_polar_projection():
                        out, re.M)
     unrun += re.findall(r"^  solver\.py:\d+ (newton_step): (.*)$", out, re.M)
     assert all(source.startswith("raise ") for _, source in unrun), unrun
-    # the update has one path too, one coefficient pass per update: apart from
-    # a raise and the polar re-projection above, every statement of it runs
+    # the update has one path too, one coefficient pass per update, and the
+    # drift check of each accepted attempt one: apart from a raise and the
+    # polar re-projection above, every statement of them runs
     unrun = re.findall(r"^  solver\.py:\d+ (apply_increment_field|update_configuration|"
-                       r"update_twists): (.*)$", out, re.M)
+                       r"update_twists|project_rotations): (.*)$", out, re.M)
     polar = {"u, _, vt = np.linalg.svd(r)", "state.g_nodes[:, :3, :3] = u @ vt"}
     assert all(source.startswith("raise ") or source in polar for _, source in unrun), unrun
