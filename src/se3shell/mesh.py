@@ -6,7 +6,8 @@ and evolves them multiplicatively.  `build_mesh` starts the state with the
 twists at all five points and the rotations at the four Gauss points; a
 `FemModel` narrows it to what it reads, the twists at the sample points of its
 strain sampling and, on a magnetized mesh only, the Gauss-point rotations.
-Nodal poses are carried for output and for rotating dead loads.
+Nodal poses are carried for output and for rotating dead loads.  The mesh
+holds geometry and state only; `outputs` writes its dumps.
 
 Point index convention inside an element: 0 = centroid, 1..4 = Gauss points in
 the node ordering (-,-), (+,-), (+,+), (-,+).
@@ -117,9 +118,6 @@ class ShellMesh:
     b_r: np.ndarray | None = None  # (nel, 3) remanent per unit area, inertial frame
     _interpolation: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
-    # (copy of param, copy of conn, node format, element block, triangle file)
-    # of the dumps, see `_run_constant_text`
-    _dump_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -229,55 +227,3 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
                      zeta0_pts=zeta0, r0_pts=r0, jac0_pts=jac0,
                      state=state, nx=nx, ny=ny)
 
-
-def _run_constant_text(mesh: ShellMesh) -> tuple[str, str, str]:
-    """The text of the dumps that depends on `param` and `conn` alone.
-
-    Returns the node block as a format string, with the header, each node's
-    id and chart coordinates already written in and one %.17g left per pose
-    value, then the element block and the whole triangle file.  Built on the
-    first dump and kept on the mesh with copies of `param` and `conn`;
-    rebuilt whenever either no longer equals its copy, so an edited chart or
-    connectivity is written, never stale text.
-    """
-    cached = mesh._dump_text
-    if (cached is None or not np.array_equal(cached[0], mesh.param)
-            or not np.array_equal(cached[1], mesh.conn)):
-        n, nel = mesh.n_nodes, mesh.n_elements
-        chart = np.column_stack([np.arange(n), mesh.param]).ravel().tolist()
-        elements = np.column_stack([np.arange(nel), mesh.conn]).ravel().tolist()
-        t = 2 * np.arange(nel)
-        a, b, c, d = mesh.conn.T
-        tris = np.column_stack([t, a, b, c, t + 1, a, c, d]).ravel().tolist()  # 2 rows each
-        # "%%" survives the chart formatting as the "%" of each pose value
-        node_line = "%d %.17g %.17g" + " %%.17g" * 12 + "\n"
-        text = (f"# nodes {n}\n" + node_line * n % tuple(chart),
-                f"# elements {nel}\n" + "%d %d %d %d %d\n" * nel % tuple(elements),
-                f"# triangles {2 * nel}\n" + "%d %d %d %d\n" * (2 * nel) % tuple(tris))
-        cached = mesh._dump_text = (np.array(mesh.param), np.array(mesh.conn), *text)
-    return cached[2:]
-
-
-def dump_mesh(mesh: ShellMesh, path) -> None:
-    """Plain-text dump: `id xi1 xi2 px py pz r11..r33` then `id n1 n2 n3 n4`.
-
-    Only the 12 pose values per node are formatted here; the rest of the
-    text is built once and kept on the mesh until `param` or `conn` changes
-    (`_run_constant_text`).
-    """
-    nodes, elements, _ = _run_constant_text(mesh)
-    g = mesh.state.g_nodes
-    pose = np.column_stack([g[:, :3, 3], g[:, :3, :3].reshape(len(g), 9)])
-    with open(path, "w") as fh:
-        fh.write(nodes % tuple(pose.ravel().tolist()))
-        fh.write(elements)
-
-
-def dump_triangles(mesh: ShellMesh, path) -> None:
-    """Two triangles per quad, for plotting tools that want simplices.
-
-    The file depends on `conn` alone and is kept on the mesh with the other
-    run-constant dump text (`_run_constant_text`).
-    """
-    with open(path, "w") as fh:
-        fh.write(_run_constant_text(mesh)[2])

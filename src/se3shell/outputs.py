@@ -20,6 +20,13 @@ from the width of the final free-DOF band, `jacobi` or `none`, and
 solves), one `rejected: step S load_factor L: reason` line per rejected
 attempt, then `log:` followed by one `step iter residual` line per Newton
 iteration, all written from the solver's attempt records.
+
+With mesh dumps on, each converged state (the zero state as step 000) gets
+`mesh_step_KKK.txt`, `id xi1 xi2 px py pz r11..r33` per node then `id n1 n2
+n3 n4` per element, and `mesh_step_KKK.tri`, two triangles per quad for
+plotting tools that want simplices.  The text that depends on the chart and
+connectivity alone is built once per run (`dump_text`), so each dump formats
+only the 12 pose values per node.
 """
 
 from __future__ import annotations
@@ -30,16 +37,43 @@ from pathlib import Path
 import numpy as np
 
 from .fem import FemModel
-from .mesh import dump_mesh, dump_triangles
+from .mesh import ShellMesh
 from .scenario import ScenarioConfig, ScenarioError, build_model, edge_length
 from .solver import SolveReport, band_scaling, run
 
 
-def emit_deformed_geometry(mesh, path_base) -> None:
-    """Write the mesh dump plus the triangulated quad listing for plotting."""
+def dump_text(mesh: ShellMesh) -> tuple[str, str, str]:
+    """The text of the dumps that depends on `param` and `conn` alone.
+
+    Returns the node block as a format string, with the header, each node's
+    id and chart coordinates already written in and one %.17g left per pose
+    value, then the element block and the whole triangle file.
+    """
+    n, nel = mesh.n_nodes, mesh.n_elements
+    chart = np.column_stack([np.arange(n), mesh.param]).ravel().tolist()
+    elements = np.column_stack([np.arange(nel), mesh.conn]).ravel().tolist()
+    t = 2 * np.arange(nel)
+    a, b, c, d = mesh.conn.T
+    tris = np.column_stack([t, a, b, c, t + 1, a, c, d]).ravel().tolist()  # 2 rows each
+    # "%%" survives the chart formatting as the "%" of each pose value
+    node_line = "%d %.17g %.17g" + " %%.17g" * 12 + "\n"
+    return (f"# nodes {n}\n" + node_line * n % tuple(chart),
+            f"# elements {nel}\n" + "%d %d %d %d %d\n" * nel % tuple(elements),
+            f"# triangles {2 * nel}\n" + "%d %d %d %d\n" * (2 * nel) % tuple(tris))
+
+
+def emit_deformed_geometry(mesh: ShellMesh, path_base, text: tuple[str, str, str]) -> None:
+    """Write `path_base`.txt and `path_base`.tri of the mesh's current state
+    from its `dump_text`."""
+    nodes, elements, triangles = text
     path_base = Path(path_base)
-    dump_mesh(mesh, path_base.with_suffix(".txt"))
-    dump_triangles(mesh, path_base.with_suffix(".tri"))
+    g = mesh.state.g_nodes
+    pose = np.column_stack([g[:, :3, 3], g[:, :3, :3].reshape(len(g), 9)])
+    with open(path_base.with_suffix(".txt"), "w") as fh:
+        fh.write(nodes % tuple(pose.ravel().tolist()))
+        fh.write(elements)
+    with open(path_base.with_suffix(".tri"), "w") as fh:
+        fh.write(triangles)
 
 
 def tip_displacement(model: FemModel) -> np.ndarray:
@@ -69,7 +103,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
                  quiet: bool = False) -> tuple[SolveReport, FemModel]:
     """Execute one scenario and write CSV, mesh dumps and the solve report.
 
-    An `out_dir` that cannot be created raises ScenarioError.
+    The dump text is built once, before the first dump, and serves every
+    dump of the run.  An `out_dir` that cannot be created raises
+    ScenarioError.
     """
     model = build_model(cfg)
     out_dir = Path(out_dir)
@@ -80,15 +116,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir, *,
                             f"{exc.strerror or exc}") from exc
 
     rows = [(0, 0.0, 0.0, *tip_displacement(model), tip_rotation_angle(model))]
+    text = dump_text(model.mesh) if cfg.mesh_dumps else None
     if cfg.mesh_dumps:
-        emit_deformed_geometry(model.mesh, out_dir / "mesh_step_000")
+        emit_deformed_geometry(model.mesh, out_dir / "mesh_step_000", text)
 
     def on_step(lam, mdl):
         k = len(rows)
         rows.append((k, lam, primary_magnitude(cfg, mdl, lam), *tip_displacement(mdl),
                      tip_rotation_angle(mdl)))
         if cfg.mesh_dumps:
-            emit_deformed_geometry(mdl.mesh, out_dir / f"mesh_step_{k:03d}")
+            emit_deformed_geometry(mdl.mesh, out_dir / f"mesh_step_{k:03d}", text)
 
     report = run(model, cfg.solver, on_step=on_step, log=None if quiet else print)
 

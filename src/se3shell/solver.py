@@ -42,7 +42,8 @@ wrenches scale with it and the applied magnetic field follows the model's
 field program.  An increment whose largest nodal rotation exceeds pi/2, a
 non-finite system, a singular tangent, a linear solve whose relative
 residual |b - A eta| / |b| exceeds 1e-6, or a Newton loop that exhausts
-max_iters all reject the attempt with an exception: the state is restored
+max_iters all reject the attempt with a StepRejected (or a
+FloatingPointError, for a non-finite system): the state is restored
 together with its memoized kernels from the snapshot taken once per load
 increment (`FemModel.snapshot`/`restore`), the message kept as the attempt's
 reason (with a category, set where the exception is raised) and the
@@ -93,18 +94,14 @@ class StepRejected(RuntimeError):
     """The attempt cannot go on; halve the load step.
 
     `category` names the cause: "rotation_increment", "linear_residual",
-    "nonfinite" or "max_iters".
+    "singular_tangent" (a bifurcation or ill-posed boundary conditions),
+    "nonfinite" (a non-finite increment or system; `run` books a
+    FloatingPointError under it too) or "max_iters".
     """
 
     def __init__(self, reason: str, category: str):
         super().__init__(reason)
         self.category = category
-
-
-class SingularSystemError(RuntimeError):
-    """Tangent is singular (bifurcation or ill-posed boundary conditions)."""
-
-    category = "singular_tangent"
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,7 @@ class Attempt:
     """One Newton attempt: its load increment `dlam` up to `load_factor`, a
     residual per system build, a linear residual and the row interchanges of
     the band LU factor per solve and, if it was rejected, the reason and its
-    category, one of "rotation_increment", "linear_residual",
-    "singular_tangent", "nonfinite" (a non-finite increment or system) and
-    "max_iters"."""
+    category (see `StepRejected`)."""
 
     step: int
     load_factor: float
@@ -197,8 +192,8 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     No refinement follows: on the bundled scenarios a refinement sweep
     halved the residual in under 1% of solves and never brought a solve
     under MAX_LINEAR_RESIDUAL, above which the caller rejects the step.
-    Raises SingularSystemError with a 1-norm estimate when the
-    factorization meets an exactly zero pivot (info > 0) or produces
+    Raises StepRejected ("singular_tangent") with a 1-norm estimate when
+    the factorization meets an exactly zero pivot (info > 0) or produces
     non-finite results, and TypeError for a matrix that is not such a band.
     """
     b = np.asarray(b, dtype=float)
@@ -206,7 +201,7 @@ def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     d = 1.0 if scale is None else scale  # multiplying by 1.0 changes no bit
     eta = d * lapack.dgbtrs(lu, kl, ku, d * b, piv)[0]
     if not np.isfinite(eta).all():
-        raise SingularSystemError(_singular_message(a))
+        raise StepRejected(_singular_message(a), "singular_tangent")
     r = b - a @ eta
     rel = math.sqrt(r.dot(r)) / max(math.sqrt(b.dot(b)), 1e-300)
     return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
@@ -233,7 +228,8 @@ def _band_factor(a):
     less or more but never factors faster.  Measured on square plates up to
     60x60 the band LU still beats a sparse LU with a minimum-degree order
     at every size (617 ms against 5.25 s at 60x60).  An exactly zero pivot
-    (info > 0) raises SingularSystemError with a 1-norm estimate.
+    (info > 0) raises StepRejected ("singular_tangent") with a 1-norm
+    estimate.
     """
     if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
             and a.data.shape[1] == a.shape[0]
@@ -269,7 +265,7 @@ def _band_factor(a):
         first = stop
     lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
     if info > 0:
-        raise SingularSystemError(_singular_message(a))
+        raise StepRejected(_singular_message(a), "singular_tangent")
     return lu, piv, kl, ku, scale
 
 
@@ -459,7 +455,7 @@ def run(model: FemModel, settings: SolverSettings | None = None, *,
                 report.attempts.append(attempt)
                 try:
                     _newton_loop(model, attempt, settings, log)
-                except (StepRejected, SingularSystemError, FloatingPointError) as exc:
+                except (StepRejected, FloatingPointError) as exc:
                     attempt.reason = str(exc)
                     # a FloatingPointError is a non-finite system (or, under
                     # np.seterr(all="raise"), any non-finite operation)

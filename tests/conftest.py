@@ -14,7 +14,8 @@ from se3shell.kinematics import ReferenceSurface
 from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
                                skew, unskew)
 from se3shell.mesh import shape_gradients, shape_values
-from se3shell.solver import SingularSystemError, apply_increment_field
+from se3shell.outputs import emit_deformed_geometry
+from se3shell.solver import StepRejected, apply_increment_field
 
 SINGULAR_REASON = "singular or ill-posed tangent (1-norm estimate 0.000e+00)"
 
@@ -247,7 +248,8 @@ def magnetic_couple(b_rt, env):
 
 
 def dump_mesh_loop(mesh, path) -> None:
-    """Per-value writer of `mesh.dump_mesh`, the byte-for-byte reference."""
+    """Per-value writer of the `.txt` file of `outputs.emit_deformed_geometry`,
+    the byte-for-byte reference."""
     with open(path, "w") as fh:
         fh.write(f"# nodes {mesh.n_nodes}\n")
         for n in range(mesh.n_nodes):
@@ -263,7 +265,8 @@ def dump_mesh_loop(mesh, path) -> None:
 
 
 def dump_triangles_loop(mesh, path) -> None:
-    """Per-element writer of `mesh.dump_triangles`, the byte-for-byte reference."""
+    """Per-element writer of the `.tri` file of `outputs.emit_deformed_geometry`,
+    the byte-for-byte reference."""
     with open(path, "w") as fh:
         fh.write(f"# triangles {2 * mesh.n_elements}\n")
         t = 0
@@ -272,6 +275,20 @@ def dump_triangles_loop(mesh, path) -> None:
             fh.write(f"{t} {a} {b} {c}\n")
             fh.write(f"{t + 1} {a} {c} {d}\n")
             t += 2
+
+
+def assert_dump_matches_oracles(mesh, text, tmp_path):
+    """Dump `mesh` from the run text `text` to `tmp_path`/got.txt and .tri,
+    assert both equal the per-value writers' files byte for byte and return
+    the base path `tmp_path`/got."""
+    base = tmp_path / "got"
+    emit_deformed_geometry(mesh, base, text)
+    dump_mesh_loop(mesh, tmp_path / "expected.txt")
+    dump_triangles_loop(mesh, tmp_path / "expected.tri")
+    for suffix in (".txt", ".tri"):
+        got = base.with_suffix(suffix).read_bytes()
+        assert got == (tmp_path / "expected").with_suffix(suffix).read_bytes()
+    return base
 
 
 def mechanical_tangent(model):
@@ -389,15 +406,15 @@ def increment_mesh(mesh, eta):
 
 
 def reject_first_solve(monkeypatch):
-    """Make the first `solver.newton_step` call raise SingularSystemError
-    with SINGULAR_REASON; later calls solve as usual."""
+    """Make the first `solver.newton_step` call reject the attempt as a
+    singular tangent with SINGULAR_REASON; later calls solve as usual."""
     solve = solver.newton_step
     calls = []
 
     def singular_once(a, b):
         calls.append(b)
         if len(calls) == 1:
-            raise SingularSystemError(SINGULAR_REASON)
+            raise StepRejected(SINGULAR_REASON, "singular_tangent")
         return solve(a, b)
 
     monkeypatch.setattr(solver, "newton_step", singular_once)

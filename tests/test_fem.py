@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     assembled_residual,
+    assert_dump_matches_oracles,
     build_gauss_model,
     dense_kdead,
     dense_loop,
@@ -39,7 +40,6 @@ from se3shell.mesh import (
     N_PTS,
     PARENT_POINTS,
     build_mesh,
-    dump_mesh,
     shape_gradients,
     shape_values,
 )
@@ -709,12 +709,12 @@ class TestStrongFormOracle:
 class TestMeshDump:
     def test_dump_format(self, tmp_path):
         model = make_model(nx=2, ny=1)
-        path = tmp_path / "mesh.txt"
-        dump_mesh(model.mesh, path)
-        lines = path.read_text().strip().splitlines()
+        base = assert_dump_matches_oracles(model.mesh, outputs.dump_text(model.mesh), tmp_path)
+        lines = base.with_suffix(".txt").read_text().strip().splitlines()
         n, nel = model.mesh.n_nodes, model.mesh.n_elements
         assert lines[0] == f"# nodes {n}"
         assert lines[n + 1] == f"# elements {nel}"
         first = lines[1].split()
         assert len(first) == 1 + 2 + 3 + 9
         assert first[0] == "0"
+        assert base.with_suffix(".tri").read_text().splitlines()[0] == f"# triangles {2 * nel}"

@@ -7,8 +7,9 @@ below.  A definition is used when code at module level, or inside a used
 definition other than itself, refers to it: a function or class by its name
 (in its own module or where it is imported) or as an attribute, a method as
 an attribute.  So a helper that only another test-only helper calls counts
-as unused too.  A last check keeps `np.moveaxis` and `np.cross` out of the
-modules that run on every build and dump.
+as unused too.  Two last checks keep `np.moveaxis` and `np.cross` out of
+the modules that run on every build and dump, and file writes in
+`outputs.py`.
 """
 
 import ast
@@ -31,8 +32,15 @@ ALLOWED = {
 # transpose views, not np.moveaxis (4-7 us of axis normalisation a call), and
 # form cross products from components, not with np.cross (twice the cost);
 # the set-up code in scenario.py is exempt.
-PER_BUILD_MODULES = ("liegroup", "fem", "magnetics", "solver", "mesh")
+PER_BUILD_MODULES = ("liegroup", "fem", "magnetics", "solver", "mesh", "outputs")
 SLOW_HELPERS = {"moveaxis", "cross"}
+
+# The one module that writes files: the run's CSV, mesh dumps and solve
+# report.  A write is an `open` with a mode that writes, appends, creates or
+# updates, or a `write_text`/`write_bytes` call.
+FILE_WRITER = "outputs"
+MODE_CHARS = set("rwxabt+")
+WRITE_METHODS = {"write_text", "write_bytes"}
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -142,3 +150,31 @@ def test_per_build_modules_call_neither_moveaxis_nor_cross():
              or (isinstance(node, ast.ImportFrom)
                  and SLOW_HELPERS & {alias.name for alias in node.names})]
     assert not calls, f"np.moveaxis or np.cross in a per-build module: {calls}"
+
+
+def _is_write_mode(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and set(node.value) <= MODE_CHARS and bool(set(node.value) & set("wax+")))
+
+
+def file_writes(tree) -> list[int]:
+    """Line numbers of the file writes in a module."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        # the mode is open's second argument, or Path.open's first
+        modes = node.args[:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if name in WRITE_METHODS or (name == "open" and any(map(_is_write_mode, modes))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_outputs_writes_files():
+    assert file_writes(ast.parse((PACKAGE / f"{FILE_WRITER}.py").read_text()))
+    writes = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != FILE_WRITER
+              for line in file_writes(ast.parse(path.read_text()))]
+    assert not writes, f"file writes outside {FILE_WRITER}.py: {writes}"

@@ -4,11 +4,12 @@ and the vectorized dumps equal the per-value writers byte for byte."""
 import numpy as np
 import pytest
 
-from conftest import dump_mesh_loop, dump_triangles_loop, random_state_perturbation
+from conftest import assert_dump_matches_oracles, random_state_perturbation
 from se3shell.constitutive import Material, metric_inverse, stiffness_blocks
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_cylindrical_arch, build_flat_plate
-from se3shell.mesh import N_PTS, build_mesh, dump_mesh, dump_triangles
+from se3shell.mesh import N_PTS, build_mesh
+from se3shell.outputs import dump_text
 from se3shell.scenario import build_model, load_bundled
 
 SURFACES = {
@@ -81,35 +82,18 @@ def test_dumps_equal_per_value_writers(name, tmp_path):
     random_state_perturbation(model, 0.05, seed=5)
     mesh = model.mesh
     mesh.state.g_nodes[0, 2, 3] = -0.0
-    got, expected = tmp_path / "got", tmp_path / "expected"
-    dump_mesh(mesh, got)
-    dump_mesh_loop(mesh, expected)
-    assert got.read_bytes() == expected.read_bytes()
-    assert got.read_text().splitlines()[1].split()[5] == "-0"
-    dump_triangles(mesh, got)
-    dump_triangles_loop(mesh, expected)
-    assert got.read_bytes() == expected.read_bytes()
+    base = assert_dump_matches_oracles(mesh, dump_text(mesh), tmp_path)
+    assert base.with_suffix(".txt").read_text().splitlines()[1].split()[5] == "-0"
 
 
 @pytest.mark.parametrize("name", ["rollup_6pi", "arch_transverse", "magnetic_plate_A"])
 def test_dumps_follow_state_chart_and_connectivity(name, tmp_path):
-    # the dumps keep their node, element and triangle text on the mesh: a new
-    # state, a chart edited in place and a replaced connectivity must each be
-    # written as the per-value writers write them
+    # a run builds its dump text once from the chart and connectivity, which
+    # it never edits: the same text must write a new state as the per-value
+    # writers write it
     model = build_model(load_bundled(name))
     mesh = model.mesh
-    got, expected = tmp_path / "got", tmp_path / "expected"
-
-    def check():
-        for dump, loop in ((dump_mesh, dump_mesh_loop), (dump_triangles, dump_triangles_loop)):
-            dump(mesh, got)
-            loop(mesh, expected)
-            assert got.read_bytes() == expected.read_bytes()
-
-    check()
+    text = dump_text(mesh)
+    assert_dump_matches_oracles(mesh, text, tmp_path)
     random_state_perturbation(model, 0.05, seed=6)
-    check()
-    mesh.param[1] += 0.25 * np.array(mesh.le)
-    check()
-    mesh.conn = mesh.conn[:, [1, 2, 3, 0]]
-    check()
+    assert_dump_matches_oracles(mesh, text, tmp_path)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import SINGULAR_REASON, reject_first_solve
-from se3shell import solver
+from se3shell import outputs, solver
 from se3shell.cli import main as cli_main
 from se3shell.outputs import run_scenario
 from se3shell.scenario import (
@@ -23,7 +23,7 @@ from se3shell.scenario import (
     parse_scenario,
     with_overrides,
 )
-from se3shell.solver import SingularSystemError
+from se3shell.solver import StepRejected
 
 EXPECTED_BENCHMARKS = {
     "end_shear", "rollup_2pi", "rollup_4pi", "rollup_6pi",
@@ -190,6 +190,24 @@ class TestRunOutputs:
         # per-iteration log lines: step iter residual
         log_line = [l for l in text.splitlines() if l.startswith("1 1 ")]
         assert log_line
+
+    def test_dump_text_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # the chart and connectivity text serves every dump of the run
+        built = []
+        dump_text = outputs.dump_text
+
+        def counted(mesh):
+            built.append(mesh)
+            return dump_text(mesh)
+
+        monkeypatch.setattr(outputs, "dump_text", counted)
+        cfg = load_bundled("magnetic_cantilever_lh10")
+        run_scenario(cfg, tmp_path / "on", quiet=True)
+        assert len(built) == 1
+        assert len(list((tmp_path / "on").glob("mesh_step_*.txt"))) == cfg.solver.load_steps + 1
+        run_scenario(replace(cfg, mesh_dumps=False), tmp_path / "off", quiet=True)
+        assert len(built) == 1
+        assert not list((tmp_path / "off").glob("mesh_step_*"))
 
     def test_determinism(self, tmp_path):
         cfg = with_overrides(load_bundled("end_shear"), steps=2)
@@ -413,8 +431,8 @@ class TestCli:
         custom.write_text(text)
 
         def singular(a, b):
-            raise SingularSystemError("singular or ill-posed tangent "
-                                      "(1-norm estimate 0.000e+00)")
+            raise StepRejected("singular or ill-posed tangent "
+                               "(1-norm estimate 0.000e+00)", "singular_tangent")
 
         monkeypatch.setattr(solver, "newton_step", singular)
         code = cli_main(["run", str(custom), "--out", str(tmp_path / "o"),

@@ -33,7 +33,6 @@ from se3shell.liegroup import (SERIES_ANGLE, SMALL_ANGLE, Ad, carried_update, ex
 from se3shell.mesh import DN_PTS_PARENT, N_PTS, build_mesh, shape_values
 from se3shell.scenario import build_model, list_bundled, load_bundled
 from se3shell.solver import (
-    SingularSystemError,
     SolverSettings,
     StepRejected,
     accumulated_edge_rotation,
@@ -205,16 +204,18 @@ class TestNewtonStep:
         assert not np.any(a.toarray()[row])
         factors = capture_factors(monkeypatch)
         monkeypatch.setattr(solver.lapack, "dgbtrs", None)  # never reached
-        with pytest.raises(SingularSystemError, match="1-norm estimate"):
+        with pytest.raises(StepRejected, match="1-norm estimate") as rejected:
             newton_step(a, system.b)
+        assert rejected.value.category == "singular_tangent"
         (lu,) = factors
         assert lu.info > 0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
         a = band_matrix(np.zeros((4, 4)))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(StepRejected) as rejected:
             newton_step(a, np.ones(4))
+        assert rejected.value.category == "singular_tangent"
 
 
 @pytest.mark.parametrize("name", ["antiparallel", "end_shear", "magnetic_plate_A",
@@ -852,8 +853,8 @@ class TestRun:
                                  frame="dead")
 
         def singular(a, b):
-            raise SingularSystemError("singular or ill-posed tangent "
-                                      "(1-norm estimate 0.000e+00)")
+            raise StepRejected("singular or ill-posed tangent "
+                               "(1-norm estimate 0.000e+00)", "singular_tangent")
 
         monkeypatch.setattr(solver, "newton_step", singular)
         monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
