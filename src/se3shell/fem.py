@@ -13,7 +13,7 @@ area (the locking treatment); `scheme="gauss"` samples them at the 2x2 Gauss
 points (fully consistent as well, but it shear locks for thin elements; kept
 as a diagnostic).  In both the assembled tangent is the exact jacobian of the
 assembled residual.  The magnetic terms always use the Gauss points, at the
-rotations the solver carries there on a magnetized mesh.
+rotations the solver carries there for a magnetized model.
 
 Global system convention (tangent times increment = residual):
 
@@ -37,12 +37,13 @@ geometric stiffness (from the memo's stress) and the magnetic stiffness
 formed, and each element block is written once, straight into the scatter's
 weight buffer, as ((K0 + P_i) + P_j^T) + Kgeo - Kmag.
 
-Assembly has one fixed-pattern path, straight into band storage.  On the
-first build for a given set of free DOFs the model orders those DOFs along
+Assembly has one fixed-pattern path, straight into band storage.  The
+model freezes the mesh's Dirichlet masks when it is built, so its free DOFs
+are fixed; on the first build it orders them along
 the mesh grid (nodes along the longer of nx and ny, each node's six DOFs
 together), so the tangent has half-bandwidth 6 (min(nx, ny) + 3) - 1: 23 on
-a one-element-wide strip, 107 on a 20x15 plate.  The scatter of that set
-holds its grid order and maps from every element-block, element-force and
+a one-element-wide strip, 107 on a 20x15 plate.  The scatter of those DOFs
+holds their grid order and maps from every element-block, element-force and
 nodal dead-load entry to its slot in the data of a `dia_matrix` that stores
 only the diagonals some block writes (all 47 on a strip, 69 of 215 on the
 20x15 plate), with fixed DOFs already dropped; each later build is then one
@@ -57,6 +58,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -182,10 +184,16 @@ class Snapshot:
 
 
 class FemModel:
-    """Mesh + material + applied-field program, able to produce the Newton system.
+    """Mesh + material + field program + magnetization: the Newton system.
+
+    The problem is fixed when the model is built: it keeps a read-only copy
+    of `b_r`, the remanent vectors per unit area in the inertial frame,
+    (n_elements, 3), and freezes `mesh.dirichlet` into a read-only mapping of
+    read-only masks, so a later clamp or mask edit raises.  Its run constants
+    are built on first use and kept.
 
     `field(load_factor) -> MagneticEnvironment` is the magnetic load path; the
-    magnetic terms are active when both it and `mesh.b_r` are set.  It must
+    magnetic terms are active when both it and `b_r` are set.  It must
     be a pure function of the load factor: `environment_at` evaluates it once
     per load factor and keeps only the last result, while `field` is the same
     object, so a replaced program is evaluated afresh and a run evaluates it
@@ -194,33 +202,40 @@ class FemModel:
 
     def __init__(self, mesh: ShellMesh, material: Material,
                  field: Callable[[float], MagneticEnvironment] | None = None,
-                 scheme: str = "centroid"):
+                 scheme: str = "centroid", b_r: np.ndarray | None = None):
         if scheme not in _SAMPLINGS:
             raise ValueError("scheme must be 'centroid' or 'gauss'")
+        if b_r is not None:
+            b_r = np.array(b_r, dtype=float)
+            if b_r.shape != (mesh.n_elements, 3):
+                raise ValueError(f"b_r has shape {b_r.shape}, expected "
+                                 f"({mesh.n_elements}, 3)")
+            if not np.isfinite(b_r).all():
+                raise ValueError("b_r has non-finite entries")
+            b_r.flags.writeable = False
         self.mesh = mesh
         self.material = material
         self.field = field
         self.scheme = scheme
+        self._b_r = b_r
         # the state keeps only what the model reads
-        mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0],
-                                         rotations=mesh.b_r is not None)
+        mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0], rotations=b_r is not None)
+        masks = {node: np.array(mask, dtype=bool) for node, mask in mesh.dirichlet.items()}
+        for mask in masks.values():
+            mask.flags.writeable = False
+        mesh.dirichlet = MappingProxyType(masks)
         self.d_blocks = self._build_d_blocks()
-        # the scatter of each set of Dirichlet masks (see _layout)
-        self._scatters: dict[tuple, _Scatter] = {}
-        # constants of the strain sampling, built on the first build;
-        # the reference geometry and d_blocks are fixed after construction
-        self._sampling_consts = None
-        # (copy of mesh.b_r, R_0^T B_0^r), built on the first magnetic build
-        self._remanent = None
-        # (w_g, w_g N_gi N_gj) of the Gauss points, built on the first magnetic
-        # build; like the sampling constants, they read the reference geometry
-        self._magnetic_weights = None
         # f_ext, and f_mag without magnetics
         self._zero_forces = np.broadcast_to(_ZERO, (mesh.n_elements, 4, 6))
         # (twists, (P, P^T, f_int, s, ad(zeta))) of the last kernel evaluation
         self._kernels = None
         # (field, load factor, environment) of the last field-program call
         self._environment = None
+
+    @property
+    def b_r(self) -> np.ndarray | None:
+        """The read-only remanent vectors per unit area, (n_elements, 3)."""
+        return self._b_r
 
     def environment_at(self, load_factor: float) -> MagneticEnvironment | None:
         """The applied-field environment `field(load_factor)`, None without a
@@ -241,25 +256,13 @@ class FemModel:
         return last[2]
 
     def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
-        if self.field is None or self.mesh.b_r is None:
-            return None
-        if self.mesh.state.r_pts.shape[1] == 0:
-            raise ValueError("mesh.b_r was set after the model was built: "
-                             "the state carries no Gauss-point rotations")
-        return self.environment_at(load_factor)
+        return None if self.b_r is None else self.environment_at(load_factor)
 
+    @cached_property
     def _remanent_field(self) -> np.ndarray:
-        """R_0^T B_0^r at the Gauss points, (nel,4,3).
-
-        Built on the first magnetic build, and again whenever `mesh.b_r` no
-        longer equals the copy it was built from, so replaced remanent
-        vectors are used, never a stale field.
-        """
-        b_r = self.mesh.b_r
-        if self._remanent is None or not np.array_equal(self._remanent[0], b_r):
-            self._remanent = (np.array(b_r, dtype=float),
-                              remanent_field(self.mesh.r0_pts[:, 1:], b_r))
-        return self._remanent[1]
+        """R_0^T B_0^r at the Gauss points, (nel,4,3), built on the first
+        magnetic build."""
+        return remanent_field(self.mesh.r0_pts[:, 1:], self.b_r)
 
     def snapshot(self) -> Snapshot:
         """A copy of the state with its kernel memo, evaluated first if stale."""
@@ -280,45 +283,40 @@ class FemModel:
                       for t in uniq])
         return d[inv.reshape(-1)]
 
+    @cached_property
     def _magnetic_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, wnn): the Gauss weights w_g with the surface jacobian, (nel,4),
-        and the weights w_g N_gi N_gj of the magnetic stiffness, (nel,4,4,4).
-
-        Built on the first magnetic build and kept: both depend on the
-        reference geometry alone.
-        """
-        if self._magnetic_weights is None:
-            le1, le2 = self.mesh.le
-            w = (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]
-            self._magnetic_weights = (w, stiffness_weights(N_PTS[1:], w))
-        return self._magnetic_weights
+        and the weights w_g N_gi N_gj of the magnetic stiffness, (nel,4,4,4),
+        built on the first magnetic build."""
+        le1, le2 = self.mesh.le
+        w = (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]
+        return w, stiffness_weights(N_PTS[1:], w)
 
     # --- element level -----------------------------------------------------
 
+    @cached_property
     def _sampling(self):
-        """(points, N, dN, w D_ab, w D as (nel,G,12,12), K0) of the G sample points.
+        """(points, N, dN, w D_ab, w D as (nel,G,12,12), K0) of the G sample
+        points, built on the first build.
 
         w D_ab is the (nel,G,2,2,6,6) view of the stacked 12x12 blocks times the
         quadrature weight, and K0_ij = sum_gab dN_gia dN_gjb w_g D_ab.
         """
-        if self._sampling_consts is None:
-            mesh = self.mesh
-            le1, le2 = mesh.le
-            pts, w_area = _SAMPLINGS[self.scheme]
-            n = N_PTS[pts]
-            dn = DN_PTS_PARENT[pts] * np.array([2.0 / le1, 2.0 / le2])
-            w = le1 * le2 * w_area * mesh.jac0_pts[:, pts]
-            wd = w[..., None, None, None, None] * self.d_blocks[:, None]
-            nel, g = w.shape
-            d12 = wd.transpose(0, 1, 2, 4, 3, 5).reshape(nel, g, 12, 12)
-            self._sampling_consts = (
-                pts, n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4), d12,
+        mesh = self.mesh
+        le1, le2 = mesh.le
+        pts, w_area = _SAMPLINGS[self.scheme]
+        n = N_PTS[pts]
+        dn = DN_PTS_PARENT[pts] * np.array([2.0 / le1, 2.0 / le2])
+        w = le1 * le2 * w_area * mesh.jac0_pts[:, pts]
+        wd = w[..., None, None, None, None] * self.d_blocks[:, None]
+        nel, g = w.shape
+        d12 = wd.transpose(0, 1, 2, 4, 3, 5).reshape(nel, g, 12, 12)
+        return (pts, n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4), d12,
                 np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
-        return self._sampling_consts
 
     def _strain_stress(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Strains and weighted stresses of twists at the sample points, (nel,G,2,6)."""
-        pts, _, _, wd, _, _ = self._sampling()
+        pts, _, _, wd, _, _ = self._sampling
         strain = zeta - self.mesh.zeta0_pts[:, pts]
         return strain, stress(wd, strain)
 
@@ -355,7 +353,7 @@ class FemModel:
         depend on j and only the (nel,4,1,6,6) factor is formed; P^T is copied
         contiguous, so the block fill adds it without strides.
         """
-        _, n, dn, _, d12, _ = self._sampling()
+        _, n, dn, _, d12, _ = self._sampling
         _, s = self._strain_stress(zeta)
         nel, g = s.shape[:2]
         adz = ad(zeta).reshape(nel, g, 12, 6)              # A_ga stacked over a
@@ -374,13 +372,13 @@ class FemModel:
     def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
         mesh = self.mesh
         _, (p, p_t, f_int, s, adz) = self._mechanical_kernels()
-        _, n, dn, _, _, k0 = self._sampling()
+        _, n, dn, _, _, k0 = self._sampling
         env = self._env_at(load_factor)
         args = None
         f_mag = self._zero_forces
         if env is not None:
-            w, wnn = self._magnetic_quadrature()
-            b_mat, b_app = self._remanent_field(), applied_field(mesh.state.r_pts, env)
+            w, wnn = self._magnetic_quadrature
+            b_mat, b_app = self._remanent_field, applied_field(mesh.state.r_pts, env)
             f_mag = element_magnetic_force(b_mat, b_app, env.mu0, N_PTS[1:], w)
             args = (b_mat, b_app, env.mu0, wnn)
         return ElementKernels(k0=k0, kmat=p, kmat_t=p_t, f_int=f_int,
@@ -450,7 +448,7 @@ class FemModel:
         reads `a`, so the check that finds a step converged assembles none.
         """
         kern = self.element_kernels(load_factor)
-        sc = self._layout()
+        sc = self._layout
         b_neu, kdead = self.neumann_terms(load_factor)
         b_neu = b_neu[sc.order]
         b = sc.vector(kern.f_mag - kern.f_int) + b_neu
@@ -463,23 +461,14 @@ class FemModel:
 
     def half_bandwidth(self) -> int:
         """The half-bandwidth kl of the band `build_system` assembles on the
-        current free DOFs."""
-        return int(-self._layout().offsets[-1])
+        free DOFs."""
+        return int(-self._layout.offsets[-1])
 
+    @cached_property
     def _layout(self) -> "_Scatter":
-        """The scatter of the current free DOFs, built once per set of
-        Dirichlet masks.
-
-        The key is each constrained node with its mask's dtype and bytes, read
-        afresh on every build, so a mask edited in place or a node clamped
-        later gets its own scatter; `free_dofs` runs only for a new key.
-        """
-        key = tuple([(node, mask.dtype, mask.tobytes())
-                     for node, mask in self.mesh.dirichlet.items()])
-        sc = self._scatters.get(key)
-        if sc is None:
-            sc = self._scatters[key] = _Scatter(self.mesh, self.mesh.free_dofs())
-        return sc
+        """The scatter of the free DOFs, built on the first build; the
+        Dirichlet masks are frozen with the model."""
+        return _Scatter(self.mesh, self.mesh.free_dofs())
 
     # --- diagnostics --------------------------------------------------------
 
@@ -496,8 +485,8 @@ class FemModel:
         mesh = self.mesh
         if env is not None:
             b_app = applied_field(mesh.state.r_pts, env)
-            dots = np.sum(self._remanent_field() * b_app, axis=-1) / env.mu0
-            magnetic = float(-np.sum(self._magnetic_quadrature()[0] * dots))
+            dots = np.sum(self._remanent_field * b_app, axis=-1) / env.mu0
+            magnetic = float(-np.sum(self._magnetic_quadrature[0] * dots))
         return elastic, magnetic
 
 

@@ -5,9 +5,11 @@ carries its twists (and rotations, for the magnetic terms) at element points
 and evolves them multiplicatively.  `build_mesh` starts the state with the
 twists at all five points and the rotations at the four Gauss points; a
 `FemModel` narrows it to what it reads, the twists at the sample points of its
-strain sampling and, on a magnetized mesh only, the Gauss-point rotations.
+strain sampling and, for a magnetized model only, the Gauss-point rotations.
 Nodal poses are carried for output and for rotating dead loads.  The mesh
-holds geometry and state only; `outputs` writes its dumps.
+holds geometry, boundary conditions and state only: the magnetization is a
+`FemModel` input, which also freezes the Dirichlet masks, and `outputs`
+writes the dumps.
 
 Point index convention inside an element: 0 = centroid, 1..4 = Gauss points in
 the node ordering (-,-), (+,-), (+,+), (-,+).
@@ -15,6 +17,7 @@ the node ordering (-,-), (+,-), (+,+), (-,+).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +104,7 @@ class ShellState:
                           np.asarray(twist_points))
 
 
-@dataclass
+@dataclass(slots=True)
 class ShellMesh:
     param: np.ndarray       # (n_nodes, 2) chart coordinates
     conn: np.ndarray        # (nel, 4) CCW node indices
@@ -113,9 +116,9 @@ class ShellMesh:
     state: ShellState
     nx: int
     ny: int
-    dirichlet: dict[int, np.ndarray] = field(default_factory=dict)
+    # per-node DOF masks; a FemModel freezes them into a read-only mapping
+    dirichlet: Mapping[int, np.ndarray] = field(default_factory=dict)
     neumann: list[NeumannLoad] = field(default_factory=list)
-    b_r: np.ndarray | None = None  # (nel, 3) remanent per unit area, inertial frame
     _interpolation: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
 

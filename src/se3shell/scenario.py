@@ -343,16 +343,16 @@ def build_model(cfg: ScenarioConfig) -> FemModel:
     for load in cfg.loads:
         mesh.add_edge_load(load.edge, _edge_wrench(load, cfg), frame=load.frame)
 
-    program = None
+    program = b_r = None
     if cfg.magnetic is not None:
         spec = cfg.magnetic
-        mesh.b_r = np.tile(np.asarray(spec.b_r, dtype=float) * cfg.material.h,
-                           (mesh.n_elements, 1))
+        b_r = np.tile(np.asarray(spec.b_r, dtype=float) * cfg.material.h,
+                      (mesh.n_elements, 1))
         with _section("magnetic"):
             final = MagneticEnvironment(spec.b_a, spec.mu0)  # checks mu0 at build
             program = final.scaled if spec.b_a_start is None else _rotation_program(spec)
 
-    model = FemModel(mesh, cfg.material, field=program)
+    model = FemModel(mesh, cfg.material, field=program, b_r=b_r)
     if cfg.perturb is not None and cfg.perturb.magnitude != 0.0:
         with _section("perturb"):
             perturb_tip_rotation(model, cfg.perturb.magnitude,

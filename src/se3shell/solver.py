@@ -22,7 +22,7 @@ with eta interpolated bilinearly at each carried point.  The twist rule is the
 exact body-frame derivative field of the multiplicatively updated pose field,
 so twists never need to be re-derived from poses.  Twists are carried only at
 the strain sample points of the model's scheme (the centroid, or the four
-Gauss points), and rotations only at the Gauss points of a magnetized mesh.
+Gauss points), and rotations only at the Gauss points of a magnetized model.
 Each update first interpolates eta to those points, then takes the rotation
 angles once and evaluates the rotation coefficients once from them, in one
 pass over the nodes, the twist points and the Gauss points
@@ -293,14 +293,14 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
     `eta_nodes` (n_nodes, 6) are the nodal increments and `at_pts` their
     interpolation to the carried points (`apply_increment_field`).
     `liegroup.increment_maps` takes the rotation angles once, over the twist
-    points, the nodes and, on a magnetized mesh, the Gauss points, and
+    points, the nodes and, for a magnetized model, the Gauss points, and
     evaluates the rotation coefficients once from them.  The whole increment
     is rejected, before the state changes, if it is not finite or any nodal
     angle of that pass exceeds pi/2 (the load step is then halved by the
     caller); otherwise the poses take their exponentials.  Drift off SO(3)
     is checked once per accepted attempt, by `run` (`project_rotations`),
     not here.  Returns the evolved twists and the Gauss-point rotation
-    increments (none on an unmagnetized mesh) for `update_twists`.
+    increments (none for an unmagnetized model) for `update_twists`.
     """
     if not np.isfinite(eta_nodes).all():
         raise StepRejected("non-finite increment", "nonfinite")
@@ -359,7 +359,7 @@ def apply_increment_field(model: FemModel, eta_nodes: np.ndarray) -> None:
     """One multiplicative update of the whole state (poses, twists, rotations).
 
     The nodal increments are first interpolated to the carried points (the
-    twist points, then the Gauss points of a magnetized mesh) by the cached
+    twist points, then the Gauss points of a magnetized model) by the cached
     `ShellMesh.interpolation_rows`; `update_configuration` then evaluates the
     rotation coefficients of nodes and carried points in one pass and
     `update_twists` stores the carried points' share.

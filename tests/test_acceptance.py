@@ -163,9 +163,9 @@ def test_criterion_05_tangent_consistency():
     worst_mag = 0.0
     for seed in (100, 101, 102):
         mesh = build_mesh(build_flat_plate(1.0, 0.4), 4, 2)
-        mesh.b_r = np.tile(np.array([0.05, 0.0, 0.08]), (mesh.n_elements, 1))
         model = FemModel(mesh, Material(e=3e6, nu=0.3, h=0.05),
-                         field=MagneticEnvironment(np.array([0.01, 0.02, 0.03])).scaled)
+                         field=MagneticEnvironment(np.array([0.01, 0.02, 0.03])).scaled,
+                         b_r=np.tile(np.array([0.05, 0.0, 0.08]), (mesh.n_elements, 1)))
         random_state_perturbation(model, 0.05, seed)
         a = natural_tangent(model)
         jac = fd_residual_jacobian(model)

@@ -55,8 +55,9 @@ def make_model(nx=4, ny=2, lx=1.0, ly=0.4, clamp=True, scheme="centroid", mat=MA
     if clamp:
         mesh.clamp_edge("xi1_min")
     if b_r is not None:
-        mesh.b_r = np.tile(np.asarray(b_r, float), (mesh.n_elements, 1))
-    return FemModel(mesh, mat, field=None if env is None else env.scaled, scheme=scheme)
+        b_r = np.tile(np.asarray(b_r, float), (mesh.n_elements, 1))
+    return FemModel(mesh, mat, field=None if env is None else env.scaled, scheme=scheme,
+                    b_r=b_r)
 
 
 class TestShapeFunctions:
@@ -167,39 +168,21 @@ class TestElementKernels:
                                               N_PTS[1:]).tobytes()
             env = model.environment_at(lam)
             expected = magnetic_stiffness_einsum(mesh.r0_pts[:, 1:], mesh.state.r_pts,
-                                                 mesh.b_r, env, N_PTS[1:], w)
+                                                 model.b_r, env, N_PTS[1:], w)
             assert kern.kmag.tobytes() == expected.tobytes()
         assert len(built) == 1
-        assert model._magnetic_quadrature()[0].tobytes() == w.tobytes()
+        assert model._magnetic_quadrature[0].tobytes() == w.tobytes()
 
-    def test_magnetization_set_after_the_model_is_refused(self):
-        # the model narrowed the state without the Gauss-point rotations
-        model = make_model(env=MagneticEnvironment(np.array([0.01, 0.0, 0.0])))
-        model.mesh.b_r = np.tile([0.05, 0.0, 0.08], (model.mesh.n_elements, 1))
-        with pytest.raises(ValueError, match="no Gauss-point rotations"):
-            model.build_system()
-
-    @pytest.mark.parametrize("replace", [False, True])
-    def test_remanent_field_follows_new_magnetization(self, replace):
-        # the model caches R_0^T B_0^r on its first magnetic build; new
-        # remanent vectors, in place or as a new array, must be used
-        env = MagneticEnvironment(np.array([0.01, 0.02, 0.03]))
-        model = make_model(env=env, b_r=[0.05, 0.0, 0.08])
-        random_state_perturbation(model, 0.05, seed=9)
-        before = model.build_system(0.5)
-        before.a
-        b_r = RNG.normal(size=model.mesh.b_r.shape) * 0.05
-        if replace:
-            model.mesh.b_r = b_r.copy()
-        else:
-            model.mesh.b_r[:] = b_r
-        got = model.build_system(0.5)
-        fresh_model = FemModel(model.mesh, MAT, field=env.scaled)
-        fresh = fresh_model.build_system(0.5)
-        assert not np.array_equal(got.b, before.b)
-        assert np.array_equal(got.b, fresh.b)
-        assert np.array_equal(got.a.toarray(), fresh.a.toarray())
-        assert model.energies(0.5) == fresh_model.energies(0.5)
+    @pytest.mark.parametrize("b_r, match", [
+        (np.zeros((7, 3)), r"shape \(7, 3\), expected \(8, 3\)"),
+        (np.zeros(3), r"shape \(3,\), expected \(8, 3\)"),
+        (np.full((8, 3), np.nan), "non-finite"),
+        (np.full((8, 3), np.inf), "non-finite"),
+    ])
+    def test_bad_magnetization_refused(self, b_r, match):
+        mesh = build_mesh(build_flat_plate(1.0, 0.4), 4, 2)
+        with pytest.raises(ValueError, match=match):
+            FemModel(mesh, MAT, b_r=b_r)
 
     def test_field_program_evaluated_once_per_load_factor(self):
         # the model keeps the last (program, load factor, environment): one
@@ -418,11 +401,12 @@ class TestBoundaryConditions:
             np.linalg.norm(b1[6 * n:6 * n + 3]))
 
     def test_fully_constrained_rejected(self):
-        model = make_model(nx=1, ny=1, clamp=False)
+        mesh = build_mesh(build_flat_plate(1.0, 0.4), 1, 1)
         for edge in ("xi1_min", "xi1_max", "xi2_min", "xi2_max"):
-            model.mesh.clamp_edge(edge)
-        with pytest.raises(ValueError):
-            model.mesh.free_dofs()
+            mesh.clamp_edge(edge)
+        model = FemModel(mesh, MAT)
+        with pytest.raises(ValueError, match="all degrees of freedom constrained"):
+            model.build_system()
 
 
 class TestAssembly:
@@ -535,7 +519,7 @@ class TestReducedSystem:
         model = build_model(load_bundled(name))
         model.build_system(0.05)
         calls = []
-        sc = model._layout()
+        sc = model._layout
         vector = sc.vector
         monkeypatch.setattr(sc, "vector", lambda f: calls.append(None) or vector(f))
         system = model.build_system(0.05)
@@ -635,46 +619,37 @@ class TestReducedSystem:
         assert model.build_system(0.5).free is free
         assert model.half_bandwidth() == -model.build_system(0.5).a.offsets[-1]
         assert len(built) == 1
-        model.mesh.clamp_edge("xi1_max")
-        clamped = model.build_system().free
-        assert len(built) == 2
-        assert clamped is not free and len(clamped) < len(free)
-        assert model.build_system(0.5).free is clamped
-        assert len(built) == 2
 
-    def test_scatter_follows_in_place_mask_edits(self, monkeypatch):
-        # the scatter is keyed on the Dirichlet masks: an unchanged mask reuses
-        # its scatter without computing the free DOFs, a mask edited in place
-        # gets a fresh one, and the edit undone finds the first again
-        model = make_model(nx=3, ny=2)
+    @pytest.mark.parametrize("build", [
+        lambda: make_model(nx=3, ny=2, env=MagneticEnvironment(np.array([0.01, 0.0, 0.02])),
+                           b_r=[0.05, 0.0, 0.08]),
+        lambda: build_model(load_bundled("magnetic_cantilever_lh10")),
+    ], ids=["library", "scenario"])
+    def test_problem_is_fixed_with_the_model(self, build, monkeypatch):
+        # the clamps and the magnetization are read once, when the model is
+        # built: every later edit raises instead of being ignored, and one
+        # scatter serves every build
+        built = []
+        scatter = fem._Scatter
+        monkeypatch.setattr(fem, "_Scatter",
+                            lambda *args: built.append(None) or scatter(*args))
+        model = build()
         mesh = model.mesh
-        first = model._layout()
-        calls = []
-        free_dofs = mesh.free_dofs
-        monkeypatch.setattr(mesh, "free_dofs", lambda: calls.append(None) or free_dofs())
-        assert model.build_system().free is first.order
-        assert model._layout() is first and calls == []
-        mask = mesh.dirichlet[0]
-        mask[3:] = False
-        edited = model._layout()
-        assert edited is not first and len(calls) == 1
-        assert np.array_equal(np.sort(edited.order), free_dofs())
-        assert len(edited.order) == len(first.order) + 3
-        system = model.build_system()
-        assert system.free is edited.order and system.a.shape == (len(edited.order),) * 2
-        mask[3:] = True
-        assert model._layout() is first and len(calls) == 1
-
-    def test_pattern_follows_later_clamp(self):
-        model = make_model(nx=3, ny=2)
-        assert model.build_system().b.size == len(model.mesh.free_dofs())
-        model.mesh.clamp_edge("xi1_max")
-        system = model.build_system()
-        free = system.free  # band (grid) order
-        assert np.array_equal(np.sort(free), model.mesh.free_dofs())
-        assert system.a.shape == (len(free), len(free))
-        full = dense_loop(model, element_tangent(model.element_kernels()))
-        assert np.allclose(system.a.toarray(), full[np.ix_(free, free)])
+        with pytest.raises(TypeError):
+            mesh.clamp_edge("xi1_max")
+        with pytest.raises(ValueError):
+            mesh.dirichlet[mesh.edge_nodes("xi1_min")[0]][3:] = False
+        with pytest.raises(ValueError):
+            model.b_r[:] = 0.0
+        for owner in (mesh, model):  # the magnetization is a model input
+            with pytest.raises(AttributeError):
+                setattr(owner, "b_r", np.zeros((mesh.n_elements, 3)))
+        free = model.build_system(0.5).free
+        assert np.array_equal(np.sort(free), mesh.free_dofs())
+        model.build_system(1.0).a
+        assert model.half_bandwidth() == -model.build_system(0.25).a.offsets[-1]
+        assert model.build_system(0.5).free is free
+        assert len(built) == 1
 
 
 class TestStrongFormOracle:

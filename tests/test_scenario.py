@@ -139,7 +139,7 @@ class TestParsing:
 
         cfg = load_bundled("magnetic_cantilever_lh41")
         model = build_model(cfg)
-        assert model.mesh.b_r[0, 0] == pytest.approx(0.143 * cfg.material.h)
+        assert model.b_r[0, 0] == pytest.approx(0.143 * cfg.material.h)
 
 
 @pytest.fixture(scope="module")

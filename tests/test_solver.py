@@ -234,7 +234,7 @@ def test_norms_equal_the_linalg_forms(name, monkeypatch):
         kern = self.element_kernels(lam)
         load = self.neumann_terms(lam)[0][system.free]
         if kern.magnetic_args is not None:
-            load = self._layout().vector(kern.f_mag) + load
+            load = self._layout.vector(kern.f_mag) + load
         assert system.residual_norm == float(np.linalg.norm(system.b))
         assert system.load_norm == float(np.linalg.norm(load))
         checked.append(system)

@@ -19,12 +19,13 @@ def test_lists_the_unexecuted_polar_projection():
     assert re.search(r"^solver\.py: \d+ of \d+ statements not executed$", out, re.M)
     assert re.search(r"^  solver\.py:\d+ project_rotations: "
                      r"u, _, vt = np\.linalg\.svd\(r\)$", out, re.M)
-    # the model has one assembly path and the solver one linear solve, which
-    # every solve runs whole: apart from the raise of an error path, no
-    # statement of them is left unexecuted, so a branch that only tests feed
-    # shows up here
-    unrun = re.findall(r"^  fem\.py:\d+ FemModel\.(assemble|build_system|_layout): (.*)$",
-                       out, re.M)
+    # the model has one assembly path, run constants read once from a problem
+    # fixed at construction, and the solver one linear solve, which every
+    # solve runs whole: apart from the raise of an error path, no statement
+    # of them is left unexecuted, so a branch that only tests feed shows up
+    # here
+    unrun = re.findall(r"^  fem\.py:\d+ FemModel\.(assemble|build_system|_layout|_env_at|"
+                       r"_remanent_field|_magnetic_quadrature|_sampling): (.*)$", out, re.M)
     unrun += re.findall(r"^  solver\.py:\d+ (newton_step): (.*)$", out, re.M)
     assert all(source.startswith("raise ") for _, source in unrun), unrun
     # the update has one path too, one coefficient pass per update, and the
