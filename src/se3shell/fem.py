@@ -37,19 +37,20 @@ geometric stiffness (from the memo's stress) and the magnetic stiffness
 formed, and each element block is written once, straight into the scatter's
 weight buffer, as ((K0 + P_i) + P_j^T) + Kgeo - Kmag.
 
-Assembly has one fixed-pattern path, straight into band storage.  The
-model freezes the mesh's Dirichlet masks when it is built, so its free DOFs
-are fixed; on the first build it orders them along
+Assembly has one fixed-pattern path, straight into the band storage of
+LAPACK dgbtrf.  The model freezes the mesh's Dirichlet masks when it is
+built, so its free DOFs are fixed; on the first build it orders them along
 the mesh grid (nodes along the longer of nx and ny, each node's six DOFs
 together), so the tangent has half-bandwidth 6 (min(nx, ny) + 3) - 1: 23 on
 a one-element-wide strip, 107 on a 20x15 plate.  The scatter of those DOFs
-holds their grid order and maps from every element-block, element-force and
-nodal dead-load entry to its slot in the data of a `dia_matrix` that stores
-only the diagonals some block writes (all 47 on a strip, 69 of 215 on the
-20x15 plate), with fixed DOFs already dropped; each later build is then one
-`np.bincount` per array, the tangent's over the element blocks followed by
-the negated dead-load blocks.  The model forms no other system: an
-unsupported mesh gives the band over every DOF, still in grid order.
+maps every element-block, element-force and nodal dead-load entry, fixed
+DOFs dropped, to its place in the (2 kl + ku + 1, m) work array that dgbtrf
+factors; each assembly zeroes that array and scatter-adds the element
+blocks into it, less the blocks of the nodes that carry a dead load, and it
+is the factor's input.  The `Band` keeps a copy of the diagonals some
+block writes (all 47 on a strip, 69 of 215 on the 20x15 plate) for the
+solver.  The model forms no other system: an unsupported mesh gives the
+band over every DOF, still in grid order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import blas
 
 from .constitutive import (Material, internal_energy_density, metric_inverse,
                            stiffness_blocks, stress)
@@ -151,27 +153,79 @@ def element_geometric_stiffness(adz: np.ndarray, s: np.ndarray, n: np.ndarray,
     return np.einsum("gi,egjpq->eijpq", n, q)
 
 
+@dataclass(eq=False)
+class Band:
+    """A tangent in LAPACK dgbtrf band storage, with copies of its diagonals.
+
+    `ab` is the model's Fortran-ordered (2 kl + ku + 1, m) work array, entry
+    (r, c) at `ab[kl + ku + r - c, c]` under kl rows for the fill of partial
+    pivoting; dgbtrf factors it in place and the next assembly refills it.
+    The stored diagonals, the main one among them, come in runs of
+    consecutive offsets (col - row); all others are zero.  `runs` holds, from
+    the highest offset down, each run's top offset and the band's own
+    Fortran-ordered copy of its rows of `ab`, (length, m): the unscaled A.
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    runs: tuple[tuple[int, np.ndarray], ...]
+
+    def scale_jacobi(self) -> np.ndarray:
+        """Make the stored runs of `ab` those of D A D, entries (D_r D_c) a_rc
+        with D = |a_ii|^-1/2 (1 where a_ii = 0), from the copies, and return D."""
+        diag = np.abs(next(run[top] for top, run in self.runs if 0 <= top < len(run)))
+        d = np.ones_like(diag)
+        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+        m, row = len(d), self.kl + self.ku
+        # D_(c - o) at row ku - o, column c: the sliding windows of D padded
+        # by ku zeros before and kl after
+        d_rows = sliding_window_view(np.concatenate([np.zeros(self.ku), d, np.zeros(self.kl)]), m)
+        for top, run in self.runs:
+            n = len(run)
+            # (D_r D_c) a formed in a C-order temp, then copied into ab
+            self.ab[row - top:row - top + n] = d_rows[self.ku - top:self.ku - top + n] * d * run
+        return d
+
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """b - A x, one BLAS dgbmv per run of offsets top ... bottom, the band
+        of the block from row max(-top, 0) and column max(bottom, 0) on; y is
+        padded past m, as SciPy's dgbmv takes no fewer rows than diagonals."""
+        m = len(b)
+        r = np.concatenate([b, np.zeros(self.kl + self.ku + 1)])
+        for top, run in self.runs:
+            bottom = top - len(run) + 1
+            c0, r0 = max(bottom, 0), max(-top, 0)
+            r = blas.dgbmv(max(m - r0, len(run)), m - c0, c0 - r0 - bottom, top - c0 + r0, -1.0,
+                           run[:, c0:], x, offx=c0, beta=1.0, y=r, offy=r0, overwrite_y=True)
+        return r[:m]
+
+    def one_norm(self) -> float:
+        """The largest absolute column sum of the unscaled tangent."""
+        return float(sum(np.abs(run).sum(axis=0) for _, run in self.runs).max())
+
+
 @dataclass
 class GlobalSystem:
     """BC-reduced Newton system A eta = b plus bookkeeping for tolerances.
 
-    `free` lists the free DOFs in the row order of `a` and `b`, which is the
-    grid order of the band, not ascending DOF order.  The tangent `a` is
-    assembled by `tangent` on first access, so a converged check never forms
-    it; a non-finite tangent raises FloatingPointError there.
+    `free` lists the free DOFs in the row order of `a` and `b`: the grid
+    order of the band.  Each read of `a` assembles the tangent by `tangent`
+    for the one solve that factors it, so a converged check forms none; a
+    non-finite tangent raises FloatingPointError there.
     """
 
     b: np.ndarray
     free: np.ndarray
     load_norm: float
-    tangent: Callable[[], sp.dia_matrix]
+    tangent: Callable[[], Band]
     residual_norm: float = field(init=False)
 
     def __post_init__(self):
         self.residual_norm = math.sqrt(self.b.dot(self.b))
 
-    @cached_property
-    def a(self) -> sp.dia_matrix:
+    @property
+    def a(self) -> Band:
         return self.tangent()
 
 
@@ -387,18 +441,17 @@ class FemModel:
 
     # --- global level ------------------------------------------------------
 
-    def assemble(self, kern: ElementKernels, kdead: np.ndarray,
-                 sc: "_Scatter") -> sp.dia_matrix:
+    def assemble(self, kern: ElementKernels, kdead: np.ndarray, sc: "_Scatter") -> Band:
         """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
         `sc` is the scatter of the free DOFs, `kdead` the (n_nodes,6,6)
-        dead-load blocks of `neumann_terms`.  `kern.blocks` writes the element
-        blocks straight into the scatter's weight buffer; they and the negated
-        nodal blocks are summed by one scatter, the nodal ones last.
+        dead-load blocks of `neumann_terms`, subtracted at the nodes that carry
+        a dead load.  `kern.blocks` writes the element blocks straight into
+        the scatter's weight buffer.
         """
         kern.blocks(sc.block_weights)
-        np.negative(kdead, out=sc.node_weights)
-        return sc.matrix()
+        dead = [ld.nodes for ld in self.mesh.neumann if ld.frame == "dead"]
+        return sc.band(kdead, np.unique(np.concatenate(dead)) if dead else None)
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
@@ -428,14 +481,14 @@ class FemModel:
         return b.ravel(), kdead
 
     def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray,
-                                  sc: "_Scatter") -> sp.dia_matrix:
+                                  sc: "_Scatter") -> Band:
         """The tangent on the free DOFs of the scatter `sc`, with the dead loads.
 
         `kdead` comes from `neumann_terms`; `assemble` scatters it with the
-        element blocks.  A non-finite entry raises FloatingPointError.
+        element blocks.  A non-finite stored entry raises FloatingPointError.
         """
         a = self.assemble(kern, kdead, sc)
-        if not np.isfinite(a.data).all():
+        if not all(np.isfinite(run).all() for _, run in a.runs):
             raise FloatingPointError("non-finite entries in the assembled system")
         return a
 
@@ -462,7 +515,7 @@ class FemModel:
     def half_bandwidth(self) -> int:
         """The half-bandwidth kl of the band `build_system` assembles on the
         free DOFs."""
-        return int(-self._layout.offsets[-1])
+        return self._layout.kl
 
     @cached_property
     def _layout(self) -> "_Scatter":
@@ -491,25 +544,23 @@ class FemModel:
 
 
 class _Scatter:
-    """Band storage of the tangent on one set of free DOFs, with its slot maps.
+    """The band storage of the tangent on one set of free DOFs, with its slot maps.
 
     `order` lists the free DOFs along the mesh grid (nodes along the longer
     of nx and ny, each node's six DOFs together); row and column i of the
-    matrix is DOF `order[i]`.  The band keeps only the diagonals that some
-    element or nodal block writes, as `offsets` (col - row) in strictly
-    descending order, not necessarily contiguous:
-    on a 2-D grid most diagonals inside the half-bandwidth k are structurally
-    empty (146 of 215 on a 20x15 plate), on a strip none is.  Entry (r, c)
-    lives at `data[i, c]` of the (len(offsets), m) data with
-    `offsets[i] == c - r`, the layout of `dia_matrix`; row i is LAPACK's band
-    row ku - offsets[i].  Every entry of the (nel,4,4,6,6) element blocks,
-    then of the (n_nodes,6,6) nodal blocks (`k_slot`), and of the (nel,4,6)
-    element forces (`f_slot`) owns one slot of the flat data or of the
-    vector; entries on fixed DOFs go to a spare slot one past the end,
-    which is cut off, so each assembly is a single `np.bincount`.  The
-    tangent's weights are written into `block_weights` and `node_weights`,
-    the two parts of one buffer in `k_slot` order; bincount sums in input
-    order, so the nodal blocks are added after every element block.
+    matrix is DOF `order[i]`.  Entry (r, c) lives at flat index
+    c (2 kl + ku + 1) + kl + ku + r - c of the F-ordered dgbtrf work array
+    `ab`.  The band stores the diagonals some element block writes, as `runs`
+    (top, bottom) of consecutive offsets (col - row) from ku down to -kl: on
+    a 2-D grid most diagonals inside the half-bandwidth are structurally
+    empty (146 of 215 on a 20x15 plate), on a strip none is.  Every entry of
+    the (nel,4,4,6,6) element blocks (`k_slot`, weights in `block_weights`),
+    of the (n_nodes,6,6) nodal blocks (`node_slot`) and of the (nel,4,6)
+    element forces (`f_slot`) owns one slot of the flat work array or of the
+    vector; entries on fixed DOFs go to a spare slot one past the end, which
+    is cut off.  Each assembly zeroes the one kept `ab` and makes a single
+    `np.add.at` into it: a fresh array per assembly cost a `rollup_6pi` run
+    about 100,000 page faults.
     """
 
     def __init__(self, mesh: ShellMesh, free: np.ndarray):
@@ -529,29 +580,37 @@ class _Scatter:
         # block (i, j) is row node i, column node j
         rows, cols = el[:, :, None, :, None], el[:, None, :, None, :]
         kept = (rows < m) & (cols < m)
-        node_rows, node_cols = np.broadcast_arrays(node[:, :, None], node[:, None, :])
-        node_kept = (node_rows < m) & (node_cols < m)
-        self.offsets = np.union1d((cols - rows)[kept], (node_cols - node_rows)[node_kept])[::-1]
-        k = int(np.abs(self.offsets).max())
-        band_row = np.zeros(2 * k + 1, dtype=np.int64)       # of offset o at k - o
-        band_row[k - self.offsets] = np.arange(len(self.offsets))
-        self.m, self.size = m, len(self.offsets) * m
-        slot = band_row[np.where(kept, k + rows - cols, 0)] * m + cols
-        node_slot = band_row[np.where(node_kept, k + node_rows - node_cols, 0)] * m + node_cols
-        self.k_slot = np.concatenate([np.where(kept, slot, self.size).ravel(),
-                                      np.where(node_kept, node_slot, self.size).ravel()])
-        self.f_slot = el.ravel()
-        weights = np.empty(len(self.k_slot))
-        self.block_weights = weights[:kept.size].reshape(kept.shape)
-        self.node_weights = weights[kept.size:].reshape(n_nodes, 6, 6)
-        self._weights = weights
+        offsets = np.unique((cols - rows)[kept])[::-1]
+        self.ku, self.kl = int(offsets[0]), int(-offsets[-1])
+        row = self.kl + self.ku
+        # each run's top offset and rows in the work array
+        self.runs = [(int(run[0]), slice(row - run[0], row - run[-1] + 1))
+                     for run in np.split(offsets, np.flatnonzero(np.diff(offsets) != -1) + 1)]
+        self.m, self.ldab = m, 2 * self.kl + self.ku + 1
+        self.size = m * self.ldab  # the spare slot
 
-    def matrix(self) -> sp.dia_matrix:
-        """Sum the element and nodal blocks in the weights into a fresh band
-        matrix."""
-        data = np.bincount(self.k_slot, weights=self._weights, minlength=self.size + 1)
-        return sp.dia_matrix((data[:self.size].reshape(-1, self.m), self.offsets),
-                             shape=(self.m, self.m))
+        def slots(r, c, keep):
+            return np.where(keep, c * self.ldab + row + r - c, self.size)
+
+        self.k_slot = slots(rows, cols, kept).ravel()
+        node_rows, node_cols = node[:, :, None], node[:, None, :]
+        self.node_slot = slots(node_rows, node_cols, (node_rows < m) & (node_cols < m))
+        self.f_slot = el.ravel()
+        self.block_weights = np.empty(kept.shape)
+        self._data = np.zeros(self.size + 1)
+        self.ab = self._data[:self.size].reshape(m, self.ldab).T
+
+    def band(self, kdead: np.ndarray, nodes: np.ndarray | None) -> Band:
+        """Sum the element blocks in the weights, less the (n_nodes,6,6)
+        nodal blocks `kdead` of `nodes` (none for None), into the work array
+        and return it as a `Band`."""
+        self._data.fill(0.0)
+        np.add.at(self._data, self.k_slot, self.block_weights.reshape(-1))
+        if nodes is not None:
+            # distinct nodes own distinct slots, save the spare one
+            self._data[self.node_slot[nodes]] -= kdead[nodes]
+        return Band(self.ab, self.kl, self.ku,
+                    tuple((top, np.array(self.ab[rows], order="F")) for top, rows in self.runs))
 
     def vector(self, forces: np.ndarray) -> np.ndarray:
         """Sum (nel,4,6) element forces into a vector over the DOF subset."""

@@ -29,9 +29,9 @@ twists, Ad(exp(-eta)) and dexp(eta), with cross products, without forming
 update, the nodal exponentials, the carried twists and the Gauss-point
 rotations, from a single angle pass and a single coefficient pass over all
 of their points, with the same elementwise arithmetic as the three separate
-calls, so with their bits, and returns the nodal angles for the solver's
-bound on the rotation increment.  These kernels store vectors component
-first, one per column, and move axes with ``transpose`` views: the same
+calls, so with their bits; between the passes the solver's bound on the
+nodal rotation angles can stop the update.  These kernels store vectors
+component first, one per column, and move axes with ``transpose`` views: the same
 arrays in the same layout as ``np.moveaxis`` gives, without its axis
 normalisation, which cost 4-7 us a call against under 1 us for the view.
 """
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -373,33 +374,34 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
 
 
 def increment_maps(eta_nodes: np.ndarray, eta_pts: np.ndarray, zeta: np.ndarray,
-                   deta: np.ndarray, w_rot: np.ndarray) -> tuple[np.ndarray, ...]:
+                   deta: np.ndarray, w_rot: np.ndarray,
+                   check: Callable[[np.ndarray], None]) -> tuple[np.ndarray, ...]:
     """The three maps of one multiplicative update from one angle pass and one
     coefficient pass:
 
-        (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot),
-         |nodal rotation vectors|)
+        (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
 
     for nodal increments eta_nodes (n, 6), increments eta_pts (p, 6) at the
     twist points with their twist stacks zeta, deta (p, k, 6), and rotation
-    vectors w_rot (r, 3), bit for bit equal to the three calls; the nodal
-    angles (n,) are those of np.linalg.norm(eta_nodes[:, 3:], axis=1), for
-    the caller's bound on the rotation increment.  The rotation vectors are
-    stacked twist points, nodes, rotation points, their angles are taken
-    once, and `_rot_coeffs` runs once over the stack: a and b at every point,
-    c at the twist points and nodes, c2 and c3 at the twist points only.
-    One `_rodrigues` call forms the rotations of the nodes and rotation
-    points.
+    vectors w_rot (r, 3), bit for bit equal to the three calls.  The rotation
+    vectors are stacked twist points, nodes, rotation points and their
+    angles are taken once; `check` is then called with the nodal angles (n,),
+    those of np.linalg.norm(eta_nodes[:, 3:], axis=1), so an exception it
+    raises stops the update before any coefficient is formed.  `_rot_coeffs`
+    runs once over the stack: a and b at every point, c at the twist points
+    and nodes, c2 and c3 at the twist points only.  One `_rodrigues` call
+    forms the rotations of the nodes and rotation points.
     """
     n, p = len(eta_nodes), len(eta_pts)
     pts, nodes = _columns(eta_pts), _columns(eta_nodes)
     w = np.concatenate((pts[3:], nodes[3:], w_rot.T), axis=1)
     theta = _angle(w)
+    check(theta[p:p + n])
     a, b, c, c2, c3 = _rot_coeffs(theta, p + n, p)
     rot = _rodrigues(w[:, p:], a[p:], b[p:])
     poses = _poses(nodes[:3], w[:, p:p + n], rot[:n], b[p:p + n], c[p:])
     twists = _carry(pts[:3], w[:, :p], (a[:p], b[:p], c[:p], c2, c3), zeta, deta)
-    return poses, twists, rot[n:], theta[p:p + n]
+    return poses, twists, rot[n:]
 
 
 def dexp_se3(t: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each iteration solves (Kmat + Kgeo - Kdead - Kmag) eta = f_ext + f_mag - f_int
 on the free DOFs by one banded LU factorization (LAPACK dgbtrf with partial
-pivoting, on the band that `build_system` scatters in the grid order of the
-mesh), then applies one multiplicative update of the whole state
+pivoting, in place on the work array that `build_system` scatters in the
+grid order of the mesh), then applies one multiplicative update of the whole state
 (`apply_increment_field`).  The factored band is A itself on a band of
 half-bandwidth kl below JACOBI_MIN_HALF_BANDWIDTH, and its symmetric Jacobi
 scaling D A D, D = |diag A|^-1/2 of that tangent, from there on (see
@@ -12,7 +12,8 @@ of a mm-scale shell about 1e-7 below the translational ones, so partial
 pivoting of a wide band swaps almost every row and widens each trailing
 update, while D A D pivots near its diagonal.  The choice reads only the
 band's width.  Each iteration makes one triangular solve with that factor,
-and its relative residual is always that of the unscaled A.  The update is:
+and its relative residual is always that of the unscaled A, from the copies
+of the stored diagonals the `Band` keeps.  The update is:
 
     nodal poses:      g_i <- g_i exp(eta_i^),
     carried twists:   zeta <- Ad(exp(eta^))^-1 zeta + dexp(eta) d_alpha(eta),
@@ -30,7 +31,8 @@ pass over the nodes, the twist points and the Gauss points
 twist points, c2 and c3 at the twist points only, and one Rodrigues
 evaluation for the nodal and Gauss-point rotations.  The three maps are
 closed form (no series) and equal exp_se3, carried_update and exp_so3 bit
-for bit; the nodal angles of the same pass decide the pi/2 rejection below.
+for bit; the nodal angles of the same pass decide the pi/2 rejection below,
+before the coefficients are evaluated.
 The nodal rotations are checked for drift off SO(3) once per accepted
 attempt, not per update (`project_rotations`), and polar-projected past
 1e-12.  Convergence is measured on the residual 2-norm over free DOFs
@@ -61,11 +63,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import FemModel
+from .fem import Band, FemModel
 from .liegroup import increment_maps, log_so3
 # Bound here, though the update no longer calls them, so that perfbench/layers.py
 # can wrap them by name.
@@ -75,9 +75,9 @@ from .mesh import ShellMesh
 MAX_ROTATION_INCREMENT = np.pi / 2
 # Relative residual |b - A eta| / |b| of the linear solve above which the
 # increment is not a Newton step.  The other solves of the bundled scenarios
-# stay below 2.3e-8 on 17 of them and reach 7.9e-8, 9.1e-7 and 4.6e-7 on
+# stay below 2.3e-8 on 17 of them and reach 7.7e-8, 8.1e-7 and 4.3e-7 on
 # rollup_2pi/4pi/6pi; the near-singular systems of rejected roll-up attempts
-# read 3.4e-6 to 3.5.
+# read 3.4e-6 to 3.4.
 MAX_LINEAR_RESIDUAL = 1e-6
 # Halvings of a load increment after rejected attempts before the run fails.
 MAX_HALVINGS = 8
@@ -181,108 +181,39 @@ def band_scaling(kl: int) -> str:
     return "jacobi" if kl >= JACOBI_MIN_HALF_BANDWIDTH else "none"
 
 
-def newton_step(a, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+def newton_step(a: Band, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Solve the tangent system by banded LU (LAPACK dgbtrf/dgbtrs).
 
-    `a` is the band tangent of `build_system`, factored once here by
-    `_band_factor` and solved once with that factor (one dgbtrs).  When its
-    width makes that the Jacobi scaling D A D, the solve is for D^-1 eta:
-    eta = D (D A D)^-1 D b.  Returns (eta, relative linear residual
-    |b - A eta| / |b| of the unscaled A, row interchanges of the factor).
-    No refinement follows: on the bundled scenarios a refinement sweep
-    halved the residual in under 1% of solves and never brought a solve
-    under MAX_LINEAR_RESIDUAL, above which the caller rejects the step.
-    Raises StepRejected ("singular_tangent") with a 1-norm estimate when
-    the factorization meets an exactly zero pivot (info > 0) or produces
-    non-finite results, and TypeError for a matrix that is not such a band.
+    The work array of the band `a` of `build_system` is factored once, in
+    place, and solved once with that factor (one dgbtrs).  Where
+    `band_scaling(kl)` picks "jacobi" its stored runs are first made those
+    of D A D (`Band.scale_jacobi`), and the solve is for D^-1 eta:
+    eta = D (D A D)^-1 D b.  The factorization costs about m kl^2, plus a
+    share per row interchange, which widens the trailing update from ku to
+    kl + ku columns: unscaled, a thin plate interchanges almost every row
+    (`magnetic_plate_A`: 1854 of 1920, about 70 under D A D), while on the
+    one-element strips D A D never factors faster.  On square plates up to
+    60x60 the band LU beats a sparse LU with a minimum-degree order at every
+    size (617 ms against 5.25 s at 60x60).  Returns (eta, relative linear
+    residual |b - A eta| / |b| of the unscaled A, row interchanges of the
+    factor).  No refinement follows: on the bundled scenarios a refinement
+    sweep halved the residual in under 1% of solves and never brought a
+    solve under MAX_LINEAR_RESIDUAL, above which the caller rejects the
+    step.  Raises StepRejected ("singular_tangent") with the 1-norm of A
+    when the factorization meets an exactly zero pivot (info > 0) or
+    produces non-finite results.
     """
     b = np.asarray(b, dtype=float)
-    lu, piv, kl, ku, scale = _band_factor(a)
-    d = 1.0 if scale is None else scale  # multiplying by 1.0 changes no bit
-    eta = d * lapack.dgbtrs(lu, kl, ku, d * b, piv)[0]
-    if not np.isfinite(eta).all():
-        raise StepRejected(_singular_message(a), "singular_tangent")
-    r = b - a @ eta
+    d = a.scale_jacobi() if band_scaling(a.kl) == "jacobi" else 1.0  # 1.0 changes no bit
+    lu, piv, info = lapack.dgbtrf(a.ab, a.kl, a.ku, overwrite_ab=True)
+    # info > 0: an exactly zero pivot, no solve
+    eta = d * lapack.dgbtrs(lu, a.kl, a.ku, d * b, piv)[0] if info == 0 else None
+    if eta is None or not np.isfinite(eta).all():
+        raise StepRejected(f"singular or ill-posed tangent (1-norm {a.one_norm():.3e})",
+                           "singular_tangent")
+    r = a.residual(b, eta)
     rel = math.sqrt(r.dot(r)) / max(math.sqrt(b.dot(b)), 1e-300)
     return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
-
-
-def _band_factor(a):
-    """(lu, piv, kl, ku, D or None): the LAPACK dgbtrf factor of a band of
-    `build_system`, of A or of D A D, a function of `a` alone.
-
-    `a` is a `dia_matrix` with strictly descending offsets from ku >= 0 to
-    -kl <= 0 over grid-ordered DOFs, holding only the diagonals the elements
-    write; any other matrix raises TypeError.  Each run of consecutive
-    offsets is copied into the (2 kl + ku + 1, m) work array as one slice,
-    offset o to row kl + ku - o; the first kl rows take the fill of partial
-    pivoting and the diagonals not stored stay zero.
-
-    `band_scaling(kl)` picks the variant.  For "jacobi", D = |a_ii|^-1/2
-    (1 where a_ii = 0) of this tangent, and each run is multiplied
-    entrywise by D_i D_j.  The factorization costs about m kl^2 with
-    kl = 6 (min(nx, ny) + 3) - 1, plus a share per row interchange, which
-    widens the trailing update from ku to kl + ku columns: unscaled, a thin
-    plate interchanges almost every row (`magnetic_plate_A`: 1854 of 1920,
-    about 70 under D A D), while on the one-element strips D A D pivots
-    less or more but never factors faster.  Measured on square plates up to
-    60x60 the band LU still beats a sparse LU with a minimum-degree order
-    at every size (617 ms against 5.25 s at 60x60).  An exactly zero pivot
-    (info > 0) raises StepRejected ("singular_tangent") with a 1-norm
-    estimate.
-    """
-    if not (sp.issparse(a) and a.format == "dia" and a.shape[0] == a.shape[1]
-            and a.data.shape[1] == a.shape[0]
-            and a.offsets[0] >= 0 >= a.offsets[-1] and np.all(np.diff(a.offsets) < 0)):
-        raise TypeError("newton_step takes the band of build_system: a dia_matrix "
-                        "with full-length diagonals, offsets strictly descending "
-                        f"through 0; got {type(a).__name__}")
-    offs = a.offsets.tolist()
-    m, ku, kl = a.shape[0], offs[0], -offs[-1]
-    scale = _jacobi_scale(a) if band_scaling(kl) == "jacobi" else None
-    if scale is not None:
-        # D_(c - o) at data row o, column c: row ku - o of the sliding windows
-        # of D padded by ku zeros before and kl after
-        row_scale = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([np.zeros(ku), scale, np.zeros(kl)]), m)
-    work = np.zeros((2 * kl + ku + 1, m), order="F")
-    # each run of consecutive offsets is one slice copy, which numpy makes in
-    # the work array's memory order (a fancy row index took twice as long on
-    # the strips)
-    first = 0
-    for stop in range(1, len(offs) + 1):
-        if stop < len(offs) and offs[stop] == offs[stop - 1] - 1:
-            continue
-        rows = work[kl + ku - offs[first]:kl + ku - offs[stop - 1] + 1]
-        if scale is None:
-            rows[...] = a.data[first:stop]
-        else:
-            # (D_i D_j) a formed in a C-order temp, then copied: multiplied
-            # straight into the strided work rows, the copy took about 1.2x
-            # as long on the plate (850-890 against 690-710 us a factor)
-            d_ij = row_scale[ku - offs[first]:ku - offs[stop - 1] + 1] * scale
-            rows[...] = d_ij * a.data[first:stop]
-        first = stop
-    lu, piv, info = lapack.dgbtrf(work, kl, ku, overwrite_ab=True)
-    if info > 0:
-        raise StepRejected(_singular_message(a), "singular_tangent")
-    return lu, piv, kl, ku, scale
-
-
-def _jacobi_scale(a) -> np.ndarray:
-    """D = |a_ii|^-1/2, and 1 where a_ii = 0."""
-    diag = np.abs(a.diagonal())
-    scale = np.ones_like(diag)
-    np.divide(1.0, np.sqrt(diag), out=scale, where=diag > 0.0)
-    return scale
-
-
-def _singular_message(a) -> str:
-    try:
-        est = spla.onenormest(a)
-    except Exception:
-        est = float("nan")
-    return f"singular or ill-posed tangent (1-norm estimate {est:.3e})"
 
 
 def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
@@ -295,27 +226,33 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
     `liegroup.increment_maps` takes the rotation angles once, over the twist
     points, the nodes and, for a magnetized model, the Gauss points, and
     evaluates the rotation coefficients once from them.  The whole increment
-    is rejected, before the state changes, if it is not finite or any nodal
-    angle of that pass exceeds pi/2 (the load step is then halved by the
-    caller); otherwise the poses take their exponentials.  Drift off SO(3)
-    is checked once per accepted attempt, by `run` (`project_rotations`),
-    not here.  Returns the evolved twists and the Gauss-point rotation
-    increments (none for an unmagnetized model) for `update_twists`.
+    is rejected, before the state changes, if it is not finite or, between
+    the angle and the coefficient pass, if any nodal angle exceeds pi/2 (the
+    load step is then halved by the caller); otherwise the poses take their
+    exponentials.  Drift off SO(3) is checked once per accepted attempt, by
+    `run` (`project_rotations`), not here.  Returns the evolved twists and
+    the Gauss-point rotation increments (none for an unmagnetized model)
+    for `update_twists`.
     """
     if not np.isfinite(eta_nodes).all():
         raise StepRejected("non-finite increment", "nonfinite")
     state = mesh.state
     nel, m = mesh.n_elements, len(state.twist_points)
     points = nel * m
-    poses, twists, rotations, angles = increment_maps(
+    poses, twists, rotations = increment_maps(
         eta_nodes, at_pts[:, :m].reshape(points, 6), state.zeta_pts.reshape(points, 2, 6),
-        at_pts[:, m:3 * m].reshape(points, 2, 6), at_pts[:, 3 * m:, 3:].reshape(-1, 3))
+        at_pts[:, m:3 * m].reshape(points, 2, 6), at_pts[:, 3 * m:, 3:].reshape(-1, 3),
+        _check_rotation_increment)
+    state.g_nodes = state.g_nodes @ poses
+    return twists.reshape(state.zeta_pts.shape), rotations.reshape(state.r_pts.shape)
+
+
+def _check_rotation_increment(angles: np.ndarray) -> None:
+    """Reject an update whose largest nodal rotation angle exceeds pi/2."""
     wmax = float(angles.max())
     if wmax > MAX_ROTATION_INCREMENT:
         raise StepRejected(f"rotation increment {wmax:.3f} rad exceeds pi/2",
                            "rotation_increment")
-    state.g_nodes = state.g_nodes @ poses
-    return twists.reshape(state.zeta_pts.shape), rotations.reshape(state.r_pts.shape)
 
 
 def project_rotations(mesh: ShellMesh) -> None:

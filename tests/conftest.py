@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from se3shell import liegroup, scenario, solver
-from se3shell.fem import FemModel
+from se3shell.fem import Band, FemModel
 from se3shell.kinematics import ReferenceSurface
 from se3shell.liegroup import (Ad, _rot_coeffs, ad, exp_se3, inv_pose, make_pose,
                                skew, unskew)
@@ -17,7 +17,7 @@ from se3shell.mesh import shape_gradients, shape_values
 from se3shell.outputs import emit_deformed_geometry
 from se3shell.solver import StepRejected, apply_increment_field
 
-SINGULAR_REASON = "singular or ill-posed tangent (1-norm estimate 0.000e+00)"
+SINGULAR_REASON = "singular or ill-posed tangent (1-norm 0.000e+00)"
 
 
 def hat_se3(t: np.ndarray) -> np.ndarray:
@@ -292,17 +292,17 @@ def assert_dump_matches_oracles(mesh, text, tmp_path):
 
 
 def mechanical_tangent(model):
-    """BC-reduced Kmat + Kgeo on the free DOFs in band (grid) order: the
-    production tangent at load factor 0, where the magnetic and dead-load
-    parts vanish."""
-    return model.build_system(0.0).a
+    """BC-reduced Kmat + Kgeo on the free DOFs in band (grid) order, dense:
+    the production tangent at load factor 0, where the magnetic and
+    dead-load parts vanish."""
+    return band_to_dense(model.build_system(0.0).a)
 
 
 def natural_order(free, x, n_dofs):
-    """`x`, a vector or (sparse) matrix over the band-ordered DOFs `free` of a
+    """`x`, a vector, matrix or `Band` over the band-ordered DOFs `free` of a
     `GlobalSystem` (its `b` or `a`), in natural DOF order over all `n_dofs`
     DOFs, with zeros on the fixed DOFs."""
-    x = x.toarray() if sp.issparse(x) else np.asarray(x)
+    x = band_to_dense(x) if isinstance(x, Band) else np.asarray(x)
     out = np.zeros((n_dofs,) * x.ndim)
     out[np.ix_(*(free,) * x.ndim)] = x
     return out
@@ -436,17 +436,34 @@ def capture_factors(monkeypatch):
     return factors
 
 
-def band_matrix(a) -> sp.dia_matrix:
-    """Any sparse or dense matrix as the band `newton_step` takes: one
-    full-length row per diagonal from ku to -kl, strictly descending, with
-    kl and ku taken from the entries."""
+def band_to_dense(a):
+    """The (m, m) matrix of a `Band`, entry by entry from the copies of its
+    stored diagonals: the unscaled tangent, also after a solve."""
+    m = a.ab.shape[1]
+    out = np.zeros((m, m))
+    for top, run in a.runs:
+        for offset, diag in zip(range(top, top - len(run), -1), run):
+            cols = np.arange(max(offset, 0), min(m, m + offset))
+            out[cols - offset, cols] = diag[cols]
+    return out
+
+
+def dense_to_band(a, full=False) -> Band:
+    """Any dense or sparse square matrix as the `Band` `newton_step` takes,
+    with kl and ku read from its entries: the main diagonal and the
+    diagonals that hold a nonzero entry stored, in runs of consecutive
+    offsets, or with `full` every diagonal from ku to -kl, in one run."""
     coo = sp.coo_matrix(a)
     offset = coo.col - coo.row
-    ku = int(offset.max(initial=0))
-    kl = -int(offset.min(initial=0))
-    data = np.zeros((kl + ku + 1, coo.shape[1]))
-    np.add.at(data, (ku - offset, coo.col), coo.data)
-    return sp.dia_matrix((data, np.arange(ku, -kl - 1, -1)), shape=coo.shape)
+    stored = np.union1d(offset, [0])[::-1]
+    ku, kl = int(stored[0]), int(-stored[-1])
+    if full:
+        stored = np.arange(ku, -kl - 1, -1)
+    ab = np.zeros((2 * kl + ku + 1, coo.shape[1]), order="F")
+    np.add.at(ab, (kl + ku - offset, coo.col), coo.data)
+    runs = np.split(stored, np.flatnonzero(np.diff(stored) != -1) + 1)
+    return Band(ab, kl, ku, tuple((int(run[0]), np.array(ab[kl + ku - run], order="F"))
+                                  for run in runs))
 
 
 def build_gauss_model(cfg):

@@ -16,9 +16,11 @@ import pytest
 from conftest import (
     assembled_residual,
     assert_dump_matches_oracles,
+    band_to_dense,
     build_gauss_model,
     dense_kdead,
     dense_loop,
+    dense_to_band,
     element_tangent,
     fd_residual_jacobian,
     k_operator,
@@ -481,10 +483,10 @@ class TestAssembly:
     def test_equilibrium_symmetry_behavior(self):
         # stress-free: symmetric; perturbed: measurable skew part
         model = make_model(nx=4, ny=2)
-        a0 = mechanical_tangent(model).toarray()
+        a0 = mechanical_tangent(model)
         assert np.linalg.norm(a0 - a0.T) <= 1e-11 * np.linalg.norm(a0)
         random_state_perturbation(model, 0.05, seed=21)
-        a1 = mechanical_tangent(model).toarray()
+        a1 = mechanical_tangent(model)
         assert np.linalg.norm(a1 - a1.T) / np.linalg.norm(a1) > 1e-3
 
 
@@ -544,7 +546,7 @@ class TestReducedSystem:
         np.add.at(load, model.mesh.conn, kern.f_mag)
         expected_b = (forces.ravel() + b_neu)[free]
         scale = np.abs(expected_a).max()
-        assert np.abs(system.a.toarray() - expected_a).max() <= 1e-12 * scale
+        assert np.abs(band_to_dense(system.a) - expected_a).max() <= 1e-12 * scale
         assert np.abs(system.b - expected_b).max() <= 1e-12 * np.abs(expected_b).max()
         assert system.load_norm == pytest.approx(
             np.linalg.norm((load.ravel() + b_neu)[free]), rel=1e-12)
@@ -554,7 +556,7 @@ class TestReducedSystem:
         free = model.build_system(0.0).free
         kern = model.element_kernels(0.0)
         expected = dense_loop(model, element_tangent(kern))[np.ix_(free, free)]
-        got = mechanical_tangent(model).toarray()
+        got = mechanical_tangent(model)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A", "arch_transverse",
@@ -567,12 +569,42 @@ class TestReducedSystem:
         system = model.build_system(lam)
         free = system.free
         expected = self.loop_tangent(model, lam)[np.ix_(free, free)]
-        got = system.a.toarray()
+        got = band_to_dense(system.a)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A", "end_shear"])
+    def test_band_equals_the_dense_assembly_entry_for_entry(self, name):
+        # the work array handed to dgbtrf holds, bit for bit, the dense loop
+        # over the element blocks less the dead-load blocks (end_shear has a
+        # dead load), summed in the same order; everything else in it is zero
+        cfg = load_bundled(name)
+        model = build_model(cfg)
+        random_state_perturbation(model, 0.01, seed=5)
+        lam = 0.5
+        system = model.build_system(lam)
+        a, free = system.a, system.free
+        assert any(ld.frame == "dead" for ld in model.mesh.neumann) == (name == "end_shear")
+        expected = self.loop_tangent(model, lam)[np.ix_(free, free)]
+        assert np.array_equal(band_to_dense(a), expected)
+        assert np.array_equal(a.ab, dense_to_band(expected, full=True).ab)
+
+    def test_unsupported_mesh_gets_its_grid_ordered_band(self):
+        # with no clamp every DOF is free, still in grid order: nodes along
+        # the longer side (nx = 2 < ny = 4 here), six DOFs each
+        model = make_model(nx=2, ny=4, clamp=False)
+        mesh = model.mesh
+        system = model.build_system(0.5)
+        grid = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+        assert np.array_equal(system.free, (6 * grid.reshape(-1, 1) + np.arange(6)).ravel())
+        a = system.a
+        assert a.kl == a.ku == 6 * (2 + 3) - 1 == model.half_bandwidth()
+        expected = self.loop_tangent(model, 0.5)[np.ix_(system.free, system.free)]
+        assert np.array_equal(band_to_dense(a), expected)
 
     def test_plate_band_stores_only_the_nonzero_diagonals(self):
         # of the 215 diagonals within the half-bandwidth 107, the elements of
-        # the 20x15 plate write 69; the band stores exactly those
+        # the 20x15 plate write 69, in three runs of 23; the band stores
+        # exactly those, and every other entry of its work array is zero
         cfg = load_bundled("magnetic_plate_A")
         model = build_model(cfg)
         random_state_perturbation(model, 0.01, seed=5)
@@ -584,28 +616,34 @@ class TestReducedSystem:
         for nodes in model.mesh.conn:
             idx = [at[d] for n in nodes for d in range(6 * n, 6 * n + 6) if d in at]
             written.update(c - r for r in idx for c in idx)
-        assert np.array_equal(a.offsets, sorted(written, reverse=True))
-        assert len(a.offsets) == 69 and a.data.shape == (69, len(free))
-        assert a.offsets[0] == -a.offsets[-1] == 107
-        dense = a.toarray()
+        stored = [top - i for top, run in a.runs for i in range(len(run))]
+        assert stored == sorted(written, reverse=True)
+        assert [(top, run.shape) for top, run in a.runs] == [
+            (107, (23, len(free))), (11, (23, len(free))), (-85, (23, len(free)))]
+        assert a.kl == a.ku == 107 and a.ab.shape == (3 * 107 + 1, len(free))
+        dense = band_to_dense(a)
         rows, cols = np.nonzero(dense)
         assert set((cols - rows).tolist()) == written
+        assert np.array_equal(a.ab, dense_to_band(dense).ab)
         expected = self.loop_tangent(model, lam)[np.ix_(free, free)]
         assert np.abs(dense - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_bundled_system_is_lapack_band(self):
-        # the dia data is LAPACK's column-indexed band: A[i, j] at
-        # data[ku + i - j, j], offsets ku ... -kl
+        # the work array is LAPACK's column-indexed band, Fortran-ordered:
+        # A[i, j] at ab[kl + ku + i - j, j], under kl zero rows for the fill;
+        # a strip stores every diagonal from ku to -kl, in one run
         cfg = load_bundled("antiparallel")
         model = build_model(cfg)
         a = model.build_system(1.0 / cfg.solver.load_steps).a
-        assert a.format == "dia"
-        m, k = a.shape[0], a.offsets[0]
-        assert np.array_equal(a.offsets, np.arange(k, -k - 1, -1))
-        assert a.data.shape == (2 * k + 1, m)
-        dense = a.toarray()
+        k, m = a.ku, a.ab.shape[1]
+        assert a.kl == k == 23 and a.ab.flags.f_contiguous
+        assert a.ab.shape == (3 * k + 1, m)
+        ((top, run),) = a.runs
+        assert top == k and run.shape == (2 * k + 1, m) and run.flags.f_contiguous
+        assert np.array_equal(a.ab[k:], run) and not a.ab[:k].any()
+        dense = band_to_dense(a)
         rows, cols = np.nonzero(dense)
-        assert np.array_equal(a.data[k + rows - cols, cols], dense[rows, cols])
+        assert np.array_equal(a.ab[2 * k + rows - cols, cols], dense[rows, cols])
         assert np.abs(rows - cols).max() <= k
 
     def test_order_built_once_per_free_set(self, monkeypatch):
@@ -617,7 +655,7 @@ class TestReducedSystem:
         free = model.build_system().free
         assert len(built) == 1
         assert model.build_system(0.5).free is free
-        assert model.half_bandwidth() == -model.build_system(0.5).a.offsets[-1]
+        assert model.half_bandwidth() == model.build_system(0.5).a.kl
         assert len(built) == 1
 
     @pytest.mark.parametrize("build", [
@@ -647,7 +685,7 @@ class TestReducedSystem:
         free = model.build_system(0.5).free
         assert np.array_equal(np.sort(free), mesh.free_dofs())
         model.build_system(1.0).a
-        assert model.half_bandwidth() == -model.build_system(0.25).a.offsets[-1]
+        assert model.half_bandwidth() == model.build_system(0.25).a.kl
         assert model.build_system(0.5).free is free
         assert len(built) == 1
 

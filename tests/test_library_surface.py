@@ -8,8 +8,8 @@ definition other than itself, refers to it: a function or class by its name
 (in its own module or where it is imported) or as an attribute, a method as
 an attribute.  So a helper that only another test-only helper calls counts
 as unused too.  Two last checks keep `np.moveaxis` and `np.cross` out of
-the modules that run on every build and dump, and file writes in
-`outputs.py`.
+the modules that run on every build and dump, file writes in `outputs.py`,
+and `scipy.sparse` out of the modules that assemble and solve the band.
 """
 
 import ast
@@ -178,3 +178,32 @@ def test_only_outputs_writes_files():
               if path.stem != FILE_WRITER
               for line in file_writes(ast.parse(path.read_text()))]
     assert not writes, f"file writes outside {FILE_WRITER}.py: {writes}"
+
+
+# The modules that assemble and solve the tangent hold it in one container,
+# the dgbtrf band of `fem.Band`; none of them imports a sparse format.
+BAND_MODULES = ("fem", "solver")
+
+
+def sparse_imports(tree) -> list[int]:
+    """Line numbers of the imports of scipy.sparse or its submodules."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_band_modules_import_no_sparse_format():
+    imports = [f"{module}.py:{line}" for module in BAND_MODULES
+               for line in sparse_imports(ast.parse((PACKAGE / f"{module}.py").read_text()))]
+    assert not imports, f"scipy.sparse imported where the band is assembled or solved: {imports}"
+    for source in ("import scipy.sparse as sp", "from scipy.sparse import linalg",
+                   "from scipy import sparse", "import scipy.sparse.linalg"):
+        assert sparse_imports(ast.parse(source)), source

@@ -384,11 +384,35 @@ class TestIncrementMaps:
         zeta = RNG.normal(size=(17, 2, 6))
         deta = RNG.normal(size=(17, 2, 6))
         w_rot = self.twists(RNG.choice(SWITCH_ANGLES, rotation_points))[:, 3:]
-        got = increment_maps(eta_nodes, eta_pts, zeta, deta, w_rot)
+        checked = []
+        got = increment_maps(eta_nodes, eta_pts, zeta, deta, w_rot, checked.append)
         expected = (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
+        assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.shape == e.shape
             assert g.tobytes() == e.tobytes()
+        # the check is handed the nodal angles of np.linalg.norm, once
+        (nodal,) = checked
+        assert nodal.tobytes() == np.linalg.norm(eta_nodes[:, 3:], axis=1).tobytes()
+
+    def test_check_stops_the_update_before_the_coefficients(self, monkeypatch):
+        # an exception raised by the check leaves the coefficient pass unrun
+        calls = []
+        coeffs = liegroup._rot_coeffs
+        monkeypatch.setattr(liegroup, "_rot_coeffs",
+                            lambda *args: calls.append(None) or coeffs(*args))
+
+        def reject(angles):
+            raise ValueError(f"largest angle {angles.max()}")
+
+        eta = self.twists([0.1, 2.0])
+        with pytest.raises(ValueError, match="largest angle 2.0"):
+            increment_maps(eta, eta[:1], RNG.normal(size=(1, 2, 6)),
+                           RNG.normal(size=(1, 2, 6)), np.zeros((0, 3)), reject)
+        assert not calls
+        increment_maps(eta, eta[:1], RNG.normal(size=(1, 2, 6)),
+                       RNG.normal(size=(1, 2, 6)), np.zeros((0, 3)), lambda angles: None)
+        assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)

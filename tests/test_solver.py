@@ -15,10 +15,11 @@ from scipy.linalg import lapack
 
 from conftest import (
     SINGULAR_REASON,
-    band_matrix,
+    band_to_dense,
     build_gauss_model,
     capture_factors,
     deformation_twists,
+    dense_to_band,
     dexp_series,
     increment_mesh,
     reject_first_solve,
@@ -26,7 +27,7 @@ from conftest import (
 )
 from se3shell import liegroup, solver
 from se3shell.constitutive import Material
-from se3shell.fem import FemModel
+from se3shell.fem import Band, FemModel
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import (SERIES_ANGLE, SMALL_ANGLE, Ad, carried_update, exp_se3,
                                 exp_so3, inv_pose, log_so3)
@@ -64,6 +65,13 @@ def cantilever(nx=10, ny=1, lx=1.0, ly=0.2, e=200e9, nu=0.0, h=0.01, scheme="cen
     return FemModel(mesh, Material(e=e, nu=nu, h=h), scheme=scheme)
 
 
+def residual_error(dense, b, x, r):
+    """The largest difference of `r` from b - A x by a dense product,
+    relative to the largest |b| + |A| |x|, the size of its roundoff."""
+    scale = (np.abs(b) + np.abs(dense) @ np.abs(x)).max()
+    return np.abs(r - (b - dense @ x)).max() / scale
+
+
 def first_tangent(name):
     cfg = load_bundled(name)
     return build_model(cfg).build_system(1.0 / cfg.solver.load_steps)
@@ -71,12 +79,12 @@ def first_tangent(name):
 
 class TestNewtonStep:
     def test_zero_rhs(self):
-        a = band_matrix(sp.identity(12))
+        a = dense_to_band(sp.identity(12))
         eta, res, _ = newton_step(a, np.zeros(12))
         assert np.array_equal(eta, np.zeros(12))
 
     def test_scalar_analogue(self):
-        a = band_matrix(np.array([[4.0]]))
+        a = dense_to_band(np.array([[4.0]]))
         eta = newton_step(a, np.array([8.0]))[0]
         assert eta[0] == pytest.approx(2.0)
 
@@ -85,7 +93,7 @@ class TestNewtonStep:
             m = RNG.normal(size=(n, n))
             a = m @ m.T + n * np.eye(n)
             b = RNG.normal(size=n)
-            eta, rel, _ = newton_step(band_matrix(a), b)
+            eta, rel, _ = newton_step(dense_to_band(a), b)
             assert rel < 1e-10
             assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-10
 
@@ -103,20 +111,9 @@ class TestNewtonStep:
         a = self.zero_diagonal_matrix()
         assert np.all(a.diagonal() == 0.0)
         b = RNG.normal(size=a.shape[0])
-        eta, rel, _ = newton_step(band_matrix(a), b)
+        eta, rel, _ = newton_step(dense_to_band(a), b)
         assert rel < 1e-12
         assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
-
-    def test_csr_input_refused(self):
-        # only the band layout of build_system is solved; any other format,
-        # or a band whose offsets do not descend, is a caller's error
-        a = self.zero_diagonal_matrix()
-        b = RNG.normal(size=a.shape[0])
-        band = band_matrix(a)
-        ascending = sp.dia_matrix((band.data[::-1], band.offsets[::-1]), shape=a.shape)
-        for other in (sp.csr_matrix(a), a.tocoo(), a.toarray(), ascending):
-            with pytest.raises(TypeError, match="band of build_system"):
-                newton_step(other, b)
 
     def test_plate_factors_with_diagonal_pivots(self, monkeypatch):
         # first tangent of magnetic_plate_A: pivoting keeps the fill inside
@@ -146,7 +143,7 @@ class TestNewtonStep:
         newton_step(system.a, system.b)
         (lu,) = factors
         assert (lu.kl, lu.ku) == (width, width)
-        assert system.a.offsets[0] == -system.a.offsets[-1] == width
+        assert system.a.ku == system.a.kl == width
         mesh = model.mesh
         pos = np.full(mesh.n_dofs, -1)
         pos[np.sort(system.free)] = np.arange(len(system.free))
@@ -156,19 +153,34 @@ class TestNewtonStep:
 
     def test_compact_band_solves_like_the_coo_path(self, monkeypatch):
         # the plate band stores 69 of its 215 diagonals; the same matrix
-        # converted through COO into the full band with kl = ku = 107 factors
-        # into the same LU and gives the same increment bit for bit
+        # converted through COO into the full band, all 215 diagonals in one
+        # run, factors into the same LU and gives the same increment bit for bit
         system = first_tangent("magnetic_plate_A")
         a, b = system.a, system.b
-        assert len(a.offsets) == 69
-        full_band = band_matrix(a)
-        assert len(full_band.offsets) == 215
+        assert sum(len(run) for _, run in a.runs) == 69
+        full_band = dense_to_band(band_to_dense(a), full=True)
+        assert [(top, len(run)) for top, run in full_band.runs] == [(107, 215)]
         factors = capture_factors(monkeypatch)
         eta = newton_step(a, b)[0]
         assert np.array_equal(newton_step(full_band, b)[0], eta)
         assert all((f.kl, f.ku, f.info) == (107, 107, 0) for f in factors)
         assert np.array_equal(factors[1].piv, factors[0].piv)
         assert np.array_equal(factors[1].lu, factors[0].lu)
+
+    @pytest.mark.parametrize("name, runs", [("rollup_6pi", 1), ("magnetic_plate_A", 3)])
+    def test_residual_matches_the_dense_product(self, name, runs):
+        # the residual of the stored runs, one dgbmv each with its column
+        # shift, is b - A eta of the dense tangent up to roundoff
+        system = first_tangent(name)
+        a, b = system.a, system.b
+        assert len(a.runs) == runs
+        dense = band_to_dense(a)
+        eta, rel, _ = newton_step(a, b)
+        r = a.residual(b, eta)
+        assert rel == float(np.linalg.norm(r)) / float(np.linalg.norm(b))
+        assert residual_error(dense, b, eta, r) <= 1e-12
+        x = RNG.normal(size=len(b))
+        assert residual_error(dense, b, x, a.residual(b, x)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
     def test_one_triangular_solve_per_step(self, name, monkeypatch):
@@ -188,32 +200,31 @@ class TestNewtonStep:
         assert len(solves) == 1
         assert rel < solver.MAX_LINEAR_RESIDUAL
         b = system.b
-        assert rel == np.linalg.norm(b - system.a @ eta) / np.linalg.norm(b)
+        assert rel == np.linalg.norm(system.a.residual(b, eta)) / np.linalg.norm(b)
 
     def test_zero_row_band_tangent_is_singular(self, monkeypatch):
         # a zero row is never chosen as a pivot and never updated, so the
-        # factorization ends on an exactly zero pivot and reports info > 0
-        system = first_tangent("rollup_6pi")
-        a = system.a
-        m, ku = a.shape[0], a.offsets[0]
-        row = m // 2
-        cols = np.arange(m)
-        slot = ku + row - cols
-        inside = (slot >= 0) & (slot < len(a.offsets))
-        a.data[slot[inside], cols[inside]] = 0.0
-        assert not np.any(a.toarray()[row])
+        # factorization ends on an exactly zero pivot and reports info > 0;
+        # the message gives the exact 1-norm of the tangent
+        dense = band_to_dense(first_tangent("rollup_6pi").a)
+        dense[len(dense) // 2] = 0.0
+        a = dense_to_band(dense, full=True)
+        assert [(top, len(run)) for top, run in a.runs] == [(23, 47)]
+        norm = np.abs(dense).sum(axis=0).max()
+        assert a.one_norm() == pytest.approx(norm, rel=1e-14)
         factors = capture_factors(monkeypatch)
         monkeypatch.setattr(solver.lapack, "dgbtrs", None)  # never reached
-        with pytest.raises(StepRejected, match="1-norm estimate") as rejected:
-            newton_step(a, system.b)
+        with pytest.raises(StepRejected) as rejected:
+            newton_step(a, np.ones(len(dense)))
+        assert str(rejected.value) == f"singular or ill-posed tangent (1-norm {norm:.3e})"
         assert rejected.value.category == "singular_tangent"
         (lu,) = factors
         assert lu.info > 0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_condition(self):
-        a = band_matrix(np.zeros((4, 4)))
-        with pytest.raises(StepRejected) as rejected:
+        a = dense_to_band(np.zeros((4, 4)))
+        with pytest.raises(StepRejected, match=r"\(1-norm 0\.000e\+00\)") as rejected:
             newton_step(a, np.ones(4))
         assert rejected.value.category == "singular_tangent"
 
@@ -242,7 +253,9 @@ def test_norms_equal_the_linalg_forms(name, monkeypatch):
 
     def checked_step(a, b):
         eta, rel, interchanges = step(a, b)
-        assert rel == float(np.linalg.norm(b - a @ eta)) / max(float(np.linalg.norm(b)), 1e-300)
+        r = a.residual(b, eta)
+        assert rel == float(np.linalg.norm(r)) / max(float(np.linalg.norm(b)), 1e-300)
+        assert residual_error(band_to_dense(a), b, eta, r) <= 1e-12
         return eta, rel, interchanges
 
     monkeypatch.setattr(FemModel, "build_system", checked_build)
@@ -282,12 +295,13 @@ def capture_bands(monkeypatch):
 
 def lapack_band(a, scale=None):
     """The (2 kl + ku + 1, m) dgbtrf work array of the band `a`, built entry
-    by entry, of D A D (entries (D_i D_j) a_ij) when the scaling D is given."""
-    coo = a.tocoo()
-    ku, kl = a.offsets[0], -a.offsets[-1]
-    values = coo.data if scale is None else scale[coo.row] * scale[coo.col] * coo.data
-    band = np.zeros((2 * kl + ku + 1, a.shape[0]))
-    band[kl + ku + coo.row - coo.col, coo.col] = values
+    by entry from its dense matrix, of D A D (entries (D_i D_j) a_ij) when
+    the scaling D is given."""
+    dense = band_to_dense(a)
+    row, col = np.nonzero(dense)
+    values = dense[row, col] if scale is None else scale[row] * scale[col] * dense[row, col]
+    band = np.zeros((2 * a.kl + a.ku + 1, len(dense)))
+    band[a.kl + a.ku + row - col, col] = values
     return band
 
 
@@ -316,38 +330,44 @@ class TestBandScaling:
         for (system, eta, rel), band in zip(iterations, list(bands)):
             assert rel < solver.MAX_LINEAR_RESIDUAL
             # the relative residual is that of the unscaled tangent
-            r = system.b - system.a @ eta
+            r = system.a.residual(system.b, eta)
             assert np.linalg.norm(r) / np.linalg.norm(system.b) == rel
             yield system.a, band
 
     def test_rollup_keeps_the_unscaled_band_bit_for_bit(self, monkeypatch):
         for a, band in self.factored_bands("rollup_2pi", monkeypatch):
-            assert solver.band_scaling(-a.offsets[-1]) == "none"
+            assert solver.band_scaling(a.kl) == "none"
             assert np.array_equal(band, lapack_band(a))
 
     def test_plate_factors_the_jacobi_scaling(self, monkeypatch):
         for a, band in self.factored_bands("magnetic_plate_A", monkeypatch):
-            assert solver.band_scaling(-a.offsets[-1]) == "jacobi"
+            assert solver.band_scaling(a.kl) == "jacobi"
             # bit for bit D A D with D of this tangent
-            scale = 1.0 / np.sqrt(np.abs(a.diagonal()))
+            scale = 1.0 / np.sqrt(np.abs(np.diag(band_to_dense(a))))
             assert np.array_equal(band, lapack_band(a, scale))
             # unscaled, the plate swaps almost every row; D A D fewer than 10%
-            m, kl = a.shape[0], -a.offsets[-1]
+            m, kl = len(scale), a.kl
             unscaled = lapack.dgbtrf(lapack_band(a), kl, kl)[1]
             assert np.count_nonzero(unscaled != np.arange(m)) > 0.9 * m
-            swaps = newton_step(a, np.ones(m))[2]
+            swaps = newton_step(dense_to_band(band_to_dense(a)), np.ones(m))[2]
             assert 0 < swaps < 0.1 * m
 
     def test_newton_step_is_a_function_of_the_band(self):
-        # solving the same band twice factors it the same way twice
+        # each read of `a` assembles the tangent anew into the model's one
+        # work array, which one solve factors in place: solving the same
+        # tangent twice factors it the same way twice, and the solves leave
+        # each band's stored copies, the unscaled tangent, as they were
         system = first_tangent("magnetic_plate_A")
         a, b = system.a, system.b
-        data = a.data.copy()
+        runs = [run.copy() for _, run in a.runs]
         eta, rel, swaps = newton_step(a, b)
-        again = newton_step(a, b)
-        assert np.array_equal(again[0], eta)
-        assert again[1:] == (rel, swaps)
-        assert np.array_equal(a.data, data)
+        again = system.a
+        assert again.ab is a.ab
+        eta2, rel2, swaps2 = newton_step(again, b)
+        assert np.array_equal(eta2, eta)
+        assert (rel2, swaps2) == (rel, swaps)
+        for run, (_, first), (_, second) in zip(runs, a.runs, again.runs):
+            assert np.array_equal(first, run) and np.array_equal(second, run)
 
     @pytest.mark.parametrize("name", list_bundled())
     def test_first_tangent_variant_follows_the_width(self, name, monkeypatch):
@@ -358,13 +378,13 @@ class TestBandScaling:
         bands = capture_bands(monkeypatch)
         newton_step(system.a, system.b)
         (band,) = bands
-        kl = -system.a.offsets[-1]
+        kl = system.a.kl
         assert model.half_bandwidth() == kl
-        jacobi = unit_diagonal(band, kl, system.a.offsets[0])
+        jacobi = unit_diagonal(band, kl, system.a.ku)
         assert jacobi == (name in {"magnetic_plate_A", "magnetic_plate_B", "gripper_finger"})
         assert solver.band_scaling(kl) == ("jacobi" if jacobi else "none")
 
-    def test_zero_and_negative_diagonal_entries(self):
+    def test_zero_and_negative_diagonal_entries(self, monkeypatch):
         # 2x2 blocks [[d, c], [c, k]] with d = -1e-4 (one block d = 0) and
         # c = 5e-2, k = 5e2, weakly coupled: partial pivoting of A swaps
         # every block, D A D swaps only the block with the zero diagonal
@@ -383,16 +403,20 @@ class TestBandScaling:
         kl = solver.JACOBI_MIN_HALF_BANDWIDTH
         far = sp.coo_matrix(([1e-9, 1e-9], ([1, kl + 1], [kl + 1, 1])), shape=(m, m))
         b = RNG.normal(size=m)
+        scales = []
+        scale = Band.scale_jacobi
+        monkeypatch.setattr(Band, "scale_jacobi",
+                            lambda band: scales.append(scale(band)) or scales[-1])
         for a, scaling, swaps in ((narrow, "none", n_blocks), (narrow + far, "jacobi", 1)):
-            band = band_matrix(a)
-            assert solver.band_scaling(-band.offsets[-1]) == scaling
             for _ in range(2):
+                band = dense_to_band(a)
+                assert solver.band_scaling(band.kl) == scaling
                 eta, rel, n = newton_step(band, b)
                 assert rel < 1e-12 and n == swaps
                 assert np.linalg.norm(a @ eta - b) / np.linalg.norm(b) < 1e-12
-        scale = solver._band_factor(band)[4]
-        assert scale[14] == 1.0                       # the zero diagonal
-        assert np.all(scale[::2][d != 0] == 1e2)      # |-1e-4|^-1/2
+        assert len(scales) == 2 and np.array_equal(scales[0], scales[1])
+        assert scales[0][14] == 1.0                       # the zero diagonal
+        assert np.all(scales[0][::2][d != 0] == 1e2)      # |-1e-4|^-1/2
 
 
 class TestUpdateConfiguration:
@@ -437,7 +461,8 @@ class TestUpdateConfiguration:
 
     def test_rejection_reads_the_angles_of_the_coefficient_pass(self, monkeypatch):
         # the pi/2 test reads the nodal angles of the update's one angle pass,
-        # which are those of np.linalg.norm, and rejects before the state moves
+        # which are those of np.linalg.norm, and rejects before the
+        # coefficient pass runs and before the state moves
         model = build_model(load_bundled("magnetic_cantilever_lh10"))
         mesh = model.mesh
         apply_increment_field(model, 0.05 * RNG.normal(size=mesh.n_dofs))
@@ -445,11 +470,11 @@ class TestUpdateConfiguration:
         maps = solver.increment_maps
 
         def recorded(*args):
-            out = maps(*args)
-            angles.append(out[3])
-            return out
+            *inputs, check = args
+            return maps(*inputs, lambda nodal: angles.append(nodal) or check(nodal))
 
         monkeypatch.setattr(solver, "increment_maps", recorded)
+        monkeypatch.setattr(liegroup, "_rot_coeffs", None)  # never reached
         eta = 0.3 * RNG.normal(size=(mesh.n_nodes, 6))
         eta[7, 3:] = [1.0, -1.1, 0.6]  # |w| = 1.60 > pi/2
         before = mesh.state.copy()
@@ -854,14 +879,14 @@ class TestRun:
 
         def singular(a, b):
             raise StepRejected("singular or ill-posed tangent "
-                               "(1-norm estimate 0.000e+00)", "singular_tangent")
+                               "(1-norm 0.000e+00)", "singular_tangent")
 
         monkeypatch.setattr(solver, "newton_step", singular)
         monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
         report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert "singular or ill-posed tangent" in report.message
-        assert "1-norm estimate" in report.message
+        assert "1-norm 0.000e+00" in report.message
         assert [a.category for a in report.attempts] == ["singular_tangent"] * 3
         assert [a.dlam for a in report.attempts] == [1.0, 0.5, 0.25]
 
