@@ -141,7 +141,9 @@ def element_geometric_stiffness(adz: np.ndarray, s: np.ndarray, n: np.ndarray,
         kgeo_ij = sum_g N_gi (sum_a dN_gja T_ga + N_gj sum_a T_ga A_ga).
 
     At the single centroid point N_i = 1/4 for every node, so kgeo does not
-    depend on i and is returned as a read-only broadcast view.
+    depend on i and is returned as a read-only broadcast view; `n` may then
+    hold that value once, (1,1), so the N_j product is formed once and
+    broadcast over j (the same bits as the (1,4) row).
     """
     nel, g = s.shape[:2]
     t = ad_tilde(s)                                    # (nel, G, 2, 6, 6)
@@ -204,6 +206,10 @@ class Band:
         """The largest absolute column sum of the unscaled tangent."""
         return float(sum(np.abs(run).sum(axis=0) for _, run in self.runs).max())
 
+    def is_finite(self) -> bool:
+        """Whether every stored entry of the unscaled tangent is finite."""
+        return all(np.isfinite(run).all() for _, run in self.runs)
+
 
 @dataclass
 class GlobalSystem:
@@ -211,8 +217,10 @@ class GlobalSystem:
 
     `free` lists the free DOFs in the row order of `a` and `b`: the grid
     order of the band.  Each read of `a` assembles the tangent by `tangent`
-    for the one solve that factors it, so a converged check forms none; a
-    non-finite tangent raises FloatingPointError there.
+    for the one solve that factors it, so a converged check forms none.  A
+    non-finite `b` raises FloatingPointError when the system is built; the
+    tangent is not scanned here (`solver.newton_step` tests it only when
+    its solve fails).
     """
 
     b: np.ndarray
@@ -350,9 +358,12 @@ class FemModel:
 
     @cached_property
     def _sampling(self):
-        """(points, N, dN, w D_ab, w D as (nel,G,12,12), K0) of the G sample
+        """(zeta_0, N, dN, w D_ab, w D as (nel,G,12,12), K0) of the G sample
         points, built on the first build.
 
+        zeta_0 (nel,G,2,6) are the reference twists there.  N is (G,4), but
+        (1,1) for the centroid, where all four N_i equal 1/4: each N_i product
+        of the kernels is then formed once and broadcast over the nodes.
         w D_ab is the (nel,G,2,2,6,6) view of the stacked 12x12 blocks times the
         quadrature weight, and K0_ij = sum_gab dN_gia dN_gjb w_g D_ab.
         """
@@ -360,18 +371,20 @@ class FemModel:
         le1, le2 = mesh.le
         pts, w_area = _SAMPLINGS[self.scheme]
         n = N_PTS[pts]
+        if len(pts) == 1:
+            n = n[:, :1]
         dn = DN_PTS_PARENT[pts] * np.array([2.0 / le1, 2.0 / le2])
         w = le1 * le2 * w_area * mesh.jac0_pts[:, pts]
         wd = w[..., None, None, None, None] * self.d_blocks[:, None]
         nel, g = w.shape
         d12 = wd.transpose(0, 1, 2, 4, 3, 5).reshape(nel, g, 12, 12)
-        return (pts, n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4), d12,
-                np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
+        return (mesh.zeta0_pts[:, pts], n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4),
+                d12, np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
 
     def _strain_stress(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Strains and weighted stresses of twists at the sample points, (nel,G,2,6)."""
-        pts, _, _, wd, _, _ = self._sampling
-        strain = zeta - self.mesh.zeta0_pts[:, pts]
+        zeta0, _, _, wd, _, _ = self._sampling
+        strain = zeta - zeta0
         return strain, stress(wd, strain)
 
     def _mechanical_kernels(self):
@@ -403,9 +416,11 @@ class FemModel:
 
         where s_ga = sum_b D_ab (zeta_gb - zeta_0,gb) is the weighted stress;
         `element_geometric_stiffness` forms kgeo from s and A.  At the single
-        centroid point N_i = 1/4 for every node, so P_ij = z_i / 4 does not
-        depend on j and only the (nel,4,1,6,6) factor is formed; P^T is copied
-        contiguous, so the block fill adds it without strides.
+        centroid point N_i = 1/4 for every node, held once by the sampling, so
+        the N_i products of z and f_int are formed once and broadcast over i,
+        and P_ij = z_i / 4 does not depend on j: only the (nel,4,1,6,6) factor
+        is formed.  P^T is copied contiguous, so the block fill adds it
+        without strides.
         """
         _, n, dn, _, d12, _ = self._sampling
         _, s = self._strain_stress(zeta)
@@ -445,25 +460,27 @@ class FemModel:
         """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
         `sc` is the scatter of the free DOFs, `kdead` the (n_nodes,6,6)
-        dead-load blocks of `neumann_terms`, subtracted at the nodes that carry
-        a dead load.  `kern.blocks` writes the element blocks straight into
-        the scatter's weight buffer.
+        dead-load blocks of `neumann_terms` (None without a dead load),
+        subtracted at the nodes that carry a dead load.  `kern.blocks` writes
+        the element blocks straight into the scatter's weight buffer.
         """
         kern.blocks(sc.block_weights)
         dead = [ld.nodes for ld in self.mesh.neumann if ld.frame == "dead"]
         return sc.band(kdead, np.unique(np.concatenate(dead)) if dead else None)
 
-    def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
 
         Dead loads keep constant spatial components and are re-expressed in
         each node's current frame; followers are constant local components.
         The dead-load tangent is block diagonal, returned as one 6x6 block
-        per node, shape (n_nodes, 6, 6).
+        per node, shape (n_nodes, 6, 6), or None when no load is dead (the
+        four benchmark workloads), so a follower-loaded build forms no blocks.
         """
         mesh = self.mesh
         b = np.zeros((mesh.n_nodes, 6))
-        kdead = np.zeros((mesh.n_nodes, 6, 6))
+        dead = any(ld.frame == "dead" for ld in mesh.neumann)
+        kdead = np.zeros((mesh.n_nodes, 6, 6)) if dead else None
         for ld in mesh.neumann:
             w = ld.wrench * load_factor
             weight = ld.weights[:, None]
@@ -480,17 +497,17 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray,
+    def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray | None,
                                   sc: "_Scatter") -> Band:
         """The tangent on the free DOFs of the scatter `sc`, with the dead loads.
 
         `kdead` comes from `neumann_terms`; `assemble` scatters it with the
-        element blocks.  A non-finite stored entry raises FloatingPointError.
+        element blocks.  The stored entries are not scanned here: a
+        non-finite one makes the factorization, the increment or the linear
+        residual of the solve non-finite, and only then does
+        `solver.newton_step` test them (`Band.is_finite`).
         """
-        a = self.assemble(kern, kdead, sc)
-        if not all(np.isfinite(run).all() for _, run in a.runs):
-            raise FloatingPointError("non-finite entries in the assembled system")
-        return a
+        return self.assemble(kern, kdead, sc)
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
         """The BC-reduced system on the free DOFs in band (grid) order.

@@ -110,26 +110,31 @@ def _rot_coeffs(theta: np.ndarray, n_c: int, n_q: int) -> tuple[np.ndarray, ...]
     block of the SE(3) Jacobian.  b is evaluated as (sin(t/2)/(t/2))^2 / 2,
     which does not cancel; c, c2 and c3 take their Taylor series below
     SERIES_ANGLE, all three in one Horner loop over the packed squares
-    [t2[:n_c], t2[:n_q], t2[:n_q]] against the rows of `_series_table`.  All
-    five are accurate to 1e-14 relative, and each value is the same
-    elementwise arithmetic wherever its angle sits in the stack.
+    [t2[:n_c], t2[:n_q], t2[:n_q]] against the rows of `_series_table`.  The
+    closed forms of c, c2 and c3 are evaluated, and merged in, only when one
+    of the first n_c angles reaches SERIES_ANGLE (one update in 640 of a
+    `rollup_6pi` run, none of `magnetic_plate_A`).  All five are accurate to
+    1e-14 relative, and each value is the same elementwise arithmetic
+    wherever its angle sits in the stack.
     """
     a, b, safe, sin, t2 = _sinc_coeffs(theta)
-    s = safe[:n_c]
-    s2 = s * s
-    direct_c = (s - sin[:n_c]) / (s2 * s)
-    s2, bq = s2[:n_q], b[:n_q]
     # c at the first n_c angles, then c2 and c3 at the first n_q
-    packed = np.concatenate((direct_c, (0.5 - bq) / s2, (1.5 * direct_c[:n_q] - 0.5 * bq) / s2))
     x = np.concatenate((t2[:n_c], t2[:n_q], t2[:n_q]))
-    near = theta < SERIES_ANGLE
     rows = _series_table(n_c, n_q)
-    series = rows[-1] * x
-    series += rows[-2]
+    packed = rows[-1] * x
+    packed += rows[-2]
     for row in rows[-3::-1]:
-        series *= x
-        series += row
-    np.copyto(packed, series, where=np.concatenate((near[:n_c], near[:n_q], near[:n_q])))
+        packed *= x
+        packed += row
+    near = theta[:n_c] < SERIES_ANGLE
+    if not near.all():
+        s = safe[:n_c]
+        s2 = s * s
+        direct_c = (s - sin[:n_c]) / (s2 * s)
+        s2, bq = s2[:n_q], b[:n_q]
+        direct = np.concatenate((direct_c, (0.5 - bq) / s2,
+                                 (1.5 * direct_c[:n_q] - 0.5 * bq) / s2))
+        np.copyto(packed, direct, where=~np.concatenate((near, near[:n_q], near[:n_q])))
     return a, b, packed[:n_c], packed[n_c:n_c + n_q], packed[n_c + n_q:]
 
 
@@ -144,9 +149,9 @@ def _series_table(n_c: int, n_q: int) -> np.ndarray:
     return table
 
 
-def _angle(w: np.ndarray) -> np.ndarray:
-    """|w| of vectors stored along axis 0."""
-    return np.sqrt(np.sum(w * w, axis=0))
+def _squares(w: np.ndarray) -> np.ndarray:
+    """|w|^2 of vectors stored along axis 0."""
+    return np.sum(w * w, axis=0)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -155,22 +160,30 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross product of vectors stored along axis 0, shape (3, ...)."""
-    x5 = np.concatenate((x, x[:2]))
-    y5 = np.concatenate((y, y[:2]))
+def _cyclic(x: np.ndarray) -> np.ndarray:
+    """Vectors stored along axis 0, (3, ...), with their first two components
+    repeated after the third, (5, ...): the left operand of `_cross`, formed
+    once for a vector that several cross products share."""
+    return np.concatenate((x, x[:2]))
+
+
+def _cross(x5: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross product x x y of vectors stored along axis 0, shape (3, ...),
+    for x given as `_cyclic(x)`."""
+    y5 = _cyclic(y)
     return x5[1:4] * y5[2:5] - x5[2:5] * y5[1:4]
 
 
-def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """I + a w^ + b w^ w^ for w stored along axis 0; returns (..., 3, 3).
+def _rodrigues(w: np.ndarray, a: np.ndarray, b: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """I + a w^ + b w^ w^ for w stored along axis 0, given its squares
+    sq = |w|^2 (`_squares`, taken with the angles); returns (..., 3, 3).
 
     Uses w^ w^ = w w^T - |w|^2 I.
     """
     aw = a * w
     r = (b * w)[:, None] * w[None, :]
     flat = r.reshape((9,) + r.shape[2:])
-    flat[::4] += 1.0 - b * np.sum(w * w, axis=0)
+    flat[::4] += 1.0 - b * sq
     flat[[5, 6, 1]] -= aw
     flat[[7, 2, 3]] += aw
     return np.ascontiguousarray(r.transpose(*range(2, r.ndim), 0, 1))
@@ -181,10 +194,11 @@ def _poses(v: np.ndarray, w: np.ndarray, rot: np.ndarray, b: np.ndarray,
     """exp_se3 of the N twists (v; w) stored along axis 0, (N, 4, 4), given
     their rotations `rot` (N, 3, 3) and coefficients b, c: the translation is
     T(w) v = v + b w x v + c w x (w x v)."""
-    wv = _cross(w, v)
+    w5 = _cyclic(w)
+    wv = _cross(w5, v)
     out = np.zeros((v.shape[1], 4, 4))
     out[:, :3, :3] = rot
-    out[:, :3, 3] = (v + b * wv + c * _cross(w, wv)).T
+    out[:, :3, 3] = (v + b * wv + c * _cross(w5, wv)).T
     out[:, 3, 3] = 1.0
     return out
 
@@ -193,8 +207,9 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula: I + sin|w|/|w| w^ + (1-cos|w|)/|w|^2 w^ w^."""
     w = np.asarray(w, dtype=float)
     cols = _columns(w)
-    a, b, *_ = _rot_coeffs(_angle(cols), 0, 0)
-    return _rodrigues(cols, a, b).reshape(w.shape[:-1] + (3, 3))
+    sq = _squares(cols)
+    a, b, *_ = _rot_coeffs(np.sqrt(sq), 0, 0)
+    return _rodrigues(cols, a, b, sq).reshape(w.shape[:-1] + (3, 3))
 
 
 def exp_se3(t: np.ndarray) -> np.ndarray:
@@ -205,8 +220,9 @@ def exp_se3(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     cols = _columns(t)
     v, w = cols[:3], cols[3:]
-    a, b, c, *_ = _rot_coeffs(_angle(w), w.shape[1], 0)
-    return _poses(v, w, _rodrigues(w, a, b), b, c).reshape(t.shape[:-1] + (4, 4))
+    sq = _squares(w)
+    a, b, c, *_ = _rot_coeffs(np.sqrt(sq), w.shape[1], 0)
+    return _poses(v, w, _rodrigues(w, a, b, sq), b, c).reshape(t.shape[:-1] + (4, 4))
 
 
 def make_pose(r: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -328,21 +344,22 @@ def _carry(u: np.ndarray, w: np.ndarray, coeffs: tuple, zeta: np.ndarray,
     See `carried_update` for the closed form.
     """
     a, b, c, c2, c3 = coeffs
-    u, w = u[:, None], w[:, None]  # (3, 1, N): broadcast over the stack
+    u = u[:, None]  # (3, 1, N): broadcast over the stack
+    u5, w5 = _cyclic(u), _cyclic(w[:, None])
     z, d = _components(zeta), _components(deta)
-    wu = _cross(w, u)
-    p = u + b * wu + c * _cross(w, wu)
+    wu = _cross(w5, u)
+    p = u + b * wu + c * _cross(w5, wu)
     zv, zw, dv, dw = z[:3], z[3:], d[:3], d[3:]
-    x = zv - _cross(p, zw)
-    y = _cross(w, dw)
-    yy = _cross(w, y)
-    up, uq, us = _cross(u, dw), _cross(u, y), _cross(u, yy)
+    x = zv - _cross(_cyclic(p), zw)
+    y = _cross(w5, dw)
+    yy = _cross(w5, y)
+    up, uq, us = _cross(u5, dw), _cross(u5, y), _cross(u5, yy)
     q_outer = c * up + (3.0 * c2 - c) * uq + c3 * us
     q_inner = c3 * uq - c2 * up
     # R^T x + J dv + Q dw and R^T zw + J dw, sharing the outer w x (.)
     out_v = (x + dv - 0.5 * up + c * uq - c2 * us
-             + _cross(w, q_outer - a * x - b * dv + _cross(w, b * x + c * dv + q_inner)))
-    out_w = zw + dw - b * y + c * yy + _cross(w, _cross(w, b * zw) - a * zw)
+             + _cross(w5, q_outer - a * x - b * dv + _cross(w5, b * x + c * dv + q_inner)))
+    out_w = zw + dw - b * y + c * yy + _cross(w5, _cross(w5, b * zw) - a * zw)
     return np.concatenate((out_v, out_w)).transpose(2, 1, 0).copy()
 
 
@@ -367,7 +384,7 @@ def carried_update(eta: np.ndarray, zeta: np.ndarray, deta: np.ndarray) -> np.nd
     eta = np.asarray(eta, dtype=float)
     cols = _columns(eta)
     n, k = cols.shape[1], np.shape(zeta)[-2]
-    coeffs = _rot_coeffs(_angle(cols[3:]), n, n)
+    coeffs = _rot_coeffs(np.sqrt(_squares(cols[3:])), n, n)
     out = _carry(cols[:3], cols[3:], coeffs, np.asarray(zeta, dtype=float).reshape(n, k, 6),
                  np.asarray(deta, dtype=float).reshape(n, k, 6))
     return out.reshape(eta.shape[:-1] + (k, 6))
@@ -390,15 +407,17 @@ def increment_maps(eta_nodes: np.ndarray, eta_pts: np.ndarray, zeta: np.ndarray,
     raises stops the update before any coefficient is formed.  `_rot_coeffs`
     runs once over the stack: a and b at every point, c at the twist points
     and nodes, c2 and c3 at the twist points only.  One `_rodrigues` call
-    forms the rotations of the nodes and rotation points.
+    forms the rotations of the nodes and rotation points, from the squares
+    whose roots are the angles.
     """
     n, p = len(eta_nodes), len(eta_pts)
     pts, nodes = _columns(eta_pts), _columns(eta_nodes)
     w = np.concatenate((pts[3:], nodes[3:], w_rot.T), axis=1)
-    theta = _angle(w)
+    sq = _squares(w)
+    theta = np.sqrt(sq)
     check(theta[p:p + n])
     a, b, c, c2, c3 = _rot_coeffs(theta, p + n, p)
-    rot = _rodrigues(w[:, p:], a[p:], b[p:])
+    rot = _rodrigues(w[:, p:], a[p:], b[p:], sq[p:])
     poses = _poses(nodes[:3], w[:, p:p + n], rot[:n], b[p:p + n], c[p:])
     twists = _carry(pts[:3], w[:, :p], (a[:p], b[:p], c[:p], c2, c3), zeta, deta)
     return poses, twists, rot[n:]

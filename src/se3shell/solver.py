@@ -45,7 +45,10 @@ field program.  An increment whose largest nodal rotation exceeds pi/2, a
 non-finite system, a singular tangent, a linear solve whose relative
 residual |b - A eta| / |b| exceeds 1e-6, or a Newton loop that exhausts
 max_iters all reject the attempt with a StepRejected (or a
-FloatingPointError, for a non-finite system): the state is restored
+FloatingPointError, for a non-finite system: `build_system` tests the
+residual, and `newton_step` tests the tangent only when its solve fails,
+since a non-finite entry makes the factorization, the increment or the
+linear residual non-finite): the state is restored
 together with its memoized kernels from the snapshot taken once per load
 increment (`FemModel.snapshot`/`restore`), the message kept as the attempt's
 reason (with a category, set where the exception is raised) and the
@@ -199,20 +202,28 @@ def newton_step(a: Band, b: np.ndarray) -> tuple[np.ndarray, float, int]:
     factor).  No refinement follows: on the bundled scenarios a refinement
     sweep halved the residual in under 1% of solves and never brought a
     solve under MAX_LINEAR_RESIDUAL, above which the caller rejects the
-    step.  Raises StepRejected ("singular_tangent") with the 1-norm of A
-    when the factorization meets an exactly zero pivot (info > 0) or
-    produces non-finite results.
+    step.  A non-finite stored entry of A ends the factorization at a
+    zero pivot (info > 0) or makes eta or the linear residual non-finite;
+    only on those paths are the stored entries scanned (`Band.is_finite`),
+    and a non-finite one raises FloatingPointError("non-finite entries in
+    the assembled system").  Otherwise a zero pivot or a non-finite eta
+    raises StepRejected ("singular_tangent") with the 1-norm of A.
     """
     b = np.asarray(b, dtype=float)
     d = a.scale_jacobi() if band_scaling(a.kl) == "jacobi" else 1.0  # 1.0 changes no bit
     lu, piv, info = lapack.dgbtrf(a.ab, a.kl, a.ku, overwrite_ab=True)
     # info > 0: an exactly zero pivot, no solve
     eta = d * lapack.dgbtrs(lu, a.kl, a.ku, d * b, piv)[0] if info == 0 else None
-    if eta is None or not np.isfinite(eta).all():
+    solved = eta is not None and np.isfinite(eta).all()
+    rel = math.nan
+    if solved:
+        r = a.residual(b, eta)
+        rel = math.sqrt(r.dot(r)) / max(math.sqrt(b.dot(b)), 1e-300)
+    if not math.isfinite(rel) and not a.is_finite():
+        raise FloatingPointError("non-finite entries in the assembled system")
+    if not solved:
         raise StepRejected(f"singular or ill-posed tangent (1-norm {a.one_norm():.3e})",
                            "singular_tangent")
-    r = a.residual(b, eta)
-    rel = math.sqrt(r.dot(r)) / max(math.sqrt(b.dot(b)), 1e-300)
     return eta, rel, int(np.count_nonzero(piv != np.arange(len(piv))))
 
 

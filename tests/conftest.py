@@ -322,9 +322,9 @@ def dense_loop(model, blocks):
 
 def dense_kdead(model, kdead):
     """(n_nodes,6,6) nodal blocks on the diagonal of a dense (n_dofs, n_dofs)
-    matrix in natural DOF order."""
+    matrix in natural DOF order; all zero for None (no dead load)."""
     out = np.zeros((model.mesh.n_dofs, model.mesh.n_dofs))
-    for node, blk in enumerate(kdead):
+    for node, blk in enumerate(() if kdead is None else kdead):
         out[6 * node:6 * node + 6, 6 * node:6 * node + 6] = blk
     return out
 

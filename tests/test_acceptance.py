@@ -11,7 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 from scipy.optimize import brentq
+from scipy.special import ellipk
 
 from conftest import (band_to_dense, fd_residual_jacobian, mechanical_tangent, natural_tangent,
                       random_state_perturbation, transform_reference)
@@ -21,6 +23,7 @@ from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import Ad, ad, dexp_se3, exp_se3, log_se3
 from se3shell.magnetics import MU0, MagneticEnvironment
 from se3shell.mesh import build_mesh
+from se3shell.outputs import tip_rotation_angle
 from se3shell.scenario import build_model, load_bundled
 from se3shell.solver import (
     SolverSettings,
@@ -439,6 +442,57 @@ def test_criterion_10_antiparallel_instability():
     report(10, f"straight force 0, destabilized eig {eig_full:.2e} "
                f"(mechanical {eig_mech:.2e}); deflected energy {e_final:.3e} "
                f"< straight {e_straight:.3e}")
+
+
+def test_antiparallel_strip_matches_the_hard_magnetic_elastica():
+    # A clamped-free strip magnetized along its axis in an antiparallel
+    # field feels no force; EI th'' + q sin th = 0 with q = b h B^r B^a / mu0
+    # (the pendulum form of the elastica).  The straight state loses
+    # stability at sqrt(q / EI) L = pi / 2, and above that the tip rotation
+    # th_L of the buckled branch solves sqrt(q / EI) L = K(sin^2(th_L / 2)).
+    # EI = (1 - nu) D b is the law's cylindrical bending stiffness.  A 30x4
+    # strip without the symmetry-breaking perturbation: at 30x1 the
+    # hourglass modes buckle first.
+    cfg = replace(load_bundled("antiparallel"), nx=30, ny=4, perturb=None)
+    mat, spec = cfg.material, cfg.magnetic
+    br = np.linalg.norm(spec.b_r)
+    ei = (1 - mat.nu) * mat.e * mat.h**3 / (12 * (1 - mat.nu**2)) * cfg.width
+    b_c = np.pi**2 * ei * spec.mu0 / (4 * cfg.length**2 * br * cfg.width * mat.h)
+    axial = -np.asarray(spec.b_r) / br
+
+    # the first critical field: K - B Kmag(1) at the straight state is
+    # positive definite (band Cholesky info 0) just below B_c, not above
+    straight = build_model(cfg)
+    straight.field = MagneticEnvironment(axial, spec.mu0).scaled
+    k = band_to_dense(straight.build_system(0.0).a)
+    kmag = k - band_to_dense(straight.build_system(1.0).a)
+    assert np.array_equal(k, k.T) and np.array_equal(kmag, kmag.T)
+    kd = straight.half_bandwidth()
+
+    def cholesky_info(b):
+        a = k - b * kmag
+        ab = np.zeros((kd + 1, len(a)))
+        for j in range(kd + 1):
+            ab[j, :len(a) - j] = np.diagonal(a, -j)
+        return lapack.dpbtrf(ab, lower=1)[1]
+
+    assert cholesky_info((1 - 1e-3) * b_c) == 0
+    assert cholesky_info((1 + 1e-3) * b_c) > 0
+
+    # the buckled branch at 2 B_c, reached by the bundled program: a
+    # perpendicular ramp, then a rotation to antiparallel
+    b = 2.0 * b_c
+    up = np.asarray(spec.b_a_start) / np.linalg.norm(spec.b_a_start)
+    buckled = replace(cfg, magnetic=replace(spec, b_a=b * axial, b_a_start=b * up))
+    model = build_model(buckled)
+    assert run(model, buckled.solver).converged
+    m = brentq(lambda m: ellipk(m) - 0.5 * np.pi * np.sqrt(b / b_c), 0.0, 1.0 - 1e-12)
+    tip_oracle = 2.0 * np.arcsin(np.sqrt(m))
+    assert tip_oracle == pytest.approx(2.17385, abs=1e-5)
+    tip = tip_rotation_angle(model)
+    assert abs(tip - tip_oracle) < 1e-3
+    print(f"\n[elastica oracle] critical field {b_c * 1e3:.4f} mT within 1e-3 (dpbtrf); "
+          f"tip rotation at 2 B_c {tip:.5f} rad vs elastica {tip_oracle:.5f}")
 
 
 def test_criterion_11_liegroup_unit_suite():

@@ -32,7 +32,7 @@ from conftest import (
     shape_functions,
 )
 from se3shell import fem, outputs
-from se3shell.constitutive import Material
+from se3shell.constitutive import Material, stress
 from se3shell.fem import FemModel
 from se3shell.kinematics import build_flat_plate
 from se3shell.liegroup import ad, ad_tilde, skew
@@ -290,6 +290,38 @@ class TestElementKernels:
             # and the memo holds P only per element and row node
             assert kern.kgeo.strides[1] == 0
             assert kern.kmat.shape[2] == kern.kmat_t.shape[1] == 1
+
+    def test_centroid_fold_equals_the_per_node_products(self):
+        # the sampling holds the centroid's four equal N_i = 1/4 once, so each
+        # N_i product of P, f_int and Kgeo is formed once and broadcast over
+        # the nodes; the bytes are those of the general expressions at g = 1,
+        # with the (1,4) row of shape values, a product per node
+        model = build_model(load_bundled("arch_transverse"))
+        random_state_perturbation(model, 0.05, seed=7)
+        mesh = model.mesh
+        kern = model.element_kernels()
+        _, n_folded, dn, wd, d12, _ = model._sampling
+        assert n_folded.shape == (1, 1)
+        n = N_PTS[[0]]
+        zeta = mesh.state.zeta_pts
+        nel = len(zeta)
+        s = stress(wd, zeta - mesh.zeta0_pts[:, [0]])
+        adz = ad(zeta).reshape(nel, 1, 12, 6)
+        adz_t = np.swapaxes(adz, -1, -2)
+        u = d12 @ adz
+        z = (dn @ u.reshape(nel, 1, 2, 36)).reshape(nel, 1, 4, 6, 6)
+        z += (0.5 * n)[..., None, None] * (adz_t @ u)[:, :, None]
+        p = np.einsum("gj,egipq->eijpq", n, z)
+        f_int = (dn @ s + n[..., None] * (adz_t @ s.reshape(nel, 1, 12, 1)).reshape(
+            nel, 1, 1, 6)).sum(axis=1)
+        t = ad_tilde(s)
+        q = (dn @ t.reshape(nel, 1, 2, 36)).reshape(nel, 1, 4, 6, 6)
+        q += n[..., None, None] * (t.transpose(0, 1, 3, 2, 4).reshape(nel, 1, 6, 12)
+                                   @ adz)[:, :, None]
+        kgeo = np.einsum("gi,egjpq->eijpq", n, q)
+        for got, ref in ((kern.kmat, p), (kern.kmat_t, p.transpose(0, 2, 1, 4, 3)),
+                         (kern.f_int, f_int), (kern.kgeo, kgeo)):
+            assert np.broadcast_to(got, ref.shape).tobytes() == ref.tobytes()
 
     def test_master_fd_tangent_centroid(self):
         model = make_model(clamp=False)

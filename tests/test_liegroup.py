@@ -288,6 +288,26 @@ class TestRotCoeffs:
             assert g.shape == e.shape
             assert g.tobytes() == e.tobytes()
 
+    @pytest.mark.parametrize("n_c, n_q", [(26, 26), (26, 11), (26, 0), (11, 4)])
+    @pytest.mark.parametrize("at_switch", [None, 3, 25])
+    def test_series_only_stack_equals_the_per_row_horner(self, n_c, n_q, at_switch):
+        # every angle below SERIES_ANGLE: the closed forms are skipped and the
+        # series alone gives the bytes; one angle at exactly SERIES_ANGLE,
+        # inside the first n_c (3) or past them where n_c = 11 (25), takes
+        # its closed forms again
+        rng = np.random.default_rng(32)  # leaves the module's stream to the other tests
+        thetas = rng.permutation(np.concatenate([
+            [0.0, 1e-9, 0.99 * SMALL_ANGLE, 1.01 * SMALL_ANGLE, 0.1, 0.99 * SERIES_ANGLE],
+            rng.uniform(0.0, SERIES_ANGLE, size=20)]))
+        assert thetas.max() < SERIES_ANGLE
+        if at_switch is not None:
+            thetas[at_switch] = SERIES_ANGLE
+        got = _rot_coeffs(thetas, n_c, n_q)
+        expected = per_row_rot_coeffs(thetas, n_c, n_q)
+        assert [len(x) for x in got] == [26, 26, n_c, n_q, n_q]
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
     def test_series_table_built_once_per_point_counts(self):
         liegroup._series_table.cache_clear()
         for n_c, n_q in [(7, 3), (7, 3), (7, 0), (7, 3), (7, 0)]:
@@ -366,6 +386,12 @@ class TestCarriedUpdate:
             assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def rotation_vectors(rng, angles):
+    """Random rotation vectors of the given angles, (len(angles), 3)."""
+    w = rng.normal(size=(len(angles), 3))
+    return w * (np.asarray(angles)[:, None] / np.linalg.norm(w, axis=1, keepdims=True))
+
+
 class TestIncrementMaps:
     @staticmethod
     def twists(angles):
@@ -394,6 +420,36 @@ class TestIncrementMaps:
         # the check is handed the nodal angles of np.linalg.norm, once
         (nodal,) = checked
         assert nodal.tobytes() == np.linalg.norm(eta_nodes[:, 3:], axis=1).tobytes()
+
+    @staticmethod
+    def recomputed_rodrigues(w, a, b):
+        """I + a w^ + b w^ w^ with |w|^2 summed again from w."""
+        aw = a * w
+        r = (b * w)[:, None] * w[None, :]
+        flat = r.reshape((9,) + r.shape[2:])
+        flat[::4] += 1.0 - b * np.sum(w * w, axis=0)
+        flat[[5, 6, 1]] -= aw
+        flat[[7, 2, 3]] += aw
+        return np.ascontiguousarray(r.transpose(*range(2, r.ndim), 0, 1))
+
+    def test_rotations_from_the_angle_squares_equal_the_recomputed_form(self):
+        # the rotations take |w|^2 from the angle pass; the bytes are those
+        # of the form that sums w * w again, for the nodes and rotation
+        # points of an update and for exp_so3
+        rng = np.random.default_rng(32)  # leaves the module's stream to the other tests
+        angles = np.repeat(SWITCH_ANGLES, 2)
+        eta_nodes, eta_pts, w_rot = (
+            np.concatenate([rng.normal(size=(k, 3)), rotation_vectors(rng, angles[:k])], axis=1)
+            for k in (len(angles), 17, 9))
+        w_rot = w_rot[:, 3:]
+        poses, _, rot = increment_maps(eta_nodes, eta_pts, rng.normal(size=(17, 2, 6)),
+                                       rng.normal(size=(17, 2, 6)), w_rot, lambda _: None)
+        for got, vectors in ((poses[:, :3, :3], eta_nodes[:, 3:]), (rot, w_rot)):
+            w = np.ascontiguousarray(vectors.T)
+            a, b, *_ = _rot_coeffs(np.linalg.norm(vectors, axis=1), 0, 0)
+            expected = self.recomputed_rodrigues(w, a, b)
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+            assert exp_so3(vectors).tobytes() == expected.tobytes()
 
     def test_check_stops_the_update_before_the_coefficients(self, monkeypatch):
         # an exception raised by the check leaves the coefficient pass unrun

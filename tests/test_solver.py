@@ -25,7 +25,7 @@ from conftest import (
     reject_first_solve,
     transform_reference,
 )
-from se3shell import liegroup, solver
+from se3shell import fem, liegroup, solver
 from se3shell.constitutive import Material
 from se3shell.fem import Band, FemModel
 from se3shell.kinematics import build_flat_plate
@@ -668,9 +668,9 @@ class TestUpdateTwists:
         formed = []
         rodrigues = liegroup._rodrigues
 
-        def counted(w, a, b):
+        def counted(w, a, b, sq):
             formed.append(w.shape)
-            return rodrigues(w, a, b)
+            return rodrigues(w, a, b, sq)
 
         monkeypatch.setattr(liegroup, "_rodrigues", counted)
         apply_increment_field(model, 0.1 * RNG.normal(size=mesh.n_dofs))
@@ -923,6 +923,35 @@ class TestRun:
         report = run(model, SolverSettings(load_steps=1))
         assert not report.converged
         assert [(a.reason, a.category) for a in report.attempts] == [(reason, "nonfinite")]
+
+    # D A D of an inf diagonal entry multiplies it by D = 0
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["rollup_2pi", "magnetic_plate_A"])
+    @pytest.mark.parametrize("entry", [(1, 1, 2, 2), (2, 0, 1, 4)])
+    def test_nonfinite_tangent_is_named(self, name, entry, monkeypatch):
+        # an inf in one Kgeo entry of the first tangent, on the diagonal or
+        # off it, is not scanned for when the tangent is assembled; the solve
+        # fails on it, and its failure path names a non-finite system, not a
+        # singular tangent (the plate factors D A D)
+        cfg = load_bundled(name)
+        model = build_model(cfg)
+        form = fem.element_geometric_stiffness
+        formed = []
+
+        def poisoned(*args):
+            kgeo = form(*args)
+            if not formed:
+                kgeo = np.array(kgeo)
+                kgeo[(-1,) + entry] = np.inf  # the last element's nodes are free
+            formed.append(None)
+            return kgeo
+
+        monkeypatch.setattr(fem, "element_geometric_stiffness", poisoned)
+        monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+        report = run(model, cfg.solver)
+        assert len(formed) == 1
+        assert [(a.reason, a.category) for a in report.attempts] == [
+            ("non-finite entries in the assembled system", "nonfinite")]
 
     def test_one_factorization_per_newton_step(self, monkeypatch):
         # and none for the ordering, which is the grid order of the mesh
