@@ -70,7 +70,7 @@ from .constitutive import (Material, internal_energy_density, metric_inverse,
 from .liegroup import ad, ad_tilde, skew
 from .magnetics import (MagneticEnvironment, applied_field, element_magnetic_force,
                         element_magnetic_stiffness, remanent_field, stiffness_weights)
-from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, ShellMesh, ShellState
+from .mesh import DN_PTS_PARENT, GAUSS_POINTS, N_PTS, PARENT_POINTS, ShellMesh, ShellState
 
 # sample points of each strain sampling and their weight per unit chart area
 _SAMPLINGS = {"centroid": (np.array([0]), 1.0), "gauss": (GAUSS_POINTS, 0.25)}
@@ -175,10 +175,11 @@ class Band:
 
     def scale_jacobi(self) -> np.ndarray:
         """Make the stored runs of `ab` those of D A D, entries (D_r D_c) a_rc
-        with D = |a_ii|^-1/2 (1 where a_ii = 0), from the copies, and return D."""
+        with D = |a_ii|^-1/2 (1 where a_ii is zero or infinite, so no 0 inf is
+        formed), from the copies, and return D."""
         diag = np.abs(next(run[top] for top, run in self.runs if 0 <= top < len(run)))
         d = np.ones_like(diag)
-        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+        np.divide(1.0, np.sqrt(diag), out=d, where=(diag > 0.0) & (diag < np.inf))
         m, row = len(d), self.kl + self.ku
         # D_(c - o) at row ku - o, column c: the sliding windows of D padded
         # by ku zeros before and kl after
@@ -248,11 +249,14 @@ class Snapshot:
 class FemModel:
     """Mesh + material + field program + magnetization: the Newton system.
 
-    The problem is fixed when the model is built: it keeps a read-only copy
-    of `b_r`, the remanent vectors per unit area in the inertial frame,
-    (n_elements, 3), and freezes `mesh.dirichlet` into a read-only mapping of
-    read-only masks, so a later clamp or mask edit raises.  Its run constants
-    are built on first use and kept.
+    Building the model fixes the magnetization, the Dirichlet masks and the
+    carried points: it keeps a read-only copy of `b_r`, the remanent vectors
+    per unit area in the inertial frame, (n_elements, 3); it freezes
+    `mesh.dirichlet` into read-only masks, so a later clamp or mask edit
+    raises; and it narrows the five-point state of `build_mesh` to what it
+    reads, refusing a state another model has narrowed.  The edge loads
+    (`mesh.neumann`) and the field program stay open.  Its run constants are
+    built on first use and kept.
 
     `field(load_factor) -> MagneticEnvironment` is the magnetic load path; the
     magnetic terms are active when both it and `b_r` are set.  It must
@@ -267,6 +271,10 @@ class FemModel:
                  scheme: str = "centroid", b_r: np.ndarray | None = None):
         if scheme not in _SAMPLINGS:
             raise ValueError("scheme must be 'centroid' or 'gauss'")
+        state = mesh.state
+        if state.zeta_pts.shape[1] != len(PARENT_POINTS):
+            raise ValueError("the mesh state is narrowed to another model's points: "
+                             "build each model on a mesh of its own")
         if b_r is not None:
             b_r = np.array(b_r, dtype=float)
             if b_r.shape != (mesh.n_elements, 3):
@@ -281,7 +289,8 @@ class FemModel:
         self.scheme = scheme
         self._b_r = b_r
         # the state keeps only what the model reads
-        mesh.state = mesh.state.carrying(_SAMPLINGS[scheme][0], rotations=b_r is not None)
+        mesh.state = ShellState(state.g_nodes, state.zeta_pts[:, _SAMPLINGS[scheme][0]],
+                                state.r_pts if b_r is not None else state.r_pts[:, :0].copy())
         masks = {node: np.array(mask, dtype=bool) for node, mask in mesh.dirichlet.items()}
         for mask in masks.values():
             mask.flags.writeable = False
@@ -353,6 +362,20 @@ class FemModel:
         le1, le2 = self.mesh.le
         w = (le1 * le2 / 4.0) * self.mesh.jac0_pts[:, 1:]
         return w, stiffness_weights(N_PTS[1:], w)
+
+    @cached_property
+    def interpolation_rows(self) -> np.ndarray:
+        """The (3m [+ 4], 4) rows taking an element's nodal values to the m
+        sample points the state carries: N there, then d/dxi1 and d/dxi2 of
+        N at each point in turn, then, for a magnetized model, N at the four
+        Gauss points; built on the first update."""
+        pts = _SAMPLINGS[self.scheme][0]
+        le1, le2 = self.mesh.le
+        dn = DN_PTS_PARENT[pts] * np.array([2.0 / le1, 2.0 / le2])  # (m, 4, 2)
+        parts = [N_PTS[pts], np.swapaxes(dn, 1, 2).reshape(2 * len(pts), 4)]
+        if self.b_r is not None:
+            parts.append(N_PTS[GAUSS_POINTS])
+        return np.concatenate(parts)
 
     # --- element level -----------------------------------------------------
 
@@ -456,14 +479,15 @@ class FemModel:
 
     # --- global level ------------------------------------------------------
 
-    def assemble(self, kern: ElementKernels, kdead: np.ndarray, sc: "_Scatter") -> Band:
+    def assemble(self, kern: ElementKernels, kdead: np.ndarray | None) -> Band:
         """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
-        `sc` is the scatter of the free DOFs, `kdead` the (n_nodes,6,6)
-        dead-load blocks of `neumann_terms` (None without a dead load),
-        subtracted at the nodes that carry a dead load.  `kern.blocks` writes
-        the element blocks straight into the scatter's weight buffer.
+        `kdead` holds the (n_nodes,6,6) dead-load blocks of `neumann_terms`
+        (None without a dead load), subtracted at the nodes that carry a dead
+        load.  `kern.blocks` writes the element blocks straight into the
+        weight buffer of the model's scatter of the free DOFs.
         """
+        sc = self._layout
         kern.blocks(sc.block_weights)
         dead = [ld.nodes for ld in self.mesh.neumann if ld.frame == "dead"]
         return sc.band(kdead, np.unique(np.concatenate(dead)) if dead else None)
@@ -497,9 +521,8 @@ class FemModel:
             np.add.at(kdead, ld.nodes, blk)
         return b.ravel(), kdead
 
-    def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray | None,
-                                  sc: "_Scatter") -> Band:
-        """The tangent on the free DOFs of the scatter `sc`, with the dead loads.
+    def apply_boundary_conditions(self, kern: ElementKernels, kdead: np.ndarray | None) -> Band:
+        """The tangent on the model's free DOFs, with the dead loads.
 
         `kdead` comes from `neumann_terms`; `assemble` scatters it with the
         element blocks.  The stored entries are not scanned here: a
@@ -507,7 +530,7 @@ class FemModel:
         residual of the solve non-finite, and only then does
         `solver.newton_step` test them (`Band.is_finite`).
         """
-        return self.assemble(kern, kdead, sc)
+        return self.assemble(kern, kdead)
 
     def build_system(self, load_factor: float = 1.0) -> GlobalSystem:
         """The BC-reduced system on the free DOFs in band (grid) order.
@@ -527,7 +550,7 @@ class FemModel:
         load = b_neu if kern.magnetic_args is None else sc.vector(kern.f_mag) + b_neu
         return GlobalSystem(
             b=b, free=sc.order, load_norm=math.sqrt(load.dot(load)),
-            tangent=lambda: self.apply_boundary_conditions(kern, kdead, sc))
+            tangent=lambda: self.apply_boundary_conditions(kern, kdead))
 
     def half_bandwidth(self) -> int:
         """The half-bandwidth kl of the band `build_system` assembles on the

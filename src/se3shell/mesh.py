@@ -3,9 +3,10 @@
 The solver never re-derives deformation twists from nodal poses: every element
 carries its twists (and rotations, for the magnetic terms) at element points
 and evolves them multiplicatively.  `build_mesh` starts the state with the
-twists at all five points and the rotations at the four Gauss points; a
-`FemModel` narrows it to what it reads, the twists at the sample points of its
-strain sampling and, for a magnetized model only, the Gauss-point rotations.
+twists at all five points and the rotations at the four Gauss points; the
+`FemModel` built on the mesh narrows it once to what it reads, the twists at
+the sample points of its strain sampling and, for a magnetized model only,
+the Gauss-point rotations, and owns the interpolation rows to those points.
 Nodal poses are carried for output and for rotating dead loads.  The mesh
 holds geometry, boundary conditions and state only: the magnetization is a
 `FemModel` input, which also freezes the Dirichlet masks, and `outputs`
@@ -76,32 +77,18 @@ class NeumannLoad:
 class ShellState:
     """Mutable configuration state evolved by the solver.
 
-    `zeta_pts` holds the twists at the element points `twist_points` only, in
-    that order; `r_pts` the rotations at the four Gauss points, or none
-    (shape (nel, 0, 3, 3)) when nothing reads them.
+    `zeta_pts` holds the twists at element points in point order: all five
+    from `build_mesh`, the model's sample points once a `FemModel` narrows
+    it; `r_pts` the rotations at the four Gauss points, or none (shape
+    (nel, 0, 3, 3)) for an unmagnetized model.
     """
 
-    g_nodes: np.ndarray       # (n_nodes, 4, 4)
-    zeta_pts: np.ndarray      # (nel, len(twist_points), 2, 6)
-    r_pts: np.ndarray         # (nel, 4, 3, 3) or (nel, 0, 3, 3)
-    twist_points: np.ndarray  # element-point indices of zeta_pts, ascending
+    g_nodes: np.ndarray   # (n_nodes, 4, 4)
+    zeta_pts: np.ndarray  # (nel, 5, 2, 6), then (nel, m, 2, 6) for m sample points
+    r_pts: np.ndarray     # (nel, 4, 3, 3) or (nel, 0, 3, 3)
 
     def copy(self) -> "ShellState":
-        return ShellState(self.g_nodes.copy(), self.zeta_pts.copy(), self.r_pts.copy(),
-                          self.twist_points)
-
-    def carrying(self, twist_points: np.ndarray, rotations: bool) -> "ShellState":
-        """This state with only the twists at `twist_points` and, if
-        `rotations`, the Gauss-point rotations; both must be carried now."""
-        missing = set(twist_points.tolist()) - set(self.twist_points.tolist())
-        if missing:
-            raise ValueError(f"the state carries no twists at element points {sorted(missing)}")
-        if rotations and self.r_pts.shape[1] == 0:
-            raise ValueError("the state carries no Gauss-point rotations")
-        at = np.searchsorted(self.twist_points, twist_points)
-        return ShellState(self.g_nodes, self.zeta_pts[:, at],
-                          self.r_pts if rotations else self.r_pts[:, :0].copy(),
-                          np.asarray(twist_points))
+        return ShellState(self.g_nodes.copy(), self.zeta_pts.copy(), self.r_pts.copy())
 
 
 @dataclass(slots=True)
@@ -119,8 +106,6 @@ class ShellMesh:
     # per-node DOF masks; a FemModel freezes them into a read-only mapping
     dirichlet: Mapping[int, np.ndarray] = field(default_factory=dict)
     neumann: list[NeumannLoad] = field(default_factory=list)
-    _interpolation: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -136,23 +121,6 @@ class ShellMesh:
 
     def node_index(self, i: int, j: int) -> int:
         return j * (self.nx + 1) + i
-
-    def interpolation_rows(self, twist_points: np.ndarray, rotations: bool) -> np.ndarray:
-        """The (3m [+ 4], 4) rows taking an element's nodal values to its m
-        `twist_points`: N there, then d/dxi1 and d/dxi2 of N at each point in
-        turn, then, if `rotations`, N at the four Gauss points.  Built once
-        per set of points and element sizes."""
-        key = (twist_points.tobytes(), rotations, self.le)
-        rows = self._interpolation.get(key)
-        if rows is None:
-            m = len(twist_points)
-            le1, le2 = self.le
-            dn = DN_PTS_PARENT[twist_points] * np.array([2.0 / le1, 2.0 / le2])  # (m, 4, 2)
-            parts = [N_PTS[twist_points], np.swapaxes(dn, 1, 2).reshape(2 * m, 4)]
-            if rotations:
-                parts.append(N_PTS[GAUSS_POINTS])
-            rows = self._interpolation[key] = np.concatenate(parts)
-        return rows
 
     def free_dofs(self) -> np.ndarray:
         fixed = np.zeros(self.n_dofs, dtype=bool)
@@ -224,8 +192,7 @@ def build_mesh(surface: ReferenceSurface, nx: int, ny: int) -> ShellMesh:
     if np.any(jac0 <= 1e-12):
         raise ValueError("degenerate reference surface: vanishing area jacobian")
 
-    state = ShellState(g_nodes=g0.copy(), zeta_pts=zeta0.copy(),
-                       r_pts=r0[:, 1:].copy(), twist_points=np.arange(5))
+    state = ShellState(g_nodes=g0.copy(), zeta_pts=zeta0.copy(), r_pts=r0[:, 1:].copy())
     return ShellMesh(param=param, conn=conn, le=le, g0_nodes=g0,
                      zeta0_pts=zeta0, r0_pts=r0, jac0_pts=jac0,
                      state=state, nx=nx, ny=ny)

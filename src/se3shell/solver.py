@@ -23,7 +23,9 @@ with eta interpolated bilinearly at each carried point.  The twist rule is the
 exact body-frame derivative field of the multiplicatively updated pose field,
 so twists never need to be re-derived from poses.  Twists are carried only at
 the strain sample points of the model's scheme (the centroid, or the four
-Gauss points), and rotations only at the Gauss points of a magnetized model.
+Gauss points), and rotations only at the Gauss points of a magnetized model;
+the model fixes those points when it is built and owns the interpolation
+rows to them (`FemModel.interpolation_rows`).
 Each update first interpolates eta to those points, then takes the rotation
 angles once and evaluates the rotation coefficients once from them, in one
 pass over the nodes, the twist points and the Gauss points
@@ -36,8 +38,8 @@ before the coefficients are evaluated.
 The nodal rotations are checked for drift off SO(3) once per accepted
 attempt, not per update (`project_rotations`), and polar-projected past
 1e-12.  Convergence is measured on the residual 2-norm over free DOFs
-against tol_relative * max(1, |load|); the tangent is assembled only for an
-iteration that goes on to a linear solve.
+against max(TOL_RESIDUAL, tol_relative * max(1, |load|)); the tangent is
+assembled only for an iteration that goes on to a linear solve.
 
 The load factor ramps linearly over the configured number of steps; boundary
 wrenches scale with it and the applied magnetic field follows the model's
@@ -64,6 +66,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,6 +79,9 @@ from .liegroup import Ad, dexp_se3, exp_se3, exp_so3, inv_pose  # noqa: F401
 from .mesh import ShellMesh
 
 MAX_ROTATION_INCREMENT = np.pi / 2
+# Absolute floor of the Newton stop test |b| <= max(TOL_RESIDUAL,
+# tol_relative max(1, |load|)).
+TOL_RESIDUAL = 1e-12
 # Relative residual |b - A eta| / |b| of the linear solve above which the
 # increment is not a Newton step.  The other solves of the bundled scenarios
 # stay below 2.3e-8 on 17 of them and reach 7.7e-8, 8.1e-7 and 4.3e-7 on
@@ -110,13 +116,15 @@ class StepRejected(RuntimeError):
 @dataclass(frozen=True)
 class SolverSettings:
     tol_relative: float = 1e-8
-    tol_residual: float = 1e-12  # absolute floor
     max_iters: int = 50
     load_steps: int = 20
+    # TOL_RESIDUAL, not a setting: for callers that form the stop test from
+    # a settings object
+    tol_residual: ClassVar[float] = TOL_RESIDUAL
 
     def __post_init__(self):
-        if not (0 < self.tol_relative < np.inf and 0 < self.tol_residual < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.tol_relative < np.inf:
+            raise ValueError("tol_relative must be positive and finite")
         if not all(isinstance(n, (int, np.integer)) and n >= 1
                    for n in (self.max_iters, self.load_steps)):
             raise ValueError("max_iters and load_steps must be whole numbers, at least 1")
@@ -248,7 +256,7 @@ def update_configuration(mesh: ShellMesh, eta_nodes: np.ndarray,
     if not np.isfinite(eta_nodes).all():
         raise StepRejected("non-finite increment", "nonfinite")
     state = mesh.state
-    nel, m = mesh.n_elements, len(state.twist_points)
+    nel, m = mesh.n_elements, state.zeta_pts.shape[1]
     points = nel * m
     poses, twists, rotations = increment_maps(
         eta_nodes, at_pts[:, :m].reshape(points, 6), state.zeta_pts.reshape(points, 2, 6),
@@ -293,9 +301,9 @@ def update_twists(mesh: ShellMesh, twists: np.ndarray, rotations: np.ndarray) ->
 
     which equals vee((g exp(eta^))^-1 d_alpha (g exp(eta^))) for the carried
     pose field; spatially constant eta reduces to the pure frame change.  The
-    twists at `ShellState.twist_points` become `twists`; when the state
-    carries the Gauss-point rotations, each R becomes R exp_so3(eta_w), with
-    the increments `rotations`.
+    carried twists become `twists`; when the state carries the Gauss-point
+    rotations, each R becomes R exp_so3(eta_w), with the increments
+    `rotations`.
     """
     state = mesh.state
     state.zeta_pts = twists
@@ -307,16 +315,15 @@ def apply_increment_field(model: FemModel, eta_nodes: np.ndarray) -> None:
     """One multiplicative update of the whole state (poses, twists, rotations).
 
     The nodal increments are first interpolated to the carried points (the
-    twist points, then the Gauss points of a magnetized model) by the cached
-    `ShellMesh.interpolation_rows`; `update_configuration` then evaluates the
-    rotation coefficients of nodes and carried points in one pass and
-    `update_twists` stores the carried points' share.
+    model's sample points, then the Gauss points of a magnetized model) by
+    the model's `interpolation_rows`, built on its first update;
+    `update_configuration` then evaluates the rotation coefficients of nodes
+    and carried points in one pass and `update_twists` stores the carried
+    points' share.
     """
     mesh = model.mesh
     eta = np.asarray(eta_nodes, dtype=float).reshape(mesh.n_nodes, 6)
-    state = mesh.state
-    rows = mesh.interpolation_rows(state.twist_points, state.r_pts.shape[1] > 0)
-    at_pts = rows @ eta[mesh.conn]                                     # (nel, 3m [+ 4], 6)
+    at_pts = model.interpolation_rows @ eta[mesh.conn]                 # (nel, 3m [+ 4], 6)
     update_twists(mesh, *update_configuration(mesh, eta, at_pts))
 
 
@@ -359,8 +366,7 @@ def _newton_loop(model: FemModel, attempt: Attempt, settings: SolverSettings, lo
         attempt.residuals.append(system.residual_norm)
         if log is not None:
             log(attempt.log_line(it))
-        tol = max(settings.tol_residual,
-                  settings.tol_relative * max(1.0, system.load_norm))
+        tol = max(TOL_RESIDUAL, settings.tol_relative * max(1.0, system.load_norm))
         if system.residual_norm <= tol:
             attempt.converged = True
             return

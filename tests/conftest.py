@@ -399,12 +399,6 @@ def random_state_perturbation(model, scale, seed):
     apply_increment_field(model, eta)
 
 
-def increment_mesh(mesh, eta):
-    """`solver.apply_increment_field` on a bare mesh, whose state carries the
-    twists at all five element points and the Gauss-point rotations."""
-    apply_increment_field(SimpleNamespace(mesh=mesh), eta)
-
-
 def reject_first_solve(monkeypatch):
     """Make the first `solver.newton_step` call reject the attempt as a
     singular tangent with SINGULAR_REASON; later calls solve as usual."""

@@ -186,6 +186,25 @@ class TestElementKernels:
         with pytest.raises(ValueError, match=match):
             FemModel(mesh, MAT, b_r=b_r)
 
+    @pytest.mark.parametrize("first, second", [
+        ({}, {}), ({"scheme": "gauss"}, {"scheme": "gauss"}), ({}, {"scheme": "gauss"}),
+        ({"scheme": "gauss"}, {}), ({}, {"b_r": np.zeros((8, 3))})],
+        ids=["centroid", "gauss", "centroid_then_gauss", "gauss_then_centroid",
+             "magnetized_after_unmagnetized"])
+    def test_state_narrowed_by_another_model_refused(self, first, second):
+        # a model narrows the five-point state of build_mesh to the points it
+        # reads; a second model on that mesh is refused, even one that reads
+        # the same points, and leaves the state as it was
+        mesh = build_mesh(build_flat_plate(1.0, 0.4), 4, 2)
+        FemModel(mesh, MAT, **first)
+        state = mesh.state
+        points = 4 if first.get("scheme") == "gauss" else 1
+        assert state.zeta_pts.shape == (8, points, 2, 6)
+        assert state.r_pts.shape == (8, 0, 3, 3)
+        with pytest.raises(ValueError, match="narrowed to another model's points"):
+            FemModel(mesh, MAT, **second)
+        assert mesh.state is state
+
     def test_field_program_evaluated_once_per_load_factor(self):
         # the model keeps the last (program, load factor, environment): one
         # call per distinct load factor, none for the CSV magnitude of that
@@ -379,9 +398,11 @@ class TestKernelMemo:
         model.mesh.state.zeta_pts[:, :, 0, 0] += 1e-3
         edited = model.element_kernels()
         assert len(evaluations) == 2
-        fresh = FemModel(model.mesh, MAT, scheme=scheme).element_kernels()
+        fresh = make_model(nx=4, ny=2, scheme=scheme)
+        fresh.mesh.state = model.mesh.state
+        kernels = fresh.element_kernels()
         for name in ("kmat", "kmat_t", "kgeo", "f_int"):
-            assert np.array_equal(getattr(edited, name), getattr(fresh, name))
+            assert np.array_equal(getattr(edited, name), getattr(kernels, name))
             assert not np.array_equal(getattr(edited, name), getattr(first, name))
         # a NaN never equals itself, so it is evaluated on every build
         saved = model.mesh.state.zeta_pts[0, 0, 0, 0]
@@ -494,9 +515,9 @@ class TestAssembly:
         mesh2.zeta0_pts = model.mesh.zeta0_pts.copy()
         mesh2.r0_pts = model.mesh.r0_pts.copy()
         mesh2.jac0_pts = model.mesh.jac0_pts.copy()
+        model2 = FemModel(mesh2, MAT)
         mesh2.state = model.mesh.state.copy()
         mesh2.state.g_nodes = model.mesh.state.g_nodes[inv]
-        model2 = FemModel(mesh2, MAT)
         a2 = natural_tangent(model2)
         p = np.zeros((mesh2.n_dofs, mesh2.n_dofs))
         for old in range(model.mesh.n_nodes):

@@ -394,22 +394,22 @@ def rotation_vectors(rng, angles):
 
 class TestIncrementMaps:
     @staticmethod
-    def twists(angles):
+    def twists(rng, angles):
         """Twists with random linear parts and rotations of the given angles."""
-        w = RNG.normal(size=(len(angles), 3))
-        w *= np.asarray(angles)[:, None] / np.linalg.norm(w, axis=1, keepdims=True)
-        return np.concatenate([RNG.normal(size=(len(angles), 3)), w], axis=1)
+        return np.concatenate([rng.normal(size=(len(angles), 3)),
+                               rotation_vectors(rng, angles)], axis=1)
 
     @pytest.mark.parametrize("rotation_points", [0, 5])
     def test_equals_the_per_part_maps(self, rotation_points):
         # one stacked coefficient pass gives the bytes of the three calls, at
         # every switch angle in every part, with or without rotation points
+        rng = np.random.default_rng(33 + rotation_points)
         angles = np.repeat(SWITCH_ANGLES, 2)
-        eta_nodes = self.twists(RNG.permutation(angles))
-        eta_pts = self.twists(RNG.permutation(angles)[:17])
-        zeta = RNG.normal(size=(17, 2, 6))
-        deta = RNG.normal(size=(17, 2, 6))
-        w_rot = self.twists(RNG.choice(SWITCH_ANGLES, rotation_points))[:, 3:]
+        eta_nodes = self.twists(rng, rng.permutation(angles))
+        eta_pts = self.twists(rng, rng.permutation(angles)[:17])
+        zeta = rng.normal(size=(17, 2, 6))
+        deta = rng.normal(size=(17, 2, 6))
+        w_rot = self.twists(rng, rng.choice(SWITCH_ANGLES, rotation_points))[:, 3:]
         checked = []
         got = increment_maps(eta_nodes, eta_pts, zeta, deta, w_rot, checked.append)
         expected = (exp_se3(eta_nodes), carried_update(eta_pts, zeta, deta), exp_so3(w_rot))
@@ -461,13 +461,15 @@ class TestIncrementMaps:
         def reject(angles):
             raise ValueError(f"largest angle {angles.max()}")
 
-        eta = self.twists([0.1, 2.0])
-        with pytest.raises(ValueError, match="largest angle 2.0"):
-            increment_maps(eta, eta[:1], RNG.normal(size=(1, 2, 6)),
-                           RNG.normal(size=(1, 2, 6)), np.zeros((0, 3)), reject)
+        # rotation angles 0.1 and exactly 2.0 rad
+        rng = np.random.default_rng(34)
+        eta = np.concatenate([rng.normal(size=(2, 3)), [[0.1, 0.0, 0.0], [0.0, 0.0, 2.0]]],
+                             axis=1)
+        zeta, deta = rng.normal(size=(2, 1, 2, 6))
+        with pytest.raises(ValueError, match="largest angle 2.0$"):
+            increment_maps(eta, eta[:1], zeta, deta, np.zeros((0, 3)), reject)
         assert not calls
-        increment_maps(eta, eta[:1], RNG.normal(size=(1, 2, 6)),
-                       RNG.normal(size=(1, 2, 6)), np.zeros((0, 3)), lambda angles: None)
+        increment_maps(eta, eta[:1], zeta, deta, np.zeros((0, 3)), lambda angles: None)
         assert len(calls) == 1
 
 

@@ -21,7 +21,6 @@ from conftest import (
     deformation_twists,
     dense_to_band,
     dexp_series,
-    increment_mesh,
     reject_first_solve,
     transform_reference,
 )
@@ -528,33 +527,30 @@ class TestUpdateTwists:
 
     def test_patch_against_analytic_field(self):
         # single element; compare carried twists with finite differences of
-        # the composed field g0(xi) exp(eta(xi)^)
+        # the composed field g0(xi) exp(eta(xi)^): the centroid on a centroid
+        # model, the second Gauss point, (+,-), on a Gauss model, each on a
+        # mesh of its own
         lx, ly = 0.6, 0.4
         surface = build_flat_plate(lx, ly)
-        mesh = build_mesh(surface, 1, 1)
         eta_nodes = 0.3 * RNG.normal(size=(4, 6))
+        gx, gy = lx / 2 + lx / 2 / np.sqrt(3), ly / 2 - ly / 2 / np.sqrt(3)
+        for scheme, x1, x2, point in (("centroid", lx / 2, ly / 2, 0), ("gauss", gx, gy, 1)):
+            model = FemModel(build_mesh(surface, 1, 1), Material(e=1e6, nu=0.3, h=0.01),
+                             scheme=scheme)
+            conn = model.mesh.conn[0]
 
-        def eta_field(x1, x2):
-            px, py = 2 * x1 / lx - 1, 2 * x2 / ly - 1
-            n = shape_values(np.array([[px, py]]))[0]
-            # interpolation follows the mesh's CCW connectivity
-            return sum(n[i] * eta_nodes[mesh.conn[0][i]] for i in range(4))
+            def g_new(x1, x2):
+                px, py = 2 * x1 / lx - 1, 2 * x2 / ly - 1
+                n = shape_values(np.array([[px, py]]))[0]
+                # interpolation follows the mesh's CCW connectivity
+                eta = sum(n[i] * eta_nodes[conn[i]] for i in range(4))
+                return surface.pose_at(x1, x2) @ exp_se3(eta)
 
-        def g_new(x1, x2):
-            return surface.pose_at(x1, x2) @ exp_se3(eta_field(x1, x2))
-
-        eta_flat = eta_nodes.reshape(-1)
-        increment_mesh(mesh, eta_flat)
-        # centroid point
-        z1, z2 = deformation_twists(g_new, lx / 2, ly / 2, step=1e-6)
-        assert np.allclose(mesh.state.zeta_pts[0, 0, 0], z1, atol=1e-6)
-        assert np.allclose(mesh.state.zeta_pts[0, 0, 1], z2, atol=1e-6)
-        # a gauss point
-        gx = lx / 2 + lx / 2 / np.sqrt(3)
-        gy = ly / 2 - ly / 2 / np.sqrt(3)
-        z1g, z2g = deformation_twists(g_new, gx, gy, step=1e-6)
-        assert np.allclose(mesh.state.zeta_pts[0, 2, 0], z1g, atol=1e-6)
-        assert np.allclose(mesh.state.zeta_pts[0, 2, 1], z2g, atol=1e-6)
+            apply_increment_field(model, eta_nodes.reshape(-1))
+            z1, z2 = deformation_twists(g_new, x1, x2, step=1e-6)
+            zeta = model.mesh.state.zeta_pts[0, point]
+            assert np.allclose(zeta[0], z1, atol=1e-6)
+            assert np.allclose(zeta[1], z2, atol=1e-6)
 
     @pytest.mark.parametrize("name", ["rollup_6pi", "magnetic_plate_A"])
     def test_matches_matrix_composition(self, name):
@@ -562,10 +558,10 @@ class TestUpdateTwists:
         # dexp series applied to the interpolated field at the carried points:
         # twists at the centroid or, for FemModel(scheme="gauss"), the Gauss points;
         # rotations at the Gauss points on the magnetized plate only
-        for build, twist_points in ((build_model, [0]), (build_gauss_model, [1, 2, 3, 4])):
+        for build, points in ((build_model, [0]), (build_gauss_model, [1, 2, 3, 4])):
             model = build(load_bundled(name))
             mesh = model.mesh
-            assert np.array_equal(mesh.state.twist_points, twist_points)
+            assert mesh.state.zeta_pts.shape[1] == len(points)
             assert mesh.state.r_pts.shape[1] == (4 if name == "magnetic_plate_A" else 0)
             le1, le2 = mesh.le
             dn_pts = DN_PTS_PARENT * np.array([2.0 / le1, 2.0 / le2])
@@ -575,12 +571,12 @@ class TestUpdateTwists:
                 eta = capped_rotations(amp * RNG.normal(size=(mesh.n_nodes, 6)), 1.55)
                 eta_el = eta[mesh.conn]
                 eta_p = np.einsum("pi,eik->epk", N_PTS, eta_el)
-                deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)[:, twist_points]
+                deta_p = np.einsum("pia,eik->epak", dn_pts, eta_el)[:, points]
                 zeta, r = mesh.state.zeta_pts.copy(), mesh.state.r_pts.copy()
                 expected = (np.einsum("epqr,epar->epaq",
-                                      Ad(inv_pose(exp_se3(eta_p[:, twist_points]))), zeta)
+                                      Ad(inv_pose(exp_se3(eta_p[:, points]))), zeta)
                             + np.einsum("epqr,epar->epaq",
-                                        dexp_series(eta_p[:, twist_points]), deta_p))
+                                        dexp_series(eta_p[:, points]), deta_p))
                 apply_increment_field(model, eta.ravel())
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(mesh.state.zeta_pts - expected)) < 1e-13 * scale
@@ -598,9 +594,9 @@ class TestUpdateTwists:
         model = (build_model if scheme == "centroid" else build_gauss_model)(load_bundled(name))
         mesh = model.mesh
         state = mesh.state
-        nel, m = mesh.n_elements, len(state.twist_points)
+        nel, m = mesh.n_elements, state.zeta_pts.shape[1]
         apply_increment_field(model, 0.05 * RNG.normal(size=mesh.n_dofs))
-        rows = mesh.interpolation_rows(state.twist_points, state.r_pts.shape[1] > 0)
+        rows = model.interpolation_rows
         fields = []
         for angle in UPDATE_ANGLES:
             eta = np.tile(RNG.normal(size=6), (mesh.n_nodes, 1))
@@ -644,7 +640,7 @@ class TestUpdateTwists:
         for k in range(1, 4):
             apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
             assert len(calls) == k
-        points = mesh.n_elements * len(mesh.state.twist_points)
+        points = mesh.n_elements * mesh.state.zeta_pts.shape[1]
         gauss = mesh.n_elements * mesh.state.r_pts.shape[1]
         assert calls[0] == (points + mesh.n_nodes + gauss, points + mesh.n_nodes, points)
 
@@ -683,21 +679,24 @@ class TestUpdateTwists:
         # read by every later one
         model = build_model(load_bundled(name))
         mesh = model.mesh
+        assert "interpolation_rows" not in vars(model)
         apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
-        (rows,) = mesh._interpolation.values()
+        rows = vars(model)["interpolation_rows"]
         for _ in range(2):
             apply_increment_field(model, 0.01 * RNG.normal(size=mesh.n_dofs))
+        assert model.interpolation_rows is rows
         rotations = mesh.state.r_pts.shape[1] > 0
-        assert mesh.interpolation_rows(mesh.state.twist_points, rotations) is rows
-        assert len(mesh._interpolation) == 1
-        assert rows.shape == (3 * len(mesh.state.twist_points) + 4 * rotations, 4)
+        assert rows.shape == (3 * mesh.state.zeta_pts.shape[1] + 4 * rotations, 4)
 
     def test_strain_equivalence_after_two_updates(self):
         # composing two updates stays consistent with the composed pose field
+        # at the centroid of a centroid model
         lx, ly = 0.5, 0.5
         surface = build_flat_plate(lx, ly)
-        mesh = build_mesh(surface, 1, 1)
-        etas = [0.2 * RNG.normal(size=(4, 6)) for _ in range(2)]
+        model = FemModel(build_mesh(surface, 1, 1), Material(e=1e6, nu=0.3, h=0.01))
+        mesh = model.mesh
+        rng = np.random.default_rng(9)
+        etas = [0.2 * rng.normal(size=(4, 6)) for _ in range(2)]
 
         def field(k):
             def f(x1, x2):
@@ -713,7 +712,7 @@ class TestUpdateTwists:
             return g
 
         for k in range(2):
-            increment_mesh(mesh, etas[k].reshape(-1))
+            apply_increment_field(model, etas[k].reshape(-1))
         z1, z2 = deformation_twists(g_new, lx / 2, ly / 2, step=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 0, 0], z1, atol=1e-6)
         assert np.allclose(mesh.state.zeta_pts[0, 0, 1], z2, atol=1e-6)
@@ -722,14 +721,19 @@ class TestUpdateTwists:
 class TestRun:
     @pytest.mark.parametrize("kwargs", [
         {"load_steps": 0}, {"max_iters": 0}, {"load_steps": 2.5}, {"max_iters": 3.0},
-        {"tol_relative": 0.0}, {"tol_relative": np.nan}, {"tol_residual": np.inf}],
+        {"tol_relative": 0.0}, {"tol_relative": np.nan}],
         ids=["steps_zero", "iters_zero", "steps_fraction", "iters_float", "tol_zero",
-             "tol_nan", "floor_inf"])
+             "tol_nan"])
     def test_settings_validation(self, kwargs):
         # counts must be whole numbers, since `run` steps the load with range
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
         assert SolverSettings(load_steps=np.int64(3)).load_steps == 3
+
+    def test_residual_floor_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SolverSettings(tol_residual=1e-10)
+        assert SolverSettings().tol_residual == solver.TOL_RESIDUAL == 1e-12
 
     def test_zero_load(self):
         model = cantilever()
@@ -925,14 +929,15 @@ class TestRun:
         assert [(a.reason, a.category) for a in report.attempts] == [(reason, "nonfinite")]
 
     # D A D of an inf diagonal entry multiplies it by D = 0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["rollup_2pi", "magnetic_plate_A"])
     @pytest.mark.parametrize("entry", [(1, 1, 2, 2), (2, 0, 1, 4)])
     def test_nonfinite_tangent_is_named(self, name, entry, monkeypatch):
         # an inf in one Kgeo entry of the first tangent, on the diagonal or
         # off it, is not scanned for when the tangent is assembled; the solve
         # fails on it, and its failure path names a non-finite system, not a
-        # singular tangent (the plate factors D A D)
+        # singular tangent (the plate factors D A D, which takes D = 1 at an
+        # infinite diagonal entry and so forms no 0 inf and warns of none)
         cfg = load_bundled(name)
         model = build_model(cfg)
         form = fem.element_geometric_stiffness
@@ -1016,11 +1021,11 @@ class TestRun:
         # after that, one evaluation per build that does not open an attempt
         assert len(evaluations) == len(at_build) - len(report.steps)
         ((kern, state),) = reused
-        mesh = build_mesh(build_flat_plate(1.0, 0.2), 4, 1)
-        mesh.state = state
-        fresh = FemModel(mesh, model.material).element_kernels()
+        fresh = FemModel(build_mesh(build_flat_plate(1.0, 0.2), 4, 1), model.material)
+        fresh.mesh.state = state
+        kernels = fresh.element_kernels()
         for name in ("kmat", "kgeo", "f_int"):
-            assert np.array_equal(getattr(kern, name), getattr(fresh, name))
+            assert np.array_equal(getattr(kern, name), getattr(kernels, name))
 
     def test_exhausted_attempt_gets_its_kernels_back(self, monkeypatch):
         # the attempt moves the state before it is rejected; the retry from

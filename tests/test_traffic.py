@@ -24,13 +24,13 @@ def test_lists_the_unexecuted_polar_projection():
     assert re.search(r"^  solver\.py:\d+ project_rotations: "
                      r"u, _, vt = np\.linalg\.svd\(r\)$", out, re.M)
     # the model has one assembly path, run constants read once from a problem
-    # fixed at construction, and the solver one linear solve on the band,
-    # which every solve runs whole, with D A D on the wide band: apart from
-    # the raise of an error path, no statement of them is left unexecuted,
-    # so a branch that only tests feed shows up here
-    unrun = re.findall(r"^  fem\.py:\d+ FemModel\.(assemble|apply_boundary_conditions|"
-                       r"build_system|_layout|_env_at|_remanent_field|_magnetic_quadrature|"
-                       r"_sampling): (.*)$", out, re.M)
+    # fixed at construction, carried points among them, and the solver one
+    # linear solve on the band, which every solve runs whole, with D A D on
+    # the wide band: apart from the raise of an error path, no statement of
+    # them is left unexecuted, so a branch that only tests feed shows up here
+    unrun = re.findall(r"^  fem\.py:\d+ FemModel\.(__init__|interpolation_rows|assemble|"
+                       r"apply_boundary_conditions|build_system|_layout|_env_at|"
+                       r"_remanent_field|_magnetic_quadrature|_sampling): (.*)$", out, re.M)
     unrun += re.findall(r"^  fem\.py:\d+ (Band\.(?:scale_jacobi|residual)|"
                         r"_Scatter\.\w+): (.*)$", out, re.M)
     unrun += re.findall(r"^  solver\.py:\d+ (newton_step): (.*)$", out, re.M)
