@@ -6,7 +6,7 @@ strain sampling, and a multiplicative Newton update that never interpolates
 group elements.
 """
 
-from .constitutive import Material, magnetic_modulus
+from .constitutive import Material
 from .fem import FemModel
 from .kinematics import build_cylindrical_arch, build_flat_plate
 from .magnetics import MU0, MagneticEnvironment
@@ -16,7 +16,6 @@ from .solver import SolveReport, SolverSettings, run
 
 __all__ = [
     "Material",
-    "magnetic_modulus",
     "FemModel",
     "build_cylindrical_arch",
     "build_flat_plate",

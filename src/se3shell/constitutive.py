@@ -107,18 +107,3 @@ def internal_energy_density(stress_pair: np.ndarray, strain_rows: np.ndarray) ->
     s = np.asarray(stress_pair, dtype=float)
     e = np.asarray(strain_rows, dtype=float)
     return -0.5 * float(np.sum(s * e))
-
-
-MAGNETIC_PHI_LIMIT = 1.0 / 1.35
-
-
-def magnetic_modulus(e0: float, phi: float) -> float:
-    """Particle-filled elastomer modulus E0 * exp(2.5 phi / (1 - 1.35 phi)).
-
-    Valid for volume fractions 0 <= phi < 1/1.35.  Note the experimental
-    reports round to slightly different factors (1.19 at phi=0.06, 1.45 at
-    phi=0.12) than this formula's 1.177 / 1.430.
-    """
-    if not 0.0 <= phi < MAGNETIC_PHI_LIMIT:
-        raise ValueError(f"volume fraction must lie in [0, {MAGNETIC_PHI_LIMIT:.4f})")
-    return e0 * float(np.exp(2.5 * phi / (1.0 - 1.35 * phi)))

@@ -46,11 +46,11 @@ a one-element-wide strip, 107 on a 20x15 plate.  The scatter of those DOFs
 maps every element-block, element-force and nodal dead-load entry, fixed
 DOFs dropped, to its place in the (2 kl + ku + 1, m) work array that dgbtrf
 factors; each assembly zeroes that array and scatter-adds the element
-blocks into it, less the blocks of the nodes that carry a dead load, and it
-is the factor's input.  The `Band` keeps a copy of the diagonals some
-block writes (all 47 on a strip, 69 of 215 on the 20x15 plate) for the
-solver.  The model forms no other system: an unsupported mesh gives the
-band over every DOF, still in grid order.
+blocks into it, less the nodal dead-load blocks, and it is the factor's
+input.  The `Band` keeps a copy of the diagonals some block writes (all 47
+on a strip, 69 of 215 on the 20x15 plate) for the solver.  The model forms
+no other system: an unsupported mesh gives the band over every DOF, still
+in grid order.
 """
 
 from __future__ import annotations
@@ -326,9 +326,6 @@ class FemModel:
             last = self._environment = (self.field, load_factor, self.field(load_factor))
         return last[2]
 
-    def _env_at(self, load_factor: float) -> MagneticEnvironment | None:
-        return None if self.b_r is None else self.environment_at(load_factor)
-
     @cached_property
     def _remanent_field(self) -> np.ndarray:
         """R_0^T B_0^r at the Gauss points, (nel,4,3), built on the first
@@ -404,12 +401,6 @@ class FemModel:
         return (mesh.zeta0_pts[:, pts], n, dn, d12.reshape(nel, g, 2, 6, 2, 6).swapaxes(3, 4),
                 d12, np.einsum("gia,gjb,egabpq->eijpq", dn, dn, wd))
 
-    def _strain_stress(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Strains and weighted stresses of twists at the sample points, (nel,G,2,6)."""
-        zeta0, _, _, wd, _, _ = self._sampling
-        strain = zeta - zeta0
-        return strain, stress(wd, strain)
-
     def _mechanical_kernels(self):
         """The memo (twists, (P, P^T, f_int, s, ad(zeta))) of the current twists,
         evaluated once per state.
@@ -445,8 +436,8 @@ class FemModel:
         is formed.  P^T is copied contiguous, so the block fill adds it
         without strides.
         """
-        _, n, dn, _, d12, _ = self._sampling
-        _, s = self._strain_stress(zeta)
+        zeta0, n, dn, wd, d12, _ = self._sampling
+        s = stress(wd, zeta - zeta0)
         nel, g = s.shape[:2]
         adz = ad(zeta).reshape(nel, g, 12, 6)              # A_ga stacked over a
         adz_t = np.swapaxes(adz, -1, -2)
@@ -462,10 +453,16 @@ class FemModel:
         return p, p_t, f_int.sum(axis=1), s, adz
 
     def element_kernels(self, load_factor: float = 1.0) -> ElementKernels:
+        """The element arrays of the current state at `load_factor`, which
+        `build_system` and `energies` both read: the state's kernel memo
+        (`geometric_args[1]` is its weighted stress) and, for a magnetized
+        model with a field program, `magnetic_args` = (R_0^T B_0^r, R_t^T B^a
+        at the Gauss points, mu0, stiffness weights) with f_mag formed from
+        them; otherwise `magnetic_args` is None and f_mag all zero."""
         mesh = self.mesh
         _, (p, p_t, f_int, s, adz) = self._mechanical_kernels()
         _, n, dn, _, _, k0 = self._sampling
-        env = self._env_at(load_factor)
+        env = None if self.b_r is None else self.environment_at(load_factor)
         args = None
         f_mag = self._zero_forces
         if env is not None:
@@ -483,14 +480,13 @@ class FemModel:
         """Scatter-add element blocks into the tangent A = Kmat + Kgeo - Kdead - Kmag.
 
         `kdead` holds the (n_nodes,6,6) dead-load blocks of `neumann_terms`
-        (None without a dead load), subtracted at the nodes that carry a dead
-        load.  `kern.blocks` writes the element blocks straight into the
-        weight buffer of the model's scatter of the free DOFs.
+        (None without a dead load), zero at the nodes that carry none.
+        `kern.blocks` writes the element blocks straight into the weight
+        buffer of the model's scatter of the free DOFs.
         """
         sc = self._layout
         kern.blocks(sc.block_weights)
-        dead = [ld.nodes for ld in self.mesh.neumann if ld.frame == "dead"]
-        return sc.band(kdead, np.unique(np.concatenate(dead)) if dead else None)
+        return sc.band(kdead)
 
     def neumann_terms(self, load_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
         """Nodal boundary wrenches (n_dofs,) and dead-load tangent blocks.
@@ -566,19 +562,20 @@ class FemModel:
     # --- diagnostics --------------------------------------------------------
 
     def energies(self, load_factor: float = 1.0) -> tuple[float, float]:
-        """(elastic stored energy, magnetic potential) of the current state.
+        """(elastic stored energy, magnetic potential) of the current state,
+        from the arrays `element_kernels(load_factor)` gives a Newton build.
 
         Elastic part integrates -l0 = 1/2 <S, E> over the strain sampling of
-        the active scheme; magnetic part is -(1/mu0) B_t^r . B^a per area.
+        the active scheme, S the memo's weighted stress and E = zeta - zeta_0;
+        magnetic part is -(1/mu0) B_t^r . B^a per area, 0 without magnetic_args.
         """
-        strain, s = self._strain_stress(self.mesh.state.zeta_pts)
-        elastic = -internal_energy_density(s, strain)
+        kern = self.element_kernels(load_factor)
+        strain = self.mesh.state.zeta_pts - self._sampling[0]
+        elastic = -internal_energy_density(kern.geometric_args[1], strain)
         magnetic = 0.0
-        env = self._env_at(load_factor)
-        mesh = self.mesh
-        if env is not None:
-            b_app = applied_field(mesh.state.r_pts, env)
-            dots = np.sum(self._remanent_field * b_app, axis=-1) / env.mu0
+        if kern.magnetic_args is not None:
+            b_mat, b_app, mu0, _ = kern.magnetic_args
+            dots = np.sum(b_mat * b_app, axis=-1) / mu0
             magnetic = float(-np.sum(self._magnetic_quadrature[0] * dots))
         return elastic, magnetic
 
@@ -640,15 +637,17 @@ class _Scatter:
         self._data = np.zeros(self.size + 1)
         self.ab = self._data[:self.size].reshape(m, self.ldab).T
 
-    def band(self, kdead: np.ndarray, nodes: np.ndarray | None) -> Band:
+    def band(self, kdead: np.ndarray | None) -> Band:
         """Sum the element blocks in the weights, less the (n_nodes,6,6)
-        nodal blocks `kdead` of `nodes` (none for None), into the work array
-        and return it as a `Band`."""
+        nodal blocks `kdead` (none for None; an unloaded node's block is zero,
+        and a - 0 keeps every bit), into the work array and return it as a
+        `Band`."""
         self._data.fill(0.0)
         np.add.at(self._data, self.k_slot, self.block_weights.reshape(-1))
-        if nodes is not None:
-            # distinct nodes own distinct slots, save the spare one
-            self._data[self.node_slot[nodes]] -= kdead[nodes]
+        if kdead is not None:
+            # the free entries own distinct slots; the fixed ones share the
+            # spare slot, which is cut off
+            self._data[self.node_slot] -= kdead
         return Band(self.ab, self.kl, self.ku,
                     tuple((top, np.array(self.ab[rows], order="F")) for top, rows in self.runs))
 

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .fem import FemModel
+from .liegroup import unskew
 from .mesh import ShellMesh
 from .scenario import ScenarioConfig, ScenarioError, build_model, edge_length
 from .solver import SolveReport, band_scaling, run
@@ -82,10 +83,13 @@ def tip_displacement(model: FemModel) -> np.ndarray:
 
 
 def tip_rotation_angle(model: FemModel) -> float:
+    """The principal angle of R_t R_0^T at the tip node, in [0, pi]: the atan2
+    of its sine |vee(R - R^T)| / 2 and its cosine (tr R - 1) / 2, accurate
+    near 0 and near pi alike, where an arccos of the cosine alone is not."""
     tip = model.mesh.tip_node()
     r_rel = model.mesh.state.g_nodes[tip, :3, :3] @ model.mesh.g0_nodes[tip, :3, :3].T
-    c = np.clip(0.5 * (np.trace(r_rel) - 1.0), -1.0, 1.0)
-    return float(np.arccos(c))
+    sin = 0.5 * np.linalg.norm(unskew(r_rel - r_rel.T))
+    return float(np.arctan2(sin, 0.5 * (np.trace(r_rel) - 1.0)))
 
 
 def primary_magnitude(cfg: ScenarioConfig, model: FemModel, load_factor: float) -> float:

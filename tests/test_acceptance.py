@@ -444,6 +444,35 @@ def test_criterion_10_antiparallel_instability():
                f"< straight {e_straight:.3e}")
 
 
+def test_band_cholesky_stability_verdicts():
+    # dpbtrf on the upper band of the symmetric part (A + A^T)/2 of the
+    # tangent succeeds (info 0) exactly when it is positive definite; on a
+    # dead load or a uniform field a failure marks a saddle.  Two elements
+    # across, the end_shear and antiparallel final states are stable, and
+    # criterion 10's straight state is not.  (The bundled one-element-wide
+    # 20x1 end_shear and 30x1 antiparallel final states give info 239 and 12:
+    # their checkerboard modes, not asserted here.)
+    def cholesky_info(model):
+        a = band_to_dense(model.build_system(1.0).a)
+        a = 0.5 * (a + a.T)
+        kd = model.half_bandwidth()
+        ab = np.zeros((kd + 1, len(a)))
+        for o in range(kd + 1):
+            ab[kd - o, o:] = np.diagonal(a, o)
+        return lapack.dpbtrf(ab)[1]
+
+    for name in ("end_shear", "antiparallel"):
+        cfg = replace(load_bundled(name), ny=2)
+        model = build_model(cfg)
+        assert run(model, cfg.solver).converged
+        assert cholesky_info(model) == 0, name
+
+    cfg = load_bundled("antiparallel")
+    straight = build_model(replace(cfg, perturb=None))
+    straight.field = MagneticEnvironment(cfg.magnetic.b_a, cfg.magnetic.mu0).scaled
+    assert cholesky_info(straight) == 12
+
+
 def test_antiparallel_strip_matches_the_hard_magnetic_elastica():
     # A clamped-free strip magnetized along its axis in an antiparallel
     # field feels no force; EI th'' + q sin th = 0 with q = b h B^r B^a / mu0

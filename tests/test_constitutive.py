@@ -12,7 +12,6 @@ from se3shell.constitutive import (
     Material,
     h_tensor,
     internal_energy_density,
-    magnetic_modulus,
     metric_inverse,
     stiffness_blocks,
     stress,
@@ -222,25 +221,3 @@ class TestMetricInverse:
         m = np.array([[a1 @ a1, a1 @ a2], [a1 @ a2, a2 @ a2]])
         assert np.allclose(metric_inverse(a1, a2) @ m, I2, atol=1e-12)
 
-
-class TestMagneticModulus:
-    def test_zero_fraction(self):
-        assert magnetic_modulus(324.054e3, 0.0) == 324.054e3
-
-    def test_six_percent(self):
-        # direct formula evaluation; the experimental report rounds to 1.19
-        factor = magnetic_modulus(1.0, 0.06)
-        assert factor == pytest.approx(np.exp(2.5 * 0.06 / (1 - 1.35 * 0.06)), rel=1e-12)
-        assert factor == pytest.approx(1.1773, abs=2e-4)
-        assert abs(factor - 1.19) < 0.02
-
-    def test_twelve_percent(self):
-        factor = magnetic_modulus(1.0, 0.12)
-        assert factor == pytest.approx(1.4305, abs=2e-4)
-        assert abs(factor - 1.45) < 0.025
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            magnetic_modulus(1.0, 1 / 1.35)
-        with pytest.raises(ValueError):
-            magnetic_modulus(1.0, -0.01)

@@ -17,6 +17,7 @@ from se3shell.outputs import run_scenario
 from se3shell.scenario import (
     _KNOWN_KEYS,
     ScenarioError,
+    build_model,
     bundled_dir,
     list_bundled,
     load_bundled,
@@ -135,8 +136,6 @@ class TestParsing:
         assert EXPECTED_BENCHMARKS <= names
 
     def test_per_volume_thickness_scaling(self):
-        from se3shell.scenario import build_model
-
         cfg = load_bundled("magnetic_cantilever_lh41")
         model = build_model(cfg)
         assert model.b_r[0, 0] == pytest.approx(0.143 * cfg.material.h)
@@ -152,6 +151,18 @@ def small_run(tmp_path_factory):
 
 
 class TestRunOutputs:
+    @pytest.mark.parametrize("angle", [1e-9, np.pi - 1e-9])
+    def test_tip_rotation_angle_near_zero_and_pi(self, angle):
+        # arccos((tr R - 1) / 2) reads 0 for a 1e-9 rad rotation and pi for
+        # pi - 1e-9; the straight strip's tip frame is the identity
+        model = build_model(replace(load_bundled("end_shear"), nx=2))
+        mesh = model.mesh
+        tip = mesh.tip_node()
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        mesh.state.g_nodes[tip, :3, :3] = rot @ mesh.g0_nodes[tip, :3, :3]
+        assert abs(outputs.tip_rotation_angle(model) - angle) <= 1e-15 * max(angle, 1.0)
+
     def test_csv_row_count(self, small_run):
         out, cfg, report, _ = small_run
         assert report.converged

@@ -29,7 +29,7 @@ def test_lists_the_unexecuted_polar_projection():
     # the wide band: apart from the raise of an error path, no statement of
     # them is left unexecuted, so a branch that only tests feed shows up here
     unrun = re.findall(r"^  fem\.py:\d+ FemModel\.(__init__|interpolation_rows|assemble|"
-                       r"apply_boundary_conditions|build_system|_layout|_env_at|"
+                       r"apply_boundary_conditions|build_system|_layout|"
                        r"_remanent_field|_magnetic_quadrature|_sampling): (.*)$", out, re.M)
     unrun += re.findall(r"^  fem\.py:\d+ (Band\.(?:scale_jacobi|residual)|"
                         r"_Scatter\.\w+): (.*)$", out, re.M)
